@@ -59,27 +59,29 @@ class ApReport:
 def _match_image(
     dets: list[tuple[int, Box, float]],
     gts: list[tuple[Box, bool]],
+    ious: list[list[float]],
     thr: float,
 ) -> list[tuple[float, bool, bool]]:
     """Greedy matching inside one image and class.
 
     ``dets`` rows are (stable_index, box, score) already in score order;
-    ``gts`` rows are (box, ignored). Returns (score, is_tp, det_ignored)
+    ``gts`` rows are (box, ignored); ``ious[d][g]`` is the IOU of
+    detection d with ground truth g. Returns (score, is_tp, det_ignored)
     per detection. A detection prefers the highest-IOU unmatched
     non-ignored ground truth; failing that it may match an ignored one
     and is then ignored itself.
     """
     taken = [False] * len(gts)
     out = []
-    for _, box, sc in dets:
+    for (_, _, sc), row in zip(dets, ious):
         best_g = -1
         best_iou = 0.0
-        for g, (gbox, g_ign) in enumerate(gts):
+        for g, (_, g_ign) in enumerate(gts):
             if taken[g]:
                 continue
             if best_g >= 0 and not gts[best_g][1] and g_ign:
                 break  # already holding a real match; don't trade for ignored
-            v = iou_value(box, gbox)
+            v = row[g]
             if v >= thr and (best_g < 0 or v > best_iou):
                 best_g, best_iou = g, v
         if best_g >= 0:
@@ -130,17 +132,24 @@ def _area_ap(detections: DetectionsByImage, gts: GroundTruthsByImage, area: tupl
         if n_gt == 0:
             continue
 
+        # per image, built once for all thresholds: the top detections in
+        # score order and their IOUs against the ground truths
+        per_image = []
+        for img in image_ids:
+            dets = [
+                (i, b, s)
+                for i, (b, cc, s) in enumerate(detections.get(img, []))
+                if cc == c
+            ]
+            dets.sort(key=lambda r: (-r[2], r[0]))
+            dets = dets[:MAX_DETECTIONS_PER_IMAGE]
+            ious = [[iou_value(b, gbox) for gbox, _ in gt_by_img[img]] for _, b, _ in dets]
+            per_image.append((img, dets, ious))
+
         for t_i, thr in enumerate(IOU_THRESHOLDS):
             records: list[tuple[float, bool, bool, str, int]] = []
-            for img in image_ids:
-                dets = [
-                    (i, b, s)
-                    for i, (b, cc, s) in enumerate(detections.get(img, []))
-                    if cc == c
-                ]
-                dets.sort(key=lambda r: (-r[2], r[0]))
-                dets = dets[:MAX_DETECTIONS_PER_IMAGE]
-                matched = _match_image(dets, gt_by_img[img], thr)
+            for img, dets, ious in per_image:
+                matched = _match_image(dets, gt_by_img[img], ious, thr)
                 for (stable_i, box, _), (sc, tp, ign) in zip(dets, matched):
                     if not tp and not ign and not (lo <= box.area < hi):
                         ign = True  # unmatched detection outside the range

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..evaluation import ApReport, evaluate
-from ..nms import Detection, greedy_nms, score
+from ..nms import greedy_nms, score
 from .config import ScenarioConfig
 from .scenario import Scenario, detections_from_heads, generate_scenario, true_iou
 from .toyfit import FitResult, fit_toy, init_toy_model
@@ -32,29 +32,24 @@ class AbReport:
     modes: dict[str, ModeResult]
 
 
-def _kept_by_image(scenario: Scenario, mode: str, threshold: float) -> dict[str, list[Detection]]:
-    floor = scenario.cfg.nms.score_floor
-    return {
-        img.image_id: greedy_nms(
-            detections_from_heads(scenario.anchors, img.heads, floor), threshold, mode, floor
-        )
-        for img in scenario.images
-    }
-
-
 def run_nms_ab(scenario: Scenario, thresholds: list[float] | None = None) -> list[AbReport]:
     """Evaluate both scoring modes at each threshold, collecting AP, the
     (score, true IOU) scatter of kept boxes, and the count of confident
     low-IOU survivors."""
     thresholds = thresholds or [scenario.cfg.nms.iou_threshold]
+    floor = scenario.cfg.nms.score_floor
     gts = {img.image_id: list(zip(img.gts, img.gt_classes)) for img in scenario.images}
     by_image = {img.image_id: img for img in scenario.images}
+    # decoding depends on neither mode nor threshold
+    decoded = {
+        img.image_id: detections_from_heads(scenario.anchors, img.heads, floor) for img in scenario.images
+    }
 
     out = []
     for thr in thresholds:
         modes: dict[str, ModeResult] = {}
         for mode in ("standard", "iou_guided"):
-            kept = _kept_by_image(scenario, mode, thr)
+            kept = {img_id: greedy_nms(dets, thr, mode, floor) for img_id, dets in decoded.items()}
             det_map = {
                 img_id: [(d.box, d.class_id, score(d, mode)) for d in dets]
                 for img_id, dets in kept.items()

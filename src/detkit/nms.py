@@ -3,16 +3,34 @@
 Standard mode ranks by classification confidence alone; IOU-guided mode
 attenuates it by the predicted IOU (score = p_cls * p_iou), so a
 confidently classified but badly localized box loses to a better
-localized rival. Suppression is per class; candidates below a small
-score floor are dropped up front. A brute-force oracle re-derives the
-greedy fixed point on tiny instances.
+localized rival. Candidates below a small score floor are dropped up
+front.
+
+``greedy_nms`` packs boxes, class ids and scores into float64 arrays
+once and orders the candidates by (-score, -area, index). It then walks
+each class separately, row by row: every survivor is compared with the
+later candidates of its class as one 1 x M vector, and those overlapping
+it beyond the threshold are struck. No pairwise matrix is built, so
+memory stays O(N). Classes are kept apart by bucketing, not by the
+common trick of offsetting each class's coordinates into a disjoint
+region: the offset changes the IOU's float bits and can flip a kept set
+at the threshold. The IOU arithmetic follows ``iou_value`` step by step,
+so the kept list is the one the scalar definition gives.
+
+The brute-force oracle ``nms_bruteforce`` and its priority order stay
+scalar, one ``iou_value`` call per pair, so they check the array pass
+rather than repeat it; the oracle re-derives the greedy fixed point on
+tiny instances.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import Box, iou_value
 
@@ -62,19 +80,44 @@ def greedy_nms(
     """Per-class greedy suppression; kept detections return in priority order."""
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError("iou_threshold must lie in (0, 1)")
-    kept: list[Detection] = []
-    order = _priority_order(dets, mode, score_floor)
-    alive = set(order)
-    for i in order:
-        if i not in alive:
+    scores = np.array([score(d, mode) for d in dets], dtype=np.float64)
+    boxes = np.array([d.box.as_tuple() for d in dets], dtype=np.float64).reshape(-1, 4)
+    classes = np.array([d.class_id for d in dets], dtype=np.int64)
+    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+
+    cand = np.flatnonzero(scores >= score_floor)
+    order = cand[np.lexsort((cand, -areas[cand], -scores[cand]))]
+    # rows x1, y1, x2, y2, area of the candidates, in priority order
+    rows = np.vstack((boxes[order].T, areas[order]))
+    order_classes = classes[order]
+    kept = np.zeros(order.size, dtype=bool)  # by global rank
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in set(order_classes.tolist()):
+            ranks = np.flatnonzero(order_classes == c)
+            kept[ranks[_greedy_rows(rows[:, ranks], iou_threshold)]] = True
+    return [dets[i] for i in order[kept]]
+
+
+def _greedy_rows(rows: np.ndarray, iou_threshold: float) -> list[int]:
+    """Positions kept by greedy suppression of one class's (5, M) rows
+    (x1, y1, x2, y2, area), already in priority order. Each survivor is
+    compared with the later candidates as one 1 x M vector, using
+    iou_value's arithmetic in its order; IOU counts as 0 where the
+    boxes do not overlap or the union is not positive. The caller
+    silences the division warnings of those masked-out entries."""
+    x1, y1, x2, y2, area = rows
+    alive = np.ones(rows.shape[1], dtype=bool)
+    kept = []
+    for i in range(rows.shape[1]):
+        if not alive[i]:
             continue
-        d = dets[i]
-        kept.append(d)
-        alive.discard(i)
-        for j in list(alive):
-            other = dets[j]
-            if other.class_id == d.class_id and iou_value(d.box, other.box) > iou_threshold:
-                alive.discard(j)
+        kept.append(i)
+        later = slice(i + 1, None)
+        iw = np.minimum(x2[i], x2[later]) - np.maximum(x1[i], x1[later])
+        ih = np.minimum(y2[i], y2[later]) - np.maximum(y1[i], y1[later])
+        inter = iw * ih
+        union = area[i] + area[later] - inter
+        alive[later] &= ~((iw > 0.0) & (ih > 0.0) & (union > 0.0) & (inter / union > iou_threshold))
     return kept
 
 
@@ -123,7 +166,10 @@ def detections_from_csv(text: str) -> list[tuple[str, Detection]]:
     for row in reader:
         if not row:
             continue
-        image_id, class_id, x1, y1, x2, y2, p_cls, p_iou = row
-        box = Box(float(x1), float(y1), float(x2), float(y2))
-        out.append((image_id, Detection(box, int(class_id), float(p_cls), float(p_iou))))
+        image_id, class_id, *cells = row
+        x1, y1, x2, y2, p_cls, p_iou = values = [float(v) for v in cells]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"non-finite value in detections CSV row {row}")
+        box = Box(x1, y1, x2, y2)
+        out.append((image_id, Detection(box, int(class_id), p_cls, p_iou)))
     return out

@@ -165,3 +165,29 @@ class TestDeterminism:
         assert a.keys() == b.keys()
         for name in a:
             assert a[name] == b[name], f"{command}: {name} differs between runs"
+
+
+class TestNonFiniteDetections:
+    # two identical rows per file: with an infinite box their IOU is NaN,
+    # which NMS would read as "no overlap"
+    @pytest.mark.parametrize("command", ["nms", "eval"])
+    @pytest.mark.parametrize(
+        "box",
+        [("0", "0", "inf", "inf"), ("-inf", "0", "4", "4"), ("0", "nan", "4", "4")],
+        ids=["inf", "-inf", "nan"],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, box):
+        row = ",".join(["img0", "1", *box, "0.9", "0.8"])
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\n" + row + "\n" + row + "\n")
+        gts = tmp_path / "gts.json"
+        gts.write_text(json.dumps({"images": [{"image_id": "img0", "objects": []}]}))
+        argv = {
+            "nms": ["nms", "--detections", str(dets), "--out", str(tmp_path / "nmsout")],
+            "eval": ["eval", "--detections", str(dets), "--ground-truths", str(gts),
+                     "--out", str(tmp_path / "report.json")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "non-finite" in err
+        assert not (tmp_path / "nmsout").exists() and not (tmp_path / "report.json").exists()

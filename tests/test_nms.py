@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detkit.geometry import Box, iou_value
+from detkit.harness import ScenarioConfig, detections_from_heads, generate_scenario, init_toy_model
 from detkit.nms import (
     Detection,
+    _priority_order,
     detections_from_csv,
     detections_to_csv,
     greedy_nms,
@@ -15,6 +17,71 @@ from detkit.nms import (
 
 def det(x1, y1, x2, y2, cls=1, p_cls=0.9, p_iou=0.8):
     return Detection(Box(x1, y1, x2, y2), cls, p_cls, p_iou)
+
+
+def greedy_nms_scalar(dets, iou_threshold=0.5, mode="standard", score_floor=0.01):
+    """Reference: the original scalar greedy loop, one iou_value call per
+    (survivor, alive candidate) pair."""
+    if not (0.0 < iou_threshold < 1.0):
+        raise ValueError("iou_threshold must lie in (0, 1)")
+    kept: list[Detection] = []
+    order = _priority_order(dets, mode, score_floor)
+    alive = set(order)
+    for i in order:
+        if i not in alive:
+            continue
+        d = dets[i]
+        kept.append(d)
+        alive.discard(i)
+        for j in list(alive):
+            other = dets[j]
+            if other.class_id == d.class_id and iou_value(d.box, other.box) > iou_threshold:
+                alive.discard(j)
+    return kept
+
+
+def assert_same_objects(got, want):
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
+
+
+# Five scores, so score ties are common; 0.005 sits below the default floor.
+TIE_SCORES = (0.005, 0.25, 0.5, 0.75, 1.0)
+# Thresholds that integer-grid IOUs hit exactly, e.g. (0,0,10,10) vs (0,0,5,10) is 0.5.
+EXACT_THRESHOLDS = (0.25, 1 / 3, 0.5, 0.6, 0.75)
+
+
+@st.composite
+def tie_heavy_detections(draw):
+    """50-2,000 detections on a small integer grid: duplicate and zero-area
+    boxes, tied scores and areas, 1-4 classes, planted exact-IOU pairs."""
+    n = draw(st.integers(50, 2000))
+    n_classes = draw(st.integers(1, 4))
+    side = draw(st.integers(4, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x1 = rng.integers(0, side, n)
+    y1 = rng.integers(0, side, n)
+    w = rng.integers(0, 11, n)  # 0 gives zero-area boxes
+    h = rng.integers(0, 11, n)
+    dets = [
+        Detection(
+            Box(float(x1[i]), float(y1[i]), float(x1[i] + w[i]), float(y1[i] + h[i])),
+            int(rng.integers(1, n_classes + 1)),
+            float(rng.choice(TIE_SCORES)),
+            float(rng.choice([0.5, 1.0])),
+        )
+        for i in range(n)
+    ]
+    for k in range(0, n - 2, 25):  # exact-IOU pairs: IOU 0.5 and 0.25 with the 10x10 box
+        ox, oy = (float(v) for v in rng.integers(0, side, 2))
+        cls = dets[k].class_id
+        dets[k] = Detection(Box(ox, oy, ox + 10, oy + 10), cls, dets[k].p_cls, dets[k].p_iou)
+        dets[k + 1] = Detection(Box(ox, oy, ox + 5, oy + 10), cls, dets[k + 1].p_cls, dets[k + 1].p_iou)
+        dets[k + 2] = Detection(Box(ox, oy, ox + 5, oy + 5), cls, dets[k + 2].p_cls, dets[k + 2].p_iou)
+    for k in rng.integers(0, n, n // 10):  # duplicates: another detection's box and class
+        src = dets[int(rng.integers(0, n))]
+        dets[k] = Detection(src.box, src.class_id, dets[k].p_cls, dets[k].p_iou)
+    return dets
 
 
 def random_detections(rng, n, n_classes=2):
@@ -113,6 +180,31 @@ class TestGreedy:
         kept_std = greedy_nms(dets, 0.5, "standard", score_floor=0.0)
         kept_gui = greedy_nms(dets, 0.5, "iou_guided", score_floor=0.0)
         assert kept_std == kept_gui
+
+
+class TestScalarEquivalence:
+    """The array pass returns the very objects, in the very order, of the
+    scalar greedy loop, on inputs full of ties at every level."""
+
+    @given(
+        tie_heavy_detections(),
+        st.sampled_from(EXACT_THRESHOLDS),
+        st.sampled_from(["standard", "iou_guided"]),
+        st.sampled_from([0.0, 0.01, 0.5]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_scalar_loop(self, dets, thr, mode, floor):
+        assert_same_objects(greedy_nms(dets, thr, mode, floor), greedy_nms_scalar(dets, thr, mode, floor))
+
+    def test_seeded_scenario_image(self):
+        cfg = ScenarioConfig(seed=0)
+        scenario = generate_scenario(cfg)
+        model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed)
+        heads, _, _ = model.forward(scenario.images[0].features)
+        dets = detections_from_heads(scenario.anchors, heads, cfg.nms.score_floor)
+        assert len(dets) == 6408
+        args = (cfg.nms.iou_threshold, cfg.nms.mode, cfg.nms.score_floor)
+        assert_same_objects(greedy_nms(dets, *args), greedy_nms_scalar(dets, *args))
 
 
 class TestOracle:

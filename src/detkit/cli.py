@@ -20,6 +20,7 @@ from .harness import (
     NumericalError,
     detections_from_heads,
     evaluate_fit,
+    fit_detections,
     fit_toy,
     generate_scenario,
     init_toy_model,
@@ -82,14 +83,11 @@ def cmd_fit(args) -> int:
     for epoch, edges, counts in result.snapshots:
         _write_hist_csv(out / f"iou_tar_hist_epoch{epoch:04d}.csv", edges, counts)
 
-    rows = []
-    for img in scenario.images:
-        heads, _, _ = result.model.forward(img.features)
-        for d in detections_from_heads(scenario.anchors, heads, cfg.nms.score_floor):
-            rows.append((img.image_id, d))
+    decoded = fit_detections(scenario, result)
+    rows = [(img_id, d) for img_id, dets in decoded.items() for d in dets]
     atomic_write_text(out / "detections_final.csv", nms.detections_to_csv(rows))
 
-    report = evaluate_fit(scenario, result)
+    report = evaluate_fit(scenario, decoded)
     write_json(
         out / "fit_report.json",
         {

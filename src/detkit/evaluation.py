@@ -248,5 +248,13 @@ def ground_truths_from_json(text: str) -> GroundTruthsByImage:
         img = str(entry["image_id"])
         if img in out:
             raise ValueError(f"duplicate image entry {img!r} in ground-truth document")
-        out[img] = [(Box(*obj["box"]), int(obj["class_id"])) for obj in entry["objects"]]
+        objects = []
+        for obj in entry["objects"]:
+            coords = obj["box"]
+            # json.loads parses Infinity and NaN; a box at infinity falls
+            # outside every area range and would be ignored silently
+            if not all(isinstance(v, int) or (isinstance(v, float) and math.isfinite(v)) for v in coords):
+                raise ValueError(f"non-numeric or non-finite ground-truth box {coords} in image {img!r}")
+            objects.append((Box(*coords), int(obj["class_id"])))
+        out[img] = objects
     return out

@@ -1,6 +1,10 @@
 """Dense NCHW tensors with strided/dilated convolution, bilinear resize,
 and adaptive average pooling.
 
+Convolution lowers to im2col plus one BLAS matrix product per image;
+plain 1x1 convs (stride 1, no padding) skip im2col and read the input
+directly, without a copy.
+
 Conventions are pinned for bit-reproducibility: convolution is
 cross-correlation with the usual floor output formula; bilinear resize
 uses half-pixel source centers with edge clamping, computed in lerp form
@@ -99,7 +103,13 @@ def conv_output_size(size: int, kernel: int, stride: int, dilation: int, padding
 
 
 def conv2d(x: TensorNCHW, p: ConvParams) -> TensorNCHW:
-    """Strided, dilated 2-D cross-correlation (im2col over numpy matmul)."""
+    """Strided, dilated 2-D cross-correlation (im2col over numpy matmul).
+
+    The (out, c*k*k) weight matrix multiplies each image's (c*k*k, pixels)
+    column matrix on BLAS. For a plain 1x1 conv (stride 1, no padding) the
+    input reshaped to (n, c, h*w) already is that matrix, so no columns
+    are built.
+    """
     spec = p.spec
     if x.c != spec.in_channels:
         raise ValueError(f"channel mismatch: input has {x.c}, conv expects {spec.in_channels}")
@@ -109,16 +119,20 @@ def conv2d(x: TensorNCHW, p: ConvParams) -> TensorNCHW:
     if ho < 1 or wo < 1:
         raise ValueError(f"conv reduces {x.h}x{x.w} below 1x1")
 
-    padded = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     n, c = x.n, x.c
-    cols = np.empty((n, c, k, k, ho, wo))
-    for i in range(k):
-        for j in range(k):
-            ri, cj = i * d, j * d
-            cols[:, :, i, j] = padded[:, :, ri : ri + s * ho : s, cj : cj + s * wo : s]
-    cols = cols.reshape(n, c * k * k, ho * wo)
+    if k == 1 and s == 1 and pad == 0:
+        cols = x.data.reshape(n, c, ho * wo)
+    else:
+        padded = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        cols = np.empty((n, c, k, k, ho, wo))
+        for i in range(k):
+            for j in range(k):
+                ri, cj = i * d, j * d
+                cols[:, :, i, j] = padded[:, :, ri : ri + s * ho : s, cj : cj + s * wo : s]
+        cols = cols.reshape(n, c * k * k, ho * wo)
     w2d = p.weight.reshape(spec.out_channels, c * k * k)
-    out = np.einsum("oc,ncp->nop", w2d, cols) + p.bias[None, :, None]
+    out = np.matmul(w2d, cols)
+    out += p.bias[None, :, None]
     return TensorNCHW(out.reshape(n, spec.out_channels, ho, wo))
 
 
@@ -135,11 +149,10 @@ def bilinear_resize(x: TensorNCHW, out_h: int, out_w: int) -> TensorNCHW:
     wy = (src_y - y0)[None, None, :, None]
     wx = (src_x - x0)[None, None, None, :]
 
-    v = x.data
-    top = v[:, :, y0][:, :, :, x0]
-    top = top + wx * (v[:, :, y0][:, :, :, x1] - top)
-    bot = v[:, :, y1][:, :, :, x0]
-    bot = bot + wx * (v[:, :, y1][:, :, :, x1] - bot)
+    # lerp along x once per source row; rows y0 and y1 then share it
+    row = x.data[:, :, :, x0]
+    row = row + wx * (x.data[:, :, :, x1] - row)
+    top, bot = row[:, :, y0], row[:, :, y1]
     return TensorNCHW(top + wy * (bot - top))
 
 
@@ -149,9 +162,17 @@ def adaptive_avg_pool(x: TensorNCHW, out_h: int, out_w: int) -> TensorNCHW:
     if out_h < 1 or out_w < 1:
         raise ValueError("target size must be positive")
     if x.h % out_h == 0 and x.w % out_w == 0:
+        # sum row taps, then column taps, as strided views: a mean over the
+        # two non-contiguous axes of a 6-D reshape is about 3x slower
         kh, kw = x.h // out_h, x.w // out_w
-        v = x.data.reshape(x.n, x.c, out_h, kh, out_w, kw)
-        return TensorNCHW(v.mean(axis=(3, 5)))
+        rows = np.zeros((x.n, x.c, out_h, x.w))
+        for i in range(kh):
+            rows += x.data[:, :, i::kh]
+        out = np.zeros((x.n, x.c, out_h, out_w))
+        for j in range(kw):
+            out += rows[:, :, :, j::kw]
+        out /= kh * kw
+        return TensorNCHW(out)
     out = np.empty((x.n, x.c, out_h, out_w))
     for i in range(out_h):
         y0, y1 = (i * x.h) // out_h, -(-((i + 1) * x.h) // out_h)

@@ -22,7 +22,7 @@ from .scenario import (
     true_iou,
 )
 from .toyfit import FitResult, ToyModel, fit_toy, init_toy_model
-from .experiments import AbReport, AblationRow, ModeResult, evaluate_fit, run_ablation, run_nms_ab
+from .experiments import AbReport, AblationRow, ModeResult, evaluate_fit, fit_detections, run_ablation, run_nms_ab
 
 __all__ = [
     "ScenarioConfig",
@@ -49,6 +49,7 @@ __all__ = [
     "run_nms_ab",
     "run_ablation",
     "evaluate_fit",
+    "fit_detections",
     "AbReport",
     "ModeResult",
     "AblationRow",

@@ -8,6 +8,8 @@ unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import json
+import math
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -102,6 +104,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown nms mode {self.nms.mode!r}")
         if not (0.0 < self.nms.iou_threshold < 1.0):
             raise ConfigError("nms iou_threshold must lie in (0, 1)")
+        if self.nms.score_floor < 0.0:
+            raise ConfigError(f"nms score_floor must be at least 0, got {self.nms.score_floor}")
         if self.losses.cls not in ("ceji", "ce") or self.losses.iou not in ("r_iou", "l2") \
                 or self.losses.reg not in ("balance_l1", "smooth_l1"):
             raise ConfigError(f"unknown loss flags {self.losses}")
@@ -120,7 +124,35 @@ class ScenarioConfig:
 
 
 _NESTED = {"noise": NoiseConfig, "losses": LossFlags, "fit": FitConfig, "nms": NmsConfig}
-_TUPLE_FIELDS = ("object_count", "object_size_range", "grids", "cls_confidence_range", "neg_background_range")
+
+
+def _is_a(value, kind) -> bool:
+    """JSON type test: bools are not numbers, ints are valid floats, and
+    floats must be finite."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is float:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, kind)
+
+
+def _typed(value, hint, name: str):
+    """Check a JSON value against its field's annotation: a scalar type, or
+    a tuple of one scalar type given as a JSON array."""
+    if typing.get_origin(hint) is tuple:
+        kind, *rest = typing.get_args(hint)
+        count = None if rest == [Ellipsis] else 1 + len(rest)
+        if not (
+            isinstance(value, list)
+            and count in (None, len(value))
+            and all(_is_a(v, kind) for v in value)
+        ):
+            size = f"{count} " if count else ""
+            raise ConfigError(f"{name} must be an array of {size}{kind.__name__} values, got {value!r}")
+        return tuple(value)
+    if not _is_a(value, hint):
+        raise ConfigError(f"{name} must be {hint.__name__}, got {value!r}")
+    return value
 
 
 def _build(cls, data: dict, where: str):
@@ -128,14 +160,15 @@ def _build(cls, data: dict, where: str):
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
         if key in _NESTED:
             if not isinstance(value, dict):
                 raise ConfigError(f"{key} must be an object")
             value = _build(_NESTED[key], value, key)
-        elif key in _TUPLE_FIELDS:
-            value = tuple(value)
+        else:
+            value = _typed(value, hints[key], f"{where}.{key}")
         kwargs[key] = value
     try:
         return cls(**kwargs)

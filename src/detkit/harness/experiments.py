@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..evaluation import ApReport, evaluate
-from ..nms import greedy_nms, score
+from ..nms import Detection, greedy_nms, score
 from .config import ScenarioConfig
 from .scenario import Scenario, detections_from_heads, generate_scenario, true_iou
 from .toyfit import FitResult, fit_toy, init_toy_model
@@ -94,21 +94,30 @@ def run_ablation(cfg: ScenarioConfig, combos=ABLATION_COMBOS) -> list[AblationRo
         scenario = generate_scenario(run_cfg)
         model = init_toy_model(run_cfg.n_classes, run_cfg.fit.feature_dim, run_cfg.seed)
         fit = fit_toy(model, scenario, run_cfg)
-        report = evaluate_fit(scenario, fit)
+        report = evaluate_fit(scenario, fit_detections(scenario, fit))
         rows.append(
             AblationRow(cls_loss, iou_loss, run_cfg.losses.reg, fit.initial_loss, fit.final_loss, report)
         )
     return rows
 
 
-def evaluate_fit(scenario: Scenario, fit: FitResult) -> ApReport:
-    """NMS + AP of the fitted model's detections under the config's mode."""
+def fit_detections(scenario: Scenario, fit: FitResult) -> dict[str, list[Detection]]:
+    """Decode the fitted model's heads on every image, keyed by image id in
+    scenario order."""
+    floor = scenario.cfg.nms.score_floor
+    return {
+        img.image_id: detections_from_heads(scenario.anchors, fit.model.forward(img.features)[0], floor)
+        for img in scenario.images
+    }
+
+
+def evaluate_fit(scenario: Scenario, decoded: dict[str, list[Detection]]) -> ApReport:
+    """NMS + AP, under the config's mode, of the per-image detections that
+    ``fit_detections`` decoded."""
     cfg = scenario.cfg
     gts = {img.image_id: list(zip(img.gts, img.gt_classes)) for img in scenario.images}
     det_map = {}
-    for img in scenario.images:
-        heads, _, _ = fit.model.forward(img.features)
-        dets = detections_from_heads(scenario.anchors, heads, cfg.nms.score_floor)
+    for img_id, dets in decoded.items():
         kept = greedy_nms(dets, cfg.nms.iou_threshold, cfg.nms.mode, cfg.nms.score_floor)
-        det_map[img.image_id] = [(d.box, d.class_id, score(d, cfg.nms.mode)) for d in kept]
+        det_map[img_id] = [(d.box, d.class_id, score(d, cfg.nms.mode)) for d in kept]
     return evaluate(det_map, gts)

@@ -167,15 +167,18 @@ class TestDeterminism:
             assert a[name] == b[name], f"{command}: {name} differs between runs"
 
 
+NON_FINITE_BOXES = pytest.mark.parametrize(
+    "box",
+    [("0", "0", "inf", "inf"), ("-inf", "0", "4", "4"), ("0", "nan", "4", "4")],
+    ids=["inf", "-inf", "nan"],
+)
+
+
 class TestNonFiniteDetections:
     # two identical rows per file: with an infinite box their IOU is NaN,
     # which NMS would read as "no overlap"
     @pytest.mark.parametrize("command", ["nms", "eval"])
-    @pytest.mark.parametrize(
-        "box",
-        [("0", "0", "inf", "inf"), ("-inf", "0", "4", "4"), ("0", "nan", "4", "4")],
-        ids=["inf", "-inf", "nan"],
-    )
+    @NON_FINITE_BOXES
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, box):
         row = ",".join(["img0", "1", *box, "0.9", "0.8"])
         dets = tmp_path / "dets.csv"
@@ -191,3 +194,53 @@ class TestNonFiniteDetections:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "non-finite" in err
         assert not (tmp_path / "nmsout").exists() and not (tmp_path / "report.json").exists()
+
+
+class TestNonFiniteGroundTruths:
+    # next to a matched finite ground truth, a box at infinity lies outside
+    # every area range and would be ignored, reporting AP = 1.0
+    @NON_FINITE_BOXES
+    def test_eval_exits_2_with_one_line(self, tmp_path, capsys, box):
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\nimg0,1,0,0,4,4,0.9,0.8\n")
+        objects = [{"box": [0, 0, 4, 4], "class_id": 1}, {"box": [float(v) for v in box], "class_id": 1}]
+        gts = tmp_path / "gts.json"
+        gts.write_text(json.dumps({"images": [{"image_id": "img0", "objects": objects}]}))
+        argv = ["eval", "--detections", str(dets), "--ground-truths", str(gts),
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "non-finite" in err
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("doc,message", [
+        pytest.param('{"seed": 1.5}', "scenario.seed must be int", id="seed-float"),
+        pytest.param('{"seed": true}', "scenario.seed must be int", id="seed-bool"),
+        pytest.param('{"n_images": "4"}', "scenario.n_images must be int", id="n_images-str"),
+        pytest.param('{"image_size": false}', "scenario.image_size must be float", id="image_size-bool"),
+        pytest.param('{"image_size": Infinity}', "scenario.image_size must be float", id="image_size-inf"),
+        pytest.param(
+            '{"grids": [20, 10.5]}', "scenario.grids must be an array of int", id="grids-float-item"
+        ),
+        pytest.param(
+            '{"object_count": [2, 3, 4]}', "scenario.object_count must be an array of 2 int", id="object_count-length"
+        ),
+        pytest.param('{"output_dir": 7}', "scenario.output_dir must be str", id="output_dir-int"),
+        pytest.param(
+            '{"noise": {"offset_sigma": "0.1"}}', "noise.offset_sigma must be float", id="offset_sigma-str"
+        ),
+        pytest.param('{"losses": {"detach_iou": 1}}', "losses.detach_iou must be bool", id="detach_iou-int"),
+        pytest.param('{"fit": {"epochs": 60.0}}', "fit.epochs must be int", id="epochs-float"),
+        pytest.param(
+            '{"nms": {"score_floor": -1}}', "nms score_floor must be at least 0", id="score_floor-negative"
+        ),
+    ])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(doc)
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and message in err
+        assert not (tmp_path / "out").exists()

@@ -94,6 +94,31 @@ class TestConv2d:
         assert got.shape == want.shape
         np.testing.assert_allclose(got.data, want, atol=1e-10)
 
+    @pytest.mark.parametrize("kernel,stride,dilation,padding,batch", [
+        (1, 1, 1, 0, 1),  # plain 1x1: the direct path
+        (1, 1, 1, 0, 3),
+        (1, 2, 1, 0, 2),  # 1x1 with stride or padding keeps im2col
+        (1, 1, 1, 1, 2),
+        (3, 1, 1, 1, 2),
+        (3, 2, 1, 1, 3),
+        (3, 1, 3, 3, 2),
+        (3, 1, 5, 5, 2),
+        (3, 2, 3, 0, 1),
+        (3, 1, 5, 2, 3),
+    ])
+    def test_paths_match_bruteforce_oracle(self, kernel, stride, dilation, padding, batch):
+        rng = np.random.default_rng(1000 * kernel + 100 * stride + 10 * dilation + padding)
+        spec = LayerSpec(kernel, stride, dilation, padding, in_channels=4, out_channels=5)
+        p = ConvParams(spec, rng.normal(size=(5, 4, kernel, kernel)), rng.normal(size=5))
+        # a channel group of a wider map, as rfm_forward splits it
+        x = TensorNCHW(rng.normal(size=(batch, 12, 13, 11))[:, 4:8])
+        before = x.data.copy()
+        got = conv2d(x, p)
+        assert got.shape == (batch, 5, conv_output_size(13, kernel, stride, dilation, padding),
+                             conv_output_size(11, kernel, stride, dilation, padding))
+        np.testing.assert_allclose(got.data, conv2d_bruteforce(x, p), atol=1e-10)
+        np.testing.assert_array_equal(x.data, before)
+
     def test_random_5x5_against_oracle(self):
         rng = np.random.default_rng(42)
         spec = LayerSpec(3, 1, 1, 1, in_channels=2, out_channels=2)

@@ -26,7 +26,7 @@ def main() -> None:
     wins = 0
     for seed in range(args.seeds):
         scenario = generate_scenario(replace(ScenarioConfig(), seed=seed))
-        rep = run_nms_ab(scenario)[0]
+        rep = run_nms_ab(scenario)
         for mode, res in rep.modes.items():
             rows.append((seed, mode, res.report.ap, res.report.ap50, res.kept_count, res.high_score_low_iou))
         wins += rep.modes["iou_guided"].high_score_low_iou < rep.modes["standard"].high_score_low_iou

@@ -54,8 +54,7 @@ def cmd_gen(args) -> int:
     atomic_write_text(out / "config.json", cfg.to_json())
     atomic_write_text(out / "anchors.json", scenario.anchors.to_json() + "\n")
 
-    gts = {img.image_id: list(zip(img.gts, img.gt_classes)) for img in scenario.images}
-    atomic_write_text(out / "ground_truths.json", evaluation.ground_truths_to_json(gts))
+    atomic_write_text(out / "ground_truths.json", evaluation.ground_truths_to_json(scenario.ground_truths()))
 
     rows = []
     for img in scenario.images:
@@ -102,12 +101,17 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def cmd_nms(args) -> int:
-    text = Path(args.detections).read_text()
-    rows = nms.detections_from_csv(text)
-    by_image: dict[str, list] = {}
+def _by_image(rows) -> dict[str, list]:
+    """Group (image_id, detection) rows by image, keeping file order."""
+    out: dict[str, list] = {}
     for image_id, det in rows:
-        by_image.setdefault(image_id, []).append(det)
+        out.setdefault(image_id, []).append(det)
+    return out
+
+
+def cmd_nms(args) -> int:
+    rows = nms.detections_from_csv(Path(args.detections).read_text())
+    by_image = _by_image(rows)
 
     kept_rows = []
     summary = {"mode": args.mode, "iou_threshold": args.iou_threshold, "images": {}}
@@ -125,11 +129,9 @@ def cmd_nms(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    det_rows = nms.detections_from_csv(Path(args.detections).read_text())
+    by_image = _by_image(nms.detections_from_csv(Path(args.detections).read_text()))
     gts = evaluation.ground_truths_from_json(Path(args.ground_truths).read_text())
-    det_map: dict[str, list] = {}
-    for image_id, d in det_rows:
-        det_map.setdefault(image_id, []).append((d.box, d.class_id, nms.score(d, args.mode)))
+    det_map = {image_id: nms.scored(dets, args.mode) for image_id, dets in by_image.items()}
     report = evaluation.evaluate(det_map, gts)
     write_json(args.out, report.as_dict())
     print(f"ap={report.ap:.6f} ap50={report.ap50:.6f} ap75={report.ap75:.6f}; wrote {args.out}")
@@ -157,10 +159,10 @@ def cmd_rf(args) -> int:
 def cmd_report(args) -> int:
     cfg, out = _load(args)
     scenario = generate_scenario(cfg)
-    ab_reports = run_nms_ab(scenario)
+    ab = run_nms_ab(scenario)
 
-    doc = {"iou_threshold": ab_reports[0].iou_threshold, "modes": {}}
-    for mode, res in ab_reports[0].modes.items():
+    doc = {"iou_threshold": ab.iou_threshold, "modes": {}}
+    for mode, res in ab.modes.items():
         doc["modes"][mode] = {
             "ap_report": res.report.as_dict(),
             "kept": res.kept_count,

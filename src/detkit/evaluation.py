@@ -255,6 +255,10 @@ def ground_truths_from_json(text: str) -> GroundTruthsByImage:
             # outside every area range and would be ignored silently
             if not all(isinstance(v, int) or (isinstance(v, float) and math.isfinite(v)) for v in coords):
                 raise ValueError(f"non-numeric or non-finite ground-truth box {coords} in image {img!r}")
-            objects.append((Box(*coords), int(obj["class_id"])))
+            class_id = obj["class_id"]
+            # int() would read 1.7 or true as class 1
+            if isinstance(class_id, bool) or not isinstance(class_id, int):
+                raise ValueError(f"ground-truth class_id must be an integer, got {class_id!r} in image {img!r}")
+            objects.append((Box(*coords), class_id))
         out[img] = objects
     return out

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 
@@ -35,7 +36,7 @@ def fmt_cell(value) -> str:
     return str(value)
 
 
-def csv_text(header: list[str], rows: list) -> str:
+def csv_text(header: list[str], rows: Iterable) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -44,7 +45,7 @@ def csv_text(header: list[str], rows: list) -> str:
     return buf.getvalue()
 
 
-def write_csv(path, header: list[str], rows: list) -> None:
+def write_csv(path, header: list[str], rows: Iterable) -> None:
     atomic_write_text(path, csv_text(header, rows))
 
 

@@ -3,7 +3,6 @@
 from .config import (
     ConfigError,
     FitConfig,
-    LossFlags,
     NmsConfig,
     NoiseConfig,
     NumericalError,
@@ -27,7 +26,6 @@ from .experiments import AbReport, AblationRow, ModeResult, evaluate_fit, fit_de
 __all__ = [
     "ScenarioConfig",
     "NoiseConfig",
-    "LossFlags",
     "FitConfig",
     "NmsConfig",
     "ConfigError",

@@ -13,6 +13,9 @@ import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from ..losses import LossConfig
+from ..nms import MODES as NMS_MODES
+
 SCHEMA_VERSION = 1
 SCHEMA_PATH = Path(__file__).parent / "config_schema.json"
 
@@ -48,14 +51,6 @@ class NoiseConfig:
 
 
 @dataclass(frozen=True)
-class LossFlags:
-    cls: str = "ceji"  # "ceji" | "ce"
-    iou: str = "r_iou"  # "r_iou" | "l2"
-    reg: str = "balance_l1"  # "balance_l1" | "smooth_l1"
-    detach_iou: bool = False
-
-
-@dataclass(frozen=True)
 class FitConfig:
     epochs: int = 60
     step: float = 0.2
@@ -80,7 +75,7 @@ class ScenarioConfig:
     object_size_range: tuple[float, float] = (0.12, 0.55)  # fraction of image
     grids: tuple[int, ...] = (20, 10, 5, 3)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
-    losses: LossFlags = field(default_factory=LossFlags)
+    losses: LossConfig = field(default_factory=LossConfig)
     fit: FitConfig = field(default_factory=FitConfig)
     nms: NmsConfig = field(default_factory=NmsConfig)
     output_dir: str = "detkit_out"
@@ -100,15 +95,22 @@ class ScenarioConfig:
             raise ConfigError(f"bad grids {self.grids}")
         if len(self.grids) + 1 > 7:
             raise ConfigError("at most 6 pyramid levels are supported")
-        if self.nms.mode not in ("standard", "iou_guided"):
+        noise = self.noise
+        for name in ("offset_sigma", "distractor_offset_sigma", "p_iou_sigma"):
+            if getattr(noise, name) < 0.0:
+                raise ConfigError(f"noise.{name} must be at least 0, got {getattr(noise, name)}")
+        if not (0.0 <= noise.distractor_rate <= 1.0):
+            raise ConfigError(f"noise.distractor_rate must lie in [0, 1], got {noise.distractor_rate}")
+        for name in ("cls_confidence_range", "neg_background_range"):
+            lo, hi = getattr(noise, name)
+            if not (0.0 <= lo <= hi <= 1.0):
+                raise ConfigError(f"noise.{name} must be [lo, hi] with 0 <= lo <= hi <= 1, got {[lo, hi]}")
+        if self.nms.mode not in NMS_MODES:
             raise ConfigError(f"unknown nms mode {self.nms.mode!r}")
         if not (0.0 < self.nms.iou_threshold < 1.0):
             raise ConfigError("nms iou_threshold must lie in (0, 1)")
         if self.nms.score_floor < 0.0:
             raise ConfigError(f"nms score_floor must be at least 0, got {self.nms.score_floor}")
-        if self.losses.cls not in ("ceji", "ce") or self.losses.iou not in ("r_iou", "l2") \
-                or self.losses.reg not in ("balance_l1", "smooth_l1"):
-            raise ConfigError(f"unknown loss flags {self.losses}")
         if self.fit.epochs < 1 or self.fit.step <= 0 or self.fit.feature_dim < 2:
             raise ConfigError("bad fit settings")
         if self.fit.snapshots < 2:
@@ -123,7 +125,7 @@ class ScenarioConfig:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-_NESTED = {"noise": NoiseConfig, "losses": LossFlags, "fit": FitConfig, "nms": NmsConfig}
+_NESTED = {"noise": NoiseConfig, "losses": LossConfig, "fit": FitConfig, "nms": NmsConfig}
 
 
 def _is_a(value, kind) -> bool:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..evaluation import ApReport, evaluate
-from ..nms import Detection, greedy_nms, score
+from ..nms import MODES, Detection, greedy_nms, score, scored
 from .config import ScenarioConfig
 from .scenario import Scenario, detections_from_heads, generate_scenario, true_iou
 from .toyfit import FitResult, fit_toy, init_toy_model
@@ -32,46 +32,30 @@ class AbReport:
     modes: dict[str, ModeResult]
 
 
-def run_nms_ab(scenario: Scenario, thresholds: list[float] | None = None) -> list[AbReport]:
-    """Evaluate both scoring modes at each threshold, collecting AP, the
-    (score, true IOU) scatter of kept boxes, and the count of confident
-    low-IOU survivors."""
-    thresholds = thresholds or [scenario.cfg.nms.iou_threshold]
+def run_nms_ab(scenario: Scenario) -> AbReport:
+    """Evaluate both scoring modes at the config's threshold, collecting
+    AP, the (score, true IOU) scatter of kept boxes, and the count of
+    confident low-IOU survivors."""
     floor = scenario.cfg.nms.score_floor
-    gts = {img.image_id: list(zip(img.gts, img.gt_classes)) for img in scenario.images}
-    by_image = {img.image_id: img for img in scenario.images}
-    # decoding depends on neither mode nor threshold
+    # decoding does not depend on the mode
     decoded = {
         img.image_id: detections_from_heads(scenario.anchors, img.heads, floor) for img in scenario.images
     }
-
-    out = []
-    for thr in thresholds:
-        modes: dict[str, ModeResult] = {}
-        for mode in ("standard", "iou_guided"):
-            kept = {img_id: greedy_nms(dets, thr, mode, floor) for img_id, dets in decoded.items()}
-            det_map = {
-                img_id: [(d.box, d.class_id, score(d, mode)) for d in dets]
-                for img_id, dets in kept.items()
-            }
-            scatter = []
-            bad = 0
-            for img_id, dets in kept.items():
-                img = by_image[img_id]
-                for d in dets:
-                    s = score(d, mode)
-                    t = true_iou(d, img.gts, img.gt_classes)
-                    scatter.append((s, t))
-                    if s > HIGH_SCORE and t < LOW_IOU:
-                        bad += 1
-            modes[mode] = ModeResult(
-                report=evaluate(det_map, gts),
-                kept_count=sum(len(v) for v in kept.values()),
-                high_score_low_iou=bad,
-                scatter=scatter,
-            )
-        out.append(AbReport(thr, modes))
-    return out
+    modes: dict[str, ModeResult] = {}
+    for mode in MODES:
+        kept, report = _suppress_and_evaluate(scenario, decoded, mode)
+        scatter = [
+            (score(d, mode), true_iou(d, img.gts, img.gt_classes))
+            for img in scenario.images
+            for d in kept[img.image_id]
+        ]
+        modes[mode] = ModeResult(
+            report=report,
+            kept_count=len(scatter),
+            high_score_low_iou=sum(1 for s, t in scatter if s > HIGH_SCORE and t < LOW_IOU),
+            scatter=scatter,
+        )
+    return AbReport(scenario.cfg.nms.iou_threshold, modes)
 
 
 @dataclass
@@ -84,20 +68,19 @@ class AblationRow:
     report: ApReport
 
 
-def run_ablation(cfg: ScenarioConfig, combos=ABLATION_COMBOS) -> list[AblationRow]:
-    """Fit the toy model once per loss setting under identical seeds and
-    report the resulting AP side by side. The ordering of the results is
-    an experimental outcome, not a premise."""
+def run_ablation(cfg: ScenarioConfig) -> list[AblationRow]:
+    """Fit the toy model once per loss setting on one scenario (generation
+    reads no loss field) from identical initial weights, and report the
+    resulting AP side by side. The ordering of the results is an
+    experimental outcome, not a premise."""
+    scenario = generate_scenario(cfg)
     rows = []
-    for cls_loss, iou_loss in combos:
+    for cls_loss, iou_loss in ABLATION_COMBOS:
         run_cfg = replace(cfg, losses=replace(cfg.losses, cls=cls_loss, iou=iou_loss))
-        scenario = generate_scenario(run_cfg)
-        model = init_toy_model(run_cfg.n_classes, run_cfg.fit.feature_dim, run_cfg.seed)
+        model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed)
         fit = fit_toy(model, scenario, run_cfg)
         report = evaluate_fit(scenario, fit_detections(scenario, fit))
-        rows.append(
-            AblationRow(cls_loss, iou_loss, run_cfg.losses.reg, fit.initial_loss, fit.final_loss, report)
-        )
+        rows.append(AblationRow(cls_loss, iou_loss, cfg.losses.reg, fit.initial_loss, fit.final_loss, report))
     return rows
 
 
@@ -114,10 +97,18 @@ def fit_detections(scenario: Scenario, fit: FitResult) -> dict[str, list[Detecti
 def evaluate_fit(scenario: Scenario, decoded: dict[str, list[Detection]]) -> ApReport:
     """NMS + AP, under the config's mode, of the per-image detections that
     ``fit_detections`` decoded."""
-    cfg = scenario.cfg
-    gts = {img.image_id: list(zip(img.gts, img.gt_classes)) for img in scenario.images}
-    det_map = {}
-    for img_id, dets in decoded.items():
-        kept = greedy_nms(dets, cfg.nms.iou_threshold, cfg.nms.mode, cfg.nms.score_floor)
-        det_map[img_id] = [(d.box, d.class_id, score(d, cfg.nms.mode)) for d in kept]
-    return evaluate(det_map, gts)
+    return _suppress_and_evaluate(scenario, decoded, scenario.cfg.nms.mode)[1]
+
+
+def _suppress_and_evaluate(
+    scenario: Scenario, decoded: dict[str, list[Detection]], mode: str
+) -> tuple[dict[str, list[Detection]], ApReport]:
+    """Per-image NMS under ``mode`` at the config's threshold and floor, and
+    the AP of the kept detections against the scenario's ground truths."""
+    nms_cfg = scenario.cfg.nms
+    kept = {
+        img_id: greedy_nms(dets, nms_cfg.iou_threshold, mode, nms_cfg.score_floor)
+        for img_id, dets in decoded.items()
+    }
+    report = evaluate({img_id: scored(dets, mode) for img_id, dets in kept.items()}, scenario.ground_truths())
+    return kept, report

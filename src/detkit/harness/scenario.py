@@ -23,10 +23,11 @@ from ..anchors import (
     generate_default_boxes,
     match_anchors,
 )
+from ..evaluation import GroundTruthsByImage
 from ..geometry import Box, decode, encode, iou_value, OffsetEncoding
 from ..losses import HeadOutputs, PROB_EPS
 from ..nms import Detection
-from .config import ConfigError, ScenarioConfig
+from .config import ScenarioConfig
 
 HIST_BINS = 10
 
@@ -46,6 +47,10 @@ class Scenario:
     cfg: ScenarioConfig
     anchors: AnchorSet
     images: list[SceneImage]
+
+    def ground_truths(self) -> GroundTruthsByImage:
+        """image_id -> [(box, class_id)], the evaluator's ground-truth map."""
+        return {img.image_id: list(zip(img.gts, img.gt_classes)) for img in self.images}
 
 
 def scenario_levels(cfg: ScenarioConfig):
@@ -79,8 +84,6 @@ def _sample_gt_boxes(rng: np.random.Generator, cfg: ScenarioConfig, count: int) 
 
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     cfg.validate()
-    if cfg.object_size_range[1] > 1.0:
-        raise ConfigError("objects larger than the image are impossible")
     rng = np.random.default_rng(cfg.seed)
     anchors = generate_default_boxes(cfg.image_size, scenario_levels(cfg))
     n = len(anchors)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..losses import HeadOutputs, LossConfig, PROB_EPS, total_loss
+from ..losses import HeadOutputs, PROB_EPS, total_loss
 from .config import NumericalError, ScenarioConfig
 from .scenario import Scenario, iou_histogram, iou_tar_values
 
@@ -76,21 +76,11 @@ class FitResult:
         return self.trace[-1]["total"]
 
 
-def _loss_config(cfg: ScenarioConfig) -> LossConfig:
-    return LossConfig(
-        cls_loss=cfg.losses.cls,
-        iou_loss=cfg.losses.iou,
-        reg_loss=cfg.losses.reg,
-        detach_iou=cfg.losses.detach_iou,
-    )
-
-
 def fit_toy(model: ToyModel, scenario: Scenario, cfg: ScenarioConfig) -> FitResult:
     """Fixed-step descent for cfg.fit.epochs epochs; records the loss before
     every update and once after the last, plus IOU_tar histogram snapshots
     at evenly spaced stages. A non-finite loss aborts with a diagnostic.
     """
-    loss_cfg = _loss_config(cfg)
     n_images = len(scenario.images)
     epochs = cfg.fit.epochs
 
@@ -105,7 +95,7 @@ def fit_toy(model: ToyModel, scenario: Scenario, cfg: ScenarioConfig) -> FitResu
         for img in scenario.images:
             heads, raw_cls, raw_iou = model.forward(img.features)
             heads_list.append(heads)
-            tl = total_loss(img.match, heads, scenario.anchors, img.gts, img.gt_classes, loss_cfg)
+            tl = total_loss(img.match, heads, scenario.anchors, img.gts, img.gt_classes, cfg.losses)
             totals["total"] += tl.value / n_images
             for key in ("cls", "reg", "iou"):
                 totals[key] += tl.terms[key] / n_images

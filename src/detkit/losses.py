@@ -11,7 +11,7 @@ by the toy trainer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,24 +155,28 @@ def ceji_loss(
     return LossTerm(-math.log(p * t), grad)
 
 
+CLS_LOSSES = ("ceji", "ce")
+IOU_LOSSES = ("r_iou", "l2")
+REG_LOSSES = ("balance_l1", "smooth_l1")
+NEG_POS_RATIO = 3.0  # hard negatives mined per positive
+
+
 @dataclass(frozen=True)
 class LossConfig:
-    """Which loss goes on which head, plus aggregation knobs."""
+    """Which loss goes on which head; the ``losses`` object of a scenario
+    config, whose JSON keys are these field names."""
 
-    cls_loss: str = "ceji"  # "ceji" | "ce"
-    iou_loss: str = "r_iou"  # "r_iou" | "l2"
-    reg_loss: str = "balance_l1"  # "balance_l1" | "smooth_l1"
-    balance_params: BalanceL1Params = field(default_factory=BalanceL1Params)
-    neg_pos_ratio: float = 3.0
+    cls: str = "ceji"
+    iou: str = "r_iou"
+    reg: str = "balance_l1"
     detach_iou: bool = False
 
     def __post_init__(self):
-        if self.cls_loss not in ("ceji", "ce"):
-            raise ValueError(f"unknown cls_loss {self.cls_loss!r}")
-        if self.iou_loss not in ("r_iou", "l2"):
-            raise ValueError(f"unknown iou_loss {self.iou_loss!r}")
-        if self.reg_loss not in ("balance_l1", "smooth_l1"):
-            raise ValueError(f"unknown reg_loss {self.reg_loss!r}")
+        for head, name, allowed in (
+            ("cls", self.cls, CLS_LOSSES), ("iou", self.iou, IOU_LOSSES), ("reg", self.reg, REG_LOSSES)
+        ):
+            if name not in allowed:
+                raise ValueError(f"unknown {head} loss {name!r}, expected one of {list(allowed)}")
 
 
 @dataclass
@@ -206,7 +210,7 @@ def total_loss(
     """Aggregate loss over one image, normalized by the positive count.
 
     Classification uses the configured CE variant over positives plus
-    hard-negative mining at ``neg_pos_ratio``:1 on the background
+    hard-negative mining at ``NEG_POS_RATIO``:1 on the background
     probability; regression applies the configured residual loss to the
     four offset components of each positive; the IOU head is trained only
     on positives whose measured IOU passes the 0.5 gate. The measured IOU
@@ -222,11 +226,8 @@ def total_loss(
     d_cls = np.zeros_like(preds.class_probs)
     d_piou = np.zeros_like(preds.p_iou)
 
-    if cfg.reg_loss == "balance_l1":
-        reg_fn = lambda x: balance_l1(x, cfg.balance_params)
-    else:
-        reg_fn = smooth_l1
-    iou_fn = r_iou_loss if cfg.iou_loss == "r_iou" else l2_iou_loss
+    reg_fn = balance_l1 if cfg.reg == "balance_l1" else smooth_l1  # balance-l1 at its default alpha, gamma
+    iou_fn = r_iou_loss if cfg.iou == "r_iou" else l2_iou_loss
 
     pos = match.positive_indices
     cls_sum = reg_sum = iou_sum = 0.0
@@ -242,7 +243,7 @@ def total_loss(
         # classification on the ground-truth class probability
         c = gt_classes[g]
         p_cls = preds.class_probs[a, c]
-        if cfg.cls_loss == "ceji":
+        if cfg.cls == "ceji":
             term = ceji_loss(p_cls, iou_tar, True, detach_iou=cfg.detach_iou)
             cls_sum += term.value
             d_cls[a, c] += term.grad["p_cls"]
@@ -273,7 +274,7 @@ def total_loss(
     # hard-negative mining on the background probability
     neg = match.negative_indices
     if pos:
-        n_mined = min(int(cfg.neg_pos_ratio * len(pos)), len(neg))
+        n_mined = min(int(NEG_POS_RATIO * len(pos)), len(neg))
         if n_mined > 0:
             neg_losses = [(-math.log(min(max(preds.class_probs[a, 0], PROB_EPS), 1.0)), a) for a in neg]
             neg_losses.sort(key=lambda t: (-t[0], t[1]))

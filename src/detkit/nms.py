@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import csv_text
 from .geometry import Box, iou_value
 
 MODES = ("standard", "iou_guided")
@@ -61,6 +62,11 @@ def score(d: Detection, mode: str) -> float:
     if mode == "iou_guided":
         return d.p_cls * d.p_iou
     raise ValueError(f"unknown NMS mode {mode!r}")
+
+
+def scored(dets: list[Detection], mode: str) -> list[tuple[Box, int, float]]:
+    """(box, class_id, score) rows, the evaluator's detection format."""
+    return [(d.box, d.class_id, score(d, mode)) for d in dets]
 
 
 def _priority_order(dets: list[Detection], mode: str, floor: float) -> list[int]:
@@ -148,13 +154,12 @@ def nms_bruteforce(
 
 def detections_to_csv(rows: list[tuple[str, Detection]]) -> str:
     """Serialize (image_id, detection) pairs under the pinned schema."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(DETECTIONS_CSV_HEADER)
-    for image_id, d in rows:
-        cells = (d.box.x1, d.box.y1, d.box.x2, d.box.y2, d.p_cls, d.p_iou)
-        w.writerow([image_id, d.class_id] + [repr(float(v)) for v in cells])
-    return buf.getvalue()
+    cells = (
+        (image_id, d.class_id, float(d.box.x1), float(d.box.y1), float(d.box.x2), float(d.box.y2),
+         float(d.p_cls), float(d.p_iou))
+        for image_id, d in rows
+    )
+    return csv_text(DETECTIONS_CSV_HEADER, cells)
 
 
 def detections_from_csv(text: str) -> list[tuple[str, Detection]]:

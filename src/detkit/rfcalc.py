@@ -10,10 +10,10 @@ of a 320-pixel input. Poolings appear as zero-parameter layers.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
+
+from .fileio import csv_text
 
 
 @dataclass(frozen=True)
@@ -80,19 +80,16 @@ class ChainAnalysis:
         return self.cumulative_parameters[-1] if self.cumulative_parameters else 0
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
+        return csv_text(
             ["name", "kind", "kernel", "stride", "dilation", "padding",
-             "in_channels", "out_channels", "rf", "jump", "params", "cum_params"]
-        )
-        for layer, state, cum in zip(self.layers, self.states, self.cumulative_parameters):
-            w.writerow(
-                [layer.name, layer.kind, layer.kernel, layer.stride, layer.dilation,
+             "in_channels", "out_channels", "rf", "jump", "params", "cum_params"],
+            [
+                (layer.name, layer.kind, layer.kernel, layer.stride, layer.dilation,
                  layer.padding, layer.in_channels, layer.out_channels,
-                 state.receptive_field, state.jump, layer.parameters, cum]
-            )
-        return buf.getvalue()
+                 state.receptive_field, state.jump, layer.parameters, cum)
+                for layer, state, cum in zip(self.layers, self.states, self.cumulative_parameters)
+            ],
+        )
 
 
 def analyze_chain(initial: RFState, layers: list[LayerSpec]) -> ChainAnalysis:

@@ -162,7 +162,7 @@ def test_criterion_4_score_flip_and_calibrated_attenuation():
         # default-size scenarios: enough objects per scene that standard
         # mode keeps at least one confident low-IOU box
         scenario = generate_scenario(ScenarioConfig(seed=seed))
-        rep = run_nms_ab(scenario)[0]
+        rep = run_nms_ab(scenario)
         std = rep.modes["standard"].high_score_low_iou
         gui = rep.modes["iou_guided"].high_score_low_iou
         wins += gui < std

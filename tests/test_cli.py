@@ -214,6 +214,26 @@ class TestNonFiniteGroundTruths:
         assert not (tmp_path / "report.json").exists()
 
 
+class TestNonIntegerGroundTruthClass:
+    # int() would read each of these as class 1, matching the detection
+    # and reporting AP = 1.0
+    @pytest.mark.parametrize(
+        "class_id", [1.7, True, "1", 1.0], ids=["float", "bool", "str", "integral-float"]
+    )
+    def test_eval_exits_2_with_one_line(self, tmp_path, capsys, class_id):
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\nimg0,1,0,0,4,4,0.9,0.8\n")
+        objects = [{"box": [0, 0, 4, 4], "class_id": class_id}]
+        gts = tmp_path / "gts.json"
+        gts.write_text(json.dumps({"images": [{"image_id": "img0", "objects": objects}]}))
+        argv = ["eval", "--detections", str(dets), "--ground-truths", str(gts),
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "class_id must be an integer" in err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestMalformedConfig:
     @pytest.mark.parametrize("doc,message", [
         pytest.param('{"seed": 1.5}', "scenario.seed must be int", id="seed-float"),
@@ -235,6 +255,41 @@ class TestMalformedConfig:
         pytest.param('{"fit": {"epochs": 60.0}}', "fit.epochs must be int", id="epochs-float"),
         pytest.param(
             '{"nms": {"score_floor": -1}}', "nms score_floor must be at least 0", id="score_floor-negative"
+        ),
+        pytest.param('{"losses": {"cls": "focal"}}', "unknown cls loss 'focal'", id="cls-loss-unknown"),
+        pytest.param(
+            '{"noise": {"offset_sigma": -0.1}}', "noise.offset_sigma must be at least 0", id="offset_sigma-negative"
+        ),
+        pytest.param(
+            '{"noise": {"distractor_offset_sigma": -1}}', "noise.distractor_offset_sigma must be at least 0",
+            id="distractor_offset_sigma-negative",
+        ),
+        pytest.param(
+            '{"noise": {"p_iou_sigma": -0.5}}', "noise.p_iou_sigma must be at least 0", id="p_iou_sigma-negative"
+        ),
+        pytest.param(
+            '{"noise": {"distractor_rate": 1.5}}', "noise.distractor_rate must lie in [0, 1]",
+            id="distractor_rate-above-1",
+        ),
+        pytest.param(
+            '{"noise": {"distractor_rate": -0.1}}', "noise.distractor_rate must lie in [0, 1]",
+            id="distractor_rate-negative",
+        ),
+        pytest.param(
+            '{"noise": {"cls_confidence_range": [1.2, 1.5]}}', "noise.cls_confidence_range must be [lo, hi]",
+            id="cls_confidence_range-above-1",
+        ),
+        pytest.param(
+            '{"noise": {"cls_confidence_range": [0.9, 0.6]}}', "noise.cls_confidence_range must be [lo, hi]",
+            id="cls_confidence_range-reversed",
+        ),
+        pytest.param(
+            '{"noise": {"neg_background_range": [-0.5, 1.0]}}', "noise.neg_background_range must be [lo, hi]",
+            id="neg_background_range-negative",
+        ),
+        pytest.param(
+            '{"noise": {"neg_background_range": [1.0, 0.985]}}', "noise.neg_background_range must be [lo, hi]",
+            id="neg_background_range-reversed",
         ),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, doc, message):

@@ -1,5 +1,6 @@
+import json
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,14 @@ from detkit.harness import (
     run_ablation,
     run_nms_ab,
 )
-from detkit.harness.config import FitConfig, NoiseConfig
+from detkit.harness.config import SCHEMA_PATH, FitConfig, NmsConfig, NoiseConfig
 from detkit.harness.plots import histogram_svg, scatter_svg
-from detkit.losses import HeadOutputs
-from detkit.nms import greedy_nms
+from detkit.losses import CLS_LOSSES, IOU_LOSSES, REG_LOSSES, HeadOutputs, LossConfig
+from detkit.nms import MODES, greedy_nms
+
+def fields_of(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
 
 SMALL = ScenarioConfig(
     seed=0,
@@ -64,6 +69,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_json('{"noise": {"sigma": 1}}')
 
+    def test_schema_file_matches_dataclasses(self):
+        schema = json.loads(SCHEMA_PATH.read_text())
+        props = schema["properties"]
+        assert set(props) == {"schema_version", *fields_of(ScenarioConfig)}
+        nested = {"noise": NoiseConfig, "losses": LossConfig, "fit": FitConfig, "nms": NmsConfig}
+        for key, cls in nested.items():
+            assert set(props[key]["properties"]) == set(fields_of(cls)), key
+        assert props["nms"]["properties"]["mode"]["enum"] == list(MODES)
+        loss_props = props["losses"]["properties"]
+        assert loss_props["cls"]["enum"] == list(CLS_LOSSES)
+        assert loss_props["iou"]["enum"] == list(IOU_LOSSES)
+        assert loss_props["reg"]["enum"] == list(REG_LOSSES)
+
 
 class TestScenario:
     def test_seed_determinism(self):
@@ -96,8 +114,8 @@ class TestScenario:
                 p_iou_sigma=0.0,
             ),
         )
-        reports = run_nms_ab(generate_scenario(cfg))
-        for res in reports[0].modes.values():
+        report = run_nms_ab(generate_scenario(cfg))
+        for res in report.modes.values():
             assert res.report.ap == 1.0
 
     def test_gts_inside_image(self):
@@ -192,7 +210,7 @@ class TestNmsAb:
         scenario = generate_scenario(SMALL)
         for img in scenario.images:
             img.heads.p_iou[:] = 1.0
-        rep = run_nms_ab(scenario)[0]
+        rep = run_nms_ab(scenario)
         assert rep.modes["standard"].report == rep.modes["iou_guided"].report
         assert rep.modes["standard"].kept_count == rep.modes["iou_guided"].kept_count
 
@@ -200,7 +218,7 @@ class TestNmsAb:
         wins = 0
         for seed in range(10):
             scenario = generate_scenario(replace(SMALL, seed=seed))
-            rep = run_nms_ab(scenario)[0]
+            rep = run_nms_ab(scenario)
             std = rep.modes["standard"].high_score_low_iou
             gui = rep.modes["iou_guided"].high_score_low_iou
             wins += gui < std
@@ -209,12 +227,12 @@ class TestNmsAb:
     def test_guided_high_score_low_iou_is_zero_when_calibrated(self):
         # score > 0.5 with calibrated p_iou forces true IOU > 0.5
         scenario = generate_scenario(SMALL)
-        rep = run_nms_ab(scenario)[0]
+        rep = run_nms_ab(scenario)
         assert rep.modes["iou_guided"].high_score_low_iou == 0
 
     def test_scatter_covers_kept_boxes(self):
         scenario = generate_scenario(SMALL)
-        rep = run_nms_ab(scenario)[0]
+        rep = run_nms_ab(scenario)
         for res in rep.modes.values():
             assert len(res.scatter) == res.kept_count
 

@@ -330,7 +330,7 @@ class TestTotalLoss:
 
     @pytest.mark.parametrize("cfg", [
         LossConfig(),
-        LossConfig(cls_loss="ce", iou_loss="l2", reg_loss="smooth_l1"),
+        LossConfig(cls="ce", iou="l2", reg="smooth_l1"),
     ])
     def test_gradient_matches_finite_differences(self, cfg):
         match, heads, anchors, gts, gt_classes = _five_anchor_instance(seed=4)

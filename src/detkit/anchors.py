@@ -10,7 +10,7 @@ ground truth goes unmatched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -143,11 +143,16 @@ class AnchorLabel(Enum):
 
 @dataclass
 class MatchResult:
-    """Per-anchor labels, matched ground-truth index (-1 if none), and best IOU."""
+    """Per-anchor labels, matched ground-truth index (-1 if none), and best IOU.
+
+    Treated as immutable once built: ``losses.total_loss`` keeps the arrays
+    it derives from a match in ``loss_plan`` on its first call.
+    """
 
     labels: list[AnchorLabel]
     gt_index: list[int]
     best_iou: list[float]
+    loss_plan: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def positive_indices(self) -> list[int]:

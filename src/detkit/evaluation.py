@@ -251,9 +251,14 @@ def ground_truths_from_json(text: str) -> GroundTruthsByImage:
         objects = []
         for obj in entry["objects"]:
             coords = obj["box"]
+            if not isinstance(coords, list) or len(coords) != 4:
+                raise ValueError(f"ground-truth box must be a list of 4 numbers, got {coords!r} in image {img!r}")
             # json.loads parses Infinity and NaN; a box at infinity falls
             # outside every area range and would be ignored silently
-            if not all(isinstance(v, int) or (isinstance(v, float) and math.isfinite(v)) for v in coords):
+            if not all(
+                (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and math.isfinite(v))
+                for v in coords
+            ):
                 raise ValueError(f"non-numeric or non-finite ground-truth box {coords} in image {img!r}")
             class_id = obj["class_id"]
             # int() would read 1.7 or true as class 1

@@ -155,6 +155,32 @@ def iou(a: Box, b: Box) -> IouValue:
     return IouValue(inter / union, grad_a, grad_b)
 
 
+def iou_rows(a: np.ndarray, b: np.ndarray, b_area: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`iou` of each corner row of ``a`` (P, 4) against the same row of
+    ``b``, given ``b``'s areas: values (P,) and ``grad_a`` (P, 4), bit for
+    bit, with the same zero branches and tie shares."""
+    ax1, ay1, ax2, ay2 = a.T
+    bx1, by1, bx2, by2 = b.T
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = iw * ih
+    aw, ah = ax2 - ax1, ay2 - ay1
+    union = aw * ah + b_area - inter
+    zero = (iw <= 0.0) | (ih <= 0.0) | (union <= 0.0)
+
+    def share(own, other, above):
+        return np.where(own == other, 0.5, np.where(own > other if above else own < other, 1.0, 0.0))
+
+    d_inter = (-ih * share(ax1, bx1, True), -iw * share(ay1, by1, True),
+               ih * share(ax2, bx2, False), iw * share(ay2, by2, False))
+    d_area = (-ah, -aw, ah, aw)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows on the zero branch
+        inv_u2 = 1.0 / (union * union)
+        grad = np.stack([(di * union - inter * (da - di)) * inv_u2 for di, da in zip(d_inter, d_area)], axis=1)
+        value = inter / union
+    return np.where(zero, 0.0, value), np.where(zero[:, None], 0.0, grad)
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IOU values between (N, 4) and (M, 4) corner-form arrays."""
     a = np.asarray(a, dtype=np.float64)
@@ -235,4 +261,28 @@ def decode_jacobian(anchor: Box, off: OffsetEncoding) -> tuple[Box, np.ndarray]:
             [0.0, dcy, 0.0, 0.5 * dh],
         ]
     )
+    return box, jac
+
+
+def decode_jacobian_rows(anchor_cwh: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`decode_jacobian` of each row, bit for bit: decoded corners
+    (P, 4) and Jacobians (P, 4, 4) from anchor rows (cx, cy, w, h) and
+    offset rows under the default variances. exp runs through ``math``,
+    which numpy's vectorized exp does not match in the last bit. Raises
+    OverflowError as ``math.exp`` does; rows are not checked for NaN or
+    negative extent."""
+    v0, v1, v2, v3 = DEFAULT_VARIANCES
+    acx, acy, aw, ah = anchor_cwh.T
+    cx = acx + off[:, 0] * v0 * aw
+    cy = acy + off[:, 1] * v1 * ah
+    w = aw * np.fromiter(map(math.exp, (off[:, 2] * v2).tolist()), np.float64, len(off))
+    h = ah * np.fromiter(map(math.exp, (off[:, 3] * v3).tolist()), np.float64, len(off))
+    box = np.stack((cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h), axis=1)
+    dw = v2 * (box[:, 2] - box[:, 0])
+    dh = v3 * (box[:, 3] - box[:, 1])
+    jac = np.zeros((len(off), 4, 4))
+    jac[:, 0, 0] = jac[:, 2, 0] = v0 * aw
+    jac[:, 1, 1] = jac[:, 3, 1] = v1 * ah
+    jac[:, 0, 2], jac[:, 2, 2] = -0.5 * dw, 0.5 * dw
+    jac[:, 1, 3], jac[:, 3, 3] = -0.5 * dh, 0.5 * dh
     return box, jac

@@ -6,6 +6,27 @@ penalizes -ln(P_cls * IOU_tar) and lets gradient flow through the
 measured IOU back into the regression outputs. Plain CE, 0.5*(p-t)^2 and
 smooth-l1 baselines are included for ablations, plus the aggregate used
 by the toy trainer.
+
+The per-term functions take scalars and return a :class:`LossTerm`.
+``total_loss``, the per-image aggregate the trainer calls every epoch,
+evaluates the same formulas as one array pass and gives the same bits as
+composing the scalar functions anchor by anchor:
+
+- element-wise arithmetic, comparisons and ``where`` run in numpy, whose
+  results for these are IEEE-exact;
+- exp, log and log1p run through ``math`` element by element, because
+  numpy's vectorized versions differ from ``math`` in the last bit on a
+  few percent of inputs;
+- the IOU gradient reaches the offsets through a batched ``np.matmul`` of
+  (P, 1, 4) by (P, 4, 4), which rounds as the per-row vector-matrix
+  product does; ``einsum`` or an explicit sum of products do not;
+- sums are added left to right in the per-anchor order (``np.sum`` adds
+  pairwise), and hard negatives are ordered by ``np.lexsort`` on
+  (-loss, anchor index).
+
+The inputs that no epoch changes (index arrays, matched ground truths,
+encoded targets) are built on the first call for an image and kept on its
+:class:`~detkit.anchors.MatchResult`.
 """
 
 from __future__ import annotations
@@ -16,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorSet, MatchResult
-from .geometry import DEFAULT_VARIANCES, Box, OffsetEncoding, decode_jacobian, encode, iou
+from .geometry import Box, OffsetEncoding, decode_jacobian, decode_jacobian_rows, encode, iou, iou_rows
 
 PROB_EPS = 1e-6  # probability clamp against log singularities
 CEJI_IOU_GATE = 0.5  # positives below this measured IOU are ignored
@@ -199,6 +220,156 @@ class TotalLoss:
     d_p_iou: np.ndarray
 
 
+# Array forms of the per-term losses above, for total_loss. Each repeats its
+# scalar twin's IEEE operations in the same order (see the module docstring).
+
+
+def _math(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` applied to each element of a float array."""
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
+def _clamp_prob(p: np.ndarray) -> np.ndarray:
+    """min(max(p, PROB_EPS), 1.0); NaN passes through as in the scalar form."""
+    p = np.where(PROB_EPS > p, PROB_EPS, p)
+    return np.where(1.0 < p, 1.0, p)
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """0.0 + v0 + v1 + ..., left to right: np.sum adds pairwise, which
+    rounds differently."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
+def _balance_l1_arr(x: np.ndarray):
+    """Values and gradients of :func:`balance_l1` at its default parameters."""
+    params = BalanceL1Params()
+    a, g, b = params.alpha, params.gamma, params.b
+    ax = np.abs(x)
+    sign = np.where(x == 0.0, 0.0, np.copysign(1.0, x))
+    value = g * ax + params.C
+    grad = g * sign
+    inside = ax < 1.0
+    u = b * ax[inside]
+    log1p_u = _math(math.log1p, u)
+    inner = (a / b) * ((u + 1.0) * log1p_u - u)
+    value[inside] = np.where(0.0 > inner, 0.0, inner)
+    grad[inside] = a * log1p_u * sign[inside]
+    return value, grad
+
+
+def _smooth_l1_arr(x: np.ndarray):
+    ax = np.abs(x)
+    inside = ax < 1.0
+    return np.where(inside, 0.5 * x * x, ax - 0.5), np.where(inside, x, np.copysign(1.0, x))
+
+
+def _r_iou_arr(p_iou: np.ndarray, iou_tar: np.ndarray):
+    """Values and d/d(p_iou), d/d(iou_tar) of :func:`r_iou_loss`."""
+    p, t = _clamp_prob(p_iou), iou_tar
+    value, d_p, d_t = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+    below, above = p < t, p > t
+    value[below] = -_math(math.log, p[below] / t[below])
+    d_p[below] = -1.0 / p[below]
+    d_t[below] = 1.0 / t[below]
+    value[above] = -_math(math.log, t[above] / p[above])
+    d_p[above] = 1.0 / p[above]
+    d_t[above] = -1.0 / t[above]
+    return value, d_p, d_t
+
+
+def _l2_iou_arr(p_iou: np.ndarray, iou_tar: np.ndarray):
+    d = _clamp_prob(p_iou) - iou_tar
+    return 0.5 * d * d, d, -d
+
+
+def _cross_entropy_arr(p_cls: np.ndarray):
+    p = _clamp_prob(p_cls)
+    return -_math(math.log, p), -1.0 / p
+
+
+def _ceji_positive_arr(p_cls: np.ndarray, iou_tar: np.ndarray):
+    """Values and d/d(p_cls), d/d(iou_tar) of :func:`ceji_loss` on positives;
+    all three are zero below the gate."""
+    p, t = _clamp_prob(p_cls), iou_tar
+    value, d_p, d_t = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+    active = t >= CEJI_IOU_GATE
+    value[active] = -_math(math.log, p[active] * t[active])
+    d_p[active] = -1.0 / p[active]
+    d_t[active] = -1.0 / t[active]
+    return value, d_p, d_t
+
+
+def _chain(d_box: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """Row-wise ``d_box[i] @ jac[i]``. A batched matmul rounds as the
+    per-row vector-matrix product does; einsum or an explicit sum do not."""
+    return np.matmul(d_box[:, None, :], jac)[:, 0, :]
+
+
+@dataclass(frozen=True)
+class _ImagePlan:
+    """The inputs of total_loss that no epoch changes, as arrays: positive
+    and negative anchor indices and, per positive, its matched ground truth,
+    class, anchor (cx, cy, w, h), ground-truth corners and area, and encoded
+    regression target."""
+
+    anchors: AnchorSet
+    gts: tuple[Box, ...]
+    gt_classes: tuple[int, ...]
+    pos: np.ndarray
+    neg: np.ndarray
+    pos_gt: np.ndarray
+    pos_cls: np.ndarray
+    anchor_cwh: np.ndarray
+    gt_box: np.ndarray
+    gt_area: np.ndarray
+    target: np.ndarray
+
+
+def _image_plan(match: MatchResult, anchors: AnchorSet, gts: list[Box], gt_classes: list[int]) -> _ImagePlan:
+    """The plan kept on ``match``; rebuilt if called with other anchors or
+    ground truths."""
+    plan = match.loss_plan
+    if plan is not None and plan.anchors is anchors and plan.gts == tuple(gts) and plan.gt_classes == tuple(gt_classes):
+        return plan
+    pos = np.array(match.positive_indices, dtype=np.intp)
+    pos_gt = np.array([match.gt_index[a] for a in pos.tolist()], dtype=np.intp)
+    anchor_boxes = [anchors.boxes[a] for a in pos.tolist()]
+    gt_box = np.array([gts[g].as_tuple() for g in pos_gt.tolist()], dtype=np.float64).reshape(-1, 4)
+    plan = _ImagePlan(
+        anchors=anchors,
+        gts=tuple(gts),
+        gt_classes=tuple(gt_classes),
+        pos=pos,
+        neg=np.array(match.negative_indices, dtype=np.intp),
+        pos_gt=pos_gt,
+        pos_cls=np.array([gt_classes[g] for g in pos_gt.tolist()], dtype=np.intp),
+        anchor_cwh=np.array([(b.cx, b.cy, b.w, b.h) for b in anchor_boxes], dtype=np.float64).reshape(-1, 4),
+        gt_box=gt_box,
+        gt_area=(gt_box[:, 2] - gt_box[:, 0]) * (gt_box[:, 3] - gt_box[:, 1]),
+        target=np.array(
+            [encode(b, gts[g]).as_tuple() for b, g in zip(anchor_boxes, pos_gt.tolist())], dtype=np.float64
+        ).reshape(-1, 4),
+    )
+    match.loss_plan = plan
+    return plan
+
+
+def _raise_first_failure(plan: _ImagePlan, preds: HeadOutputs, gts: list[Box], cfg: LossConfig) -> None:
+    """Run each positive through the scalar steps in their per-anchor order,
+    so the first one that fails raises the exception it always has:
+    OverflowError from exp, ValueError from a NaN or negative-extent box or
+    an invalid IOU."""
+    iou_fn = r_iou_loss if cfg.iou == "r_iou" else l2_iou_loss
+    for a, g, c in zip(plan.pos.tolist(), plan.pos_gt.tolist(), plan.pos_cls.tolist()):
+        box, _ = decode_jacobian(plan.anchors.boxes[a], OffsetEncoding(*preds.offsets[a]))
+        iou_tar = iou(box, gts[g])
+        if cfg.cls == "ceji":
+            ceji_loss(preds.class_probs[a, c], iou_tar, True)
+        if iou_tar.value >= CEJI_IOU_GATE:
+            iou_fn(preds.p_iou[a], iou_tar.value)
+
+
 def total_loss(
     match: MatchResult,
     preds: HeadOutputs,
@@ -220,81 +391,73 @@ def total_loss(
     ``detach_iou`` stop-gradients both chains. With zero positives the
     regression and IOU terms vanish and the classification term (all
     negatives) is normalized by the anchor count instead.
+
+    Bit for bit this is the per-anchor composition of the scalar loss
+    functions: one array pass over the positives and the negatives, with
+    each sum added left to right (cls over the positives then the mined
+    negatives, reg positive-major, iou over the gated positives). Mined
+    negatives are taken in order of descending loss, ties by anchor index.
     """
-    n = len(anchors)
+    plan = _image_plan(match, anchors, gts, gt_classes)
+    pos, neg = plan.pos, plan.neg
+    n_pos = len(pos)
     d_off = np.zeros_like(preds.offsets)
     d_cls = np.zeros_like(preds.class_probs)
     d_piou = np.zeros_like(preds.p_iou)
+    reg_sum = iou_sum = 0.0
+    pos_cls_values = np.zeros(0)
 
-    reg_fn = balance_l1 if cfg.reg == "balance_l1" else smooth_l1  # balance-l1 at its default alpha, gamma
-    iou_fn = r_iou_loss if cfg.iou == "r_iou" else l2_iou_loss
+    if n_pos:
+        off = preds.offsets[pos]
+        p_iou = preds.p_iou[pos]
+        # only non-finite or huge offsets (exp overflows from t_w ~ 3549) and
+        # NaN IOU predictions can fail; the replay raises what the first
+        # failing positive always raised
+        if not (np.abs(off).max() < 1e3) or np.isnan(p_iou).any():
+            _raise_first_failure(plan, preds, gts, cfg)
+        box, jac = decode_jacobian_rows(plan.anchor_cwh, off)
+        iou_tar, d_iou_box = iou_rows(box, plan.gt_box, plan.gt_area)
+        p_cls = preds.class_probs[pos, plan.pos_cls]
 
-    pos = match.positive_indices
-    cls_sum = reg_sum = iou_sum = 0.0
-
-    for a in pos:
-        g = match.gt_index[a]
-        gt = gts[g]
-        anchor = anchors.boxes[a]
-        off = OffsetEncoding(*preds.offsets[a], variances=DEFAULT_VARIANCES)
-        decoded, jac = decode_jacobian(anchor, off)
-        iou_tar = iou(decoded, gt)
-
-        # classification on the ground-truth class probability
-        c = gt_classes[g]
-        p_cls = preds.class_probs[a, c]
         if cfg.cls == "ceji":
-            term = ceji_loss(p_cls, iou_tar, True, detach_iou=cfg.detach_iou)
-            cls_sum += term.value
-            d_cls[a, c] += term.grad["p_cls"]
-            d_box = np.array([term.grad[k] for k in ("x1", "y1", "x2", "y2")])
-            d_off[a] += d_box @ jac
+            pos_cls_values, d_p, d_t = _ceji_positive_arr(p_cls, iou_tar)
+            chained = (iou_tar >= CEJI_IOU_GATE) & (not cfg.detach_iou)
+            d_off[pos] += _chain(np.where(chained[:, None], d_t[:, None] * d_iou_box, 0.0), jac)
         else:
-            term = cross_entropy(p_cls)
-            cls_sum += term.value
-            d_cls[a, c] += term.grad["p_cls"]
+            pos_cls_values, d_p = _cross_entropy_arr(p_cls)
+        d_cls[pos, plan.pos_cls] += d_p
 
-        # regression on the four offset residuals
-        target = encode(anchor, gt)
-        for k, (pred_k, tar_k) in enumerate(zip(preds.offsets[a], target.as_tuple())):
-            term = reg_fn(pred_k - tar_k)
-            reg_sum += term.value
-            d_off[a, k] += term.grad["x"]
+        reg_fn = _balance_l1_arr if cfg.reg == "balance_l1" else _smooth_l1_arr
+        reg_values, d_reg = reg_fn(off - plan.target)
+        reg_sum = _sequential_sum(reg_values.ravel())
+        d_off[pos] += d_reg
 
         # IOU head, gated on regression quality; the measured target also
         # depends on the offsets, so its chain flows unless detached
-        if iou_tar.value >= CEJI_IOU_GATE:
-            term = iou_fn(preds.p_iou[a], iou_tar.value)
-            iou_sum += term.value
-            d_piou[a] += term.grad["p_iou"]
-            if not cfg.detach_iou:
-                d_box = term.grad["iou_tar"] * np.array(iou_tar.grad_a)
-                d_off[a] += d_box @ jac
+        gated = np.flatnonzero(iou_tar >= CEJI_IOU_GATE)
+        iou_fn = _r_iou_arr if cfg.iou == "r_iou" else _l2_iou_arr
+        iou_values, d_p, d_t = iou_fn(p_iou[gated], iou_tar[gated])
+        iou_sum = _sequential_sum(iou_values)
+        d_piou[pos[gated]] += d_p
+        if not cfg.detach_iou:
+            d_off[pos[gated]] += _chain(d_t[:, None] * d_iou_box[gated], jac[gated])
 
     # hard-negative mining on the background probability
-    neg = match.negative_indices
-    if pos:
-        n_mined = min(int(NEG_POS_RATIO * len(pos)), len(neg))
-        if n_mined > 0:
-            neg_losses = [(-math.log(min(max(preds.class_probs[a, 0], PROB_EPS), 1.0)), a) for a in neg]
-            neg_losses.sort(key=lambda t: (-t[0], t[1]))
-            mined = [a for _, a in neg_losses[:n_mined]]
-        else:
-            mined = []
+    neg_values, d_neg = _cross_entropy_arr(preds.class_probs[neg, 0])
+    if n_pos:
+        n_mined = min(int(NEG_POS_RATIO * n_pos), len(neg))
+        mined = np.lexsort((neg, -neg_values))[:n_mined]
     else:
-        mined = list(neg)
+        mined = np.arange(len(neg))
+    d_cls[neg[mined], 0] += d_neg[mined]
+    cls_sum = _sequential_sum(np.concatenate((pos_cls_values, neg_values[mined])))
 
-    for a in mined:
-        term = cross_entropy(preds.class_probs[a, 0])
-        cls_sum += term.value
-        d_cls[a, 0] += term.grad["p_cls"]
-
-    norm = float(len(pos)) if pos else float(max(n, 1))
+    norm = float(n_pos) if n_pos else float(max(len(anchors), 1))
     value = (cls_sum + reg_sum + iou_sum) / norm
     inv = 1.0 / norm
     return TotalLoss(
         value=value,
-        n_pos=len(pos),
+        n_pos=n_pos,
         terms={"cls": cls_sum / norm, "reg": reg_sum / norm, "iou": iou_sum / norm},
         d_offsets=d_off * inv,
         d_class_probs=d_cls * inv,

@@ -170,20 +170,28 @@ def analyze_builtin(name: str) -> tuple[ChainAnalysis, list[int]]:
     return analysis, basic_map_rfs(analysis, marks)
 
 
+def _json_int(value, what: str) -> int:
+    # int() would read 3.9 as 3, true as 1 and "3" as 3
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def chain_from_json(text: str) -> tuple[RFState, list[LayerSpec]]:
     """Parse a layer-chain document: {"initial": {"receptive_field", "jump"},
-    "layers": [{"kernel", ...}]}; initial defaults to (1, 1)."""
+    "layers": [{"kernel", ...}]}; initial defaults to (1, 1). Every
+    numeric field must be a JSON integer."""
     doc = json.loads(text)
     init = doc.get("initial", {})
-    initial = RFState(int(init.get("receptive_field", 1)), int(init.get("jump", 1)))
+    initial = RFState(
+        _json_int(init.get("receptive_field", 1), "initial receptive_field"),
+        _json_int(init.get("jump", 1), "initial jump"),
+    )
+    defaults = {"stride": 1, "dilation": 1, "padding": 0, "in_channels": 1, "out_channels": 1}
     layers = [
         LayerSpec(
-            kernel=int(spec["kernel"]),
-            stride=int(spec.get("stride", 1)),
-            dilation=int(spec.get("dilation", 1)),
-            padding=int(spec.get("padding", 0)),
-            in_channels=int(spec.get("in_channels", 1)),
-            out_channels=int(spec.get("out_channels", 1)),
+            kernel=_json_int(spec["kernel"], f"layer {i} kernel"),
+            **{key: _json_int(spec.get(key, default), f"layer {i} {key}") for key, default in defaults.items()},
             name=str(spec.get("name", f"layer{i}")),
             kind=str(spec.get("kind", "conv")),
         )

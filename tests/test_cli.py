@@ -121,6 +121,33 @@ class TestRf:
         chain.write_text('{"layers": [{"stride": 2}]}')
         assert main(["rf", "--chain", str(chain), "--out", str(tmp_path / "rf.csv")]) == 2
 
+    # int() read each of these as a valid layer: 3.9 as kernel 3, true as
+    # dilation 1, "3" as kernel 3
+    @pytest.mark.parametrize(
+        "layer,message",
+        [
+            ({"kernel": 3.9}, "layer 0 kernel must be an integer, got 3.9"),
+            ({"kernel": 3, "dilation": True}, "layer 0 dilation must be an integer, got True"),
+            ({"kernel": "3"}, "layer 0 kernel must be an integer, got '3'"),
+            ({"kernel": 3, "stride": 2.0}, "layer 0 stride must be an integer, got 2.0"),
+        ],
+        ids=["kernel-float", "dilation-bool", "kernel-str", "stride-integral-float"],
+    )
+    def test_non_integer_field_exits_2_with_one_line(self, tmp_path, capsys, layer, message):
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({"layers": [layer]}))
+        out = tmp_path / "rf.csv"
+        assert main(["rf", "--chain", str(chain), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and message in err
+        assert not out.exists()
+
+    def test_non_integer_initial_state_exits_2(self, tmp_path, capsys):
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({"initial": {"jump": 1.5}, "layers": [{"kernel": 3}]}))
+        assert main(["rf", "--chain", str(chain), "--out", str(tmp_path / "rf.csv")]) == 2
+        assert "initial jump must be an integer" in capsys.readouterr().err
+
 
 class TestReport:
     def test_report_outputs(self, tmp_path):
@@ -231,6 +258,32 @@ class TestNonIntegerGroundTruthClass:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "class_id must be an integer" in err
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestMalformedGroundTruthBox:
+    # Box(*coords) raised an uncaught TypeError for a wrong coordinate count
+    @pytest.mark.parametrize(
+        "box,message",
+        [
+            ([0, 0, 4], "must be a list of 4 numbers"),
+            ([0, 0, 4, 4, 4], "must be a list of 4 numbers"),
+            ("0 0 4 4", "must be a list of 4 numbers"),
+            ({"x1": 0, "y1": 0, "x2": 4, "y2": 4}, "must be a list of 4 numbers"),
+            ([0, 0, True, 4], "non-numeric"),
+        ],
+        ids=["3-coords", "5-coords", "string", "object", "bool-coord"],
+    )
+    def test_eval_exits_2_with_one_line(self, tmp_path, capsys, box, message):
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\nimg0,1,0,0,4,4,0.9,0.8\n")
+        gts = tmp_path / "gts.json"
+        gts.write_text(json.dumps({"images": [{"image_id": "img0", "objects": [{"box": box, "class_id": 1}]}]}))
+        argv = ["eval", "--detections", str(dets), "--ground-truths", str(gts),
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and message in err
         assert not (tmp_path / "report.json").exists()
 
 

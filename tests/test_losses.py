@@ -1,15 +1,33 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from detkit.anchors import generate_default_boxes, match_anchors, build_levels
-from detkit.geometry import Box, iou
+from detkit.anchors import AnchorSet, MatchResult, generate_default_boxes, match_anchors, build_levels
+from detkit.geometry import (
+    DEFAULT_VARIANCES,
+    Box,
+    OffsetEncoding,
+    decode,
+    decode_jacobian,
+    decode_jacobian_rows,
+    encode,
+    iou,
+    iou_rows,
+)
+from detkit.harness import FitConfig, ScenarioConfig, fit_toy, generate_scenario, init_toy_model
+from detkit.harness import toyfit
+from detkit import losses
 from detkit.losses import (
+    CEJI_IOU_GATE,
+    NEG_POS_RATIO,
+    PROB_EPS,
     BalanceL1Params,
     HeadOutputs,
     LossConfig,
+    TotalLoss,
     balance_l1,
     ceji_loss,
     cross_entropy,
@@ -370,3 +388,398 @@ class TestTotalLoss:
                 down = loss_of(heads)
                 heads.p_iou[a] = ref
                 assert rel_err(base.d_p_iou[a], (up - down) / (2 * step)) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# total_loss against the per-anchor scalar loop it replaced
+
+
+def total_loss_scalar(
+    match: MatchResult,
+    preds: HeadOutputs,
+    anchors: AnchorSet,
+    gts: list[Box],
+    gt_classes: list[int],
+    cfg: LossConfig = LossConfig(),
+) -> TotalLoss:
+    """Reference: the original per-anchor loop, one scalar loss call per
+    positive, negative and offset component.
+
+    Aggregate loss over one image, normalized by the positive count.
+
+    Classification uses the configured CE variant over positives plus
+    hard-negative mining at ``NEG_POS_RATIO``:1 on the background
+    probability; regression applies the configured residual loss to the
+    four offset components of each positive; the IOU head is trained only
+    on positives whose measured IOU passes the 0.5 gate. The measured IOU
+    is a function of the predicted offsets, and its gradient chains back
+    into them (from both the CEJI positive branch and the IOU-head
+    target) so the aggregate is exactly the derivative of its value;
+    ``detach_iou`` stop-gradients both chains. With zero positives the
+    regression and IOU terms vanish and the classification term (all
+    negatives) is normalized by the anchor count instead.
+    """
+    n = len(anchors)
+    d_off = np.zeros_like(preds.offsets)
+    d_cls = np.zeros_like(preds.class_probs)
+    d_piou = np.zeros_like(preds.p_iou)
+
+    reg_fn = balance_l1 if cfg.reg == "balance_l1" else smooth_l1  # balance-l1 at its default alpha, gamma
+    iou_fn = r_iou_loss if cfg.iou == "r_iou" else l2_iou_loss
+
+    pos = match.positive_indices
+    cls_sum = reg_sum = iou_sum = 0.0
+
+    for a in pos:
+        g = match.gt_index[a]
+        gt = gts[g]
+        anchor = anchors.boxes[a]
+        off = OffsetEncoding(*preds.offsets[a], variances=DEFAULT_VARIANCES)
+        decoded, jac = decode_jacobian(anchor, off)
+        iou_tar = iou(decoded, gt)
+
+        # classification on the ground-truth class probability
+        c = gt_classes[g]
+        p_cls = preds.class_probs[a, c]
+        if cfg.cls == "ceji":
+            term = ceji_loss(p_cls, iou_tar, True, detach_iou=cfg.detach_iou)
+            cls_sum += term.value
+            d_cls[a, c] += term.grad["p_cls"]
+            d_box = np.array([term.grad[k] for k in ("x1", "y1", "x2", "y2")])
+            d_off[a] += d_box @ jac
+        else:
+            term = cross_entropy(p_cls)
+            cls_sum += term.value
+            d_cls[a, c] += term.grad["p_cls"]
+
+        # regression on the four offset residuals
+        target = encode(anchor, gt)
+        for k, (pred_k, tar_k) in enumerate(zip(preds.offsets[a], target.as_tuple())):
+            term = reg_fn(pred_k - tar_k)
+            reg_sum += term.value
+            d_off[a, k] += term.grad["x"]
+
+        # IOU head, gated on regression quality; the measured target also
+        # depends on the offsets, so its chain flows unless detached
+        if iou_tar.value >= CEJI_IOU_GATE:
+            term = iou_fn(preds.p_iou[a], iou_tar.value)
+            iou_sum += term.value
+            d_piou[a] += term.grad["p_iou"]
+            if not cfg.detach_iou:
+                d_box = term.grad["iou_tar"] * np.array(iou_tar.grad_a)
+                d_off[a] += d_box @ jac
+
+    # hard-negative mining on the background probability
+    neg = match.negative_indices
+    if pos:
+        n_mined = min(int(NEG_POS_RATIO * len(pos)), len(neg))
+        if n_mined > 0:
+            neg_losses = [(-math.log(min(max(preds.class_probs[a, 0], PROB_EPS), 1.0)), a) for a in neg]
+            neg_losses.sort(key=lambda t: (-t[0], t[1]))
+            mined = [a for _, a in neg_losses[:n_mined]]
+        else:
+            mined = []
+    else:
+        mined = list(neg)
+
+    for a in mined:
+        term = cross_entropy(preds.class_probs[a, 0])
+        cls_sum += term.value
+        d_cls[a, 0] += term.grad["p_cls"]
+
+    norm = float(len(pos)) if pos else float(max(n, 1))
+    value = (cls_sum + reg_sum + iou_sum) / norm
+    inv = 1.0 / norm
+    return TotalLoss(
+        value=value,
+        n_pos=len(pos),
+        terms={"cls": cls_sum / norm, "reg": reg_sum / norm, "iou": iou_sum / norm},
+        d_offsets=d_off * inv,
+        d_class_probs=d_cls * inv,
+        d_p_iou=d_piou * inv,
+    )
+
+
+
+def float_bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def assert_same_loss(got: TotalLoss, want: TotalLoss):
+    """Bit-for-bit equality, signed zeros and NaN payloads included."""
+    assert float_bits(got.value) == float_bits(want.value), (got.value, want.value)
+    assert got.n_pos == want.n_pos
+    assert list(got.terms) == list(want.terms)
+    for key in want.terms:
+        assert float_bits(got.terms[key]) == float_bits(want.terms[key]), (key, got.terms[key], want.terms[key])
+    for name in ("d_offsets", "d_class_probs", "d_p_iou"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes(), (name, np.argwhere(g != w)[:5])
+
+
+ALL_LOSS_CONFIGS = [
+    LossConfig(cls=c, iou=i, reg=r, detach_iou=d)
+    for c, i, r, d in itertools.product(("ceji", "ce"), ("r_iou", "l2"), ("balance_l1", "smooth_l1"), (False, True))
+]
+
+
+def _config_id(cfg: LossConfig) -> str:
+    return f"{cfg.cls}-{cfg.iou}-{cfg.reg}" + ("-detach" if cfg.detach_iou else "")
+
+
+class TestTotalLossMatchesScalarLoop:
+    @pytest.mark.parametrize("losses", ALL_LOSS_CONFIGS, ids=_config_id)
+    def test_every_call_of_a_small_fit(self, losses, monkeypatch):
+        cfg = ScenarioConfig(
+            seed=3, image_size=96.0, n_images=2, object_count=(2, 4), grids=(12, 6, 3),
+            fit=FitConfig(epochs=8, step=0.3, feature_dim=16), losses=losses,
+        )
+        calls = []
+
+        def checked(*args):
+            got = total_loss(*args)
+            assert_same_loss(got, total_loss_scalar(*args))
+            calls.append(got.n_pos)
+            return got
+
+        monkeypatch.setattr(toyfit, "total_loss", checked)
+        scenario = generate_scenario(cfg)
+        fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), scenario, cfg)
+        assert len(calls) == cfg.n_images * (cfg.fit.epochs + 1)
+        assert min(calls) > 0
+
+    def test_default_scale_fit_calls(self, monkeypatch):
+        # the benchmark's scale: ~2,100 negatives per image, ~25 positives
+        cfg = ScenarioConfig(fit=FitConfig(epochs=2))
+        calls = []
+
+        def checked(*args):
+            got = total_loss(*args)
+            assert_same_loss(got, total_loss_scalar(*args))
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(toyfit, "total_loss", checked)
+        fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), generate_scenario(cfg), cfg)
+        assert len(calls) == cfg.n_images * 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_edge_cases(self, data):
+        inst = data.draw(_loss_instances())
+        cfg = data.draw(st.sampled_from(ALL_LOSS_CONFIGS))
+        assert_same_loss(total_loss(*inst, cfg), total_loss_scalar(*inst, cfg))
+
+    def test_edge_case_kinds_are_reached(self):
+        # the hypothesis cases above must include each boundary they are
+        # meant to cover; build one of each deterministically
+        kinds = {
+            "no_positives": dict(layout="pyramid", n_gts=0),
+            "no_negatives": dict(layout="one_cell", n_gts=1),
+            "all_below_gate": dict(layout="pyramid", n_gts=2, offsets="below_gate"),
+            "p_iou_equal": dict(layout="pyramid", n_gts=2, p_iou="measured"),
+            "exact_residuals": dict(layout="pyramid", n_gts=3, offsets="exact_residuals"),
+            "clamped_probs": dict(layout="pyramid", n_gts=2, probs="clamped"),
+            "tied_background": dict(layout="pyramid", n_gts=1, probs="tied"),
+        }
+        for name, kw in kinds.items():
+            match, heads, anchors, gts, classes = _loss_instance(seed=7, **kw)
+            pos, neg = match.positive_indices, match.negative_indices
+            if name == "no_positives":
+                assert not pos
+            if name == "no_negatives":
+                assert pos and not neg
+            if name == "all_below_gate":
+                assert pos and all(_measured_iou(anchors, heads, gts, match, a) < CEJI_IOU_GATE for a in pos)
+            if name == "p_iou_equal":
+                assert all(heads.p_iou[a] == _measured_iou(anchors, heads, gts, match, a) for a in pos)
+                assert any(heads.p_iou[a] >= CEJI_IOU_GATE for a in pos)
+            if name == "exact_residuals":
+                residuals = {
+                    float(heads.offsets[a, k]) - encode(anchors.boxes[a], gts[match.gt_index[a]]).as_tuple()[k]
+                    for a in pos for k in range(4)
+                }
+                assert {0.0, 1.0, -1.0} <= residuals
+            if name == "clamped_probs":
+                assert (heads.class_probs < PROB_EPS).any() and (heads.class_probs > 1.0).any()
+            if name == "tied_background":
+                n_mined = min(int(NEG_POS_RATIO * len(pos)), len(neg))
+                bg = np.sort(heads.class_probs[neg, 0])
+                assert bg[n_mined - 1] == bg[n_mined]  # the mining cut falls inside a tie
+            for cfg in ALL_LOSS_CONFIGS:
+                assert_same_loss(
+                    total_loss(match, heads, anchors, gts, classes, cfg),
+                    total_loss_scalar(match, heads, anchors, gts, classes, cfg),
+                )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_non_finite_inputs_raise_like_the_scalar_loop(self, data):
+        match, heads, anchors, gts, classes = data.draw(_loss_instances(min_gts=1))
+        pos = match.positive_indices
+        for _ in range(data.draw(st.integers(1, 4))):
+            a = data.draw(st.sampled_from(pos))
+            k = data.draw(st.integers(0, 3))
+            heads.offsets[a, k] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, 4e3, -4e3, 1e308]))
+        if data.draw(st.booleans()):
+            heads.p_iou[data.draw(st.sampled_from(pos))] = math.nan
+        cfg = data.draw(st.sampled_from(ALL_LOSS_CONFIGS))
+        args = (match, heads, anchors, gts, classes, cfg)
+        with np.errstate(all="ignore"):
+            try:
+                want = total_loss_scalar(*args)
+            except (OverflowError, ValueError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    total_loss(*args)
+                assert str(got.value) == str(exc)
+                return
+            got = total_loss(*args)
+        assert_same_loss(got, want)
+
+    def test_array_kernels_match_scalar_twins(self):
+        # element by element over many inputs, so a kernel that rounds
+        # differently on a small share of them (numpy's vectorized
+        # transcendentals) fails even where total_loss's sums absorb it
+        rng = np.random.default_rng(12)
+        n = 20_000
+        x = np.concatenate((rng.uniform(-3.0, 3.0, n), [0.0, -0.0, 1.0, -1.0, 1.0 - 1e-16, math.inf, -math.inf]))
+        for kernel, scalar in ((losses._balance_l1_arr, balance_l1), (losses._smooth_l1_arr, smooth_l1)):
+            value, grad = kernel(x)
+            want = [scalar(v) for v in x.tolist()]
+            assert value.tobytes() == np.array([w.value for w in want]).tobytes()
+            assert grad.tobytes() == np.array([w.grad["x"] for w in want]).tobytes()
+
+        p = np.concatenate((rng.uniform(0.0, 1.0, n), rng.uniform(0.85, 1.0, n), CLAMPED_PROBS))
+        value, grad = losses._cross_entropy_arr(p)
+        want = [cross_entropy(v) for v in p.tolist()]
+        assert value.tobytes() == np.array([w.value for w in want]).tobytes()
+        assert grad.tobytes() == np.array([w.grad["p_cls"] for w in want]).tobytes()
+
+        t = np.concatenate((rng.uniform(0.01, 1.0, n), rng.uniform(0.85, 1.0, n), [0.5] * len(CLAMPED_PROBS)))
+        t[:100] = p[:100]  # p == t exactly
+        value, d_p, d_t = losses._ceji_positive_arr(p, t)
+        want = [ceji_loss(a, b, True) for a, b in zip(p.tolist(), t.tolist())]
+        assert value.tobytes() == np.array([w.value for w in want]).tobytes()
+        assert d_p.tobytes() == np.array([w.grad["p_cls"] for w in want]).tobytes()
+        assert d_t.tobytes() == np.array([w.grad["iou_tar"] for w in want]).tobytes()
+        for kernel, scalar in ((losses._r_iou_arr, r_iou_loss), (losses._l2_iou_arr, l2_iou_loss)):
+            value, d_p, d_t = kernel(p, t)
+            want = [scalar(a, b) for a, b in zip(p.tolist(), t.tolist())]
+            assert value.tobytes() == np.array([w.value for w in want]).tobytes()
+            assert d_p.tobytes() == np.array([w.grad["p_iou"] for w in want]).tobytes()
+            assert d_t.tobytes() == np.array([w.grad["iou_tar"] for w in want]).tobytes()
+
+        # integer boxes decoded at zero offsets, shifted by 0, 1 or a full
+        # side: tied and touching edges; then generic float boxes
+        anchors, gts = [], []
+        for _ in range(300):
+            x1, y1 = rng.integers(0, 10, 2)
+            w, h = rng.integers(1, 6, 2)
+            anchors.append(Box(float(x1), float(y1), float(x1 + w), float(y1 + h)))
+            gts.append(anchors[-1].translated(*(rng.choice((0, 1, w, -w)), rng.choice((0, 1, h, -h)))))
+        n_exact = len(anchors)
+        corners = [(*sorted(rng.uniform(0, 20, 2)), *sorted(rng.uniform(0, 20, 2))) for _ in range(2_000)]
+        for x1, x2, y1, y2 in corners:
+            if x2 > x1 and y2 > y1:
+                anchors.append(Box(x1, y1, x2, y2))
+                gts.append(anchors[-1].translated(*rng.choice((0.0, 0.5, 3.0), 2)))
+        off = rng.uniform(-1.0, 1.0, (len(anchors), 4))
+        off[:n_exact] = 0.0
+        cwh = np.array([(a.cx, a.cy, a.w, a.h) for a in anchors])
+        box, jac = decode_jacobian_rows(cwh, off)
+        gt_arr = np.array([g.as_tuple() for g in gts])
+        value, grad = iou_rows(box, gt_arr, np.array([g.area for g in gts]))
+        for i, (a, g) in enumerate(zip(anchors, gts)):
+            want_box, want_jac = decode_jacobian(a, OffsetEncoding(*off[i]))
+            assert box[i].tobytes() == np.array(want_box.as_tuple()).tobytes()
+            assert jac[i].tobytes() == want_jac.tobytes()
+            want = iou(want_box, g)
+            assert float_bits(value[i]) == float_bits(want.value)
+            assert grad[i].tobytes() == np.array(want.grad_a).tobytes()
+
+    def test_plan_follows_its_inputs(self):
+        # the per-image arrays kept on the match are rebuilt when the same
+        # match meets other ground truths
+        match, heads, anchors, gts, classes = _five_anchor_instance(seed=2)
+        total_loss(match, heads, anchors, gts, classes)
+        moved = [gts[0].translated(0.5, 0.0), gts[1]]
+        assert_same_loss(
+            total_loss(match, heads, anchors, moved, [2, 1]),
+            total_loss_scalar(match, heads, anchors, moved, [2, 1]),
+        )
+
+
+def _measured_iou(anchors, heads, gts, match, a) -> float:
+    box = decode(anchors.boxes[a], OffsetEncoding(*heads.offsets[a]))
+    return iou(box, gts[match.gt_index[a]]).value
+
+
+TIED_PROBS = (0.05, 0.5, 0.9)
+CLAMPED_PROBS = (-0.3, 0.0, 1e-7, PROB_EPS, 1.0, 1.0 + 1e-9, 1.4)
+
+
+def _loss_instance(seed, layout="pyramid", n_gts=2, offsets="random", p_iou="random", probs="random",
+                   gt_on_anchor=True):
+    """One image for total_loss: a small anchor pyramid (84 anchors) or a
+    one-cell layout whose two anchors coincide (every anchor positive), and
+    head outputs steered onto the loss's boundaries."""
+    rng = np.random.default_rng(seed)
+    if layout == "one_cell":
+        anchors = generate_default_boxes(16, build_levels((1,), (16.0,), (0.5, 0.5), aspect_ratios=(1.0,)))
+        gts = [anchors.boxes[0]][:n_gts]
+    else:
+        anchors = generate_default_boxes(16, build_levels((4, 2, 1), (4.0, 8.0, 16.0), (0.2, 0.4, 0.7, 0.95)))
+        gts = []
+        for _ in range(n_gts):
+            if gt_on_anchor:
+                # a ground truth equal to an anchor box encodes to exactly 0 there
+                gts.append(anchors.boxes[int(rng.integers(0, len(anchors)))])
+            else:
+                x1, y1 = rng.uniform(0.0, 10.0, 2)
+                w, h = rng.uniform(2.0, 8.0, 2)
+                gts.append(Box(x1, y1, x1 + w, y1 + h))
+    classes = [int(c) for c in rng.integers(1, 3, len(gts))]
+    match = match_anchors(anchors, gts)
+    n = len(anchors)
+    pos = match.positive_indices
+
+    off = rng.uniform(-0.4, 0.4, (n, 4))
+    targets = {a: np.array(encode(anchors.boxes[a], gts[match.gt_index[a]]).as_tuple()) for a in pos}
+    if offsets == "below_gate":
+        for a in pos:
+            off[a] = targets[a] + (0.0, 0.0, -4.0, -4.0)  # boxes shrunk to under half the area
+    elif offsets == "exact_residuals":
+        for a in pos:
+            off[a] = targets[a] + rng.choice((0.0, 1.0, -1.0, 0.5), 4)
+    elif offsets == "wild":
+        off = rng.uniform(-6.0, 6.0, (n, 4))
+
+    if probs == "tied":
+        cls_probs = rng.choice(TIED_PROBS, (n, 3))
+    elif probs == "clamped":
+        cls_probs = rng.choice(CLAMPED_PROBS + (0.3, 0.7), (n, 3))
+    else:
+        cls_probs = rng.uniform(0.0, 1.0, (n, 3))
+
+    heads = HeadOutputs(off, cls_probs, rng.uniform(0.0, 1.0, n))
+    if p_iou == "measured":
+        for a in pos:
+            heads.p_iou[a] = _measured_iou(anchors, heads, gts, match, a)
+    elif p_iou == "clamped":
+        heads.p_iou[:] = rng.choice(CLAMPED_PROBS, n)
+    return match, heads, anchors, gts, classes
+
+
+@st.composite
+def _loss_instances(draw, min_gts=0):
+    layout = draw(st.sampled_from(("pyramid", "pyramid", "one_cell")))
+    return _loss_instance(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        layout=layout,
+        n_gts=draw(st.integers(max(min_gts, 1 if layout == "one_cell" else 0), 1 if layout == "one_cell" else 4)),
+        offsets=draw(st.sampled_from(("random", "below_gate", "exact_residuals", "wild"))),
+        p_iou=draw(st.sampled_from(("random", "measured", "clamped"))),
+        probs=draw(st.sampled_from(("random", "tied", "clamped"))),
+        gt_on_anchor=draw(st.booleans()),
+    )

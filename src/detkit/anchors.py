@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,14 @@ class AnchorSet:
 
     def as_array(self) -> np.ndarray:
         return np.array([b.as_tuple() for b in self.boxes], dtype=np.float64)
+
+    @cached_property
+    def cwh(self) -> np.ndarray:
+        """(N, 4) rows (cx, cy, w, h), the anchor form of
+        ``geometry.decode_jacobian_rows``; built once, so ``boxes`` must
+        not change afterwards. Computed as ``Box.cx`` .. ``Box.h`` are."""
+        x1, y1, x2, y2 = self.as_array().reshape(-1, 4).T
+        return np.stack((0.5 * (x1 + x2), 0.5 * (y1 + y2), x2 - x1, y2 - y1), axis=1)
 
     def to_json(self) -> str:
         """Export as a JSON array of [x1, y1, x2, y2, level, cell, template]."""

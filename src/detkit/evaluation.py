@@ -29,7 +29,6 @@ AREA_RANGES = {
     "large": (96.0**2, math.inf),
 }
 MAX_DETECTIONS_PER_IMAGE = 100
-BRUTEFORCE_LIMIT = 12
 
 # detections: image_id -> [(Box, class_id, score)]; gts: image_id -> [(Box, class_id)]
 DetectionsByImage = dict[str, list[tuple[Box, int, float]]]
@@ -170,62 +169,6 @@ def evaluate(detections: DetectionsByImage, gts: GroundTruthsByImage) -> ApRepor
         ap_medium=float(np.mean(_area_ap(detections, gts, AREA_RANGES["medium"]))),
         ap_large=float(np.mean(_area_ap(detections, gts, AREA_RANGES["large"]))),
     )
-
-
-def ap_bruteforce(detections: DetectionsByImage, gts: GroundTruthsByImage, class_id: int, iou_threshold: float) -> float:
-    """Test oracle: enumerate every score cutoff, re-derive the PR point of
-    each from scratch, and interpolate.
-
-    Limited to BRUTEFORCE_LIMIT detections/ground truths of the class and
-    to strictly distinct scores (ties make the cumulative curve finer
-    than cutoff enumeration can see).
-    """
-    rows = [
-        (img, b, s)
-        for img, lst in detections.items()
-        for b, cc, s in lst
-        if cc == class_id
-    ]
-    n_gt = sum(1 for objs in gts.values() for _, cc in objs if cc == class_id)
-    if len(rows) > BRUTEFORCE_LIMIT or n_gt > BRUTEFORCE_LIMIT:
-        raise ValueError(f"oracle limited to {BRUTEFORCE_LIMIT} boxes")
-    scores = [s for _, _, s in rows]
-    if len(set(scores)) != len(scores):
-        raise ValueError("oracle requires distinct scores")
-
-    points = []  # (precision, recall) at each cutoff
-    for cutoff in sorted(set(scores), reverse=True):
-        tp = fp = 0
-        for img in sorted(set(gts) | set(detections), key=str):
-            gt_boxes = [b for b, cc in gts.get(img, []) if cc == class_id]
-            taken = [False] * len(gt_boxes)
-            img_dets = sorted(
-                [(b, s) for im2, b, s in rows if im2 == img and s >= cutoff],
-                key=lambda r: -r[1],
-            )
-            for box, _ in img_dets:
-                cands = [
-                    (iou_value(box, g), gi)
-                    for gi, g in enumerate(gt_boxes)
-                    if not taken[gi] and iou_value(box, g) >= iou_threshold
-                ]
-                if cands:
-                    cands.sort(key=lambda r: (-r[0], r[1]))
-                    taken[cands[0][1]] = True
-                    tp += 1
-                else:
-                    fp += 1
-        if n_gt > 0:
-            points.append((tp / (tp + fp) if tp + fp else 0.0, tp / n_gt))
-    if n_gt == 0:
-        return 0.0
-
-    total = 0.0
-    for i in range(RECALL_POINTS):
-        r = i / (RECALL_POINTS - 1)
-        cands = [p for p, rec in points if rec >= r]
-        total += max(cands) if cands else 0.0
-    return total / RECALL_POINTS
 
 
 def ground_truths_to_json(gts: GroundTruthsByImage) -> str:

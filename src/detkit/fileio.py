@@ -39,9 +39,14 @@ def fmt_cell(value) -> str:
 def csv_text(header: list[str], rows: Iterable) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
+    # the writer quotes a field holding "\n" but not one holding a bare
+    # "\r", which a reader then takes for a line break; such rows are
+    # written with every field quoted
+    quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     w.writerow(header)
     for row in rows:
-        w.writerow([fmt_cell(v) for v in row])
+        cells = [fmt_cell(v) for v in row]
+        (quote_all if "\r" in "".join(cells) else w).writerow(cells)
     return buf.getvalue()
 
 

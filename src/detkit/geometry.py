@@ -2,8 +2,11 @@
 offset encoding/decoding.
 
 Boxes are stored in corner form (x1, y1, x2, y2) with center-form accessors;
-encode/decode work in center form, overlap tests in corner form. All
-functions are pure and safe to call concurrently.
+encode/decode work in center form, overlap tests in corner form. The IOU
+gradient and the decode Jacobian are computed only by the row kernels
+``iou_rows`` and ``decode_jacobian_rows``; ``iou``, ``decode`` and
+``decode_jacobian`` are thin wrappers over them. All functions are pure
+and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -104,61 +107,21 @@ def iou_value(a: Box, b: Box) -> float:
 
 
 def iou(a: Box, b: Box) -> IouValue:
-    """IOU of two boxes with analytic derivatives.
+    """IOU of two boxes with analytic derivatives: :func:`iou_rows` on the
+    rows (a, b) for ``grad_a`` and (b, a) for ``grad_b``.
 
     Two degenerate (zero-area) boxes yield IOU 0 with zero gradient.
     """
-    ix1, iy1 = max(a.x1, b.x1), max(a.y1, b.y1)
-    ix2, iy2 = min(a.x2, b.x2), min(a.y2, b.y2)
-    iw, ih = ix2 - ix1, iy2 - iy1
-
-    zero = (0.0, 0.0, 0.0, 0.0)
-    if iw <= 0.0 or ih <= 0.0:
-        return IouValue(0.0, zero, zero)
-
-    inter = iw * ih
-    area_a, area_b = a.area, b.area
-    union = area_a + area_b - inter
-    if union <= 0.0:
-        # both boxes degenerate (zero area) and coincident
-        return IouValue(0.0, zero, zero)
-
-    # d(inter)/d(coordinate): a max/min edge owned by one box gets the full
-    # derivative; an exactly tied edge is split between the two boxes.
-    def _share(own: float, other: float, is_max: bool) -> float:
-        if own == other:
-            return 0.5
-        if is_max:
-            return 1.0 if own > other else 0.0
-        return 1.0 if own < other else 0.0
-
-    di_ax1 = -ih * _share(a.x1, b.x1, True)
-    di_ay1 = -iw * _share(a.y1, b.y1, True)
-    di_ax2 = ih * _share(a.x2, b.x2, False)
-    di_ay2 = iw * _share(a.y2, b.y2, False)
-    di_bx1 = -ih * _share(b.x1, a.x1, True)
-    di_by1 = -iw * _share(b.y1, a.y1, True)
-    di_bx2 = ih * _share(b.x2, a.x2, False)
-    di_by2 = iw * _share(b.y2, a.y2, False)
-
-    da = (-a.h, -a.w, a.h, a.w)  # d(area_a)/d(a coords)
-    db = (-b.h, -b.w, b.h, b.w)
-
-    inv_u2 = 1.0 / (union * union)
-
-    def _dv(d_inter: float, d_area: float) -> float:
-        # value = inter/union, union = area_a + area_b - inter
-        return (d_inter * union - inter * (d_area - d_inter)) * inv_u2
-
-    grad_a = tuple(_dv(di, dA) for di, dA in zip((di_ax1, di_ay1, di_ax2, di_ay2), da))
-    grad_b = tuple(_dv(di, dB) for di, dB in zip((di_bx1, di_by1, di_bx2, di_by2), db))
-    return IouValue(inter / union, grad_a, grad_b)
+    ab = np.array([a.as_tuple(), b.as_tuple()])
+    value, grad = iou_rows(ab, ab[::-1], np.array([b.area, a.area]))
+    return IouValue(float(value[0]), tuple(grad[0].tolist()), tuple(grad[1].tolist()))
 
 
 def iou_rows(a: np.ndarray, b: np.ndarray, b_area: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`iou` of each corner row of ``a`` (P, 4) against the same row of
-    ``b``, given ``b``'s areas: values (P,) and ``grad_a`` (P, 4), bit for
-    bit, with the same zero branches and tie shares."""
+    """IOU of each corner row of ``a`` (P, 4) against the same row of ``b``,
+    given ``b``'s areas: values (P,) and ``grad_a`` (P, 4) under the
+    conventions of :class:`IouValue`. The values follow :func:`iou_value`
+    step by step and equal it bit for bit."""
     ax1, ay1, ax2, ay2 = a.T
     bx1, by1, bx2, by2 = b.T
     iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
@@ -199,13 +162,13 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OffsetEncoding:
-    """SSD regression targets (t_cx, t_cy, t_w, t_h) under fixed variances."""
+    """SSD regression targets (t_cx, t_cy, t_w, t_h) under the fixed
+    ``DEFAULT_VARIANCES``."""
 
     t_cx: float
     t_cy: float
     t_w: float
     t_h: float
-    variances: tuple[float, float, float, float] = DEFAULT_VARIANCES
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.t_cx, self.t_cy, self.t_w, self.t_h)
@@ -216,61 +179,41 @@ def _require_positive_extent(box: Box, what: str) -> None:
         raise ValueError(f"{what} must have strictly positive width and height: {box}")
 
 
-def encode(anchor: Box, gt: Box, variances=DEFAULT_VARIANCES) -> OffsetEncoding:
+def encode(anchor: Box, gt: Box) -> OffsetEncoding:
     """Encode a ground-truth box as offsets relative to an anchor."""
     _require_positive_extent(anchor, "anchor")
     _require_positive_extent(gt, "encoded box")
-    v0, v1, v2, v3 = variances
+    v0, v1, v2, v3 = DEFAULT_VARIANCES
     return OffsetEncoding(
         (gt.cx - anchor.cx) / (anchor.w * v0),
         (gt.cy - anchor.cy) / (anchor.h * v1),
         math.log(gt.w / anchor.w) / v2,
         math.log(gt.h / anchor.h) / v3,
-        tuple(variances),
     )
 
 
 def decode(anchor: Box, off: OffsetEncoding) -> Box:
     """Invert :func:`encode`; differentiable in the offsets."""
-    _require_positive_extent(anchor, "anchor")
-    v0, v1, v2, v3 = off.variances
-    cx = anchor.cx + off.t_cx * v0 * anchor.w
-    cy = anchor.cy + off.t_cy * v1 * anchor.h
-    w = anchor.w * math.exp(off.t_w * v2)
-    h = anchor.h * math.exp(off.t_h * v3)
-    return Box.from_center(cx, cy, w, h)
+    return decode_jacobian(anchor, off)[0]
 
 
 def decode_jacobian(anchor: Box, off: OffsetEncoding) -> tuple[Box, np.ndarray]:
-    """Decode plus the 4x4 Jacobian d(x1,y1,x2,y2)/d(t_cx,t_cy,t_w,t_h).
+    """Decode plus the 4x4 Jacobian d(x1,y1,x2,y2)/d(t_cx,t_cy,t_w,t_h):
+    :func:`decode_jacobian_rows` on one row.
 
     Used to chain IOU gradients back into regression outputs.
     """
     _require_positive_extent(anchor, "anchor")
-    v0, v1, v2, v3 = off.variances
-    box = decode(anchor, off)
-    dcx = v0 * anchor.w
-    dcy = v1 * anchor.h
-    dw = v2 * box.w  # d(w)/d(t_w) = v2 * a_w * exp(v2 t_w)
-    dh = v3 * box.h
-    jac = np.array(
-        [
-            [dcx, 0.0, -0.5 * dw, 0.0],
-            [0.0, dcy, 0.0, -0.5 * dh],
-            [dcx, 0.0, 0.5 * dw, 0.0],
-            [0.0, dcy, 0.0, 0.5 * dh],
-        ]
-    )
-    return box, jac
+    box, jac = decode_jacobian_rows(np.array([(anchor.cx, anchor.cy, anchor.w, anchor.h)]), np.array([off.as_tuple()]))
+    return Box(*box[0]), jac[0]
 
 
 def decode_jacobian_rows(anchor_cwh: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`decode_jacobian` of each row, bit for bit: decoded corners
-    (P, 4) and Jacobians (P, 4, 4) from anchor rows (cx, cy, w, h) and
-    offset rows under the default variances. exp runs through ``math``,
-    which numpy's vectorized exp does not match in the last bit. Raises
-    OverflowError as ``math.exp`` does; rows are not checked for NaN or
-    negative extent."""
+    """Decoded corners (P, 4) and Jacobians (P, 4, 4) from anchor rows
+    (cx, cy, w, h) and offset rows. exp runs through ``math``, whose last
+    bit numpy's vectorized exp does not always match. Raises OverflowError
+    as ``math.exp`` does; rows are not checked for NaN or negative
+    extent."""
     v0, v1, v2, v3 = DEFAULT_VARIANCES
     acx, acy, aw, ah = anchor_cwh.T
     cx = acx + off[:, 0] * v0 * aw

@@ -14,7 +14,6 @@ from .scenario import (
     Scenario,
     SceneImage,
     detections_from_heads,
-    score_flip_pair,
     generate_scenario,
     iou_histogram,
     iou_tar_values,
@@ -39,7 +38,6 @@ __all__ = [
     "iou_tar_values",
     "iou_histogram",
     "true_iou",
-    "score_flip_pair",
     "ToyModel",
     "FitResult",
     "init_toy_model",

@@ -17,6 +17,9 @@ from ..losses import LossConfig
 from ..nms import MODES as NMS_MODES
 
 SCHEMA_VERSION = 1
+# Keeps every derived area, and the fourth powers in the IOU gradients,
+# far inside float64 range.
+MAX_IMAGE_SIZE = 1e6
 SCHEMA_PATH = Path(__file__).parent / "config_schema.json"
 
 
@@ -89,8 +92,10 @@ class ScenarioConfig:
             raise ConfigError(f"bad object_size_range {self.object_size_range}")
         if shi > 1.0:
             raise ConfigError("objects larger than the image are impossible")
-        if self.image_size <= 0 or self.n_images < 1 or self.n_classes < 1:
-            raise ConfigError("image_size, n_images, n_classes must be positive")
+        if not 0 < self.image_size <= MAX_IMAGE_SIZE:
+            raise ConfigError(f"image_size must lie in (0, {MAX_IMAGE_SIZE:g}], got {self.image_size}")
+        if self.n_images < 1 or self.n_classes < 1:
+            raise ConfigError("n_images, n_classes must be positive")
         if not self.grids or any(g < 1 for g in self.grids):
             raise ConfigError(f"bad grids {self.grids}")
         if len(self.grids) + 1 > 7:

@@ -24,7 +24,7 @@ from ..anchors import (
     match_anchors,
 )
 from ..evaluation import GroundTruthsByImage
-from ..geometry import Box, decode, encode, iou_value, OffsetEncoding
+from ..geometry import Box, decode_jacobian_rows, encode, iou_value
 from ..losses import HeadOutputs, PROB_EPS
 from ..nms import Detection
 from .config import ScenarioConfig
@@ -111,12 +111,14 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         p_iou_noise = rng.normal(0.0, 1.0, n)
         neg_p_iou = rng.uniform(0.0, 1.0, n)
 
+        pos = []
         for a in range(n):
             if match.labels[a] is not AnchorLabel.POSITIVE:
                 probs[a, 0] = neg_bg[a]
                 probs[a, 1:] = (1.0 - neg_bg[a]) / cfg.n_classes
                 p_iou[a] = neg_p_iou[a]
                 continue
+            pos.append(a)
             g = match.gt_index[a]
             target = encode(anchors.boxes[a], gts[g])
             sigma = noise.distractor_offset_sigma if is_distractor[a] else noise.offset_sigma
@@ -127,8 +129,8 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
             for c in range(cfg.n_classes + 1):
                 if c != gt_classes[g]:
                     probs[a, c] = rest
-            true = iou_value(decode(anchors.boxes[a], OffsetEncoding(*offsets[a])), gts[g])
-            p_iou[a] = float(np.clip(true + noise.p_iou_sigma * p_iou_noise[a], PROB_EPS, 1.0))
+        true = _measured_ious(anchors, match, gts, offsets, pos)
+        p_iou[pos] = np.clip(np.array(true) + noise.p_iou_sigma * p_iou_noise[pos], PROB_EPS, 1.0)
 
         images.append(
             SceneImage(str(img_i), gts, gt_classes, match, features, HeadOutputs(offsets, probs, p_iou))
@@ -136,16 +138,26 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     return Scenario(cfg, anchors, images)
 
 
+def _measured_ious(
+    anchors: AnchorSet, match: MatchResult, gts: list[Box], offsets: np.ndarray, pos: list[int]
+) -> list[float]:
+    """IOU of each positive anchor's decoded box against its ground truth;
+    the positives ``pos`` of ``match`` are decoded in one pass."""
+    boxes, _ = decode_jacobian_rows(anchors.cwh[pos], offsets[pos])
+    return [iou_value(Box(*row), gts[match.gt_index[a]]) for a, row in zip(pos, boxes)]
+
+
 def detections_from_heads(anchors: AnchorSet, heads: HeadOutputs, floor: float = 0.01) -> list[Detection]:
     """Expand per-anchor head outputs into per-class detection records."""
     out = []
     n_cols = heads.class_probs.shape[1]
     keep = np.nonzero(heads.class_probs[:, 1:].max(axis=1) >= floor)[0]
-    for a in keep:
-        box = decode(anchors.boxes[a], OffsetEncoding(*heads.offsets[a]))
-        p_iou = float(np.clip(heads.p_iou[a], 0.0, 1.0))
+    boxes, _ = decode_jacobian_rows(anchors.cwh[keep], heads.offsets[keep])
+    p_ious = np.clip(heads.p_iou[keep], 0.0, 1.0).tolist()
+    for row, p_iou, probs in zip(boxes, p_ious, heads.class_probs[keep].tolist()):
+        box = Box(*row)
         for c in range(1, n_cols):
-            p = float(heads.class_probs[a, c])
+            p = probs[c]
             if p >= floor:
                 out.append(Detection(box, c, min(p, 1.0), p_iou))
     return out
@@ -156,10 +168,7 @@ def iou_tar_values(scenario: Scenario, heads_by_image: list[HeadOutputs] | None 
     values = []
     for i, img in enumerate(scenario.images):
         heads = heads_by_image[i] if heads_by_image is not None else img.heads
-        for a in img.match.positive_indices:
-            g = img.match.gt_index[a]
-            box = decode(scenario.anchors.boxes[a], OffsetEncoding(*heads.offsets[a]))
-            values.append(iou_value(box, img.gts[g]))
+        values += _measured_ious(scenario.anchors, img.match, img.gts, heads.offsets, img.match.positive_indices)
     return values
 
 
@@ -180,15 +189,3 @@ def true_iou(det: Detection, gts: list[Box], gt_classes: list[int]) -> float:
         if c == det.class_id:
             best = max(best, iou_value(det.box, box))
     return best
-
-
-def score_flip_pair() -> tuple[list[Detection], "Detection", "Detection"]:
-    """The two-box score-flip scenario: a confident badly localized box A
-    overlapping (IOU 0.7) a better localized box B of lower confidence.
-
-    Standard NMS keeps A; IOU-guided NMS keeps B.
-    """
-    a = Detection(Box(0.0, 0.0, 10.0, 10.0), 1, 0.95, 0.3)
-    b = Detection(Box(0.0, 0.0, 7.0, 10.0), 1, 0.85, 0.9)
-    assert abs(iou_value(a.box, b.box) - 0.7) < 1e-12
-    return [a, b], a, b

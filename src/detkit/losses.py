@@ -7,22 +7,17 @@ measured IOU back into the regression outputs. Plain CE, 0.5*(p-t)^2 and
 smooth-l1 baselines are included for ablations, plus the aggregate used
 by the toy trainer.
 
-The per-term functions take scalars and return a :class:`LossTerm`.
-``total_loss``, the per-image aggregate the trainer calls every epoch,
-evaluates the same formulas as one array pass and gives the same bits as
-composing the scalar functions anchor by anchor:
-
-- element-wise arithmetic, comparisons and ``where`` run in numpy, whose
-  results for these are IEEE-exact;
-- exp, log and log1p run through ``math`` element by element, because
-  numpy's vectorized versions differ from ``math`` in the last bit on a
-  few percent of inputs;
-- the IOU gradient reaches the offsets through a batched ``np.matmul`` of
-  (P, 1, 4) by (P, 4, 4), which rounds as the per-row vector-matrix
-  product does; ``einsum`` or an explicit sum of products do not;
-- sums are added left to right in the per-anchor order (``np.sum`` adds
-  pairwise), and hard negatives are ordered by ``np.lexsort`` on
-  (-loss, anchor index).
+Each formula is written once, as an array kernel (``_*_arr``). The public
+per-term functions check their inputs, run the kernel on length-1 arrays
+and return a :class:`LossTerm`. ``total_loss`` runs the kernels over all
+anchors of an image and gives the same bits as composing the per-term
+functions anchor by anchor: exp, log and log1p go through ``math``
+element by element, because numpy's vectorized versions differ in the
+last bit on a few percent of inputs; the IOU gradient reaches the
+offsets through a batched ``np.matmul``, which rounds as the per-row
+vector-matrix product does; sums are added left to right in the
+per-anchor order; and hard negatives are ordered by ``np.lexsort`` on
+(-loss, anchor index).
 
 The inputs that no epoch changes (index arrays, matched ground truths,
 encoded targets) are built on the first call for an image and kept on its
@@ -76,29 +71,22 @@ class LossTerm:
     grad: dict[str, float]
 
 
+def _on_one(kernel, *scalars) -> list[float]:
+    """``kernel`` run on length-1 float64 arrays: element 0 of each output."""
+    return [float(out[0]) for out in kernel(*(np.array([v], dtype=np.float64) for v in scalars))]
+
+
 def balance_l1(x: float, params: BalanceL1Params = BalanceL1Params()) -> LossTerm:
     """Piecewise regression loss: logarithmic gradient inside |x| < 1,
     constant gradient gamma outside."""
-    a, g, b = params.alpha, params.gamma, params.b
-    ax = abs(x)
-    sign = 0.0 if x == 0.0 else math.copysign(1.0, x)
-    if ax < 1.0:
-        u = b * ax
-        # (u+1)ln(u+1) - u is ~u^2/2 near 0; guard the cancellation there
-        value = max((a / b) * ((u + 1.0) * math.log1p(u) - u), 0.0)
-        grad = a * math.log1p(u) * sign
-    else:
-        value = g * ax + params.C
-        grad = g * sign
+    value, grad = _on_one(lambda arr: _balance_l1_arr(arr, params), x)
     return LossTerm(value, {"x": grad})
 
 
 def smooth_l1(x: float) -> LossTerm:
     """Huber-style baseline used by the original SSD regression head."""
-    ax = abs(x)
-    if ax < 1.0:
-        return LossTerm(0.5 * x * x, {"x": x})
-    return LossTerm(ax - 0.5, {"x": math.copysign(1.0, x)})
+    value, grad = _on_one(_smooth_l1_arr, x)
+    return LossTerm(value, {"x": grad})
 
 
 def r_iou_loss(p_iou: float, iou_tar: float) -> LossTerm:
@@ -106,34 +94,29 @@ def r_iou_loss(p_iou: float, iou_tar: float) -> LossTerm:
 
     Equals |ln(p) - ln(t)|: zero iff p == t, symmetric in its arguments,
     with gradient -1/p below the target and +1/p above (0 at equality).
-    The prediction is clamped to [PROB_EPS, 1] first; a non-positive
-    value surviving the clamp (or a target outside (0, 1]) is an error.
+    The prediction is clamped to [PROB_EPS, 1] first; a NaN prediction
+    (or a target outside (0, 1]) is an error.
     """
-    p = min(max(p_iou, PROB_EPS), 1.0)
-    if not p > 0.0:
+    if math.isnan(p_iou):
         raise ValueError(f"invalid predicted IOU: {p_iou!r}")
     if not 0.0 < iou_tar <= 1.0:
         raise ValueError(f"invalid target IOU: {iou_tar!r}")
-    if p < iou_tar:
-        return LossTerm(-math.log(p / iou_tar), {"p_iou": -1.0 / p, "iou_tar": 1.0 / iou_tar})
-    if p > iou_tar:
-        return LossTerm(-math.log(iou_tar / p), {"p_iou": 1.0 / p, "iou_tar": -1.0 / iou_tar})
-    return LossTerm(0.0, {"p_iou": 0.0, "iou_tar": 0.0})
+    value, d_p, d_t = _on_one(_r_iou_arr, p_iou, iou_tar)
+    return LossTerm(value, {"p_iou": d_p, "iou_tar": d_t})
 
 
 def l2_iou_loss(p_iou: float, iou_tar: float) -> LossTerm:
     """Ablation baseline: 0.5 * (p - t)^2."""
-    p = min(max(p_iou, PROB_EPS), 1.0)
     if not 0.0 < iou_tar <= 1.0:
         raise ValueError(f"invalid target IOU: {iou_tar!r}")
-    d = p - iou_tar
-    return LossTerm(0.5 * d * d, {"p_iou": d, "iou_tar": -d})
+    value, d_p, d_t = _on_one(_l2_iou_arr, p_iou, iou_tar)
+    return LossTerm(value, {"p_iou": d_p, "iou_tar": d_t})
 
 
 def cross_entropy(p_cls: float) -> LossTerm:
     """-ln(p) on the assigned class probability, clamped at PROB_EPS."""
-    p = min(max(p_cls, PROB_EPS), 1.0)
-    return LossTerm(-math.log(p), {"p_cls": -1.0 / p})
+    value, grad = _on_one(_cross_entropy_arr, p_cls)
+    return LossTerm(value, {"p_cls": grad})
 
 
 def ceji_loss(
@@ -154,26 +137,21 @@ def ceji_loss(
     ``iou_tar`` may be an :class:`~detkit.geometry.IouValue` (gradient
     carried) or a plain float (treated as detached).
     """
-    p = min(max(p_cls, PROB_EPS), 1.0)
     t = iou_tar.value if hasattr(iou_tar, "value") else float(iou_tar)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"target IOU outside [0, 1]: {t!r}")
 
     box_keys = ("x1", "y1", "x2", "y2")
-    zeros = dict.fromkeys(("p_cls", "iou_tar") + box_keys, 0.0)
-
+    grad = dict.fromkeys(("p_cls", "iou_tar") + box_keys, 0.0)
     if not is_positive:
-        return LossTerm(-math.log(p), {**zeros, "p_cls": -1.0 / p})
-    if t < CEJI_IOU_GATE:
-        return LossTerm(0.0, zeros)
+        value, grad["p_cls"] = _on_one(_cross_entropy_arr, p_cls)
+        return LossTerm(value, grad)
 
-    grad = dict(zeros)
-    grad["p_cls"] = -1.0 / p
-    grad["iou_tar"] = -1.0 / t
-    if not detach_iou and hasattr(iou_tar, "grad_a"):
+    value, grad["p_cls"], grad["iou_tar"] = _on_one(_ceji_positive_arr, p_cls, t)
+    if t >= CEJI_IOU_GATE and not detach_iou and hasattr(iou_tar, "grad_a"):
         for key, d in zip(box_keys, iou_tar.grad_a):
-            grad[key] = (-1.0 / t) * d
-    return LossTerm(-math.log(p * t), grad)
+            grad[key] = grad["iou_tar"] * d
+    return LossTerm(value, grad)
 
 
 CLS_LOSSES = ("ceji", "ce")
@@ -220,8 +198,8 @@ class TotalLoss:
     d_p_iou: np.ndarray
 
 
-# Array forms of the per-term losses above, for total_loss. Each repeats its
-# scalar twin's IEEE operations in the same order (see the module docstring).
+# The array kernels: one formula each, shared by the per-term functions
+# above and total_loss.
 
 
 def _math(fn, x: np.ndarray) -> np.ndarray:
@@ -230,7 +208,7 @@ def _math(fn, x: np.ndarray) -> np.ndarray:
 
 
 def _clamp_prob(p: np.ndarray) -> np.ndarray:
-    """min(max(p, PROB_EPS), 1.0); NaN passes through as in the scalar form."""
+    """min(max(p, PROB_EPS), 1.0); NaN passes through."""
     p = np.where(PROB_EPS > p, PROB_EPS, p)
     return np.where(1.0 < p, 1.0, p)
 
@@ -241,9 +219,8 @@ def _sequential_sum(values: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
 
 
-def _balance_l1_arr(x: np.ndarray):
-    """Values and gradients of :func:`balance_l1` at its default parameters."""
-    params = BalanceL1Params()
+def _balance_l1_arr(x: np.ndarray, params: BalanceL1Params = BalanceL1Params()):
+    """Values and gradients of :func:`balance_l1`."""
     a, g, b = params.alpha, params.gamma, params.b
     ax = np.abs(x)
     sign = np.where(x == 0.0, 0.0, np.copysign(1.0, x))
@@ -253,12 +230,14 @@ def _balance_l1_arr(x: np.ndarray):
     u = b * ax[inside]
     log1p_u = _math(math.log1p, u)
     inner = (a / b) * ((u + 1.0) * log1p_u - u)
+    # (u+1)ln(u+1) - u is ~u^2/2 near 0; guard the cancellation there
     value[inside] = np.where(0.0 > inner, 0.0, inner)
     grad[inside] = a * log1p_u * sign[inside]
     return value, grad
 
 
 def _smooth_l1_arr(x: np.ndarray):
+    """Values and gradients of :func:`smooth_l1`."""
     ax = np.abs(x)
     inside = ax < 1.0
     return np.where(inside, 0.5 * x * x, ax - 0.5), np.where(inside, x, np.copysign(1.0, x))
@@ -279,11 +258,13 @@ def _r_iou_arr(p_iou: np.ndarray, iou_tar: np.ndarray):
 
 
 def _l2_iou_arr(p_iou: np.ndarray, iou_tar: np.ndarray):
+    """Values and d/d(p_iou), d/d(iou_tar) of :func:`l2_iou_loss`."""
     d = _clamp_prob(p_iou) - iou_tar
     return 0.5 * d * d, d, -d
 
 
 def _cross_entropy_arr(p_cls: np.ndarray):
+    """Values and gradients of :func:`cross_entropy`."""
     p = _clamp_prob(p_cls)
     return -_math(math.log, p), -1.0 / p
 
@@ -344,7 +325,7 @@ def _image_plan(match: MatchResult, anchors: AnchorSet, gts: list[Box], gt_class
         neg=np.array(match.negative_indices, dtype=np.intp),
         pos_gt=pos_gt,
         pos_cls=np.array([gt_classes[g] for g in pos_gt.tolist()], dtype=np.intp),
-        anchor_cwh=np.array([(b.cx, b.cy, b.w, b.h) for b in anchor_boxes], dtype=np.float64).reshape(-1, 4),
+        anchor_cwh=anchors.cwh[pos],
         gt_box=gt_box,
         gt_area=(gt_box[:, 2] - gt_box[:, 0]) * (gt_box[:, 3] - gt_box[:, 1]),
         target=np.array(
@@ -356,8 +337,8 @@ def _image_plan(match: MatchResult, anchors: AnchorSet, gts: list[Box], gt_class
 
 
 def _raise_first_failure(plan: _ImagePlan, preds: HeadOutputs, gts: list[Box], cfg: LossConfig) -> None:
-    """Run each positive through the scalar steps in their per-anchor order,
-    so the first one that fails raises the exception it always has:
+    """Run each positive through the per-term functions in their per-anchor
+    order, so the first one that fails raises the exception it always has:
     OverflowError from exp, ValueError from a NaN or negative-extent box or
     an invalid IOU."""
     iou_fn = r_iou_loss if cfg.iou == "r_iou" else l2_iou_loss
@@ -392,7 +373,7 @@ def total_loss(
     regression and IOU terms vanish and the classification term (all
     negatives) is normalized by the anchor count instead.
 
-    Bit for bit this is the per-anchor composition of the scalar loss
+    Bit for bit this is the per-anchor composition of the per-term loss
     functions: one array pass over the positives and the negatives, with
     each sum added left to right (cls over the positives then the mined
     negatives, reg positive-major, iou over the gated positives). Mined

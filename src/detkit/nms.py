@@ -16,11 +16,6 @@ common trick of offsetting each class's coordinates into a disjoint
 region: the offset changes the IOU's float bits and can flip a kept set
 at the threshold. The IOU arithmetic follows ``iou_value`` step by step,
 so the kept list is the one the scalar definition gives.
-
-The brute-force oracle ``nms_bruteforce`` and its priority order stay
-scalar, one ``iou_value`` call per pair, so they check the array pass
-rather than repeat it; the oracle re-derives the greedy fixed point on
-tiny instances.
 """
 
 from __future__ import annotations
@@ -33,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import csv_text
-from .geometry import Box, iou_value
+from .geometry import Box
 
 MODES = ("standard", "iou_guided")
 DEFAULT_IOU_THRESHOLD = 0.5
 SCORE_FLOOR = 0.01
-BRUTEFORCE_LIMIT = 12
 
 DETECTIONS_CSV_HEADER = ["image_id", "class_id", "x1", "y1", "x2", "y2", "p_cls", "p_iou"]
 
@@ -67,14 +61,6 @@ def score(d: Detection, mode: str) -> float:
 def scored(dets: list[Detection], mode: str) -> list[tuple[Box, int, float]]:
     """(box, class_id, score) rows, the evaluator's detection format."""
     return [(d.box, d.class_id, score(d, mode)) for d in dets]
-
-
-def _priority_order(dets: list[Detection], mode: str, floor: float) -> list[int]:
-    """Indices above the floor, by descending score, then descending area,
-    then ascending index."""
-    idx = [i for i, d in enumerate(dets) if score(d, mode) >= floor]
-    idx.sort(key=lambda i: (-score(dets[i], mode), -dets[i].box.area, i))
-    return idx
 
 
 def greedy_nms(
@@ -125,31 +111,6 @@ def _greedy_rows(rows: np.ndarray, iou_threshold: float) -> list[int]:
         union = area[i] + area[later] - inter
         alive[later] &= ~((iw > 0.0) & (ih > 0.0) & (union > 0.0) & (inter / union > iou_threshold))
     return kept
-
-
-def nms_bruteforce(
-    dets: list[Detection],
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-    mode: str = "standard",
-    score_floor: float = SCORE_FLOOR,
-) -> list[Detection]:
-    """Test oracle: a detection is kept iff no earlier-priority kept
-    detection of its class overlaps it beyond the threshold. Refuses more
-    than BRUTEFORCE_LIMIT detections."""
-    if len(dets) > BRUTEFORCE_LIMIT:
-        raise ValueError(f"oracle limited to {BRUTEFORCE_LIMIT} detections")
-    if not (0.0 < iou_threshold < 1.0):
-        raise ValueError("iou_threshold must lie in (0, 1)")
-    order = _priority_order(dets, mode, score_floor)
-    kept_idx: list[int] = []
-    for i in order:
-        suppressed = any(
-            dets[k].class_id == dets[i].class_id and iou_value(dets[k].box, dets[i].box) > iou_threshold
-            for k in kept_idx
-        )
-        if not suppressed:
-            kept_idx.append(i)
-    return [dets[i] for i in kept_idx]
 
 
 def detections_to_csv(rows: list[tuple[str, Detection]]) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -9,6 +11,14 @@ from detkit.geometry import Box
 
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 extent = st.floats(min_value=0.5, max_value=40.0, allow_nan=False, allow_infinity=False)
+# any finite float, with the edge values written out: signed zeros,
+# subnormals and the largest magnitudes
+any_finite = st.one_of(
+    st.sampled_from((-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# text with the characters CSV and JSON writers must escape
+awkward_text = st.text(st.one_of(st.sampled_from(',"\'\n\r\t\\ '), st.characters()))
 
 
 @st.composite
@@ -18,6 +28,14 @@ def boxes(draw, min_extent: float = 0.5) -> Box:
     w = draw(st.floats(min_value=min_extent, max_value=40.0))
     h = draw(st.floats(min_value=min_extent, max_value=40.0))
     return Box(x1, y1, x1 + w, y1 + h)
+
+
+@st.composite
+def any_boxes(draw) -> Box:
+    """A box with any finite corners (its extent may overflow)."""
+    x1, x2 = sorted((draw(any_finite), draw(any_finite)))
+    y1, y2 = sorted((draw(any_finite), draw(any_finite)))
+    return Box(x1, y1, x2, y2)
 
 
 @st.composite
@@ -56,3 +74,29 @@ def _rand_box(rng: np.random.Generator):
     x1, y1 = rng.uniform(0.0, 6.0, 2)
     w, h = rng.uniform(1.0, 6.0, 2)
     return x1, y1, x1 + w, y1 + h
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call returns, as exact bits (signed zeros and NaN payloads
+    included, dict keys in order), or the class and message of the
+    exception it raises."""
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return "raises", type(exc), str(exc)
+    return "returns", bits(result)
+
+
+def bits(x):
+    """``x`` with every float replaced by its 8 bytes, recursively."""
+    if isinstance(x, (float, np.floating)):
+        return np.float64(x).tobytes()
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, dict):
+        return tuple((k, bits(v)) for k, v in x.items())
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple((f.name, bits(getattr(x, f.name))) for f in dataclasses.fields(x))
+    return x

@@ -1,0 +1,305 @@
+"""Reference implementations the tests compare the library against.
+
+Each is an independent, deliberately plain copy of a definition:
+
+- the scalar loss terms and the scalar IOU and decode, one Python float
+  operation at a time, as they stood before the library computed them
+  through its array kernels. The kernels and the public wrappers around
+  them must match these bit for bit, exceptions and messages included;
+- brute-force greedy NMS and brute-force AP over tiny instances;
+- the two-box score-flip scenario of the paper's IOU-guided NMS.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from detkit.evaluation import RECALL_POINTS, DetectionsByImage, GroundTruthsByImage
+from detkit.geometry import DEFAULT_VARIANCES, Box, IouValue, OffsetEncoding, _require_positive_extent, iou_value
+from detkit.losses import CEJI_IOU_GATE, PROB_EPS, BalanceL1Params, LossTerm
+from detkit.nms import DEFAULT_IOU_THRESHOLD, SCORE_FLOOR, Detection, score
+
+BRUTEFORCE_LIMIT = 12  # most boxes the brute-force oracles accept
+
+
+# ---------------------------------------------------------------------------
+# geometry
+
+
+def iou(a: Box, b: Box) -> IouValue:
+    """IOU of two boxes with analytic derivatives.
+
+    Two degenerate (zero-area) boxes yield IOU 0 with zero gradient.
+    """
+    ix1, iy1 = max(a.x1, b.x1), max(a.y1, b.y1)
+    ix2, iy2 = min(a.x2, b.x2), min(a.y2, b.y2)
+    iw, ih = ix2 - ix1, iy2 - iy1
+
+    zero = (0.0, 0.0, 0.0, 0.0)
+    if iw <= 0.0 or ih <= 0.0:
+        return IouValue(0.0, zero, zero)
+
+    inter = iw * ih
+    area_a, area_b = a.area, b.area
+    union = area_a + area_b - inter
+    if union <= 0.0:
+        # both boxes degenerate (zero area) and coincident
+        return IouValue(0.0, zero, zero)
+
+    # d(inter)/d(coordinate): a max/min edge owned by one box gets the full
+    # derivative; an exactly tied edge is split between the two boxes.
+    def _share(own: float, other: float, is_max: bool) -> float:
+        if own == other:
+            return 0.5
+        if is_max:
+            return 1.0 if own > other else 0.0
+        return 1.0 if own < other else 0.0
+
+    di_ax1 = -ih * _share(a.x1, b.x1, True)
+    di_ay1 = -iw * _share(a.y1, b.y1, True)
+    di_ax2 = ih * _share(a.x2, b.x2, False)
+    di_ay2 = iw * _share(a.y2, b.y2, False)
+    di_bx1 = -ih * _share(b.x1, a.x1, True)
+    di_by1 = -iw * _share(b.y1, a.y1, True)
+    di_bx2 = ih * _share(b.x2, a.x2, False)
+    di_by2 = iw * _share(b.y2, a.y2, False)
+
+    da = (-a.h, -a.w, a.h, a.w)  # d(area_a)/d(a coords)
+    db = (-b.h, -b.w, b.h, b.w)
+
+    inv_u2 = 1.0 / (union * union)
+
+    def _dv(d_inter: float, d_area: float) -> float:
+        # value = inter/union, union = area_a + area_b - inter
+        return (d_inter * union - inter * (d_area - d_inter)) * inv_u2
+
+    grad_a = tuple(_dv(di, dA) for di, dA in zip((di_ax1, di_ay1, di_ax2, di_ay2), da))
+    grad_b = tuple(_dv(di, dB) for di, dB in zip((di_bx1, di_by1, di_bx2, di_by2), db))
+    return IouValue(inter / union, grad_a, grad_b)
+
+
+def decode(anchor: Box, off: OffsetEncoding) -> Box:
+    """Invert ``encode``; differentiable in the offsets."""
+    _require_positive_extent(anchor, "anchor")
+    v0, v1, v2, v3 = DEFAULT_VARIANCES
+    cx = anchor.cx + off.t_cx * v0 * anchor.w
+    cy = anchor.cy + off.t_cy * v1 * anchor.h
+    w = anchor.w * math.exp(off.t_w * v2)
+    h = anchor.h * math.exp(off.t_h * v3)
+    return Box.from_center(cx, cy, w, h)
+
+
+def decode_jacobian(anchor: Box, off: OffsetEncoding) -> tuple[Box, np.ndarray]:
+    """Decode plus the 4x4 Jacobian d(x1,y1,x2,y2)/d(t_cx,t_cy,t_w,t_h)."""
+    _require_positive_extent(anchor, "anchor")
+    v0, v1, v2, v3 = DEFAULT_VARIANCES
+    box = decode(anchor, off)
+    dcx = v0 * anchor.w
+    dcy = v1 * anchor.h
+    dw = v2 * box.w  # d(w)/d(t_w) = v2 * a_w * exp(v2 t_w)
+    dh = v3 * box.h
+    jac = np.array(
+        [
+            [dcx, 0.0, -0.5 * dw, 0.0],
+            [0.0, dcy, 0.0, -0.5 * dh],
+            [dcx, 0.0, 0.5 * dw, 0.0],
+            [0.0, dcy, 0.0, 0.5 * dh],
+        ]
+    )
+    return box, jac
+
+
+# ---------------------------------------------------------------------------
+# loss terms
+
+
+def balance_l1(x: float, params: BalanceL1Params = BalanceL1Params()) -> LossTerm:
+    """Piecewise regression loss: logarithmic gradient inside |x| < 1,
+    constant gradient gamma outside."""
+    a, g, b = params.alpha, params.gamma, params.b
+    ax = abs(x)
+    sign = 0.0 if x == 0.0 else math.copysign(1.0, x)
+    if ax < 1.0:
+        u = b * ax
+        # (u+1)ln(u+1) - u is ~u^2/2 near 0; guard the cancellation there
+        value = max((a / b) * ((u + 1.0) * math.log1p(u) - u), 0.0)
+        grad = a * math.log1p(u) * sign
+    else:
+        value = g * ax + params.C
+        grad = g * sign
+    return LossTerm(value, {"x": grad})
+
+
+def smooth_l1(x: float) -> LossTerm:
+    """Huber-style baseline used by the original SSD regression head."""
+    ax = abs(x)
+    if ax < 1.0:
+        return LossTerm(0.5 * x * x, {"x": x})
+    return LossTerm(ax - 0.5, {"x": math.copysign(1.0, x)})
+
+
+def r_iou_loss(p_iou: float, iou_tar: float) -> LossTerm:
+    """Log-ratio loss |ln(p) - ln(t)| with the prediction clamped to
+    [PROB_EPS, 1]."""
+    p = min(max(p_iou, PROB_EPS), 1.0)
+    if not p > 0.0:
+        raise ValueError(f"invalid predicted IOU: {p_iou!r}")
+    if not 0.0 < iou_tar <= 1.0:
+        raise ValueError(f"invalid target IOU: {iou_tar!r}")
+    if p < iou_tar:
+        return LossTerm(-math.log(p / iou_tar), {"p_iou": -1.0 / p, "iou_tar": 1.0 / iou_tar})
+    if p > iou_tar:
+        return LossTerm(-math.log(iou_tar / p), {"p_iou": 1.0 / p, "iou_tar": -1.0 / iou_tar})
+    return LossTerm(0.0, {"p_iou": 0.0, "iou_tar": 0.0})
+
+
+def l2_iou_loss(p_iou: float, iou_tar: float) -> LossTerm:
+    """Ablation baseline: 0.5 * (p - t)^2."""
+    p = min(max(p_iou, PROB_EPS), 1.0)
+    if not 0.0 < iou_tar <= 1.0:
+        raise ValueError(f"invalid target IOU: {iou_tar!r}")
+    d = p - iou_tar
+    return LossTerm(0.5 * d * d, {"p_iou": d, "iou_tar": -d})
+
+
+def cross_entropy(p_cls: float) -> LossTerm:
+    """-ln(p) on the assigned class probability, clamped at PROB_EPS."""
+    p = min(max(p_cls, PROB_EPS), 1.0)
+    return LossTerm(-math.log(p), {"p_cls": -1.0 / p})
+
+
+def ceji_loss(p_cls: float, iou_tar, is_positive: bool, detach_iou: bool = False) -> LossTerm:
+    """Cross-entropy joint with the measured IOU: -ln(p_cls * iou_tar) on
+    gated positives, with the gradient chained into the box through
+    ``iou_tar.grad_a``; -ln(p_cls) on negatives."""
+    p = min(max(p_cls, PROB_EPS), 1.0)
+    t = iou_tar.value if hasattr(iou_tar, "value") else float(iou_tar)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"target IOU outside [0, 1]: {t!r}")
+
+    box_keys = ("x1", "y1", "x2", "y2")
+    zeros = dict.fromkeys(("p_cls", "iou_tar") + box_keys, 0.0)
+
+    if not is_positive:
+        return LossTerm(-math.log(p), {**zeros, "p_cls": -1.0 / p})
+    if t < CEJI_IOU_GATE:
+        return LossTerm(0.0, zeros)
+
+    grad = dict(zeros)
+    grad["p_cls"] = -1.0 / p
+    grad["iou_tar"] = -1.0 / t
+    if not detach_iou and hasattr(iou_tar, "grad_a"):
+        for key, d in zip(box_keys, iou_tar.grad_a):
+            grad[key] = (-1.0 / t) * d
+    return LossTerm(-math.log(p * t), grad)
+
+
+# ---------------------------------------------------------------------------
+# NMS
+
+
+def priority_order(dets: list[Detection], mode: str, floor: float) -> list[int]:
+    """Indices above the floor, by descending score, then descending area,
+    then ascending index."""
+    idx = [i for i, d in enumerate(dets) if score(d, mode) >= floor]
+    idx.sort(key=lambda i: (-score(dets[i], mode), -dets[i].box.area, i))
+    return idx
+
+
+def nms_bruteforce(
+    dets: list[Detection],
+    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
+    mode: str = "standard",
+    score_floor: float = SCORE_FLOOR,
+) -> list[Detection]:
+    """A detection is kept iff no earlier-priority kept detection of its
+    class overlaps it beyond the threshold. Refuses more than
+    BRUTEFORCE_LIMIT detections."""
+    if len(dets) > BRUTEFORCE_LIMIT:
+        raise ValueError(f"oracle limited to {BRUTEFORCE_LIMIT} detections")
+    if not (0.0 < iou_threshold < 1.0):
+        raise ValueError("iou_threshold must lie in (0, 1)")
+    order = priority_order(dets, mode, score_floor)
+    kept_idx: list[int] = []
+    for i in order:
+        suppressed = any(
+            dets[k].class_id == dets[i].class_id and iou_value(dets[k].box, dets[i].box) > iou_threshold
+            for k in kept_idx
+        )
+        if not suppressed:
+            kept_idx.append(i)
+    return [dets[i] for i in kept_idx]
+
+
+def score_flip_pair() -> tuple[list[Detection], Detection, Detection]:
+    """The two-box score-flip scenario: a confident badly localized box A
+    overlapping (IOU 0.7) a better localized box B of lower confidence.
+
+    Standard NMS keeps A; IOU-guided NMS keeps B.
+    """
+    a = Detection(Box(0.0, 0.0, 10.0, 10.0), 1, 0.95, 0.3)
+    b = Detection(Box(0.0, 0.0, 7.0, 10.0), 1, 0.85, 0.9)
+    assert abs(iou_value(a.box, b.box) - 0.7) < 1e-12
+    return [a, b], a, b
+
+
+# ---------------------------------------------------------------------------
+# average precision
+
+
+def ap_bruteforce(detections: DetectionsByImage, gts: GroundTruthsByImage, class_id: int, iou_threshold: float) -> float:
+    """Enumerate every score cutoff, re-derive the PR point of each from
+    scratch, and interpolate.
+
+    Limited to BRUTEFORCE_LIMIT detections/ground truths of the class and
+    to strictly distinct scores (ties make the cumulative curve finer
+    than cutoff enumeration can see).
+    """
+    rows = [
+        (img, b, s)
+        for img, lst in detections.items()
+        for b, cc, s in lst
+        if cc == class_id
+    ]
+    n_gt = sum(1 for objs in gts.values() for _, cc in objs if cc == class_id)
+    if len(rows) > BRUTEFORCE_LIMIT or n_gt > BRUTEFORCE_LIMIT:
+        raise ValueError(f"oracle limited to {BRUTEFORCE_LIMIT} boxes")
+    scores = [s for _, _, s in rows]
+    if len(set(scores)) != len(scores):
+        raise ValueError("oracle requires distinct scores")
+
+    points = []  # (precision, recall) at each cutoff
+    for cutoff in sorted(set(scores), reverse=True):
+        tp = fp = 0
+        for img in sorted(set(gts) | set(detections), key=str):
+            gt_boxes = [b for b, cc in gts.get(img, []) if cc == class_id]
+            taken = [False] * len(gt_boxes)
+            img_dets = sorted(
+                [(b, s) for im2, b, s in rows if im2 == img and s >= cutoff],
+                key=lambda r: -r[1],
+            )
+            for box, _ in img_dets:
+                cands = [
+                    (iou_value(box, g), gi)
+                    for gi, g in enumerate(gt_boxes)
+                    if not taken[gi] and iou_value(box, g) >= iou_threshold
+                ]
+                if cands:
+                    cands.sort(key=lambda r: (-r[0], r[1]))
+                    taken[cands[0][1]] = True
+                    tp += 1
+                else:
+                    fp += 1
+        if n_gt > 0:
+            points.append((tp / (tp + fp) if tp + fp else 0.0, tp / n_gt))
+    if n_gt == 0:
+        return 0.0
+
+    total = 0.0
+    for i in range(RECALL_POINTS):
+        r = i / (RECALL_POINTS - 1)
+        cands = [p for p, rec in points if rec >= r]
+        total += max(cands) if cands else 0.0
+    return total / RECALL_POINTS

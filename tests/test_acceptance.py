@@ -16,7 +16,7 @@ import pytest
 
 from detkit.anchors import build_levels, generate_default_boxes
 from detkit.cli import main
-from detkit.evaluation import ap_bruteforce, evaluate
+from detkit.evaluation import evaluate
 from detkit.geometry import Box, iou, iou_value
 from detkit.graph import (
     ConvParams,
@@ -31,7 +31,6 @@ from detkit.graph import (
 )
 from detkit.harness import (
     ScenarioConfig,
-    score_flip_pair,
     fit_toy,
     generate_scenario,
     init_toy_model,
@@ -39,10 +38,11 @@ from detkit.harness import (
 )
 from detkit.harness.config import FitConfig
 from detkit.losses import BalanceL1Params, balance_l1, ceji_loss, r_iou_loss
-from detkit.nms import Detection, greedy_nms, nms_bruteforce
+from detkit.nms import Detection, greedy_nms
 from detkit.rfcalc import LayerSpec, RFState, analyze_builtin, analyze_chain, expansion_ratios, ratio_spread
 
 from conftest import central_diff, rel_err, random_overlapping_pair
+from oracles import ap_bruteforce, nms_bruteforce, score_flip_pair
 from test_evaluation import PERFECT_GTS, crafted_instance
 from test_graph import conv2d_bruteforce
 

@@ -352,3 +352,14 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "fit", "report"])
+    def test_image_size_beyond_bound_exits_2(self, tmp_path, capsys, command):
+        # areas derived from 1e308 overflow to inf, and a run would report
+        # metrics computed from them
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"image_size": 1e308}')
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "image_size must lie in (0, 1e+06]" in err
+        assert not (tmp_path / "out").exists()

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detkit.evaluation import (
-    ApReport,
-    ap_bruteforce,
-    evaluate,
-    ground_truths_from_json,
-    ground_truths_to_json,
-)
+from detkit.evaluation import ApReport, evaluate, ground_truths_from_json, ground_truths_to_json
 from detkit.geometry import Box, iou_value
+
+from conftest import any_boxes, awkward_text, bits
+from oracles import ap_bruteforce
 
 # one small, one medium, one large object (areas 400, 3600, 14400)
 PERFECT_GTS = {
@@ -128,6 +125,12 @@ class TestGroundTruthJson:
         text = ground_truths_to_json(PERFECT_GTS)
         back = ground_truths_from_json(text)
         assert back == PERFECT_GTS
+
+    @settings(deadline=None)
+    @given(st.dictionaries(awkward_text, st.lists(st.tuples(any_boxes(), st.integers()), max_size=4), max_size=5))
+    def test_roundtrip_any_values(self, gts):
+        back = ground_truths_from_json(ground_truths_to_json(gts))
+        assert {k: bits(v) for k, v in back.items()} == {k: bits(v) for k, v in gts.items()}
 
     def test_duplicate_image_rejected(self):
         doc = '{"images": [{"image_id": "0", "objects": []}, {"image_id": "0", "objects": []}]}'

@@ -15,7 +15,8 @@ from detkit.geometry import (
     iou_value,
 )
 
-from conftest import boxes, int_boxes, central_diff, rel_err, random_overlapping_pair
+import oracles
+from conftest import boxes, int_boxes, central_diff, outcome, rel_err, random_overlapping_pair
 
 
 class TestBox:
@@ -167,3 +168,56 @@ class TestOffsets:
 
                 num = (f(t[k] + 1e-6) - f(t[k] - 1e-6)) / 2e-6
                 np.testing.assert_allclose(jac[:, k], num, rtol=1e-5, atol=1e-7)
+
+
+class TestScalarGeometryMatchesOracles:
+    """iou, decode and decode_jacobian run the row kernels on one row; they
+    must return what their scalar copies in oracles.py return, bit for bit,
+    and raise what the copies raise, message included."""
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(30)
+        # integer boxes shifted by 0, 1 or a full side: tied and touching
+        # edges; then degenerate, signed-zero and generic float boxes
+        pairs = []
+        for _ in range(300):
+            x1, y1 = rng.integers(0, 10, 2)
+            w, h = rng.integers(1, 6, 2)
+            a = Box(float(x1), float(y1), float(x1 + w), float(y1 + h))
+            pairs.append((a, a.translated(float(rng.choice((0, 1, w, -w))), float(rng.choice((0, 1, h, -h))))))
+        pairs += [
+            (Box(1.0, 1.0, 1.0, 1.0), Box(1.0, 1.0, 1.0, 1.0)),
+            (Box(0.0, 0.0, 0.0, 4.0), Box(0.0, 0.0, 4.0, 4.0)),
+            (Box(-0.0, -0.0, 2.0, 2.0), Box(0.0, 0.0, 2.0, 2.0)),
+            (Box(-2.0, -2.0, -0.0, -0.0), Box(-1.0, -1.0, 0.0, 0.0)),
+            (Box(0.0, 0.0, 1e300, 1e300), Box(0.0, 0.0, 1.0, 1.0)),
+        ]
+        pairs += [random_overlapping_pair(rng, margin=0.0) for _ in range(300)]
+        return pairs
+
+    def test_iou(self):
+        for a, b in self._pairs():
+            assert outcome(iou, a, b) == outcome(oracles.iou, a, b), (a, b)
+            assert outcome(iou, b, a) == outcome(oracles.iou, b, a), (b, a)
+
+    def test_decode(self):
+        rng = np.random.default_rng(31)
+        anchors = [a for a, _ in self._pairs()[:300:7]] + [Box(0.0, 0.0, 0.0, 2.0), Box(2.0, 2.0, 3.0, 2.0)]
+        rows = [list(r) for r in rng.uniform(-3.0, 3.0, (50, 4))]
+        for v in (0.0, -0.0, 1.0, -1.0, 4e3, -4e3, 1e308, math.inf, -math.inf, math.nan):
+            for k in range(4):
+                rows.append([0.3, -0.2, 0.1, 0.4])
+                rows[-1][k] = v
+        # offsets as numpy scalars, the type the loss replay passes: a box
+        # built from them reports np.float64 fields in its error message
+        offsets = [OffsetEncoding(*np.array(r)) for r in rows]
+        messages = set()
+        with np.errstate(invalid="ignore"):
+            for anchor in anchors:
+                for off in offsets:
+                    got = outcome(decode_jacobian, anchor, off)
+                    assert got == outcome(oracles.decode_jacobian, anchor, off), (anchor, off)
+                    assert outcome(decode, anchor, off) == outcome(oracles.decode, anchor, off), (anchor, off)
+                    messages.add(got[2].split(":")[0] if got[0] == "raises" else "")
+        assert messages == {"", "math range error", "negative box extent", "anchor must have strictly positive width and height"}

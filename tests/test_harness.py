@@ -1,4 +1,5 @@
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 
@@ -16,7 +17,6 @@ from detkit.harness import (
     ToyModel,
     config_from_json,
     detections_from_heads,
-    score_flip_pair,
     fit_toy,
     generate_scenario,
     init_toy_model,
@@ -29,6 +29,9 @@ from detkit.harness.config import SCHEMA_PATH, FitConfig, NmsConfig, NoiseConfig
 from detkit.harness.plots import histogram_svg, scatter_svg
 from detkit.losses import CLS_LOSSES, IOU_LOSSES, REG_LOSSES, HeadOutputs, LossConfig
 from detkit.nms import MODES, greedy_nms
+
+from oracles import score_flip_pair
+
 
 def fields_of(cls) -> list[str]:
     return [f.name for f in fields(cls)]
@@ -44,7 +47,73 @@ SMALL = ScenarioConfig(
 )
 
 
+def _schema_bound_cases():
+    """(path, value, accepted, keyword) on both sides of every numeric
+    bound and array-length bound in the schema. Array items are all set to the value;
+    arrays of another length repeat the default's first item."""
+    numeric = {  # keyword: (allowed offset, rejected offset) from the bound, in steps
+        "minimum": (0, -1), "exclusiveMinimum": (1, 0), "maximum": (0, 1), "exclusiveMaximum": (-1, 0),
+    }
+    cases = []
+
+    def walk(props, path, defaults):
+        for key, spec in props.items():
+            where = path + (key,)
+            if key == "schema_version":
+                continue
+            default = getattr(defaults, key)
+            if spec.get("type") == "object":
+                walk(spec["properties"], where, default)
+                continue
+            item = spec.get("items", spec)
+            for kw, (ok_steps, bad_steps) in numeric.items():
+                if kw not in item:
+                    continue
+                bound = item[kw]
+                for steps, accepted in ((ok_steps, True), (bad_steps, False)):
+                    if item["type"] == "integer":
+                        v = bound + steps
+                    else:
+                        v = math.nextafter(bound, math.copysign(math.inf, steps)) if steps else bound
+                    cases.append((where, [v] * len(default) if item is not spec else v, accepted, kw))
+            for kw, ok_len, bad_len in (("minItems", 0, -1), ("maxItems", 0, 1)):
+                if kw in spec:
+                    for extra, accepted in ((ok_len, True), (bad_len, False)):
+                        cases.append((where, [default[0]] * (spec[kw] + extra), accepted, kw))
+
+    walk(json.loads(SCHEMA_PATH.read_text())["properties"], (), ScenarioConfig())
+    return cases
+
+
+def _nested_doc(path, value) -> str:
+    doc = value
+    for key in reversed(path):
+        doc = {key: doc}
+    return json.dumps(doc)
+
+
+SCHEMA_BOUND_CASES = _schema_bound_cases()
+
+
 class TestConfig:
+    @pytest.mark.parametrize(
+        "path,value,accepted,keyword", SCHEMA_BOUND_CASES,
+        ids=[f"{'.'.join(c[0])}-{c[3]}-{'ok' if c[2] else 'bad'}" for c in SCHEMA_BOUND_CASES],
+    )
+    def test_schema_bounds_agree_with_validate(self, path, value, accepted, keyword):
+        doc = _nested_doc(path, value)
+        if accepted:
+            config_from_json(doc)
+        else:
+            with pytest.raises(ConfigError):
+                config_from_json(doc)
+
+    def test_schema_bound_cases_cover_the_schema(self):
+        text = SCHEMA_PATH.read_text()
+        keywords = ("minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum", "minItems", "maxItems")
+        # two cases (allowed and rejected side) per bound in the file
+        assert len(SCHEMA_BOUND_CASES) == 2 * sum(text.count(f'"{kw}"') for kw in keywords)
+
     def test_json_roundtrip(self):
         back = config_from_json(SMALL.to_json())
         assert back == SMALL

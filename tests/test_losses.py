@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from detkit.anchors import AnchorSet, MatchResult, generate_default_boxes, match_anchors, build_levels
 from detkit.geometry import (
-    DEFAULT_VARIANCES,
     Box,
     OffsetEncoding,
     decode,
-    decode_jacobian,
     decode_jacobian_rows,
     encode,
     iou,
@@ -37,7 +35,8 @@ from detkit.losses import (
     total_loss,
 )
 
-from conftest import central_diff, rel_err, random_overlapping_pair
+import oracles
+from conftest import central_diff, outcome, rel_err, random_overlapping_pair
 
 # frozen from the mpmath continuity oracle: b = e^3 - 1, C from piece equality at |x| = 1
 B_ORACLE = 19.085536923187668
@@ -243,6 +242,50 @@ class TestBaselines:
         assert cross_entropy(0.5).value == pytest.approx(math.log(2.0))
 
 
+EDGE_X = (0.0, -0.0, 1.0, -1.0, 1.0 - 1e-16, 0.5, -2.0, 5e-324, -5e-324, 1e308, math.inf, -math.inf, math.nan)
+EDGE_PROBS = (-0.3, -0.0, 0.0, 1e-7, PROB_EPS, 0.3, 0.5, 0.7, 1.0, 1.0 + 1e-9, 1.4, math.inf, -math.inf, math.nan)
+EDGE_TARGETS = (-0.0, 0.0, 1e-300, 0.3, 0.4999999999999999, 0.5, 0.7, 1.0, 1.0000000000000002, math.nan)
+
+
+class TestPerTermFunctionsMatchOracles:
+    """Each public loss term runs its array kernel on length-1 arrays; it
+    must return what its scalar copy in oracles.py returns, bit for bit,
+    and raise what the copy raises, message included."""
+
+    def test_residual_losses(self):
+        xs = EDGE_X + tuple(np.random.default_rng(20).uniform(-3.0, 3.0, 500).tolist())
+        for x in xs + tuple(np.float64(v) for v in EDGE_X):
+            assert outcome(balance_l1, x) == outcome(oracles.balance_l1, x), x
+            assert outcome(smooth_l1, x) == outcome(oracles.smooth_l1, x), x
+            params = BalanceL1Params(alpha=0.8, gamma=2.0)
+            assert outcome(balance_l1, x, params) == outcome(oracles.balance_l1, x, params), x
+
+    def test_probability_losses(self):
+        rng = np.random.default_rng(21)
+        probs = EDGE_PROBS + tuple(rng.uniform(0.0, 1.0, 100).tolist())
+        targets = EDGE_TARGETS + tuple(rng.uniform(0.0, 1.0, 20).tolist())
+        for p in probs + tuple(np.float64(v) for v in EDGE_PROBS):
+            assert outcome(cross_entropy, p) == outcome(oracles.cross_entropy, p), p
+            for t in targets + (p,):
+                for fn, copy in ((r_iou_loss, oracles.r_iou_loss), (l2_iou_loss, oracles.l2_iou_loss)):
+                    assert outcome(fn, p, t) == outcome(copy, p, t), (fn.__name__, p, t)
+                for positive, detach in itertools.product((True, False), (False, True)):
+                    assert outcome(ceji_loss, p, t, positive, detach) == outcome(
+                        oracles.ceji_loss, p, t, positive, detach
+                    ), (p, t, positive, detach)
+
+    def test_ceji_chains_the_iou_gradient(self):
+        rng = np.random.default_rng(22)
+        pairs = [random_overlapping_pair(rng, margin=0.0) for _ in range(200)]
+        pairs += [(Box(0.0, 0.0, 4.0, 4.0), Box(0.0, 0.0, 4.0, 4.0)), (Box(0.0, 0.0, 4.0, 4.0), Box(0.0, 2.0, 4.0, 6.0))]
+        for a, b in pairs:
+            val = iou(a, b)
+            for p, positive, detach in itertools.product((0.0, 0.6, 1.0), (True, False), (False, True)):
+                assert outcome(ceji_loss, p, val, positive, detach) == outcome(
+                    oracles.ceji_loss, p, val, positive, detach
+                ), (a, b, p, positive, detach)
+
+
 def _five_anchor_instance(seed=0):
     """Two gts over a tiny pyramid; generic head outputs with all
     indicator functions (gate, mining, clamps) far from their boundaries."""
@@ -402,8 +445,8 @@ def total_loss_scalar(
     gt_classes: list[int],
     cfg: LossConfig = LossConfig(),
 ) -> TotalLoss:
-    """Reference: the original per-anchor loop, one scalar loss call per
-    positive, negative and offset component.
+    """Reference: the original per-anchor loop, one call of the scalar
+    oracles per positive, negative and offset component.
 
     Aggregate loss over one image, normalized by the positive count.
 
@@ -424,8 +467,9 @@ def total_loss_scalar(
     d_cls = np.zeros_like(preds.class_probs)
     d_piou = np.zeros_like(preds.p_iou)
 
-    reg_fn = balance_l1 if cfg.reg == "balance_l1" else smooth_l1  # balance-l1 at its default alpha, gamma
-    iou_fn = r_iou_loss if cfg.iou == "r_iou" else l2_iou_loss
+    # balance-l1 at its default alpha, gamma
+    reg_fn = oracles.balance_l1 if cfg.reg == "balance_l1" else oracles.smooth_l1
+    iou_fn = oracles.r_iou_loss if cfg.iou == "r_iou" else oracles.l2_iou_loss
 
     pos = match.positive_indices
     cls_sum = reg_sum = iou_sum = 0.0
@@ -434,21 +478,21 @@ def total_loss_scalar(
         g = match.gt_index[a]
         gt = gts[g]
         anchor = anchors.boxes[a]
-        off = OffsetEncoding(*preds.offsets[a], variances=DEFAULT_VARIANCES)
-        decoded, jac = decode_jacobian(anchor, off)
-        iou_tar = iou(decoded, gt)
+        off = OffsetEncoding(*preds.offsets[a])
+        decoded, jac = oracles.decode_jacobian(anchor, off)
+        iou_tar = oracles.iou(decoded, gt)
 
         # classification on the ground-truth class probability
         c = gt_classes[g]
         p_cls = preds.class_probs[a, c]
         if cfg.cls == "ceji":
-            term = ceji_loss(p_cls, iou_tar, True, detach_iou=cfg.detach_iou)
+            term = oracles.ceji_loss(p_cls, iou_tar, True, detach_iou=cfg.detach_iou)
             cls_sum += term.value
             d_cls[a, c] += term.grad["p_cls"]
             d_box = np.array([term.grad[k] for k in ("x1", "y1", "x2", "y2")])
             d_off[a] += d_box @ jac
         else:
-            term = cross_entropy(p_cls)
+            term = oracles.cross_entropy(p_cls)
             cls_sum += term.value
             d_cls[a, c] += term.grad["p_cls"]
 
@@ -483,7 +527,7 @@ def total_loss_scalar(
         mined = list(neg)
 
     for a in mined:
-        term = cross_entropy(preds.class_probs[a, 0])
+        term = oracles.cross_entropy(preds.class_probs[a, 0])
         cls_sum += term.value
         d_cls[a, 0] += term.grad["p_cls"]
 
@@ -644,7 +688,7 @@ class TestTotalLossMatchesScalarLoop:
         rng = np.random.default_rng(12)
         n = 20_000
         x = np.concatenate((rng.uniform(-3.0, 3.0, n), [0.0, -0.0, 1.0, -1.0, 1.0 - 1e-16, math.inf, -math.inf]))
-        for kernel, scalar in ((losses._balance_l1_arr, balance_l1), (losses._smooth_l1_arr, smooth_l1)):
+        for kernel, scalar in ((losses._balance_l1_arr, oracles.balance_l1), (losses._smooth_l1_arr, oracles.smooth_l1)):
             value, grad = kernel(x)
             want = [scalar(v) for v in x.tolist()]
             assert value.tobytes() == np.array([w.value for w in want]).tobytes()
@@ -652,18 +696,18 @@ class TestTotalLossMatchesScalarLoop:
 
         p = np.concatenate((rng.uniform(0.0, 1.0, n), rng.uniform(0.85, 1.0, n), CLAMPED_PROBS))
         value, grad = losses._cross_entropy_arr(p)
-        want = [cross_entropy(v) for v in p.tolist()]
+        want = [oracles.cross_entropy(v) for v in p.tolist()]
         assert value.tobytes() == np.array([w.value for w in want]).tobytes()
         assert grad.tobytes() == np.array([w.grad["p_cls"] for w in want]).tobytes()
 
         t = np.concatenate((rng.uniform(0.01, 1.0, n), rng.uniform(0.85, 1.0, n), [0.5] * len(CLAMPED_PROBS)))
         t[:100] = p[:100]  # p == t exactly
         value, d_p, d_t = losses._ceji_positive_arr(p, t)
-        want = [ceji_loss(a, b, True) for a, b in zip(p.tolist(), t.tolist())]
+        want = [oracles.ceji_loss(a, b, True) for a, b in zip(p.tolist(), t.tolist())]
         assert value.tobytes() == np.array([w.value for w in want]).tobytes()
         assert d_p.tobytes() == np.array([w.grad["p_cls"] for w in want]).tobytes()
         assert d_t.tobytes() == np.array([w.grad["iou_tar"] for w in want]).tobytes()
-        for kernel, scalar in ((losses._r_iou_arr, r_iou_loss), (losses._l2_iou_arr, l2_iou_loss)):
+        for kernel, scalar in ((losses._r_iou_arr, oracles.r_iou_loss), (losses._l2_iou_arr, oracles.l2_iou_loss)):
             value, d_p, d_t = kernel(p, t)
             want = [scalar(a, b) for a, b in zip(p.tolist(), t.tolist())]
             assert value.tobytes() == np.array([w.value for w in want]).tobytes()
@@ -691,10 +735,10 @@ class TestTotalLossMatchesScalarLoop:
         gt_arr = np.array([g.as_tuple() for g in gts])
         value, grad = iou_rows(box, gt_arr, np.array([g.area for g in gts]))
         for i, (a, g) in enumerate(zip(anchors, gts)):
-            want_box, want_jac = decode_jacobian(a, OffsetEncoding(*off[i]))
+            want_box, want_jac = oracles.decode_jacobian(a, OffsetEncoding(*off[i]))
             assert box[i].tobytes() == np.array(want_box.as_tuple()).tobytes()
             assert jac[i].tobytes() == want_jac.tobytes()
-            want = iou(want_box, g)
+            want = oracles.iou(want_box, g)
             assert float_bits(value[i]) == float_bits(want.value)
             assert grad[i].tobytes() == np.array(want.grad_a).tobytes()
 

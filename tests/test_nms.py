@@ -4,15 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from detkit.geometry import Box, iou_value
 from detkit.harness import ScenarioConfig, detections_from_heads, generate_scenario, init_toy_model
-from detkit.nms import (
-    Detection,
-    _priority_order,
-    detections_from_csv,
-    detections_to_csv,
-    greedy_nms,
-    nms_bruteforce,
-    score,
-)
+from detkit.nms import Detection, detections_from_csv, detections_to_csv, greedy_nms, score
+
+from conftest import any_boxes, awkward_text, bits
+from oracles import nms_bruteforce, priority_order
+
+# any probability, -0.0 and subnormals included
+probability = st.one_of(st.sampled_from((-0.0, 5e-324)), st.floats(min_value=0.0, max_value=1.0))
 
 
 def det(x1, y1, x2, y2, cls=1, p_cls=0.9, p_iou=0.8):
@@ -25,7 +23,7 @@ def greedy_nms_scalar(dets, iou_threshold=0.5, mode="standard", score_floor=0.01
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError("iou_threshold must lie in (0, 1)")
     kept: list[Detection] = []
-    order = _priority_order(dets, mode, score_floor)
+    order = priority_order(dets, mode, score_floor)
     alive = set(order)
     for i in order:
         if i not in alive:
@@ -235,6 +233,12 @@ class TestCsv:
         text = detections_to_csv(rows)
         back = detections_from_csv(text)
         assert back == rows
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(awkward_text, any_boxes(), st.integers(), probability, probability), max_size=8))
+    def test_roundtrip_any_values(self, cells):
+        rows = [(image_id, Detection(box, c, p_cls, p_iou)) for image_id, box, c, p_cls, p_iou in cells]
+        assert bits(detections_from_csv(detections_to_csv(rows))) == bits(rows)
 
     def test_header_validated(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ plus CLI (`harness`, `cli`).
 """
 
 from .geometry import Box, IouValue, OffsetEncoding, decode, encode, iou, iou_value
-from .nms import Detection, greedy_nms, score
+from .nms import Detections, greedy_nms
 
 __all__ = [
     "Box",
@@ -19,9 +19,8 @@ __all__ = [
     "iou_value",
     "encode",
     "decode",
-    "Detection",
+    "Detections",
     "greedy_nms",
-    "score",
 ]
 
 __version__ = "0.1.0"

@@ -51,10 +51,6 @@ class FeatureLevelSpec:
         if any(ar <= 0.0 for ar in self.aspect_ratios):
             raise ValueError("aspect ratios must be positive")
 
-    @property
-    def templates_per_cell(self) -> int:
-        return len(self.aspect_ratios) + 1  # plus the extra square box
-
 
 def detector_320_levels() -> list[FeatureLevelSpec]:
     """The six-level pyramid used for a 320-pixel input."""

@@ -19,7 +19,6 @@ from .harness import (
     ConfigError,
     NumericalError,
     detections_from_heads,
-    evaluate_fit,
     fit_detections,
     fit_toy,
     generate_scenario,
@@ -29,6 +28,7 @@ from .harness import (
     load_config,
     run_ablation,
     run_nms_ab,
+    nms_and_ap,
 )
 from .harness.plots import histogram_svg, scatter_svg
 
@@ -56,10 +56,9 @@ def cmd_gen(args) -> int:
 
     atomic_write_text(out / "ground_truths.json", evaluation.ground_truths_to_json(scenario.ground_truths()))
 
-    rows = []
-    for img in scenario.images:
-        for d in detections_from_heads(scenario.anchors, img.heads, cfg.nms.score_floor):
-            rows.append((img.image_id, d))
+    rows = nms.Detections.concat(
+        detections_from_heads(scenario.anchors, img.heads, cfg.nms.score_floor, img.image_id) for img in scenario.images
+    )
     atomic_write_text(out / "detections.csv", nms.detections_to_csv(rows))
 
     edges, counts = iou_histogram(iou_tar_values(scenario))
@@ -83,10 +82,9 @@ def cmd_fit(args) -> int:
         _write_hist_csv(out / f"iou_tar_hist_epoch{epoch:04d}.csv", edges, counts)
 
     decoded = fit_detections(scenario, result)
-    rows = [(img_id, d) for img_id, dets in decoded.items() for d in dets]
-    atomic_write_text(out / "detections_final.csv", nms.detections_to_csv(rows))
+    atomic_write_text(out / "detections_final.csv", nms.detections_to_csv(nms.Detections.concat(decoded.values())))
 
-    report = evaluate_fit(scenario, decoded)
+    _, report = nms_and_ap(scenario, decoded, cfg.nms.mode)
     write_json(
         out / "fit_report.json",
         {
@@ -101,38 +99,25 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _by_image(rows) -> dict[str, list]:
-    """Group (image_id, detection) rows by image, keeping file order."""
-    out: dict[str, list] = {}
-    for image_id, det in rows:
-        out.setdefault(image_id, []).append(det)
-    return out
-
-
 def cmd_nms(args) -> int:
-    rows = nms.detections_from_csv(Path(args.detections).read_text())
-    by_image = _by_image(rows)
-
-    kept_rows = []
-    summary = {"mode": args.mode, "iou_threshold": args.iou_threshold, "images": {}}
-    for image_id in sorted(by_image, key=str):
-        kept = nms.greedy_nms(by_image[image_id], args.iou_threshold, args.mode)
-        kept_rows.extend((image_id, d) for d in kept)
-        summary["images"][image_id] = {"input": len(by_image[image_id]), "kept": len(kept)}
-    summary["total_kept"] = len(kept_rows)
+    dets = nms.detections_from_csv(Path(args.detections).read_text())
+    by_image = dets.by_image()
+    kept = {image_id: nms.greedy_nms(rows, args.iou_threshold, args.mode) for image_id, rows in by_image.items()}
+    kept_rows = nms.Detections.concat(kept.values())
+    images = {image_id: {"input": len(by_image[image_id]), "kept": len(kept[image_id])} for image_id in kept}
+    summary = {"mode": args.mode, "iou_threshold": args.iou_threshold, "images": images, "total_kept": len(kept_rows)}
 
     out = Path(args.out)
     atomic_write_text(out / "kept.csv", nms.detections_to_csv(kept_rows))
     write_json(out / "nms_summary.json", summary)
-    print(f"kept {len(kept_rows)} of {len(rows)} detections; wrote {out}")
+    print(f"kept {len(kept_rows)} of {len(dets)} detections; wrote {out}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    by_image = _by_image(nms.detections_from_csv(Path(args.detections).read_text()))
+    dets = nms.detections_from_csv(Path(args.detections).read_text())
     gts = evaluation.ground_truths_from_json(Path(args.ground_truths).read_text())
-    det_map = {image_id: nms.scored(dets, args.mode) for image_id, dets in by_image.items()}
-    report = evaluation.evaluate(det_map, gts)
+    report = evaluation.evaluate(dets.by_image(), gts, args.mode)
     write_json(args.out, report.as_dict())
     print(f"ap={report.ap:.6f} ap50={report.ap50:.6f} ap75={report.ap75:.6f}; wrote {args.out}")
     return EXIT_OK

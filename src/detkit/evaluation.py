@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, iou_value
+from .geometry import Box, iou_matrix
+from .nms import Detections
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_POINTS = 101
@@ -30,8 +31,6 @@ AREA_RANGES = {
 }
 MAX_DETECTIONS_PER_IMAGE = 100
 
-# detections: image_id -> [(Box, class_id, score)]; gts: image_id -> [(Box, class_id)]
-DetectionsByImage = dict[str, list[tuple[Box, int, float]]]
 GroundTruthsByImage = dict[str, list[tuple[Box, int]]]
 
 
@@ -55,39 +54,33 @@ class ApReport:
         }
 
 
-def _match_image(
-    dets: list[tuple[int, Box, float]],
-    gts: list[tuple[Box, bool]],
-    ious: list[list[float]],
-    thr: float,
-) -> list[tuple[float, bool, bool]]:
+def _match_image(gt_ignored: list[bool], ious: list[list[float]], thr: float) -> list[tuple[bool, bool]]:
     """Greedy matching inside one image and class.
 
-    ``dets`` rows are (stable_index, box, score) already in score order;
-    ``gts`` rows are (box, ignored); ``ious[d][g]`` is the IOU of
-    detection d with ground truth g. Returns (score, is_tp, det_ignored)
-    per detection. A detection prefers the highest-IOU unmatched
-    non-ignored ground truth; failing that it may match an ignored one
-    and is then ignored itself.
+    ``ious[d][g]`` is the IOU of the d-th detection in score order with
+    ground truth g; ``gt_ignored[g]`` says whether g lies outside the area
+    range. Returns (is_tp, det_ignored) per detection. A detection prefers
+    the highest-IOU unmatched non-ignored ground truth; failing that it
+    may match an ignored one and is then ignored itself.
     """
-    taken = [False] * len(gts)
+    taken = [False] * len(gt_ignored)
     out = []
-    for (_, _, sc), row in zip(dets, ious):
+    for row in ious:
         best_g = -1
         best_iou = 0.0
-        for g, (_, g_ign) in enumerate(gts):
+        for g, g_ign in enumerate(gt_ignored):
             if taken[g]:
                 continue
-            if best_g >= 0 and not gts[best_g][1] and g_ign:
+            if best_g >= 0 and not gt_ignored[best_g] and g_ign:
                 break  # already holding a real match; don't trade for ignored
             v = row[g]
             if v >= thr and (best_g < 0 or v > best_iou):
                 best_g, best_iou = g, v
         if best_g >= 0:
             taken[best_g] = True
-            out.append((sc, not gts[best_g][1], gts[best_g][1]))
+            out.append((not gt_ignored[best_g], gt_ignored[best_g]))
         else:
-            out.append((sc, False, False))
+            out.append((False, False))
     return out
 
 
@@ -112,62 +105,66 @@ def _ap_from_records(records: list[tuple[float, bool, bool, str, int]], n_gt: in
     return float(interp.mean())
 
 
-def _area_ap(detections: DetectionsByImage, gts: GroundTruthsByImage, area: tuple[float, float]) -> list[float]:
-    """Per-threshold AP averaged over classes for one area range."""
-    lo, hi = area
-    classes = sorted({c for objs in gts.values() for _, c in objs})
-    image_ids = sorted(set(gts) | set(detections), key=str)
+def _areas(boxes: np.ndarray) -> np.ndarray:
+    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
 
+
+def _area_ap(blocks: dict[int, list[tuple]], area: tuple[float, float]) -> list[float]:
+    """Per-threshold AP averaged over classes for one area range, from the
+    (image, class) blocks that ``evaluate`` builds."""
+    lo, hi = area
     aps_per_thr: list[list[float]] = [[] for _ in IOU_THRESHOLDS]
-    for c in classes:
-        # gts per image: non-ignored first; ignored = outside the area range
-        gt_by_img: dict[str, list[tuple[Box, bool]]] = {}
+    for per_image in blocks.values():
+        # ground truths outside the area range are ignored, and go last
+        ranged = []
         n_gt = 0
-        for img in image_ids:
-            rows = [(b, not (lo <= b.area < hi)) for b, cc in gts.get(img, []) if cc == c]
-            rows.sort(key=lambda r: r[1])
-            gt_by_img[img] = rows
-            n_gt += sum(1 for _, ign in rows if not ign)
+        for img, d, scores, d_areas, g_areas, ious in per_image:
+            g_ign = ~((lo <= g_areas) & (g_areas < hi))
+            order = np.argsort(g_ign, kind="stable")
+            n_gt += int(np.count_nonzero(~g_ign))
+            d_outside = ~((lo <= d_areas) & (d_areas < hi))
+            ranged.append((img, d, scores, d_outside.tolist(), g_ign[order].tolist(), ious[:, order].tolist()))
         if n_gt == 0:
             continue
 
-        # per image, built once for all thresholds: the top detections in
-        # score order and their IOUs against the ground truths
-        per_image = []
-        for img in image_ids:
-            dets = [
-                (i, b, s)
-                for i, (b, cc, s) in enumerate(detections.get(img, []))
-                if cc == c
-            ]
-            dets.sort(key=lambda r: (-r[2], r[0]))
-            dets = dets[:MAX_DETECTIONS_PER_IMAGE]
-            ious = [[iou_value(b, gbox) for gbox, _ in gt_by_img[img]] for _, b, _ in dets]
-            per_image.append((img, dets, ious))
-
         for t_i, thr in enumerate(IOU_THRESHOLDS):
             records: list[tuple[float, bool, bool, str, int]] = []
-            for img, dets, ious in per_image:
-                matched = _match_image(dets, gt_by_img[img], ious, thr)
-                for (stable_i, box, _), (sc, tp, ign) in zip(dets, matched):
-                    if not tp and not ign and not (lo <= box.area < hi):
+            for img, d, scores, d_outside, g_ign, ious in ranged:
+                for stable_i, s, out, (tp, ign) in zip(d, scores, d_outside, _match_image(g_ign, ious, thr)):
+                    if not tp and not ign and out:
                         ign = True  # unmatched detection outside the range
-                    records.append((sc, tp, ign, str(img), stable_i))
+                    records.append((s, tp, ign, img, stable_i))
             aps_per_thr[t_i].append(_ap_from_records(records, n_gt))
 
     return [float(np.mean(v)) if v else 0.0 for v in aps_per_thr]
 
 
-def evaluate(detections: DetectionsByImage, gts: GroundTruthsByImage) -> ApReport:
-    """Full report: AP(0.5:0.95), AP50, AP75, and the three area splits."""
-    all_t = _area_ap(detections, gts, AREA_RANGES["all"])
+def evaluate(detections: dict[str, Detections], gts: GroundTruthsByImage, mode: str) -> ApReport:
+    """Full report: AP(0.5:0.95), AP50, AP75, and the three area splits,
+    ranking each image's detections by their ``mode`` score."""
+    # per (image, class) with a detection or a ground truth, for all area ranges and
+    # thresholds: the top detections in score order, and one IOU block against the ground truths
+    blocks: dict[int, list[tuple]] = {c: [] for c in sorted({c for objs in gts.values() for _, c in objs})}
+    for img in sorted(set(gts) | set(detections), key=str):
+        dets = detections.get(img, Detections())
+        scores = dets.score(mode)
+        gt_boxes = np.array([b.as_tuple() for b, _ in gts.get(img, [])], dtype=np.float64).reshape(-1, 4)
+        gt_classes = np.array([c for _, c in gts.get(img, [])], dtype=object)  # any integers
+        for c in (set(gt_classes.tolist()) | set(dets.class_id.tolist())) & blocks.keys():
+            g = np.flatnonzero(gt_classes == c)
+            d = np.flatnonzero(dets.class_id == c)
+            d = d[np.lexsort((d, -scores[d]))][:MAX_DETECTIONS_PER_IMAGE]
+            blocks[c].append((img, d.tolist(), scores[d].tolist(), _areas(dets.boxes[d]), _areas(gt_boxes[g]),
+                              iou_matrix(dets.boxes[d], gt_boxes[g])))
+
+    all_t = _area_ap(blocks, AREA_RANGES["all"])
     return ApReport(
         ap=float(np.mean(all_t)),
         ap50=all_t[0],
         ap75=all_t[IOU_THRESHOLDS.index(0.75)],
-        ap_small=float(np.mean(_area_ap(detections, gts, AREA_RANGES["small"]))),
-        ap_medium=float(np.mean(_area_ap(detections, gts, AREA_RANGES["medium"]))),
-        ap_large=float(np.mean(_area_ap(detections, gts, AREA_RANGES["large"]))),
+        ap_small=float(np.mean(_area_ap(blocks, AREA_RANGES["small"]))),
+        ap_medium=float(np.mean(_area_ap(blocks, AREA_RANGES["medium"]))),
+        ap_large=float(np.mean(_area_ap(blocks, AREA_RANGES["large"]))),
     )
 
 

@@ -20,7 +20,7 @@ from .scenario import (
     true_iou,
 )
 from .toyfit import FitResult, ToyModel, fit_toy, init_toy_model
-from .experiments import AbReport, AblationRow, ModeResult, evaluate_fit, fit_detections, run_ablation, run_nms_ab
+from .experiments import AbReport, AblationRow, ModeResult, fit_detections, nms_and_ap, run_ablation, run_nms_ab
 
 __all__ = [
     "ScenarioConfig",
@@ -44,8 +44,8 @@ __all__ = [
     "fit_toy",
     "run_nms_ab",
     "run_ablation",
-    "evaluate_fit",
     "fit_detections",
+    "nms_and_ap",
     "AbReport",
     "ModeResult",
     "AblationRow",

@@ -17,8 +17,9 @@ from ..losses import LossConfig
 from ..nms import MODES as NMS_MODES
 
 SCHEMA_VERSION = 1
-# Keeps every derived area, and the fourth powers in the IOU gradients,
-# far inside float64 range.
+# Keep every derived area, and the fourth powers in the IOU gradients,
+# far inside float64 range: the smallest ground-truth side is 1e-6 px.
+MIN_SIZE = 1e-3  # of image_size, and of object_size_range as a fraction
 MAX_IMAGE_SIZE = 1e6
 SCHEMA_PATH = Path(__file__).parent / "config_schema.json"
 
@@ -88,12 +89,12 @@ class ScenarioConfig:
         if not (1 <= lo <= hi):
             raise ConfigError(f"bad object_count range {self.object_count}")
         slo, shi = self.object_size_range
-        if not (0.0 < slo <= shi):
-            raise ConfigError(f"bad object_size_range {self.object_size_range}")
+        if not (MIN_SIZE <= slo <= shi):
+            raise ConfigError(f"bad object_size_range {self.object_size_range}: need {MIN_SIZE:g} <= lo <= hi")
         if shi > 1.0:
             raise ConfigError("objects larger than the image are impossible")
-        if not 0 < self.image_size <= MAX_IMAGE_SIZE:
-            raise ConfigError(f"image_size must lie in (0, {MAX_IMAGE_SIZE:g}], got {self.image_size}")
+        if not MIN_SIZE <= self.image_size <= MAX_IMAGE_SIZE:
+            raise ConfigError(f"image_size must lie in [{MIN_SIZE:g}, {MAX_IMAGE_SIZE:g}], got {self.image_size}")
         if self.n_images < 1 or self.n_classes < 1:
             raise ConfigError("n_images, n_classes must be positive")
         if not self.grids or any(g < 1 for g in self.grids):

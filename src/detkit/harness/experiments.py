@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..evaluation import ApReport, evaluate
-from ..nms import MODES, Detection, greedy_nms, score, scored
+from ..nms import MODES, Detections, greedy_nms
 from .config import ScenarioConfig
 from .scenario import Scenario, detections_from_heads, generate_scenario, true_iou
 from .toyfit import FitResult, fit_toy, init_toy_model
@@ -39,16 +39,16 @@ def run_nms_ab(scenario: Scenario) -> AbReport:
     floor = scenario.cfg.nms.score_floor
     # decoding does not depend on the mode
     decoded = {
-        img.image_id: detections_from_heads(scenario.anchors, img.heads, floor) for img in scenario.images
+        img.image_id: detections_from_heads(scenario.anchors, img.heads, floor, img.image_id)
+        for img in scenario.images
     }
     modes: dict[str, ModeResult] = {}
     for mode in MODES:
-        kept, report = _suppress_and_evaluate(scenario, decoded, mode)
-        scatter = [
-            (score(d, mode), true_iou(d, img.gts, img.gt_classes))
-            for img in scenario.images
-            for d in kept[img.image_id]
-        ]
+        kept, report = nms_and_ap(scenario, decoded, mode)
+        scatter = []
+        for img in scenario.images:
+            dets = kept[img.image_id]
+            scatter += zip(dets.score(mode).tolist(), true_iou(dets, img.gts, img.gt_classes).tolist())
         modes[mode] = ModeResult(
             report=report,
             kept_count=len(scatter),
@@ -79,30 +79,22 @@ def run_ablation(cfg: ScenarioConfig) -> list[AblationRow]:
         run_cfg = replace(cfg, losses=replace(cfg.losses, cls=cls_loss, iou=iou_loss))
         model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed)
         fit = fit_toy(model, scenario, run_cfg)
-        report = evaluate_fit(scenario, fit_detections(scenario, fit))
+        _, report = nms_and_ap(scenario, fit_detections(scenario, fit), cfg.nms.mode)
         rows.append(AblationRow(cls_loss, iou_loss, cfg.losses.reg, fit.initial_loss, fit.final_loss, report))
     return rows
 
 
-def fit_detections(scenario: Scenario, fit: FitResult) -> dict[str, list[Detection]]:
+def fit_detections(scenario: Scenario, fit: FitResult) -> dict[str, Detections]:
     """Decode the fitted model's heads on every image, keyed by image id in
     scenario order."""
     floor = scenario.cfg.nms.score_floor
     return {
-        img.image_id: detections_from_heads(scenario.anchors, fit.model.forward(img.features)[0], floor)
+        img.image_id: detections_from_heads(scenario.anchors, fit.model.forward(img.features)[0], floor, img.image_id)
         for img in scenario.images
     }
 
 
-def evaluate_fit(scenario: Scenario, decoded: dict[str, list[Detection]]) -> ApReport:
-    """NMS + AP, under the config's mode, of the per-image detections that
-    ``fit_detections`` decoded."""
-    return _suppress_and_evaluate(scenario, decoded, scenario.cfg.nms.mode)[1]
-
-
-def _suppress_and_evaluate(
-    scenario: Scenario, decoded: dict[str, list[Detection]], mode: str
-) -> tuple[dict[str, list[Detection]], ApReport]:
+def nms_and_ap(scenario: Scenario, decoded: dict[str, Detections], mode: str) -> tuple[dict[str, Detections], ApReport]:
     """Per-image NMS under ``mode`` at the config's threshold and floor, and
     the AP of the kept detections against the scenario's ground truths."""
     nms_cfg = scenario.cfg.nms
@@ -110,5 +102,4 @@ def _suppress_and_evaluate(
         img_id: greedy_nms(dets, nms_cfg.iou_threshold, mode, nms_cfg.score_floor)
         for img_id, dets in decoded.items()
     }
-    report = evaluate({img_id: scored(dets, mode) for img_id, dets in kept.items()}, scenario.ground_truths())
-    return kept, report
+    return kept, evaluate(kept, scenario.ground_truths(), mode)

@@ -24,10 +24,10 @@ from ..anchors import (
     match_anchors,
 )
 from ..evaluation import GroundTruthsByImage
-from ..geometry import Box, decode_jacobian_rows, encode, iou_value
+from ..geometry import Box, decode_jacobian_rows, encode, iou_matrix, iou_value
 from ..losses import HeadOutputs, PROB_EPS
-from ..nms import Detection
-from .config import ScenarioConfig
+from ..nms import Detections
+from .config import NumericalError, ScenarioConfig
 
 HIST_BINS = 10
 
@@ -129,7 +129,10 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
             for c in range(cfg.n_classes + 1):
                 if c != gt_classes[g]:
                     probs[a, c] = rest
-        true = _measured_ious(anchors, match, gts, offsets, pos)
+        try:
+            true = _measured_ious(anchors, match, gts, offsets, pos)
+        except OverflowError as exc:  # math.exp of a huge noisy size offset
+            raise NumericalError(f"image {img_i}: a noisy offset overflows its decoded box ({exc})") from exc
         p_iou[pos] = np.clip(np.array(true) + noise.p_iou_sigma * p_iou_noise[pos], PROB_EPS, 1.0)
 
         images.append(
@@ -147,20 +150,22 @@ def _measured_ious(
     return [iou_value(Box(*row), gts[match.gt_index[a]]) for a, row in zip(pos, boxes)]
 
 
-def detections_from_heads(anchors: AnchorSet, heads: HeadOutputs, floor: float = 0.01) -> list[Detection]:
-    """Expand per-anchor head outputs into per-class detection records."""
-    out = []
-    n_cols = heads.class_probs.shape[1]
-    keep = np.nonzero(heads.class_probs[:, 1:].max(axis=1) >= floor)[0]
+def detections_from_heads(
+    anchors: AnchorSet, heads: HeadOutputs, floor: float, image_id: str
+) -> Detections:
+    """One image's detections: a row per (anchor, class) whose probability
+    reaches the floor, anchors in order and classes ascending."""
+    probs = heads.class_probs[:, 1:]
+    keep = np.nonzero(probs.max(axis=1) >= floor)[0]
     boxes, _ = decode_jacobian_rows(anchors.cwh[keep], heads.offsets[keep])
-    p_ious = np.clip(heads.p_iou[keep], 0.0, 1.0).tolist()
-    for row, p_iou, probs in zip(boxes, p_ious, heads.class_probs[keep].tolist()):
-        box = Box(*row)
-        for c in range(1, n_cols):
-            p = probs[c]
-            if p >= floor:
-                out.append(Detection(box, c, min(p, 1.0), p_iou))
-    return out
+    row, col = np.nonzero(probs[keep] >= floor)
+    return Detections(
+        np.full(len(row), image_id, dtype=object),
+        boxes[row],
+        col + 1,
+        np.minimum(probs[keep[row], col], 1.0),
+        np.clip(heads.p_iou[keep[row]], 0.0, 1.0),
+    )
 
 
 def iou_tar_values(scenario: Scenario, heads_by_image: list[HeadOutputs] | None = None) -> list[float]:
@@ -182,10 +187,9 @@ def iou_histogram(values: list[float], bins: int = HIST_BINS) -> tuple[list[floa
     return edges, counts
 
 
-def true_iou(det: Detection, gts: list[Box], gt_classes: list[int]) -> float:
-    """Best IOU of a detection against the same-class ground truths."""
-    best = 0.0
-    for box, c in zip(gts, gt_classes):
-        if c == det.class_id:
-            best = max(best, iou_value(det.box, box))
-    return best
+def true_iou(dets: Detections, gts: list[Box], gt_classes: list[int]) -> np.ndarray:
+    """Best IOU of each detection against the same-class ground truths, 0
+    where none overlaps."""
+    ious = iou_matrix(dets.boxes, np.array([b.as_tuple() for b in gts]).reshape(-1, 4))
+    overlaps = (dets.class_id[:, None] == np.array(gt_classes, dtype=np.int64)) & (ious > 0.0)
+    return np.where(overlaps, ious, 0.0).max(axis=1, initial=0.0)

@@ -8,6 +8,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from detkit.geometry import Box
+from detkit.nms import Detections, greedy_nms
+from oracles import Detection
 
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 extent = st.floats(min_value=0.5, max_value=40.0, allow_nan=False, allow_infinity=False)
@@ -92,7 +94,7 @@ def bits(x):
     if isinstance(x, (float, np.floating)):
         return np.float64(x).tobytes()
     if isinstance(x, np.ndarray):
-        return x.dtype.str, x.shape, x.tobytes()
+        return x.dtype.str, x.shape, bits(x.tolist()) if x.dtype == object else x.tobytes()
     if isinstance(x, dict):
         return tuple((k, bits(v)) for k, v in x.items())
     if isinstance(x, (tuple, list)):
@@ -100,3 +102,42 @@ def bits(x):
     if dataclasses.is_dataclass(x):
         return type(x).__name__, tuple((f.name, bits(getattr(x, f.name))) for f in dataclasses.fields(x))
     return x
+
+
+# ---------------------------------------------------------------------------
+# detection records (tests/oracles.py) and the library's Detections table
+
+
+def table(dets) -> Detections:
+    """Detection records as one table. Row i gets the image id str(i),
+    which greedy_nms ignores, so kept rows map back to their records."""
+    return Detections(
+        [str(i) for i in range(len(dets))],
+        [d.box.as_tuple() for d in dets],
+        [d.class_id for d in dets],
+        [d.p_cls for d in dets],
+        [d.p_iou for d in dets],
+    )
+
+
+def kept_records(dets, *args, **kwargs) -> list:
+    """greedy_nms on ``table(dets)``, as the very records it keeps, in order."""
+    return [dets[int(i)] for i in greedy_nms(table(dets), *args, **kwargs).image_id]
+
+
+def records(t: Detections) -> list:
+    """The rows of a table as detection records."""
+    return [
+        Detection(Box(*box), c, p_cls, p_iou)
+        for box, c, p_cls, p_iou in zip(t.boxes.tolist(), t.class_id.tolist(), t.p_cls.tolist(), t.p_iou.tolist())
+    ]
+
+
+def tables(dets_by_image) -> dict[str, Detections]:
+    """(box, class_id, score) rows per image, the AP oracle's format, as
+    tables whose standard-mode score is that score (p_iou = 1)."""
+    return {
+        img: Detections([img] * len(rows), [b.as_tuple() for b, _, _ in rows], [c for _, c, _ in rows],
+                        [s for _, _, s in rows], [1.0] * len(rows))
+        for img, rows in dets_by_image.items()
+    }

@@ -6,20 +6,22 @@ Each is an independent, deliberately plain copy of a definition:
   operation at a time, as they stood before the library computed them
   through its array kernels. The kernels and the public wrappers around
   them must match these bit for bit, exceptions and messages included;
-- brute-force greedy NMS and brute-force AP over tiny instances;
+- brute-force greedy NMS and brute-force AP over tiny instances, on
+  per-object detection records rather than the library's table;
 - the two-box score-flip scenario of the paper's IOU-guided NMS.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from detkit.evaluation import RECALL_POINTS, DetectionsByImage, GroundTruthsByImage
+from detkit.evaluation import RECALL_POINTS, GroundTruthsByImage
 from detkit.geometry import DEFAULT_VARIANCES, Box, IouValue, OffsetEncoding, _require_positive_extent, iou_value
 from detkit.losses import CEJI_IOU_GATE, PROB_EPS, BalanceL1Params, LossTerm
-from detkit.nms import DEFAULT_IOU_THRESHOLD, SCORE_FLOOR, Detection, score
+from detkit.nms import DEFAULT_IOU_THRESHOLD, SCORE_FLOOR
 
 BRUTEFORCE_LIMIT = 12  # most boxes the brute-force oracles accept
 
@@ -200,6 +202,26 @@ def ceji_loss(p_cls: float, iou_tar, is_positive: bool, detach_iou: bool = False
 # NMS
 
 
+@dataclass(frozen=True)
+class Detection:
+    """One detection as a record: the oracles' input, one row of the
+    library's ``Detections`` table."""
+
+    box: Box
+    class_id: int
+    p_cls: float
+    p_iou: float
+
+
+def score(d: Detection, mode: str) -> float:
+    """Ranking score: p_cls, or p_cls * p_iou in iou_guided mode."""
+    if mode == "standard":
+        return d.p_cls
+    if mode == "iou_guided":
+        return d.p_cls * d.p_iou
+    raise ValueError(f"unknown NMS mode {mode!r}")
+
+
 def priority_order(dets: list[Detection], mode: str, floor: float) -> list[int]:
     """Indices above the floor, by descending score, then descending area,
     then ascending index."""
@@ -247,6 +269,9 @@ def score_flip_pair() -> tuple[list[Detection], Detection, Detection]:
 
 # ---------------------------------------------------------------------------
 # average precision
+
+# image_id -> [(Box, class_id, score)]
+DetectionsByImage = dict[str, list[tuple[Box, int, float]]]
 
 
 def ap_bruteforce(detections: DetectionsByImage, gts: GroundTruthsByImage, class_id: int, iou_threshold: float) -> float:

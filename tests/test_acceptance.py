@@ -38,11 +38,10 @@ from detkit.harness import (
 )
 from detkit.harness.config import FitConfig
 from detkit.losses import BalanceL1Params, balance_l1, ceji_loss, r_iou_loss
-from detkit.nms import Detection, greedy_nms
 from detkit.rfcalc import LayerSpec, RFState, analyze_builtin, analyze_chain, expansion_ratios, ratio_spread
 
-from conftest import central_diff, rel_err, random_overlapping_pair
-from oracles import ap_bruteforce, nms_bruteforce, score_flip_pair
+from conftest import central_diff, kept_records, rel_err, random_overlapping_pair, tables
+from oracles import Detection, ap_bruteforce, nms_bruteforce, score_flip_pair
 from test_evaluation import PERFECT_GTS, crafted_instance
 from test_graph import conv2d_bruteforce
 
@@ -145,7 +144,7 @@ def test_criterion_3_nms_oracle_equivalence():
             )
         for mode in ("standard", "iou_guided"):
             for thr in (0.3, 0.5, 0.7):
-                if greedy_nms(dets, thr, mode) != nms_bruteforce(dets, thr, mode):
+                if kept_records(dets, thr, mode) != nms_bruteforce(dets, thr, mode):
                     mismatches += 1
     assert mismatches == 0
     _report(3, "greedy == brute-force oracle on 10,000 instances x 2 modes x 3 thresholds, zero mismatches")
@@ -154,8 +153,8 @@ def test_criterion_3_nms_oracle_equivalence():
 def test_criterion_4_score_flip_and_calibrated_attenuation():
     dets, a, b = score_flip_pair()
     assert iou_value(a.box, b.box) == pytest.approx(0.7, abs=1e-12)
-    assert greedy_nms(dets, 0.5, "standard") == [a]
-    assert greedy_nms(dets, 0.5, "iou_guided") == [b]
+    assert kept_records(dets, 0.5, "standard") == [a]
+    assert kept_records(dets, 0.5, "iou_guided") == [b]
 
     wins = 0
     for seed in range(100):
@@ -228,34 +227,30 @@ def test_criterion_6_forward_graph_contracts(tmp_path):
 
 def test_criterion_7_ap_evaluator():
     dets = {img: [(b, c, 1.0) for b, c in objs] for img, objs in PERFECT_GTS.items()}
-    report = evaluate(dets, PERFECT_GTS)
+    report = evaluate(tables(dets), PERFECT_GTS, "standard")
     assert all(v == 1.0 for v in report.as_dict().values())
 
     cdets, cgts = crafted_instance()
     want = ap_bruteforce(cdets, cgts, class_id=1, iou_threshold=0.5)
-    got = evaluate(cdets, cgts).ap50
+    got = evaluate(tables(cdets), cgts, "standard").ap50
     assert abs(got - want) <= 1e-12
 
     rng = np.random.default_rng(707)
     scenario = generate_scenario(replace(ACCEPT_CFG, seed=7, n_images=4))
     gts = {img.image_id: list(zip(img.gts, img.gt_classes)) for img in scenario.images}
     from detkit.harness import detections_from_heads
-    from detkit.nms import score
 
     det_map = {
-        img.image_id: [
-            (d.box, d.class_id, score(d, "standard"))
-            for d in detections_from_heads(scenario.anchors, img.heads)
-        ]
+        img.image_id: detections_from_heads(scenario.anchors, img.heads, scenario.cfg.nms.score_floor, img.image_id)
         for img in scenario.images
     }
-    reference = evaluate(det_map, gts)
+    reference = evaluate(det_map, gts, "standard")
     for _ in range(50):
         order = list(gts)
         rng.shuffle(order)
         shuffled_gts = {k: gts[k] for k in order}
         shuffled_dets = {k: det_map[k] for k in order}
-        assert evaluate(shuffled_dets, shuffled_gts) == reference
+        assert evaluate(shuffled_dets, shuffled_gts, "standard") == reference
     _report(7, f"perfect=1.0 everywhere; crafted AP50 {got:.6f} == oracle to 1e-12; 50 shuffles invariant")
 
 

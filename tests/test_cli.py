@@ -361,5 +361,72 @@ class TestMalformedConfig:
         cfg.write_text('{"image_size": 1e308}')
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and "image_size must lie in (0, 1e+06]" in err
+        assert len(err.strip().splitlines()) == 1 and "image_size must lie in [0.001, 1e+06]" in err
         assert not (tmp_path / "out").exists()
+
+    # every ground-truth area underflowed to 0, so no anchor was positive,
+    # and fit printed "loss 0.105337 -> 0.000000, ap 0.0000" and exited 0
+    @pytest.mark.parametrize("command", ["gen", "fit", "report"])
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ('{"image_size": 1e-300}', "image_size must lie in [0.001, 1e+06]"),
+            ('{"object_size_range": [1e-200, 1e-200]}', "need 0.001 <= lo <= hi"),
+        ],
+        ids=["image_size", "object_size_range"],
+    )
+    def test_sizes_below_bound_exit_2(self, tmp_path, capsys, command, doc, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(doc)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestDecodeOverflow:
+    # math.exp of a huge distractor offset overflowed while decoding, and
+    # the run ended in a traceback (exit 1)
+    @pytest.mark.parametrize("command", ["gen", "fit", "report"])
+    def test_exits_3_with_one_line(self, tmp_path, capsys, command):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"noise": {"distractor_offset_sigma": 1e4}}')
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "overflows its decoded box" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestClassIdBeyond64Bits:
+    # class ids are any integers in both input files; relabelling the
+    # classes changes neither which rows NMS keeps nor the AP report
+    BIG, NEGATIVE = 2**64, -(2**70)
+
+    @staticmethod
+    def write_inputs(tmp_path, name, a, b):
+        header = "image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\n"
+        dets = tmp_path / f"{name}.csv"
+        dets.write_text(header + f"img0,{a},0,0,4,4,0.9,0.8\nimg0,{a},0,0,4,4,0.8,0.8\nimg0,{b},0,0,4,4,0.7,0.8\n")
+        gts = tmp_path / f"{name}.json"
+        objects = [{"box": [0, 0, 4, 4], "class_id": a}, {"box": [10, 10, 16, 16], "class_id": b}]
+        gts.write_text(json.dumps({"images": [{"image_id": "img0", "objects": objects}]}))
+        return dets, gts
+
+    def test_nms_keeps_the_same_rows(self, tmp_path):
+        kept = {}
+        for name, a, b in (("small", 1, 2), ("big", self.BIG, self.NEGATIVE)):
+            dets, _ = self.write_inputs(tmp_path, name, a, b)
+            assert main(["nms", "--detections", str(dets), "--out", str(tmp_path / name)]) == 0
+            kept[name] = (tmp_path / name / "kept.csv").read_text()
+        relabelled = kept["small"].replace("img0,1,", f"img0,{self.BIG},").replace("img0,2,", f"img0,{self.NEGATIVE},")
+        assert kept["big"] == relabelled and len(kept["big"].splitlines()) == 3
+
+    def test_eval_report_unchanged(self, tmp_path):
+        reports = {}
+        for name, a, b in (("small", 1, 2), ("big", self.BIG, self.NEGATIVE)):
+            dets, gts = self.write_inputs(tmp_path, name, a, b)
+            out = tmp_path / f"{name}_report.json"
+            argv = ["eval", "--detections", str(dets), "--ground-truths", str(gts), "--out", str(out)]
+            assert main(argv) == 0
+            reports[name] = json.loads(out.read_text())
+        assert reports["big"] == reports["small"] and reports["big"]["ap50"] == 0.5

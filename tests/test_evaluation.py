@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from detkit.evaluation import ApReport, evaluate, ground_truths_from_json, ground_truths_to_json
 from detkit.geometry import Box, iou_value
+from detkit.nms import Detections
 
-from conftest import any_boxes, awkward_text, bits
-from oracles import ap_bruteforce
+from conftest import any_boxes, awkward_text, bits, records, tables
+from oracles import ap_bruteforce, score
 
 # one small, one medium, one large object (areas 400, 3600, 14400)
 PERFECT_GTS = {
@@ -43,21 +44,21 @@ class TestEvaluate:
         dets = {
             img: [(b, c, 1.0) for b, c in objs] for img, objs in PERFECT_GTS.items()
         }
-        report = evaluate(dets, PERFECT_GTS)
+        report = evaluate(tables(dets), PERFECT_GTS, "standard")
         assert report == ApReport(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_zero_detections_score_zero(self):
-        report = evaluate({}, PERFECT_GTS)
+        report = evaluate({}, PERFECT_GTS, "standard")
         assert report == ApReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_crafted_instance_matches_rational_oracle(self):
         dets, gts = crafted_instance()
-        assert evaluate(dets, gts).ap50 == pytest.approx(AP50_CRAFTED, abs=1e-12)
+        assert evaluate(tables(dets), gts, "standard").ap50 == pytest.approx(AP50_CRAFTED, abs=1e-12)
 
     def test_crafted_instance_matches_bruteforce_oracle(self):
         dets, gts = crafted_instance()
         want = ap_bruteforce(dets, gts, class_id=1, iou_threshold=0.5)
-        assert evaluate(dets, gts).ap50 == pytest.approx(want, abs=1e-12)
+        assert evaluate(tables(dets), gts, "standard").ap50 == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(AP50_CRAFTED, abs=1e-12)
 
     def test_ap_nonincreasing_in_threshold(self):
@@ -65,19 +66,19 @@ class TestEvaluate:
         thresholds = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95]
         aps = [ap_bruteforce(dets, gts, 1, t) for t in thresholds]
         assert all(a >= b for a, b in zip(aps, aps[1:]))
-        report = evaluate(dets, gts)
+        report = evaluate(tables(dets), gts, "standard")
         assert report.ap50 >= report.ap75
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         dets, gts = _random_instance(rng, n_images=5)
-        want = evaluate(dets, gts)
+        want = evaluate(tables(dets), gts, "standard")
         for _ in range(50):
             order = list(gts)
             rng.shuffle(order)
             dets_shuffled = {k: dets[k] for k in order if k in dets}
             gts_shuffled = {k: gts[k] for k in order}
-            assert evaluate(dets_shuffled, gts_shuffled) == want
+            assert evaluate(tables(dets_shuffled), gts_shuffled, "standard") == want
 
     def test_adding_perfect_match_never_decreases(self):
         rng = np.random.default_rng(1)
@@ -88,10 +89,10 @@ class TestEvaluate:
             if found is None:
                 continue
             img, (gt_box, gt_cls) = found
-            before = evaluate(dets, gts)
+            before = evaluate(tables(dets), gts, "standard")
             top = max((s for lst in dets.values() for _, _, s in lst), default=0.5)
             dets.setdefault(img, []).append((gt_box, gt_cls, min(top + 0.01, 1.0)))
-            after = evaluate(dets, gts)
+            after = evaluate(tables(dets), gts, "standard")
             for field in ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large"):
                 assert getattr(after, field) >= getattr(before, field) - 1e-12
             checked += 1
@@ -100,10 +101,28 @@ class TestEvaluate:
         rng = np.random.default_rng(2)
         for _ in range(10):
             dets, gts = _random_instance(rng, n_images=3)
-            report = evaluate(dets, gts)
+            report = evaluate(tables(dets), gts, "standard")
             for v in report.as_dict().values():
                 assert 0.0 <= v <= 1.0
             assert report.ap <= max(report.ap50, report.ap75) + 1e-12
+
+
+    @pytest.mark.parametrize("mode", ["standard", "iou_guided"])
+    def test_mode_ranks_by_its_score(self, mode):
+        # a confident bad box and a better localized one on each ground
+        # truth: the ranking, and with it AP50, depends on the mode
+        gts = {"0": [(Box(0.0, 0.0, 10.0, 10.0), 1), (Box(50.0, 0.0, 60.0, 10.0), 1)]}
+        dets = Detections(
+            ["0"] * 4,
+            [(0.0, 0.0, 4.0, 10.0), (0.0, 0.0, 9.0, 10.0), (50.0, 0.0, 54.0, 10.0), (50.0, 0.0, 59.0, 10.0)],
+            [1, 1, 1, 1],
+            [0.95, 0.85, 0.9, 0.8],
+            [0.3, 0.9, 0.35, 0.95],
+        )
+        oracle_rows = [(d.box, d.class_id, score(d, mode)) for d in records(dets)]
+        want = ap_bruteforce({"0": oracle_rows}, gts, class_id=1, iou_threshold=0.5)
+        assert evaluate({"0": dets}, gts, mode).ap50 == pytest.approx(want, abs=1e-12)
+        assert want == pytest.approx({"standard": 0.5, "iou_guided": 1.0}[mode], abs=1e-12)
 
 
 class TestOracleGuards:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 
@@ -28,8 +29,9 @@ from detkit.harness import (
 from detkit.harness.config import SCHEMA_PATH, FitConfig, NmsConfig, NoiseConfig
 from detkit.harness.plots import histogram_svg, scatter_svg
 from detkit.losses import CLS_LOSSES, IOU_LOSSES, REG_LOSSES, HeadOutputs, LossConfig
-from detkit.nms import MODES, greedy_nms
+from detkit.nms import MODES
 
+from conftest import kept_records
 from oracles import score_flip_pair
 
 
@@ -187,6 +189,18 @@ class TestScenario:
         for res in report.modes.values():
             assert res.report.ap == 1.0
 
+    def test_smallest_sizes_keep_positives(self):
+        # the lower bounds of image_size and object_size_range: every image
+        # still has positives, and no area underflows or warns
+        cfg = replace(SMALL, image_size=1e-3, object_size_range=(1e-3, 1e-3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = generate_scenario(cfg)
+            rep = run_nms_ab(s)
+        assert all(img.match.positive_indices for img in s.images)
+        assert all(img.gts and min(b.area for b in img.gts) > 0.0 for img in s.images)
+        assert rep.modes["iou_guided"].kept_count > 0
+
     def test_gts_inside_image(self):
         s = generate_scenario(SMALL)
         for img in s.images:
@@ -203,8 +217,8 @@ class TestScenario:
 
     def test_score_flip_pair(self):
         dets, a, b = score_flip_pair()
-        assert greedy_nms(dets, 0.5, "standard") == [a]
-        assert greedy_nms(dets, 0.5, "iou_guided") == [b]
+        assert kept_records(dets, 0.5, "standard") == [a]
+        assert kept_records(dets, 0.5, "iou_guided") == [b]
 
 
 def _frozen_optimum():

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from detkit.geometry import Box, iou_value
 from detkit.harness import ScenarioConfig, detections_from_heads, generate_scenario, init_toy_model
-from detkit.nms import Detection, detections_from_csv, detections_to_csv, greedy_nms, score
+from detkit.nms import Detections, detections_from_csv, detections_to_csv, greedy_nms
 
-from conftest import any_boxes, awkward_text, bits
-from oracles import nms_bruteforce, priority_order
+from conftest import any_boxes, awkward_text, bits, kept_records, records, table
+from oracles import Detection, nms_bruteforce, priority_order
 
 # any probability, -0.0 and subnormals included
 probability = st.one_of(st.sampled_from((-0.0, 5e-324)), st.floats(min_value=0.0, max_value=1.0))
@@ -100,68 +100,123 @@ def random_detections(rng, n, n_classes=2):
 
 class TestScore:
     def test_equal_when_p_iou_one(self):
-        d = det(0, 0, 1, 1, p_cls=0.7, p_iou=1.0)
-        assert score(d, "standard") == score(d, "iou_guided") == 0.7
+        t = table([det(0, 0, 1, 1, p_cls=0.7, p_iou=1.0)])
+        assert t.score("standard")[0] == t.score("iou_guided")[0] == 0.7
 
     def test_guided_products(self):
-        assert score(det(0, 0, 1, 1, p_cls=0.95, p_iou=0.3), "iou_guided") == pytest.approx(0.285)
-        assert score(det(0, 0, 1, 1, p_cls=0.85, p_iou=0.9), "iou_guided") == pytest.approx(0.765)
+        t = table([det(0, 0, 1, 1, p_cls=0.95, p_iou=0.3), det(0, 0, 1, 1, p_cls=0.85, p_iou=0.9)])
+        assert t.score("iou_guided").tolist() == pytest.approx([0.285, 0.765])
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            score(det(0, 0, 1, 1), "softnms")
+            table([det(0, 0, 1, 1)]).score("softnms")
 
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ValueError):
-            Detection(Box(0, 0, 1, 1), 1, 1.2, 0.5)
+            table([Detection(Box(0, 0, 1, 1), 1, 1.2, 0.5)])
+
+
+class TestTable:
+    """One array check stands in for the per-object checks of a record
+    and its box."""
+
+    @pytest.mark.parametrize(
+        "box,p_cls,p_iou",
+        [
+            ((0, 0, 1, 1), -0.1, 0.5),
+            ((0, 0, 1, 1), 0.5, 1.5),
+            ((0, 0, 1, 1), float("nan"), 0.5),
+            ((0, 0, 1, 1), 0.5, float("nan")),
+            ((1, 0, 0, 1), 0.5, 0.5),
+            ((0, 1, 1, 0), 0.5, 0.5),
+            ((0, 0, float("nan"), 1), 0.5, 0.5),
+        ],
+        ids=["p_cls-negative", "p_iou-above-1", "p_cls-nan", "p_iou-nan", "x-reversed", "y-reversed", "box-nan"],
+    )
+    def test_invalid_row_rejected(self, box, p_cls, p_iou):
+        with pytest.raises(ValueError, match="detection 1"):
+            Detections(["a", "b"], [(0, 0, 1, 1), box], [1, 1], [0.5, p_cls], [0.5, p_iou])
+
+    def test_edge_values_accepted(self):
+        t = Detections(["a"], [(2.0, 2.0, 2.0, 2.0)], [1], [0.0], [1.0])  # zero area, probability bounds
+        assert len(t) == 1
+
+    def test_columns_of_different_length_rejected(self):
+        with pytest.raises(ValueError):
+            Detections(["a", "b"], [(0, 0, 1, 1)], [1], [0.5], [0.5])
+
+    def test_take_and_concat(self):
+        t = table([det(0, 0, 1, 1, cls=1), det(1, 1, 2, 2, cls=2), det(2, 2, 3, 3, cls=3)])
+        assert t.take([2, 0]).class_id.tolist() == [3, 1]
+        assert t.take(t.class_id > 1).image_id.tolist() == ["1", "2"]
+        both = Detections.concat([t.take([1]), Detections(), t.take([0])])
+        assert bits(both) == bits(t.take([1, 0]))
+        assert len(Detections.concat([])) == 0 and Detections.concat([]).boxes.shape == (0, 4)
+
+    def test_class_ids_beyond_64_bits(self):
+        t = table([det(0, 0, 1, 1, cls=2**64), det(0, 0, 1, 1, cls=1), det(0, 0, 1, 1, cls=-(2**70))])
+        assert t.class_id.tolist() == [2**64, 1, -(2**70)]
+        assert t.take([1]).class_id.dtype == np.int64
+        assert Detections.concat([t.take([1]), t.take([0])]).class_id.tolist() == [1, 2**64]
+        assert greedy_nms(t).class_id.tolist() == [2**64, 1, -(2**70)]  # one per class, ties in row order
+        with pytest.raises(OverflowError):
+            Detections(["a"], [(0, 0, 1, 2**1100)], [1], [0.5], [0.5])  # float columns keep no Python ints
+
+    def test_by_image_sorts_ids_and_keeps_row_order(self):
+        t = table([det(0, 0, 1, 1, cls=c) for c in range(1, 7)])
+        t = Detections(["b", "a", "b", "c", "a", "b"], t.boxes, t.class_id, t.p_cls, t.p_iou)
+        groups = t.by_image()
+        assert list(groups) == ["a", "b", "c"]
+        assert {k: v.class_id.tolist() for k, v in groups.items()} == {"a": [2, 5], "b": [1, 3, 6], "c": [4]}
+        assert Detections().by_image() == {}
 
 
 class TestGreedy:
     def test_single_detection_kept(self):
         d = det(0, 0, 4, 4)
-        assert greedy_nms([d]) == [d]
+        assert kept_records([d]) == [d]
 
     def test_empty_input(self):
-        assert greedy_nms([]) == []
+        assert len(greedy_nms(Detections())) == 0
 
     def test_identical_boxes_keep_higher_score(self):
         a = det(0, 0, 4, 4, p_cls=0.9)
         b = det(0, 0, 4, 4, p_cls=0.8)
-        assert greedy_nms([b, a]) == [a]
+        assert kept_records([b, a]) == [a]
 
     def test_survivor_flips_with_mode(self):
         # overlapping pair with IOU 0.7: confident bad box vs better box
         a = det(0, 0, 10, 10, p_cls=0.95, p_iou=0.3)
         b = det(0, 0, 7, 10, p_cls=0.85, p_iou=0.9)
         assert iou_value(a.box, b.box) == pytest.approx(0.7, abs=1e-12)
-        assert greedy_nms([a, b], 0.5, "standard") == [a]
-        assert greedy_nms([a, b], 0.5, "iou_guided") == [b]
+        assert kept_records([a, b], 0.5, "standard") == [a]
+        assert kept_records([a, b], 0.5, "iou_guided") == [b]
 
     def test_different_classes_do_not_suppress(self):
         a = det(0, 0, 4, 4, cls=1, p_cls=0.9)
         b = det(0, 0, 4, 4, cls=2, p_cls=0.8)
-        assert greedy_nms([a, b]) == [a, b]
+        assert kept_records([a, b]) == [a, b]
 
     def test_score_floor_drops_noise(self):
         a = det(0, 0, 4, 4, p_cls=0.9)
         b = det(20, 20, 24, 24, p_cls=0.005)
-        assert greedy_nms([a, b]) == [a]
+        assert kept_records([a, b]) == [a]
 
     def test_suppression_is_strict_inequality(self):
         # IOU exactly at the threshold survives
         a = det(0, 0, 10, 10, p_cls=0.9)
         b = det(0, 0, 5, 10, p_cls=0.8)  # IOU 0.5
-        assert greedy_nms([a, b], 0.5) == [a, b]
+        assert kept_records([a, b], 0.5) == [a, b]
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
-            greedy_nms([], 1.0)
+            greedy_nms(Detections(), 1.0)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 0.7]), st.sampled_from(["standard", "iou_guided"]))
     @settings(max_examples=150, deadline=None)
     def test_kept_set_is_antichain(self, seed, thr, mode):
         rng = np.random.default_rng(seed)
-        kept = greedy_nms(random_detections(rng, 8), thr, mode)
+        kept = kept_records(random_detections(rng, 8), thr, mode)
         for i, a in enumerate(kept):
             for b in kept[i + 1 :]:
                 if a.class_id == b.class_id:
@@ -175,13 +230,13 @@ class TestGreedy:
             Detection(d.box, d.class_id, d.p_cls, 0.6) for d in random_detections(rng, 8)
         ]
         # uniform positive attenuation rescales all scores: same argsort
-        kept_std = greedy_nms(dets, 0.5, "standard", score_floor=0.0)
-        kept_gui = greedy_nms(dets, 0.5, "iou_guided", score_floor=0.0)
+        kept_std = kept_records(dets, 0.5, "standard", score_floor=0.0)
+        kept_gui = kept_records(dets, 0.5, "iou_guided", score_floor=0.0)
         assert kept_std == kept_gui
 
 
 class TestScalarEquivalence:
-    """The array pass returns the very objects, in the very order, of the
+    """The array pass keeps the very rows, in the very order, of the
     scalar greedy loop, on inputs full of ties at every level."""
 
     @given(
@@ -192,17 +247,20 @@ class TestScalarEquivalence:
     )
     @settings(max_examples=25, deadline=None)
     def test_matches_scalar_loop(self, dets, thr, mode, floor):
-        assert_same_objects(greedy_nms(dets, thr, mode, floor), greedy_nms_scalar(dets, thr, mode, floor))
+        assert_same_objects(kept_records(dets, thr, mode, floor), greedy_nms_scalar(dets, thr, mode, floor))
 
     def test_seeded_scenario_image(self):
         cfg = ScenarioConfig(seed=0)
         scenario = generate_scenario(cfg)
         model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed)
         heads, _, _ = model.forward(scenario.images[0].features)
-        dets = detections_from_heads(scenario.anchors, heads, cfg.nms.score_floor)
-        assert len(dets) == 6408
+        decoded = detections_from_heads(scenario.anchors, heads, cfg.nms.score_floor, scenario.images[0].image_id)
+        assert len(decoded) == 6408
+        dets = records(decoded)
         args = (cfg.nms.iou_threshold, cfg.nms.mode, cfg.nms.score_floor)
-        assert_same_objects(greedy_nms(dets, *args), greedy_nms_scalar(dets, *args))
+        want = greedy_nms_scalar(dets, *args)
+        assert_same_objects(kept_records(dets, *args), want)
+        assert bits(records(greedy_nms(decoded, *args))) == bits(want)
 
 
 class TestOracle:
@@ -218,28 +276,46 @@ class TestOracle:
         dets = random_detections(rng, int(rng.integers(0, 11)))
         for mode in ("standard", "iou_guided"):
             for thr in (0.3, 0.5, 0.7):
-                assert greedy_nms(dets, thr, mode) == nms_bruteforce(dets, thr, mode)
+                assert kept_records(dets, thr, mode) == nms_bruteforce(dets, thr, mode)
 
     def test_score_flip_pair_matches(self):
         a = det(0, 0, 10, 10, p_cls=0.95, p_iou=0.3)
         b = det(0, 0, 7, 10, p_cls=0.85, p_iou=0.9)
         for mode in ("standard", "iou_guided"):
-            assert greedy_nms([a, b], 0.5, mode) == nms_bruteforce([a, b], 0.5, mode)
+            assert kept_records([a, b], 0.5, mode) == nms_bruteforce([a, b], 0.5, mode)
 
 
 class TestCsv:
     def test_roundtrip(self):
-        rows = [("img0", det(0, 0, 4, 4)), ("img1", det(1, 1, 3, 5, cls=2, p_cls=0.25, p_iou=0.125))]
+        rows = Detections(
+            ["img0", "img1"], [(0, 0, 4, 4), (1, 1, 3, 5)], [1, 2], [0.9, 0.25], [0.8, 0.125]
+        )
         text = detections_to_csv(rows)
         back = detections_from_csv(text)
-        assert back == rows
+        assert bits(back) == bits(rows)
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(awkward_text, any_boxes(), st.integers(), probability, probability), max_size=8))
     def test_roundtrip_any_values(self, cells):
-        rows = [(image_id, Detection(box, c, p_cls, p_iou)) for image_id, box, c, p_cls, p_iou in cells]
+        rows = Detections(
+            [c[0] for c in cells], [c[1].as_tuple() for c in cells], [c[2] for c in cells],
+            [c[3] for c in cells], [c[4] for c in cells],
+        )
         assert bits(detections_from_csv(detections_to_csv(rows))) == bits(rows)
 
     def test_header_validated(self):
         with pytest.raises(ValueError):
             detections_from_csv("a,b,c\n1,2,3\n")
+
+    def test_class_id_beyond_64_bits_kept_exactly(self):
+        header = "image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\n"
+        text = header + f"img0,{2**63},0,0,1,1,0.5,0.5\nimg0,{-(2**70)},0,0,1,1,0.5,0.5\nimg1,3,0,0,1,1,0.5,0.5\n"
+        back = detections_from_csv(text)
+        assert back.class_id.tolist() == [2**63, -(2**70), 3]
+        assert bits(detections_from_csv(detections_to_csv(back))) == bits(back)
+        assert back.take([2]).class_id.dtype == np.int64
+
+    def test_row_of_wrong_length_rejected(self):
+        header = "image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\n"
+        with pytest.raises(ValueError, match="7 fields"):
+            detections_from_csv(header + "img0,1,0,0,1,1,0.5\n")

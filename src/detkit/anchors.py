@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
-from .geometry import Box, iou_matrix
+from .geometry import Box, corners, iou_matrix
 
 # Per-level square-box size ratios for the 320-pixel pyramid; seven values
 # feed six levels, level k pairing (s_k, sqrt(s_k * s_{k+1})).
@@ -69,37 +67,34 @@ def build_levels(grids, strides, scale_ratios, aspect_ratios=DEFAULT_ASPECT_RATI
     ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AnchorSet:
-    """Generated default boxes with (level, cell, template) provenance."""
+    """Generated default boxes as (N, 4) corner rows, with (level, cell,
+    template) provenance as (N,) int arrays. ``cwh`` holds the rows
+    (cx, cy, w, h), the anchor form of ``geometry.decode_jacobian_rows``,
+    computed once as ``Box.cx`` .. ``Box.h`` are."""
 
-    boxes: list[Box]
-    level_index: list[int]
-    cell_index: list[int]
-    template_index: list[int]
-    input_size: float
+    boxes: np.ndarray
+    level_index: np.ndarray
+    cell_index: np.ndarray
+    template_index: np.ndarray
+    cwh: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        x1, y1, x2, y2 = self.boxes.T
+        object.__setattr__(self, "cwh", np.stack((0.5 * (x1 + x2), 0.5 * (y1 + y2), x2 - x1, y2 - y1), axis=1))
 
     def __len__(self) -> int:
         return len(self.boxes)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([b.as_tuple() for b in self.boxes], dtype=np.float64)
-
-    @cached_property
-    def cwh(self) -> np.ndarray:
-        """(N, 4) rows (cx, cy, w, h), the anchor form of
-        ``geometry.decode_jacobian_rows``; built once, so ``boxes`` must
-        not change afterwards. Computed as ``Box.cx`` .. ``Box.h`` are."""
-        x1, y1, x2, y2 = self.as_array().reshape(-1, 4).T
-        return np.stack((0.5 * (x1 + x2), 0.5 * (y1 + y2), x2 - x1, y2 - y1), axis=1)
+    def box(self, i: int) -> Box:
+        """Anchor ``i`` as a scalar ``Box``."""
+        return Box(*self.boxes[i].tolist())
 
     def to_json(self) -> str:
         """Export as a JSON array of [x1, y1, x2, y2, level, cell, template]."""
-        rows = [
-            [b.x1, b.y1, b.x2, b.y2, lv, c, t]
-            for b, lv, c, t in zip(self.boxes, self.level_index, self.cell_index, self.template_index)
-        ]
-        return json.dumps(rows)
+        indices = np.stack((self.level_index, self.cell_index, self.template_index), axis=1)
+        return json.dumps(list(map(list.__add__, self.boxes.tolist(), indices.tolist())))
 
 
 def generate_default_boxes(input_size: float, levels: list[FeatureLevelSpec], clip: bool = True) -> AnchorSet:
@@ -108,64 +103,45 @@ def generate_default_boxes(input_size: float, levels: list[FeatureLevelSpec], cl
     Per cell, one box per aspect ratio at scale s_k * input_size plus one
     extra square box at scale sqrt(s_k * s_{k+1}) * input_size. Output
     order is level-major, then row-major cells, then templates, and is
-    deterministic.
+    deterministic. Corners follow ``Box.from_center`` and ``Box.clipped``
+    operation by operation.
     """
     if not levels:
         raise ValueError("level list must be non-empty")
     if input_size <= 0:
         raise ValueError("input_size must be positive")
 
-    boxes: list[Box] = []
-    level_index: list[int] = []
-    cell_index: list[int] = []
-    template_index: list[int] = []
+    parts = []
     for lv, spec in enumerate(levels):
         base = spec.scale_ratio * input_size
         extra = (spec.scale_ratio * spec.next_scale_ratio) ** 0.5 * input_size
-        templates = [(base * ar**0.5, base / ar**0.5) for ar in spec.aspect_ratios]
-        templates.append((extra, extra))
-        for i in range(spec.grid_h):
-            cy = (i + 0.5) * spec.stride
-            for j in range(spec.grid_w):
-                cx = (j + 0.5) * spec.stride
-                cell = i * spec.grid_w + j
-                for t, (w, h) in enumerate(templates):
-                    box = Box.from_center(cx, cy, w, h)
-                    if clip:
-                        box = box.clipped(input_size, input_size)
-                    boxes.append(box)
-                    level_index.append(lv)
-                    cell_index.append(cell)
-                    template_index.append(t)
-    return AnchorSet(boxes, level_index, cell_index, template_index, float(input_size))
+        w, h = np.array([(base * ar**0.5, base / ar**0.5) for ar in spec.aspect_ratios] + [(extra, extra)]).T
+        # cell centers as (cells, 1) columns in row-major order, against (templates,) sizes
+        cy, cx = ((np.indices((spec.grid_h, spec.grid_w)) + 0.5) * spec.stride).reshape(2, -1, 1)
+        corners = np.stack((cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h), axis=-1)
+        cell, template = np.indices(corners.shape[:2]).reshape(2, -1)
+        parts.append((corners.reshape(-1, 4), np.full(len(cell), lv), cell, template))
+    boxes, level_index, cell_index, template_index = (np.concatenate(col) for col in zip(*parts))
+    if clip:
+        boxes = np.minimum(np.maximum(boxes, 0.0), input_size)
+    return AnchorSet(boxes, level_index, cell_index, template_index)
 
 
-class AnchorLabel(Enum):
-    NEGATIVE = 0
-    POSITIVE = 1
-    IGNORED = 2
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MatchResult:
-    """Per-anchor labels, matched ground-truth index (-1 if none), and best IOU.
+    """Per anchor: the matched ground-truth index, -1 for a negative, and
+    the best IOU over all ground truths."""
 
-    Treated as immutable once built: ``losses.total_loss`` keeps the arrays
-    it derives from a match in ``loss_plan`` on its first call.
-    """
-
-    labels: list[AnchorLabel]
-    gt_index: list[int]
-    best_iou: list[float]
-    loss_plan: object = field(default=None, init=False, repr=False, compare=False)
+    gt_index: np.ndarray  # (N,) intp
+    best_iou: np.ndarray  # (N,) float64
 
     @property
-    def positive_indices(self) -> list[int]:
-        return [i for i, lab in enumerate(self.labels) if lab is AnchorLabel.POSITIVE]
+    def positive_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.gt_index >= 0)
 
     @property
-    def negative_indices(self) -> list[int]:
-        return [i for i, lab in enumerate(self.labels) if lab is AnchorLabel.NEGATIVE]
+    def negative_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.gt_index < 0)
 
 
 def match_anchors(anchors: AnchorSet, gts: list[Box], pos_threshold: float = POSITIVE_IOU_THRESHOLD) -> MatchResult:
@@ -173,34 +149,25 @@ def match_anchors(anchors: AnchorSet, gts: list[Box], pos_threshold: float = POS
 
     An anchor is positive when its best IOU exceeds ``pos_threshold``, and
     additionally each ground truth with any overlap forces its argmax
-    anchor positive (ties broken by lowest anchor index). With no ground
-    truths every anchor is negative.
+    anchor positive (ties broken by lowest anchor index; an anchor forced
+    by several ground truths takes the last). With no ground truths every
+    anchor is negative.
     """
     if not (0.0 < pos_threshold < 1.0):
         raise ValueError("pos_threshold must lie in (0, 1)")
     n = len(anchors)
     if not gts:
-        return MatchResult([AnchorLabel.NEGATIVE] * n, [-1] * n, [0.0] * n)
+        return MatchResult(np.full(n, -1, dtype=np.intp), np.zeros(n))
 
-    gt_arr = np.array([g.as_tuple() for g in gts], dtype=np.float64)
-    mat = iou_matrix(anchors.as_array(), gt_arr)  # (n_anchors, n_gts)
-
+    mat = iou_matrix(anchors.boxes, corners(gts))  # (n_anchors, n_gts)
     best_gt = np.argmax(mat, axis=1)  # first max wins: lowest gt index
     best_val = mat[np.arange(n), best_gt]
 
-    labels = [AnchorLabel.NEGATIVE] * n
-    gt_index = [-1] * n
-    for a in range(n):
-        if best_val[a] > pos_threshold:
-            labels[a] = AnchorLabel.POSITIVE
-            gt_index[a] = int(best_gt[a])
-
     # best-match guarantee: argmax anchor per gt, lowest anchor index on ties
-    for g in range(len(gts)):
-        col = mat[:, g]
-        a = int(np.argmax(col))
-        if col[a] > 0.0:
-            labels[a] = AnchorLabel.POSITIVE
-            gt_index[a] = g
+    best_anchor = np.argmax(mat, axis=0)
+    overlaps = np.flatnonzero(mat[best_anchor, np.arange(len(gts))] > 0.0)
+    forced = np.full(n, -1, dtype=np.intp)
+    np.maximum.at(forced, best_anchor[overlaps], overlaps)
 
-    return MatchResult(labels, gt_index, [float(v) for v in best_val])
+    gt_index = np.where(forced >= 0, forced, np.where(best_val > pos_threshold, best_gt, -1))
+    return MatchResult(gt_index, best_val)

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, iou_matrix
+from .geometry import Box, box_areas, corners, iou_matrix
 from .nms import Detections
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_POINTS = 101
+RECALL_GRID = np.linspace(0.0, 1.0, RECALL_POINTS)
 AREA_RANGES = {
     "all": (0.0, math.inf),
     "small": (0.0, 32.0**2),
@@ -89,24 +90,16 @@ def _ap_from_records(records: list[tuple[float, bool, bool, str, int]], n_gt: in
     if n_gt == 0:
         return float("nan")
     records = sorted(records, key=lambda r: (-r[0], r[3], r[4]))
-    kept = [(tp,) for score, tp, ignored, _, _ in records if not ignored]
-    if not kept:
+    tp = np.array([r[1] for r in records if not r[2]], dtype=bool)
+    if not len(tp):
         return 0.0
-    tps = np.cumsum([1 if tp else 0 for (tp,) in kept])
-    fps = np.cumsum([0 if tp else 1 for (tp,) in kept])
+    tps = np.cumsum(tp)
     recall = tps / n_gt
-    precision = tps / (tps + fps)
-    # envelope: running max from the right
-    for i in range(len(precision) - 1, 0, -1):
-        precision[i - 1] = max(precision[i - 1], precision[i])
-    grid = np.linspace(0.0, 1.0, RECALL_POINTS)
-    idx = np.searchsorted(recall, grid, side="left")
-    interp = np.where(idx < len(precision), precision[np.minimum(idx, len(precision) - 1)], 0.0)
-    return float(interp.mean())
-
-
-def _areas(boxes: np.ndarray) -> np.ndarray:
-    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    precision = tps / np.arange(1, len(tp) + 1)  # rows so far: tp + fp
+    # envelope: running max from the right; a recall beyond the last row reads 0
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    idx = np.searchsorted(recall, RECALL_GRID, side="left")
+    return float(np.append(envelope, 0.0)[idx].mean())
 
 
 def _area_ap(blocks: dict[int, list[tuple]], area: tuple[float, float]) -> list[float]:
@@ -148,13 +141,13 @@ def evaluate(detections: dict[str, Detections], gts: GroundTruthsByImage, mode: 
     for img in sorted(set(gts) | set(detections), key=str):
         dets = detections.get(img, Detections())
         scores = dets.score(mode)
-        gt_boxes = np.array([b.as_tuple() for b, _ in gts.get(img, [])], dtype=np.float64).reshape(-1, 4)
+        gt_boxes = corners(b for b, _ in gts.get(img, []))
         gt_classes = np.array([c for _, c in gts.get(img, [])], dtype=object)  # any integers
         for c in (set(gt_classes.tolist()) | set(dets.class_id.tolist())) & blocks.keys():
             g = np.flatnonzero(gt_classes == c)
             d = np.flatnonzero(dets.class_id == c)
             d = d[np.lexsort((d, -scores[d]))][:MAX_DETECTIONS_PER_IMAGE]
-            blocks[c].append((img, d.tolist(), scores[d].tolist(), _areas(dets.boxes[d]), _areas(gt_boxes[g]),
+            blocks[c].append((img, d.tolist(), scores[d].tolist(), box_areas(dets.boxes[d]), box_areas(gt_boxes[g]),
                               iou_matrix(dets.boxes[d], gt_boxes[g])))
 
     all_t = _area_ap(blocks, AREA_RANGES["all"])

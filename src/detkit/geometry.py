@@ -3,8 +3,9 @@ offset encoding/decoding.
 
 Boxes are stored in corner form (x1, y1, x2, y2) with center-form accessors;
 encode/decode work in center form, overlap tests in corner form. The IOU
-gradient and the decode Jacobian are computed only by the row kernels
-``iou_rows`` and ``decode_jacobian_rows``; ``iou``, ``decode`` and
+gradient, the offset encoding and the decode Jacobian are computed only
+by the row kernels ``iou_rows``, ``encode_rows`` and
+``decode_jacobian_rows``; ``iou``, ``encode``, ``decode`` and
 ``decode_jacobian`` are thin wrappers over them. All functions are pure
 and safe to call concurrently.
 """
@@ -12,12 +13,20 @@ and safe to call concurrently.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 # SSD prior-box variances (cx, cy, w, h).
 DEFAULT_VARIANCES = (0.1, 0.1, 0.2, 0.2)
+
+
+def math_map(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` applied to each element of a float array. numpy's
+    vectorized exp and log differ from ``math``'s in the last bit on a few
+    percent of inputs; ``math`` also raises where they would warn."""
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -144,6 +153,16 @@ def iou_rows(a: np.ndarray, b: np.ndarray, b_area: np.ndarray) -> tuple[np.ndarr
     return np.where(zero, 0.0, value), np.where(zero[:, None], 0.0, grad)
 
 
+def corners(boxes: Iterable[Box]) -> np.ndarray:
+    """(N, 4) float64 rows (x1, y1, x2, y2) of ``boxes``."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def box_areas(rows: np.ndarray) -> np.ndarray:
+    """Area of each corner row, computed as ``Box.area`` is."""
+    return (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IOU values between (N, 4) and (M, 4) corner-form arrays."""
     a = np.asarray(a, dtype=np.float64)
@@ -152,9 +171,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
     wh = np.clip(rb - lt, 0.0, None)
     inter = wh[..., 0] * wh[..., 1]
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    union = box_areas(a)[:, None] + box_areas(b)[None, :] - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0.0)
     return out
@@ -180,16 +197,28 @@ def _require_positive_extent(box: Box, what: str) -> None:
 
 
 def encode(anchor: Box, gt: Box) -> OffsetEncoding:
-    """Encode a ground-truth box as offsets relative to an anchor."""
+    """Encode a ground-truth box as offsets relative to an anchor:
+    :func:`encode_rows` on one row."""
     _require_positive_extent(anchor, "anchor")
     _require_positive_extent(gt, "encoded box")
+    cwh = np.array([(anchor.cx, anchor.cy, anchor.w, anchor.h)], dtype=np.float64)
+    return OffsetEncoding(*encode_rows(cwh, corners([gt]))[0].tolist())
+
+
+def encode_rows(anchor_cwh: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Offset rows (P, 4) of the corner rows ``gt`` against anchor rows
+    (cx, cy, w, h). log runs through ``math``, as exp does in
+    :func:`decode_jacobian_rows`; rows are not checked for positive
+    extent."""
     v0, v1, v2, v3 = DEFAULT_VARIANCES
-    return OffsetEncoding(
-        (gt.cx - anchor.cx) / (anchor.w * v0),
-        (gt.cy - anchor.cy) / (anchor.h * v1),
-        math.log(gt.w / anchor.w) / v2,
-        math.log(gt.h / anchor.h) / v3,
-    )
+    acx, acy, aw, ah = anchor_cwh.T
+    gx1, gy1, gx2, gy2 = gt.T
+    return np.stack((
+        (0.5 * (gx1 + gx2) - acx) / (aw * v0),
+        (0.5 * (gy1 + gy2) - acy) / (ah * v1),
+        math_map(math.log, (gx2 - gx1) / aw) / v2,
+        math_map(math.log, (gy2 - gy1) / ah) / v3,
+    ), axis=1)
 
 
 def decode(anchor: Box, off: OffsetEncoding) -> Box:
@@ -210,16 +239,15 @@ def decode_jacobian(anchor: Box, off: OffsetEncoding) -> tuple[Box, np.ndarray]:
 
 def decode_jacobian_rows(anchor_cwh: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decoded corners (P, 4) and Jacobians (P, 4, 4) from anchor rows
-    (cx, cy, w, h) and offset rows. exp runs through ``math``, whose last
-    bit numpy's vectorized exp does not always match. Raises OverflowError
-    as ``math.exp`` does; rows are not checked for NaN or negative
-    extent."""
+    (cx, cy, w, h) and offset rows. exp runs through :func:`math_map`, so
+    it raises OverflowError as ``math.exp`` does; rows are not checked for
+    NaN or negative extent."""
     v0, v1, v2, v3 = DEFAULT_VARIANCES
     acx, acy, aw, ah = anchor_cwh.T
     cx = acx + off[:, 0] * v0 * aw
     cy = acy + off[:, 1] * v1 * ah
-    w = aw * np.fromiter(map(math.exp, (off[:, 2] * v2).tolist()), np.float64, len(off))
-    h = ah * np.fromiter(map(math.exp, (off[:, 3] * v3).tolist()), np.float64, len(off))
+    w = aw * math_map(math.exp, off[:, 2] * v2)
+    h = ah * math_map(math.exp, off[:, 3] * v3)
     box = np.stack((cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h), axis=1)
     dw = v2 * (box[:, 2] - box[:, 0])
     dh = v3 * (box[:, 3] - box[:, 1])

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..anchors import (
-    AnchorLabel,
     AnchorSet,
     MatchResult,
     DEFAULT_SCALE_RATIOS,
@@ -24,7 +23,7 @@ from ..anchors import (
     match_anchors,
 )
 from ..evaluation import GroundTruthsByImage
-from ..geometry import Box, decode_jacobian_rows, encode, iou_matrix, iou_value
+from ..geometry import Box, box_areas, corners, decode_jacobian_rows, encode_rows, iou_matrix, iou_rows, iou_value
 from ..losses import HeadOutputs, PROB_EPS
 from ..nms import Detections
 from .config import NumericalError, ScenarioConfig
@@ -111,29 +110,23 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         p_iou_noise = rng.normal(0.0, 1.0, n)
         neg_p_iou = rng.uniform(0.0, 1.0, n)
 
-        pos = []
-        for a in range(n):
-            if match.labels[a] is not AnchorLabel.POSITIVE:
-                probs[a, 0] = neg_bg[a]
-                probs[a, 1:] = (1.0 - neg_bg[a]) / cfg.n_classes
-                p_iou[a] = neg_p_iou[a]
-                continue
-            pos.append(a)
-            g = match.gt_index[a]
-            target = encode(anchors.boxes[a], gts[g])
-            sigma = noise.distractor_offset_sigma if is_distractor[a] else noise.offset_sigma
-            offsets[a] = np.array(target.as_tuple()) + sigma * offset_noise[a]
-            conf = pos_conf[a]
-            probs[a, gt_classes[g]] = conf
-            rest = (1.0 - conf) / cfg.n_classes
-            for c in range(cfg.n_classes + 1):
-                if c != gt_classes[g]:
-                    probs[a, c] = rest
+        neg = match.negative_indices
+        probs[neg, 0] = neg_bg[neg]
+        probs[neg, 1:] = ((1.0 - neg_bg[neg]) / cfg.n_classes)[:, None]
+        p_iou[neg] = neg_p_iou[neg]
+
+        pos = match.positive_indices
+        pos_gt = match.gt_index[pos]
+        target = encode_rows(anchors.cwh[pos], corners(gts)[pos_gt])
+        sigma = np.where(is_distractor[pos], noise.distractor_offset_sigma, noise.offset_sigma)
+        offsets[pos] = target + sigma[:, None] * offset_noise[pos]
+        probs[pos] = ((1.0 - pos_conf[pos]) / cfg.n_classes)[:, None]
+        probs[pos, np.array(gt_classes)[pos_gt]] = pos_conf[pos]
         try:
             true = _measured_ious(anchors, match, gts, offsets, pos)
         except OverflowError as exc:  # math.exp of a huge noisy size offset
             raise NumericalError(f"image {img_i}: a noisy offset overflows its decoded box ({exc})") from exc
-        p_iou[pos] = np.clip(np.array(true) + noise.p_iou_sigma * p_iou_noise[pos], PROB_EPS, 1.0)
+        p_iou[pos] = np.clip(true + noise.p_iou_sigma * p_iou_noise[pos], PROB_EPS, 1.0)
 
         images.append(
             SceneImage(str(img_i), gts, gt_classes, match, features, HeadOutputs(offsets, probs, p_iou))
@@ -142,12 +135,18 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
 
 
 def _measured_ious(
-    anchors: AnchorSet, match: MatchResult, gts: list[Box], offsets: np.ndarray, pos: list[int]
-) -> list[float]:
-    """IOU of each positive anchor's decoded box against its ground truth;
-    the positives ``pos`` of ``match`` are decoded in one pass."""
+    anchors: AnchorSet, match: MatchResult, gts: list[Box], offsets: np.ndarray, pos: np.ndarray
+) -> np.ndarray:
+    """IOU of each positive anchor's decoded box against its ground truth,
+    as ``iou_value`` gives it; the positives ``pos`` of ``match`` are
+    decoded in one pass. A decoded box of negative extent (or NaN) raises
+    the ValueError ``Box`` raises."""
     boxes, _ = decode_jacobian_rows(anchors.cwh[pos], offsets[pos])
-    return [iou_value(Box(*row), gts[match.gt_index[a]]) for a, row in zip(pos, boxes)]
+    valid = (boxes[:, 2] >= boxes[:, 0]) & (boxes[:, 3] >= boxes[:, 1])
+    if not valid.all():
+        Box(*boxes[np.argmin(valid)])  # raises for the first such row
+    gt = corners(gts)[match.gt_index[pos]]
+    return iou_rows(boxes, gt, box_areas(gt))[0]
 
 
 def detections_from_heads(
@@ -168,28 +167,26 @@ def detections_from_heads(
     )
 
 
-def iou_tar_values(scenario: Scenario, heads_by_image: list[HeadOutputs] | None = None) -> list[float]:
+def iou_tar_values(scenario: Scenario, heads_by_image: list[HeadOutputs] | None = None) -> np.ndarray:
     """Measured IOU of each positive's decoded box against its ground truth."""
-    values = []
-    for i, img in enumerate(scenario.images):
-        heads = heads_by_image[i] if heads_by_image is not None else img.heads
-        values += _measured_ious(scenario.anchors, img.match, img.gts, heads.offsets, img.match.positive_indices)
-    return values
+    if heads_by_image is None:
+        heads_by_image = [img.heads for img in scenario.images]
+    return np.concatenate([
+        _measured_ious(scenario.anchors, img.match, img.gts, heads.offsets, img.match.positive_indices)
+        for img, heads in zip(scenario.images, heads_by_image)
+    ])
 
 
-def iou_histogram(values: list[float], bins: int = HIST_BINS) -> tuple[list[float], list[int]]:
+def iou_histogram(values, bins: int = HIST_BINS) -> tuple[list[float], list[int]]:
     """Counts over [0, 1] split into equal bins; the last bin includes 1.0."""
     edges = [i / bins for i in range(bins + 1)]
-    counts = [0] * bins
-    for v in values:
-        k = min(int(v * bins), bins - 1)
-        counts[k] += 1
-    return edges, counts
+    k = np.minimum((np.asarray(values, dtype=np.float64) * bins).astype(np.intp), bins - 1)
+    return edges, np.bincount(k, minlength=bins).tolist()
 
 
 def true_iou(dets: Detections, gts: list[Box], gt_classes: list[int]) -> np.ndarray:
     """Best IOU of each detection against the same-class ground truths, 0
     where none overlaps."""
-    ious = iou_matrix(dets.boxes, np.array([b.as_tuple() for b in gts]).reshape(-1, 4))
+    ious = iou_matrix(dets.boxes, corners(gts))
     overlaps = (dets.class_id[:, None] == np.array(gt_classes, dtype=np.int64)) & (ious > 0.0)
     return np.where(overlaps, ious, 0.0).max(axis=1, initial=0.0)

@@ -18,10 +18,6 @@ offsets through a batched ``np.matmul``, which rounds as the per-row
 vector-matrix product does; sums are added left to right in the
 per-anchor order; and hard negatives are ordered by ``np.lexsort`` on
 (-loss, anchor index).
-
-The inputs that no epoch changes (index arrays, matched ground truths,
-encoded targets) are built on the first call for an image and kept on its
-:class:`~detkit.anchors.MatchResult`.
 """
 
 from __future__ import annotations
@@ -32,7 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorSet, MatchResult
-from .geometry import Box, OffsetEncoding, decode_jacobian, decode_jacobian_rows, encode, iou, iou_rows
+from .geometry import (
+    Box, OffsetEncoding, box_areas, corners, decode_jacobian, decode_jacobian_rows, encode_rows, iou, iou_rows,
+    math_map,
+)
 
 PROB_EPS = 1e-6  # probability clamp against log singularities
 CEJI_IOU_GATE = 0.5  # positives below this measured IOU are ignored
@@ -202,11 +201,6 @@ class TotalLoss:
 # above and total_loss.
 
 
-def _math(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` from ``math`` applied to each element of a float array."""
-    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
-
-
 def _clamp_prob(p: np.ndarray) -> np.ndarray:
     """min(max(p, PROB_EPS), 1.0); NaN passes through."""
     p = np.where(PROB_EPS > p, PROB_EPS, p)
@@ -228,7 +222,7 @@ def _balance_l1_arr(x: np.ndarray, params: BalanceL1Params = BalanceL1Params()):
     grad = g * sign
     inside = ax < 1.0
     u = b * ax[inside]
-    log1p_u = _math(math.log1p, u)
+    log1p_u = math_map(math.log1p, u)
     inner = (a / b) * ((u + 1.0) * log1p_u - u)
     # (u+1)ln(u+1) - u is ~u^2/2 near 0; guard the cancellation there
     value[inside] = np.where(0.0 > inner, 0.0, inner)
@@ -248,10 +242,10 @@ def _r_iou_arr(p_iou: np.ndarray, iou_tar: np.ndarray):
     p, t = _clamp_prob(p_iou), iou_tar
     value, d_p, d_t = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
     below, above = p < t, p > t
-    value[below] = -_math(math.log, p[below] / t[below])
+    value[below] = -math_map(math.log, p[below] / t[below])
     d_p[below] = -1.0 / p[below]
     d_t[below] = 1.0 / t[below]
-    value[above] = -_math(math.log, t[above] / p[above])
+    value[above] = -math_map(math.log, t[above] / p[above])
     d_p[above] = 1.0 / p[above]
     d_t[above] = -1.0 / t[above]
     return value, d_p, d_t
@@ -266,7 +260,7 @@ def _l2_iou_arr(p_iou: np.ndarray, iou_tar: np.ndarray):
 def _cross_entropy_arr(p_cls: np.ndarray):
     """Values and gradients of :func:`cross_entropy`."""
     p = _clamp_prob(p_cls)
-    return -_math(math.log, p), -1.0 / p
+    return -math_map(math.log, p), -1.0 / p
 
 
 def _ceji_positive_arr(p_cls: np.ndarray, iou_tar: np.ndarray):
@@ -275,7 +269,7 @@ def _ceji_positive_arr(p_cls: np.ndarray, iou_tar: np.ndarray):
     p, t = _clamp_prob(p_cls), iou_tar
     value, d_p, d_t = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
     active = t >= CEJI_IOU_GATE
-    value[active] = -_math(math.log, p[active] * t[active])
+    value[active] = -math_map(math.log, p[active] * t[active])
     d_p[active] = -1.0 / p[active]
     d_t[active] = -1.0 / t[active]
     return value, d_p, d_t
@@ -287,63 +281,17 @@ def _chain(d_box: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return np.matmul(d_box[:, None, :], jac)[:, 0, :]
 
 
-@dataclass(frozen=True)
-class _ImagePlan:
-    """The inputs of total_loss that no epoch changes, as arrays: positive
-    and negative anchor indices and, per positive, its matched ground truth,
-    class, anchor (cx, cy, w, h), ground-truth corners and area, and encoded
-    regression target."""
-
-    anchors: AnchorSet
-    gts: tuple[Box, ...]
-    gt_classes: tuple[int, ...]
-    pos: np.ndarray
-    neg: np.ndarray
-    pos_gt: np.ndarray
-    pos_cls: np.ndarray
-    anchor_cwh: np.ndarray
-    gt_box: np.ndarray
-    gt_area: np.ndarray
-    target: np.ndarray
-
-
-def _image_plan(match: MatchResult, anchors: AnchorSet, gts: list[Box], gt_classes: list[int]) -> _ImagePlan:
-    """The plan kept on ``match``; rebuilt if called with other anchors or
-    ground truths."""
-    plan = match.loss_plan
-    if plan is not None and plan.anchors is anchors and plan.gts == tuple(gts) and plan.gt_classes == tuple(gt_classes):
-        return plan
-    pos = np.array(match.positive_indices, dtype=np.intp)
-    pos_gt = np.array([match.gt_index[a] for a in pos.tolist()], dtype=np.intp)
-    anchor_boxes = [anchors.boxes[a] for a in pos.tolist()]
-    gt_box = np.array([gts[g].as_tuple() for g in pos_gt.tolist()], dtype=np.float64).reshape(-1, 4)
-    plan = _ImagePlan(
-        anchors=anchors,
-        gts=tuple(gts),
-        gt_classes=tuple(gt_classes),
-        pos=pos,
-        neg=np.array(match.negative_indices, dtype=np.intp),
-        pos_gt=pos_gt,
-        pos_cls=np.array([gt_classes[g] for g in pos_gt.tolist()], dtype=np.intp),
-        anchor_cwh=anchors.cwh[pos],
-        gt_box=gt_box,
-        gt_area=(gt_box[:, 2] - gt_box[:, 0]) * (gt_box[:, 3] - gt_box[:, 1]),
-        target=np.array(
-            [encode(b, gts[g]).as_tuple() for b, g in zip(anchor_boxes, pos_gt.tolist())], dtype=np.float64
-        ).reshape(-1, 4),
-    )
-    match.loss_plan = plan
-    return plan
-
-
-def _raise_first_failure(plan: _ImagePlan, preds: HeadOutputs, gts: list[Box], cfg: LossConfig) -> None:
+def _raise_first_failure(
+    anchors: AnchorSet, pos: np.ndarray, pos_gt: np.ndarray, pos_cls: np.ndarray, preds: HeadOutputs,
+    gts: list[Box], cfg: LossConfig,
+) -> None:
     """Run each positive through the per-term functions in their per-anchor
     order, so the first one that fails raises the exception it always has:
     OverflowError from exp, ValueError from a NaN or negative-extent box or
     an invalid IOU."""
     iou_fn = r_iou_loss if cfg.iou == "r_iou" else l2_iou_loss
-    for a, g, c in zip(plan.pos.tolist(), plan.pos_gt.tolist(), plan.pos_cls.tolist()):
-        box, _ = decode_jacobian(plan.anchors.boxes[a], OffsetEncoding(*preds.offsets[a]))
+    for a, g, c in zip(pos.tolist(), pos_gt.tolist(), pos_cls.tolist()):
+        box, _ = decode_jacobian(anchors.box(a), OffsetEncoding(*preds.offsets[a]))
         iou_tar = iou(box, gts[g])
         if cfg.cls == "ceji":
             ceji_loss(preds.class_probs[a, c], iou_tar, True)
@@ -379,8 +327,10 @@ def total_loss(
     negatives, reg positive-major, iou over the gated positives). Mined
     negatives are taken in order of descending loss, ties by anchor index.
     """
-    plan = _image_plan(match, anchors, gts, gt_classes)
-    pos, neg = plan.pos, plan.neg
+    pos, neg = match.positive_indices, match.negative_indices
+    pos_gt = match.gt_index[pos]
+    pos_cls = np.array(gt_classes, dtype=np.intp)[pos_gt]
+    gt_box = corners(gts)[pos_gt]
     n_pos = len(pos)
     d_off = np.zeros_like(preds.offsets)
     d_cls = np.zeros_like(preds.class_probs)
@@ -395,10 +345,11 @@ def total_loss(
         # NaN IOU predictions can fail; the replay raises what the first
         # failing positive always raised
         if not (np.abs(off).max() < 1e3) or np.isnan(p_iou).any():
-            _raise_first_failure(plan, preds, gts, cfg)
-        box, jac = decode_jacobian_rows(plan.anchor_cwh, off)
-        iou_tar, d_iou_box = iou_rows(box, plan.gt_box, plan.gt_area)
-        p_cls = preds.class_probs[pos, plan.pos_cls]
+            _raise_first_failure(anchors, pos, pos_gt, pos_cls, preds, gts, cfg)
+        anchor_cwh = anchors.cwh[pos]
+        box, jac = decode_jacobian_rows(anchor_cwh, off)
+        iou_tar, d_iou_box = iou_rows(box, gt_box, box_areas(gt_box))
+        p_cls = preds.class_probs[pos, pos_cls]
 
         if cfg.cls == "ceji":
             pos_cls_values, d_p, d_t = _ceji_positive_arr(p_cls, iou_tar)
@@ -406,10 +357,10 @@ def total_loss(
             d_off[pos] += _chain(np.where(chained[:, None], d_t[:, None] * d_iou_box, 0.0), jac)
         else:
             pos_cls_values, d_p = _cross_entropy_arr(p_cls)
-        d_cls[pos, plan.pos_cls] += d_p
+        d_cls[pos, pos_cls] += d_p
 
         reg_fn = _balance_l1_arr if cfg.reg == "balance_l1" else _smooth_l1_arr
-        reg_values, d_reg = reg_fn(off - plan.target)
+        reg_values, d_reg = reg_fn(off - encode_rows(anchor_cwh, gt_box))
         reg_sum = _sequential_sum(reg_values.ravel())
         d_off[pos] += d_reg
 

@@ -2,10 +2,14 @@
 
 Each is an independent, deliberately plain copy of a definition:
 
-- the scalar loss terms and the scalar IOU and decode, one Python float
-  operation at a time, as they stood before the library computed them
-  through its array kernels. The kernels and the public wrappers around
-  them must match these bit for bit, exceptions and messages included;
+- the scalar loss terms and the scalar IOU, encode and decode, one Python
+  float operation at a time, as they stood before the library computed
+  them through its array kernels. The kernels and the public wrappers
+  around them must match these bit for bit, exceptions and messages
+  included;
+- default-box tiling, anchor matching and scenario head synthesis as the
+  per-cell and per-anchor loops they were before the library built them
+  as arrays; the arrays must match these bit for bit;
 - brute-force greedy NMS and brute-force AP over tiny instances, on
   per-object detection records rather than the library's table;
 - the two-box score-flip scenario of the paper's IOU-guided NMS.
@@ -18,9 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from detkit.anchors import POSITIVE_IOU_THRESHOLD, FeatureLevelSpec
 from detkit.evaluation import RECALL_POINTS, GroundTruthsByImage
 from detkit.geometry import DEFAULT_VARIANCES, Box, IouValue, OffsetEncoding, _require_positive_extent, iou_value
-from detkit.losses import CEJI_IOU_GATE, PROB_EPS, BalanceL1Params, LossTerm
+from detkit.harness.config import ScenarioConfig
+from detkit.harness.scenario import _sample_gt_boxes, scenario_levels
+from detkit.losses import CEJI_IOU_GATE, PROB_EPS, BalanceL1Params, HeadOutputs, LossTerm
 from detkit.nms import DEFAULT_IOU_THRESHOLD, SCORE_FLOOR
 
 BRUTEFORCE_LIMIT = 12  # most boxes the brute-force oracles accept
@@ -82,6 +89,19 @@ def iou(a: Box, b: Box) -> IouValue:
     return IouValue(inter / union, grad_a, grad_b)
 
 
+def encode(anchor: Box, gt: Box) -> OffsetEncoding:
+    """Encode a ground-truth box as offsets relative to an anchor."""
+    _require_positive_extent(anchor, "anchor")
+    _require_positive_extent(gt, "encoded box")
+    v0, v1, v2, v3 = DEFAULT_VARIANCES
+    return OffsetEncoding(
+        (gt.cx - anchor.cx) / (anchor.w * v0),
+        (gt.cy - anchor.cy) / (anchor.h * v1),
+        math.log(gt.w / anchor.w) / v2,
+        math.log(gt.h / anchor.h) / v3,
+    )
+
+
 def decode(anchor: Box, off: OffsetEncoding) -> Box:
     """Invert ``encode``; differentiable in the offsets."""
     _require_positive_extent(anchor, "anchor")
@@ -111,6 +131,113 @@ def decode_jacobian(anchor: Box, off: OffsetEncoding) -> tuple[Box, np.ndarray]:
         ]
     )
     return box, jac
+
+
+# ---------------------------------------------------------------------------
+# anchors and scenario synthesis
+
+
+def default_boxes(
+    input_size: float, levels: list[FeatureLevelSpec], clip: bool = True
+) -> tuple[list[Box], list[int], list[int], list[int]]:
+    """Boxes and their level, cell and template indices, one cell and
+    template at a time: level-major, row-major cells, then templates."""
+    boxes: list[Box] = []
+    level_index: list[int] = []
+    cell_index: list[int] = []
+    template_index: list[int] = []
+    for lv, spec in enumerate(levels):
+        base = spec.scale_ratio * input_size
+        extra = (spec.scale_ratio * spec.next_scale_ratio) ** 0.5 * input_size
+        templates = [(base * ar**0.5, base / ar**0.5) for ar in spec.aspect_ratios]
+        templates.append((extra, extra))
+        for i in range(spec.grid_h):
+            cy = (i + 0.5) * spec.stride
+            for j in range(spec.grid_w):
+                cx = (j + 0.5) * spec.stride
+                cell = i * spec.grid_w + j
+                for t, (w, h) in enumerate(templates):
+                    box = Box.from_center(cx, cy, w, h)
+                    if clip:
+                        box = box.clipped(input_size, input_size)
+                    boxes.append(box)
+                    level_index.append(lv)
+                    cell_index.append(cell)
+                    template_index.append(t)
+    return boxes, level_index, cell_index, template_index
+
+
+def match_anchors(
+    anchors: list[Box], gts: list[Box], pos_threshold: float = POSITIVE_IOU_THRESHOLD
+) -> tuple[list[int], list[float]]:
+    """Per anchor: the matched ground-truth index (-1 for a negative) and
+    the best IOU. Positive above the threshold, to the first best ground
+    truth; then each overlapping ground truth in turn claims its first
+    best anchor."""
+    ious = [[iou_value(a, g) for g in gts] for a in anchors]
+    gt_index = [-1] * len(anchors)
+    best_iou = [0.0] * len(anchors)
+    for a, row in enumerate(ious):
+        if row:
+            best_iou[a] = max(row)
+            if best_iou[a] > pos_threshold:
+                gt_index[a] = row.index(best_iou[a])
+    for g in range(len(gts)):
+        col = [row[g] for row in ious]
+        a = col.index(max(col))
+        if col[a] > 0.0:
+            gt_index[a] = g
+    return gt_index, best_iou
+
+
+def scenario_images(cfg: ScenarioConfig) -> list[tuple[list[Box], list[int], list[int], np.ndarray, HeadOutputs]]:
+    """Per image of ``generate_scenario(cfg)``: ground truths, their
+    classes, each anchor's matched ground truth, the features and the head
+    outputs, from the same random draws, the heads built one anchor at a
+    time."""
+    rng = np.random.default_rng(cfg.seed)
+    anchors = default_boxes(cfg.image_size, scenario_levels(cfg))[0]
+    n = len(anchors)
+    noise = cfg.noise
+    images = []
+    for _ in range(cfg.n_images):
+        count = int(rng.integers(cfg.object_count[0], cfg.object_count[1] + 1))
+        gts = _sample_gt_boxes(rng, cfg, count)
+        gt_classes = [int(c) for c in rng.integers(1, cfg.n_classes + 1, count)]
+        gt_index, _ = match_anchors(anchors, gts)
+        features = rng.normal(0.0, 1.0, (n, cfg.fit.feature_dim)) / np.sqrt(cfg.fit.feature_dim)
+        features[:, 0] = 1.0
+
+        offsets = np.zeros((n, 4))
+        probs = np.zeros((n, cfg.n_classes + 1))
+        p_iou = np.zeros(n)
+        neg_bg = rng.uniform(*noise.neg_background_range, n)
+        pos_conf = rng.uniform(*noise.cls_confidence_range, n)
+        is_distractor = rng.uniform(0.0, 1.0, n) < noise.distractor_rate
+        offset_noise = rng.normal(0.0, 1.0, (n, 4))
+        p_iou_noise = rng.normal(0.0, 1.0, n)
+        neg_p_iou = rng.uniform(0.0, 1.0, n)
+
+        for a in range(n):
+            g = gt_index[a]
+            if g < 0:
+                probs[a, 0] = neg_bg[a]
+                probs[a, 1:] = (1.0 - neg_bg[a]) / cfg.n_classes
+                p_iou[a] = neg_p_iou[a]
+                continue
+            target = encode(anchors[a], gts[g])
+            sigma = noise.distractor_offset_sigma if is_distractor[a] else noise.offset_sigma
+            offsets[a] = np.array(target.as_tuple()) + sigma * offset_noise[a]
+            conf = pos_conf[a]
+            probs[a, gt_classes[g]] = conf
+            rest = (1.0 - conf) / cfg.n_classes
+            for c in range(cfg.n_classes + 1):
+                if c != gt_classes[g]:
+                    probs[a, c] = rest
+            true = iou_value(decode(anchors[a], OffsetEncoding(*offsets[a])), gts[g])
+            p_iou[a] = min(max(true + noise.p_iou_sigma * p_iou_noise[a], PROB_EPS), 1.0)
+        images.append((gts, gt_classes, gt_index, features, HeadOutputs(offsets, probs, p_iou)))
+    return images
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from detkit.geometry import (
     decode,
     decode_jacobian,
     encode,
+    encode_rows,
     iou,
     iou_matrix,
     iou_value,
@@ -171,7 +172,7 @@ class TestOffsets:
 
 
 class TestScalarGeometryMatchesOracles:
-    """iou, decode and decode_jacobian run the row kernels on one row; they
+    """iou, encode, decode and decode_jacobian run the row kernels on one row; they
     must return what their scalar copies in oracles.py return, bit for bit,
     and raise what the copies raise, message included."""
 
@@ -200,6 +201,22 @@ class TestScalarGeometryMatchesOracles:
         for a, b in self._pairs():
             assert outcome(iou, a, b) == outcome(oracles.iou, a, b), (a, b)
             assert outcome(iou, b, a) == outcome(oracles.iou, b, a), (b, a)
+
+    def test_encode(self):
+        messages = set()
+        for a, b in self._pairs():
+            for anchor, gt in ((a, b), (b, a)):
+                got = outcome(encode, anchor, gt)
+                assert got == outcome(oracles.encode, anchor, gt), (anchor, gt)
+                messages.add(got[2].split(" must")[0] if got[0] == "raises" else "")
+        assert messages == {"", "anchor", "encoded box"}
+
+    def test_encode_rows(self):
+        pairs = [(a, b) for a, b in self._pairs() if min(a.w, a.h, b.w, b.h) > 0.0]
+        cwh = np.array([(a.cx, a.cy, a.w, a.h) for a, _ in pairs])
+        got = encode_rows(cwh, np.array([b.as_tuple() for _, b in pairs]))
+        want = np.array([oracles.encode(a, b).as_tuple() for a, b in pairs])
+        assert got.shape == (len(pairs), 4) and got.tobytes() == want.tobytes()
 
     def test_decode(self):
         rng = np.random.default_rng(31)

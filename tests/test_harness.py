@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from detkit.anchors import build_levels, generate_default_boxes, match_anchors
-from detkit.geometry import Box
+from detkit.geometry import Box, OffsetEncoding
 from detkit.harness import (
     ConfigError,
     NumericalError,
@@ -31,7 +31,8 @@ from detkit.harness.plots import histogram_svg, scatter_svg
 from detkit.losses import CLS_LOSSES, IOU_LOSSES, REG_LOSSES, HeadOutputs, LossConfig
 from detkit.nms import MODES
 
-from conftest import kept_records
+import oracles
+from conftest import kept_records, outcome
 from oracles import score_flip_pair
 
 
@@ -197,7 +198,7 @@ class TestScenario:
             warnings.simplefilter("error")
             s = generate_scenario(cfg)
             rep = run_nms_ab(s)
-        assert all(img.match.positive_indices for img in s.images)
+        assert all(len(img.match.positive_indices) for img in s.images)
         assert all(img.gts and min(b.area for b in img.gts) > 0.0 for img in s.images)
         assert rep.modes["iou_guided"].kept_count > 0
 
@@ -211,9 +212,51 @@ class TestScenario:
     def test_histogram_conserves_samples(self):
         s = generate_scenario(SMALL)
         values = iou_tar_values(s)
+        assert values.dtype == np.float64 and values.ndim == 1
         edges, counts = iou_histogram(values)
         assert sum(counts) == len(values)
         assert len(counts) == len(edges) - 1
+
+    def test_measured_iou_rejects_a_nan_box_as_box_does(self):
+        # a NaN offset decodes to a box that Box rejects; the first such
+        # positive raises Box's error, message included
+        s = generate_scenario(SMALL)
+        heads = [HeadOutputs(img.heads.offsets.copy(), img.heads.class_probs, img.heads.p_iou) for img in s.images]
+        first, later = s.images[1].match.positive_indices[[0, 2]]
+        heads[1].offsets[later, 0] = math.nan
+        heads[1].offsets[first, 3] = math.nan
+        want = outcome(oracles.decode, s.anchors.box(first), OffsetEncoding(*heads[1].offsets[first]))
+        assert want[:2] == ("raises", ValueError) and want[2].startswith("negative box extent")
+        assert outcome(iou_tar_values, s, heads) == want
+
+    def test_histogram_truncates_each_value(self):
+        # v * bins truncated as int() does, the last bin capped: 0.3 * 10 is
+        # 3.0000000000000004 and 0.7 * 10 is 7.000000000000001
+        values = [0.0, 0.1, 0.09999999999999999, 0.3, 0.29999999999999993, 0.7, 0.95, 0.9999999999999999, 1.0]
+        for bins in (1, 3, 10):
+            edges, counts = iou_histogram(values, bins)
+            want = [0] * bins
+            for v in values:
+                want[min(int(v * bins), bins - 1)] += 1
+            assert counts == want and all(type(c) is int for c in counts)
+            assert edges == [i / bins for i in range(bins + 1)] and all(type(e) is float for e in edges)
+        assert iou_histogram([]) == ([i / 10 for i in range(11)], [0] * 10)
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"n_classes": 5, "grids": (12, 6, 3)}], ids=["default", "5-class-3-level"]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heads_match_per_anchor_loop(self, overrides, seed):
+        # the array synthesis gives the per-anchor loop's heads bit for bit
+        s = generate_scenario(replace(ScenarioConfig(seed=seed), **overrides))
+        want = oracles.scenario_images(s.cfg)
+        assert len(s.images) == len(want)
+        for img, (gts, gt_classes, gt_index, features, heads) in zip(s.images, want):
+            assert img.gts == gts and img.gt_classes == gt_classes
+            assert img.match.gt_index.tolist() == gt_index
+            assert img.features.tobytes() == features.tobytes()
+            for name in ("offsets", "class_probs", "p_iou"):
+                assert getattr(img.heads, name).tobytes() == getattr(heads, name).tobytes(), name
 
     def test_score_flip_pair(self):
         dets, a, b = score_flip_pair()
@@ -228,7 +271,7 @@ def _frozen_optimum():
     levels = build_levels((2,), (8.0,), (0.5, 0.5), aspect_ratios=(1.0,))
     anchors = generate_default_boxes(16.0, levels)
     n = len(anchors)
-    gt = anchors.boxes[0]
+    gt = anchors.box(0)
     match = match_anchors(anchors, [gt])
     features = np.eye(n)
     heads = HeadOutputs(np.zeros((n, 4)), np.zeros((n, 2)), np.zeros(n))

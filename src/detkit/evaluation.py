@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .fileio import json_text
 from .geometry import Box, box_areas, corners, iou_matrix
 from .nms import Detections
 
@@ -45,14 +46,7 @@ class ApReport:
     ap_large: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "ap": self.ap,
-            "ap50": self.ap50,
-            "ap75": self.ap75,
-            "ap_small": self.ap_small,
-            "ap_medium": self.ap_medium,
-            "ap_large": self.ap_large,
-        }
+        return asdict(self)
 
 
 def _match_image(gt_ignored: list[bool], ious: list[list[float]], thr: float) -> list[tuple[bool, bool]]:
@@ -171,7 +165,7 @@ def ground_truths_to_json(gts: GroundTruthsByImage) -> str:
             for img, objs in sorted(gts.items(), key=lambda kv: str(kv[0]))
         ]
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc)
 
 
 def ground_truths_from_json(text: str) -> GroundTruthsByImage:

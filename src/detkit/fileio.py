@@ -30,23 +30,17 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def fmt_cell(value) -> str:
-    if isinstance(value, float):  # incl. numpy float64
-        return repr(float(value))
-    return str(value)
-
-
 def csv_text(header: list[str], rows: Iterable) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     # the writer quotes a field holding "\n" but not one holding a bare
     # "\r", which a reader then takes for a line break; such rows are
-    # written with every field quoted
+    # written with every field quoted. The writer spells a float (numpy's
+    # float64 too) as its repr and any other value but None as str.
     quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     w.writerow(header)
     for row in rows:
-        cells = [fmt_cell(v) for v in row]
-        (quote_all if "\r" in "".join(cells) else w).writerow(cells)
+        (quote_all if "\r" in "".join([v for v in row if isinstance(v, str)]) else w).writerow(row)
     return buf.getvalue()
 
 

@@ -146,7 +146,9 @@ def iou_rows(a: np.ndarray, b: np.ndarray, b_area: np.ndarray) -> tuple[np.ndarr
     d_inter = (-ih * share(ax1, bx1, True), -iw * share(ay1, by1, True),
                ih * share(ax2, bx2, False), iw * share(ay2, by2, False))
     d_area = (-ah, -aw, ah, aw)
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows on the zero branch
+    # rows on the zero branch, and huge decoded boxes whose squared union
+    # overflows (a diverging fit, which the loss then reports)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_u2 = 1.0 / (union * union)
         grad = np.stack([(di * union - inter * (da - di)) * inv_u2 for di, da in zip(d_inter, d_area)], axis=1)
         value = inter / union

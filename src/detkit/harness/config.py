@@ -2,26 +2,26 @@
 
 A config (plus nothing else) determines every downstream artifact
 byte-for-byte. The JSON document is versioned via ``schema_version``;
-unknown keys are rejected so typos fail loudly.
+unknown keys are rejected so typos fail loudly. The shipped
+``config_schema.json`` is the one statement of each field's type,
+bounds, allowed values and length: :func:`_check` executes it on every
+config, whether read from JSON or built in Python.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import typing
+import operator
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from ..fileio import json_text
 from ..losses import LossConfig
-from ..nms import MODES as NMS_MODES
 
-SCHEMA_VERSION = 1
-# Keep every derived area, and the fourth powers in the IOU gradients,
-# far inside float64 range: the smallest ground-truth side is 1e-6 px.
-MIN_SIZE = 1e-3  # of image_size, and of object_size_range as a fraction
-MAX_IMAGE_SIZE = 1e6
 SCHEMA_PATH = Path(__file__).parent / "config_schema.json"
+SCHEMA = json.loads(SCHEMA_PATH.read_text())
+SCHEMA_VERSION = SCHEMA["properties"]["schema_version"]["const"]
 
 
 class ConfigError(Exception):
@@ -85,103 +85,90 @@ class ScenarioConfig:
     output_dir: str = "detkit_out"
 
     def validate(self) -> "ScenarioConfig":
-        lo, hi = self.object_count
-        if not (1 <= lo <= hi):
-            raise ConfigError(f"bad object_count range {self.object_count}")
-        slo, shi = self.object_size_range
-        if not (MIN_SIZE <= slo <= shi):
-            raise ConfigError(f"bad object_size_range {self.object_size_range}: need {MIN_SIZE:g} <= lo <= hi")
-        if shi > 1.0:
-            raise ConfigError("objects larger than the image are impossible")
-        if not MIN_SIZE <= self.image_size <= MAX_IMAGE_SIZE:
-            raise ConfigError(f"image_size must lie in [{MIN_SIZE:g}, {MAX_IMAGE_SIZE:g}], got {self.image_size}")
-        if self.n_images < 1 or self.n_classes < 1:
-            raise ConfigError("n_images, n_classes must be positive")
-        if not self.grids or any(g < 1 for g in self.grids):
-            raise ConfigError(f"bad grids {self.grids}")
-        if len(self.grids) + 1 > 7:
-            raise ConfigError("at most 6 pyramid levels are supported")
-        noise = self.noise
-        for name in ("offset_sigma", "distractor_offset_sigma", "p_iou_sigma"):
-            if getattr(noise, name) < 0.0:
-                raise ConfigError(f"noise.{name} must be at least 0, got {getattr(noise, name)}")
-        if not (0.0 <= noise.distractor_rate <= 1.0):
-            raise ConfigError(f"noise.distractor_rate must lie in [0, 1], got {noise.distractor_rate}")
-        for name in ("cls_confidence_range", "neg_background_range"):
-            lo, hi = getattr(noise, name)
-            if not (0.0 <= lo <= hi <= 1.0):
-                raise ConfigError(f"noise.{name} must be [lo, hi] with 0 <= lo <= hi <= 1, got {[lo, hi]}")
-        if self.nms.mode not in NMS_MODES:
-            raise ConfigError(f"unknown nms mode {self.nms.mode!r}")
-        if not (0.0 < self.nms.iou_threshold < 1.0):
-            raise ConfigError("nms iou_threshold must lie in (0, 1)")
-        if self.nms.score_floor < 0.0:
-            raise ConfigError(f"nms score_floor must be at least 0, got {self.nms.score_floor}")
-        if self.fit.epochs < 1 or self.fit.step <= 0 or self.fit.feature_dim < 2:
-            raise ConfigError("bad fit settings")
-        if self.fit.snapshots < 2:
-            raise ConfigError("need at least the initial and final snapshots")
+        """Check the config against the schema, plus the ``lo <= hi`` of its
+        ranges, which the schema cannot state."""
+        _check({"schema_version": SCHEMA_VERSION, **asdict(self)}, SCHEMA, "scenario")
+        for name in ("object_count", "object_size_range", "noise.cls_confidence_range", "noise.neg_background_range"):
+            lo, hi = operator.attrgetter(name)(self)
+            if lo > hi:
+                raise ConfigError(f"scenario.{name} must be [lo, hi] with lo <= hi, got {[lo, hi]}")
         return self
 
     def with_seed(self, seed: int | None) -> "ScenarioConfig":
         return self if seed is None else replace(self, seed=int(seed))
 
     def to_json(self) -> str:
-        doc = {"schema_version": SCHEMA_VERSION, **asdict(self)}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json_text({"schema_version": SCHEMA_VERSION, **asdict(self)})
 
 
 _NESTED = {"noise": NoiseConfig, "losses": LossConfig, "fit": FitConfig, "nms": NmsConfig}
 
-
-def _is_a(value, kind) -> bool:
-    """JSON type test: bools are not numbers, ints are valid floats, and
-    floats must be finite."""
-    if isinstance(value, bool) or kind is bool:
-        return isinstance(value, bool) and kind is bool
-    if kind is float:
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    return isinstance(value, kind)
-
-
-def _typed(value, hint, name: str):
-    """Check a JSON value against its field's annotation: a scalar type, or
-    a tuple of one scalar type given as a JSON array."""
-    if typing.get_origin(hint) is tuple:
-        kind, *rest = typing.get_args(hint)
-        count = None if rest == [Ellipsis] else 1 + len(rest)
-        if not (
-            isinstance(value, list)
-            and count in (None, len(value))
-            and all(_is_a(v, kind) for v in value)
-        ):
-            size = f"{count} " if count else ""
-            raise ConfigError(f"{name} must be an array of {size}{kind.__name__} values, got {value!r}")
-        return tuple(value)
-    if not _is_a(value, hint):
-        raise ConfigError(f"{name} must be {hint.__name__}, got {value!r}")
-    return value
+# JSON type: (name in messages, test). Booleans are never numbers, an
+# integer is an integer literal (60.0 is not one), and a number is finite.
+_TYPES = {
+    "integer": ("int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "number": ("float", lambda v: not isinstance(v, bool)
+               and (isinstance(v, int) or isinstance(v, float) and math.isfinite(v))),
+    "boolean": ("bool", lambda v: isinstance(v, bool)),
+    "string": ("str", lambda v: isinstance(v, str)),
+    "object": ("object", lambda v: isinstance(v, dict)),
+}
+_BOUNDS = {  # keyword: (test, interval bracket, phrase)
+    "minimum": (operator.ge, "[", "at least"),
+    "exclusiveMinimum": (operator.gt, "(", "greater than"),
+    "maximum": (operator.le, "]", "at most"),
+    "exclusiveMaximum": (operator.lt, ")", "less than"),
+}
+_KEYWORDS = {"$schema", "title", "description", "type", "properties", "additionalProperties", "items",
+             "minItems", "maxItems", "const", "enum", *_BOUNDS}
 
 
-def _build(cls, data: dict, where: str):
-    allowed = set(cls.__dataclass_fields__)
-    unknown = set(data) - allowed
+def _check(value, spec: dict, name: str) -> None:
+    """Raise ConfigError unless ``value`` satisfies the schema node ``spec``.
+    A node using a keyword outside ``_KEYWORDS``, or ``additionalProperties``
+    other than ``false``, raises, so a schema edit cannot go silently unenforced."""
+    unknown = spec.keys() - _KEYWORDS
+    if spec.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties")
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for key, value in data.items():
-        if key in _NESTED:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{key} must be an object")
-            value = _build(_NESTED[key], value, key)
-        else:
-            value = _typed(value, hints[key], f"{where}.{key}")
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {where} config: {exc}") from exc
+        raise NotImplementedError(f"schema node {name} uses unimplemented keywords {sorted(unknown)}")
+    kind = spec.get("type")
+    if kind == "array":
+        item, lo, hi = spec["items"], spec.get("minItems", 0), spec.get("maxItems", math.inf)
+        item_kind, item_ok = _TYPES[item["type"]]
+        if not (isinstance(value, (list, tuple)) and lo <= len(value) <= hi and all(map(item_ok, value))):
+            count, length = (f"{lo} ", "") if lo == hi else ("", f" with {lo} to {hi} items")
+            raise ConfigError(f"{name} must be an array of {count}{item_kind} values{length}, got {value!r}")
+        for i, v in enumerate(value):
+            _check(v, item, f"{name}[{i}]")
+    elif kind is not None and not _TYPES[kind][1](value):
+        raise ConfigError(f"{name} must be {_TYPES[kind][0]}, got {value!r}")
+    if "const" in spec and value != spec["const"]:
+        raise ConfigError(f"{name} must be {spec['const']!r}, got {value!r}")
+    if "enum" in spec and value not in spec["enum"]:
+        raise ConfigError(f"{name} must be one of {spec['enum']}, got {value!r}")
+    bounds = [kw for kw in _BOUNDS if kw in spec]
+    if not all(_BOUNDS[kw][0](value, spec[kw]) for kw in bounds):
+        lower, upper = bounds[0], bounds[-1]
+        text = (f"be {_BOUNDS[lower][2]} {spec[lower]:g}" if lower == upper
+                else f"lie in {_BOUNDS[lower][1]}{spec[lower]:g}, {spec[upper]:g}{_BOUNDS[upper][1]}")
+        raise ConfigError(f"{name} must {text}, got {value!r}")
+    if kind == "object":
+        props = spec.get("properties", {})
+        extra = value.keys() - props.keys()
+        if extra and "additionalProperties" in spec:
+            raise ConfigError(f"unknown {name} keys: {sorted(extra)}")
+        for key, v in value.items():
+            if key in props:
+                _check(v, props[key], f"{name}.{key}")
+
+
+def _build(cls, data: dict):
+    """``cls`` from a checked JSON object, its nested objects and arrays as dataclasses and tuples."""
+    return cls(**{
+        key: _build(_NESTED[key], value) if key in _NESTED else tuple(value) if isinstance(value, list) else value
+        for key, value in data.items()
+    })
 
 
 def config_from_json(text: str) -> ScenarioConfig:
@@ -189,12 +176,9 @@ def config_from_json(text: str) -> ScenarioConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    version = doc.pop("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
-    return _build(ScenarioConfig, doc, "scenario").validate()
+    _check(doc, SCHEMA, "scenario")
+    doc.pop("schema_version", None)
+    return _build(ScenarioConfig, doc).validate()
 
 
 def load_config(path) -> ScenarioConfig:

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -307,9 +308,9 @@ class TestMalformedConfig:
         pytest.param('{"losses": {"detach_iou": 1}}', "losses.detach_iou must be bool", id="detach_iou-int"),
         pytest.param('{"fit": {"epochs": 60.0}}', "fit.epochs must be int", id="epochs-float"),
         pytest.param(
-            '{"nms": {"score_floor": -1}}', "nms score_floor must be at least 0", id="score_floor-negative"
+            '{"nms": {"score_floor": -1}}', "nms.score_floor must be at least 0", id="score_floor-negative"
         ),
-        pytest.param('{"losses": {"cls": "focal"}}', "unknown cls loss 'focal'", id="cls-loss-unknown"),
+        pytest.param('{"losses": {"cls": "focal"}}', "losses.cls must be one of ['ceji', 'ce']", id="cls-loss-unknown"),
         pytest.param(
             '{"noise": {"offset_sigma": -0.1}}', "noise.offset_sigma must be at least 0", id="offset_sigma-negative"
         ),
@@ -329,7 +330,7 @@ class TestMalformedConfig:
             id="distractor_rate-negative",
         ),
         pytest.param(
-            '{"noise": {"cls_confidence_range": [1.2, 1.5]}}', "noise.cls_confidence_range must be [lo, hi]",
+            '{"noise": {"cls_confidence_range": [1.2, 1.5]}}', "noise.cls_confidence_range[0] must lie in [0, 1]",
             id="cls_confidence_range-above-1",
         ),
         pytest.param(
@@ -337,7 +338,7 @@ class TestMalformedConfig:
             id="cls_confidence_range-reversed",
         ),
         pytest.param(
-            '{"noise": {"neg_background_range": [-0.5, 1.0]}}', "noise.neg_background_range must be [lo, hi]",
+            '{"noise": {"neg_background_range": [-0.5, 1.0]}}', "noise.neg_background_range[0] must lie in [0, 1]",
             id="neg_background_range-negative",
         ),
         pytest.param(
@@ -371,7 +372,7 @@ class TestMalformedConfig:
         "doc,message",
         [
             ('{"image_size": 1e-300}', "image_size must lie in [0.001, 1e+06]"),
-            ('{"object_size_range": [1e-200, 1e-200]}', "need 0.001 <= lo <= hi"),
+            ('{"object_size_range": [1e-200, 1e-200]}', "object_size_range[0] must lie in [0.001, 1]"),
         ],
         ids=["image_size", "object_size_range"],
     )
@@ -394,6 +395,23 @@ class TestDecodeOverflow:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "overflows its decoded box" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestDivergingFit:
+    # the replay that finds the failing positive measured the IOU of a huge
+    # decoded box, and numpy's overflow warning on its squared union came
+    # before the diagnostic; warnings are errors here, as the line count
+    # on a terminal would show them
+    @pytest.mark.parametrize("step", [3000, 4500])
+    def test_exits_3_with_one_line(self, tmp_path, capsys, step):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"fit": {"step": step, "epochs": 2}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "loss diverged at epoch 2" in err
         assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
@@ -26,7 +27,7 @@ from detkit.harness import (
     run_ablation,
     run_nms_ab,
 )
-from detkit.harness.config import SCHEMA_PATH, FitConfig, NmsConfig, NoiseConfig
+from detkit.harness.config import SCHEMA, SCHEMA_PATH, FitConfig, NmsConfig, NoiseConfig, _build, _check
 from detkit.harness.plots import histogram_svg, scatter_svg
 from detkit.losses import CLS_LOSSES, IOU_LOSSES, REG_LOSSES, HeadOutputs, LossConfig
 from detkit.nms import MODES
@@ -153,6 +154,51 @@ class TestConfig:
         assert loss_props["cls"]["enum"] == list(CLS_LOSSES)
         assert loss_props["iou"]["enum"] == list(IOU_LOSSES)
         assert loss_props["reg"]["enum"] == list(REG_LOSSES)
+
+    @pytest.mark.parametrize("spec,value", [
+        ({"type": "string", "pattern": "^a"}, "a"),
+        ({"type": "object", "additionalProperties": True}, {}),
+        ({"type": "array", "items": {"type": "integer", "multipleOf": 2}, "minItems": 1}, [2]),
+    ], ids=["pattern", "additionalProperties-true", "nested-multipleOf"])
+    def test_unimplemented_schema_keyword_raises(self, spec, value):
+        with pytest.raises(NotImplementedError):
+            _check(value, spec, "x")
+
+    def test_shipped_schema_uses_only_implemented_keywords(self):
+        # an object() satisfies no node: each raises ConfigError, never
+        # NotImplementedError, and so states a constraint the checker runs
+        def nodes(spec, name):
+            yield spec, name
+            for key, child in spec.get("properties", {}).items():
+                yield from nodes(child, f"{name}.{key}")
+            if "items" in spec:
+                yield from nodes(spec["items"], f"{name}[]")
+
+        for spec, name in nodes(SCHEMA, "scenario"):
+            with pytest.raises(ConfigError):
+                _check(object(), spec, name)
+
+    @pytest.mark.parametrize("doc,message", [
+        ('{"seed": 1.5}', "scenario.seed must be int"),
+        ('{"nms": {"iou_threshold": true}}', "scenario.nms.iou_threshold must be float"),
+        ('{"image_size": Infinity}', "scenario.image_size must be float"),
+        ('{"grids": [20, 10.5]}', "scenario.grids must be an array of int values"),
+        ('{"grids": [3, 3, 3, 3, 3, 3, 3]}', "scenario.grids must be an array of int values with 1 to 6 items"),
+        ('{"fit": {"epochs": 60.0}}', "scenario.fit.epochs must be int"),
+        ('{"losses": {"detach_iou": 0}}', "scenario.losses.detach_iou must be bool"),
+        ('{"image_size": 1e308}', "scenario.image_size must lie in [0.001, 1e+06]"),
+        ('{"fit": {"step": 0}}', "scenario.fit.step must be greater than 0"),
+        ('{"nms": {"mode": "soft"}}', "scenario.nms.mode must be one of ['standard', 'iou_guided']"),
+        ('{"object_count": [3, 2]}', "scenario.object_count must be [lo, hi] with lo <= hi"),
+        ('{"noise": {"cls_confidence_range": [0.9, 0.6]}}', "scenario.noise.cls_confidence_range must be [lo, hi]"),
+    ])
+    def test_config_built_in_python_is_checked_as_json_is(self, doc, message):
+        # _build makes the dataclasses the document names without checking
+        # them, as a caller writing ScenarioConfig(seed=1.5) does
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_json(doc)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            _build(ScenarioConfig, json.loads(doc)).validate()
 
 
 class TestScenario:

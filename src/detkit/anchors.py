@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, corners, iou_matrix
+from .geometry import Box, iou_matrix
 
 # Per-level square-box size ratios for the 320-pixel pyramid; seven values
 # feed six levels, level k pairing (s_k, sqrt(s_k * s_{k+1})).
@@ -144,30 +144,27 @@ class MatchResult:
         return np.flatnonzero(self.gt_index < 0)
 
 
-def match_anchors(anchors: AnchorSet, gts: list[Box], pos_threshold: float = POSITIVE_IOU_THRESHOLD) -> MatchResult:
-    """Label anchors against ground truths.
+def match_anchors(anchors: AnchorSet, gt_boxes: np.ndarray) -> MatchResult:
+    """Label anchors against the (G, 4) ground-truth corner rows.
 
-    An anchor is positive when its best IOU exceeds ``pos_threshold``, and
-    additionally each ground truth with any overlap forces its argmax
-    anchor positive (ties broken by lowest anchor index; an anchor forced
-    by several ground truths takes the last). With no ground truths every
-    anchor is negative.
+    An anchor is positive when its best IOU exceeds ``POSITIVE_IOU_THRESHOLD``,
+    and each ground truth with any overlap forces its argmax anchor positive
+    (ties broken by lowest anchor index; an anchor forced by several ground
+    truths takes the last). With no ground truths every anchor is negative.
     """
-    if not (0.0 < pos_threshold < 1.0):
-        raise ValueError("pos_threshold must lie in (0, 1)")
     n = len(anchors)
-    if not gts:
+    if not len(gt_boxes):
         return MatchResult(np.full(n, -1, dtype=np.intp), np.zeros(n))
 
-    mat = iou_matrix(anchors.boxes, corners(gts))  # (n_anchors, n_gts)
+    mat = iou_matrix(anchors.boxes, gt_boxes)  # (n_anchors, n_gts)
     best_gt = np.argmax(mat, axis=1)  # first max wins: lowest gt index
     best_val = mat[np.arange(n), best_gt]
 
     # best-match guarantee: argmax anchor per gt, lowest anchor index on ties
     best_anchor = np.argmax(mat, axis=0)
-    overlaps = np.flatnonzero(mat[best_anchor, np.arange(len(gts))] > 0.0)
+    overlaps = np.flatnonzero(mat[best_anchor, np.arange(len(gt_boxes))] > 0.0)
     forced = np.full(n, -1, dtype=np.intp)
     np.maximum.at(forced, best_anchor[overlaps], overlaps)
 
-    gt_index = np.where(forced >= 0, forced, np.where(best_val > pos_threshold, best_gt, -1))
+    gt_index = np.where(forced >= 0, forced, np.where(best_val > POSITIVE_IOU_THRESHOLD, best_gt, -1))
     return MatchResult(gt_index, best_val)

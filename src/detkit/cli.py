@@ -54,7 +54,8 @@ def cmd_gen(args) -> int:
     atomic_write_text(out / "config.json", cfg.to_json())
     atomic_write_text(out / "anchors.json", scenario.anchors.to_json() + "\n")
 
-    atomic_write_text(out / "ground_truths.json", evaluation.ground_truths_to_json(scenario.ground_truths()))
+    gts = {img.image_id: img.gts for img in scenario.images}
+    atomic_write_text(out / "ground_truths.json", evaluation.ground_truths_to_json(gts))
 
     rows = nms.Detections.concat(
         detections_from_heads(scenario.anchors, img.heads, cfg.nms.score_floor, img.image_id) for img in scenario.images

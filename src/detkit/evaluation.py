@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fileio import json_text
-from .geometry import Box, box_areas, corners, iou_matrix
-from .nms import Detections
+from .geometry import box_areas, iou_matrix
+from .nms import Detections, GroundTruths
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_POINTS = 101
@@ -32,8 +32,6 @@ AREA_RANGES = {
     "large": (96.0**2, math.inf),
 }
 MAX_DETECTIONS_PER_IMAGE = 100
-
-GroundTruthsByImage = dict[str, list[tuple[Box, int]]]
 
 
 @dataclass(frozen=True)
@@ -126,23 +124,25 @@ def _area_ap(blocks: dict[int, list[tuple]], area: tuple[float, float]) -> list[
     return [float(np.mean(v)) if v else 0.0 for v in aps_per_thr]
 
 
-def evaluate(detections: dict[str, Detections], gts: GroundTruthsByImage, mode: str) -> ApReport:
+def evaluate(detections: dict[str, Detections], gts: dict[str, GroundTruths], mode: str) -> ApReport:
     """Full report: AP(0.5:0.95), AP50, AP75, and the three area splits,
-    ranking each image's detections by their ``mode`` score."""
+    ranking each image's detections by their ``mode`` score; a box of non-finite area is rejected."""
     # per (image, class) with a detection or a ground truth, for all area ranges and
     # thresholds: the top detections in score order, and one IOU block against the ground truths
-    blocks: dict[int, list[tuple]] = {c: [] for c in sorted({c for objs in gts.values() for _, c in objs})}
+    blocks: dict[int, list[tuple]] = {c: [] for c in sorted({c for t in gts.values() for c in t.class_id.tolist()})}
     for img in sorted(set(gts) | set(detections), key=str):
-        dets = detections.get(img, Detections())
+        dets, truths = detections.get(img, Detections()), gts.get(img, GroundTruths())
         scores = dets.score(mode)
-        gt_boxes = corners(b for b, _ in gts.get(img, []))
-        gt_classes = np.array([c for _, c in gts.get(img, [])], dtype=object)  # any integers
-        for c in (set(gt_classes.tolist()) | set(dets.class_id.tolist())) & blocks.keys():
-            g = np.flatnonzero(gt_classes == c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_areas, g_areas = box_areas(dets.boxes), box_areas(truths.boxes)
+        if not (np.isfinite(d_areas).all() and np.isfinite(g_areas).all()):
+            raise ValueError(f"a box area overflows float64 in image {img!r}")
+        for c in (set(truths.class_id.tolist()) | set(dets.class_id.tolist())) & blocks.keys():
+            g = np.flatnonzero(truths.class_id == c)
             d = np.flatnonzero(dets.class_id == c)
             d = d[np.lexsort((d, -scores[d]))][:MAX_DETECTIONS_PER_IMAGE]
-            blocks[c].append((img, d.tolist(), scores[d].tolist(), box_areas(dets.boxes[d]), box_areas(gt_boxes[g]),
-                              iou_matrix(dets.boxes[d], gt_boxes[g])))
+            blocks[c].append((img, d.tolist(), scores[d].tolist(), d_areas[d], g_areas[g],
+                              iou_matrix(dets.boxes[d], truths.boxes[g])))
 
     all_t = _area_ap(blocks, AREA_RANGES["all"])
     return ApReport(
@@ -155,42 +155,43 @@ def evaluate(detections: dict[str, Detections], gts: GroundTruthsByImage, mode: 
     )
 
 
-def ground_truths_to_json(gts: GroundTruthsByImage) -> str:
+def ground_truths_to_json(gts: dict[str, GroundTruths]) -> str:
     doc = {
         "images": [
             {
                 "image_id": img,
-                "objects": [{"class_id": c, "box": list(b.as_tuple())} for b, c in objs],
+                "objects": [{"class_id": c, "box": b} for b, c in zip(t.boxes.tolist(), t.class_id.tolist())],
             }
-            for img, objs in sorted(gts.items(), key=lambda kv: str(kv[0]))
+            for img, t in sorted(gts.items(), key=lambda kv: str(kv[0]))
         ]
     }
     return json_text(doc)
 
 
-def ground_truths_from_json(text: str) -> GroundTruthsByImage:
+def ground_truths_from_json(text: str) -> dict[str, GroundTruths]:
+    """Each image's table, coordinates read as float64 (the table rejects the Infinity json.loads parses)."""
     doc = json.loads(text)
-    out: GroundTruthsByImage = {}
-    for entry in doc["images"]:
+    images = doc.get("images") if isinstance(doc, dict) else None
+    if not (isinstance(images, list) and all(isinstance(e, dict) and isinstance(e.get("objects"), list)
+                                             and all(isinstance(o, dict) for o in e["objects"]) for e in images)):
+        raise ValueError('ground-truth document must be {"images": [{"image_id", "objects": [{"box", "class_id"}]}]}')
+    out: dict[str, GroundTruths] = {}
+    for entry in images:
         img = str(entry["image_id"])
         if img in out:
             raise ValueError(f"duplicate image entry {img!r} in ground-truth document")
-        objects = []
-        for obj in entry["objects"]:
-            coords = obj["box"]
+        boxes, class_ids = [o["box"] for o in entry["objects"]], [o["class_id"] for o in entry["objects"]]
+        for coords in boxes:
             if not isinstance(coords, list) or len(coords) != 4:
                 raise ValueError(f"ground-truth box must be a list of 4 numbers, got {coords!r} in image {img!r}")
-            # json.loads parses Infinity and NaN; a box at infinity falls
-            # outside every area range and would be ignored silently
-            if not all(
-                (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and math.isfinite(v))
-                for v in coords
-            ):
-                raise ValueError(f"non-numeric or non-finite ground-truth box {coords} in image {img!r}")
-            class_id = obj["class_id"]
-            # int() would read 1.7 or true as class 1
-            if isinstance(class_id, bool) or not isinstance(class_id, int):
+        # float64 would read true or "1" as 1.0, and int() 1.7 or true as class 1
+        if not {type(v) for coords in boxes for v in coords} <= {int, float}:
+            raise ValueError(f"non-numeric ground-truth box coordinate in image {img!r}")
+        for class_id in class_ids:
+            if type(class_id) is not int:
                 raise ValueError(f"ground-truth class_id must be an integer, got {class_id!r} in image {img!r}")
-            objects.append((Box(*coords), class_id))
-        out[img] = objects
+        try:
+            out[img] = GroundTruths(boxes, class_ids)
+        except (OverflowError, ValueError) as exc:  # OverflowError: an integer beyond float64
+            raise ValueError(f"bad ground truths in image {img!r}: {exc}") from exc
     return out

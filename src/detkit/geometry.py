@@ -13,7 +13,6 @@ and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,11 +154,6 @@ def iou_rows(a: np.ndarray, b: np.ndarray, b_area: np.ndarray) -> tuple[np.ndarr
     return np.where(zero, 0.0, value), np.where(zero[:, None], 0.0, grad)
 
 
-def corners(boxes: Iterable[Box]) -> np.ndarray:
-    """(N, 4) float64 rows (x1, y1, x2, y2) of ``boxes``."""
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
 def box_areas(rows: np.ndarray) -> np.ndarray:
     """Area of each corner row, computed as ``Box.area`` is."""
     return (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])
@@ -204,7 +198,7 @@ def encode(anchor: Box, gt: Box) -> OffsetEncoding:
     _require_positive_extent(anchor, "anchor")
     _require_positive_extent(gt, "encoded box")
     cwh = np.array([(anchor.cx, anchor.cy, anchor.w, anchor.h)], dtype=np.float64)
-    return OffsetEncoding(*encode_rows(cwh, corners([gt]))[0].tolist())
+    return OffsetEncoding(*encode_rows(cwh, np.array([gt.as_tuple()], dtype=np.float64))[0].tolist())
 
 
 def encode_rows(anchor_cwh: np.ndarray, gt: np.ndarray) -> np.ndarray:

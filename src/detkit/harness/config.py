@@ -143,7 +143,7 @@ def _check(value, spec: dict, name: str) -> None:
             _check(v, item, f"{name}[{i}]")
     elif kind is not None and not _TYPES[kind][1](value):
         raise ConfigError(f"{name} must be {_TYPES[kind][0]}, got {value!r}")
-    if "const" in spec and value != spec["const"]:
+    if "const" in spec and (value != spec["const"] or isinstance(value, bool) != isinstance(spec["const"], bool)):
         raise ConfigError(f"{name} must be {spec['const']!r}, got {value!r}")
     if "enum" in spec and value not in spec["enum"]:
         raise ConfigError(f"{name} must be one of {spec['enum']}, got {value!r}")

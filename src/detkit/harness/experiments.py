@@ -48,7 +48,7 @@ def run_nms_ab(scenario: Scenario) -> AbReport:
         scatter = []
         for img in scenario.images:
             dets = kept[img.image_id]
-            scatter += zip(dets.score(mode).tolist(), true_iou(dets, img.gts, img.gt_classes).tolist())
+            scatter += zip(dets.score(mode).tolist(), true_iou(dets, img.gts).tolist())
         modes[mode] = ModeResult(
             report=report,
             kept_count=len(scatter),
@@ -102,4 +102,4 @@ def nms_and_ap(scenario: Scenario, decoded: dict[str, Detections], mode: str) ->
         img_id: greedy_nms(dets, nms_cfg.iou_threshold, mode, nms_cfg.score_floor)
         for img_id, dets in decoded.items()
     }
-    return kept, evaluate(kept, scenario.ground_truths(), mode)
+    return kept, evaluate(kept, {img.image_id: img.gts for img in scenario.images}, mode)

@@ -22,10 +22,9 @@ from ..anchors import (
     generate_default_boxes,
     match_anchors,
 )
-from ..evaluation import GroundTruthsByImage
-from ..geometry import Box, box_areas, corners, decode_jacobian_rows, encode_rows, iou_matrix, iou_rows, iou_value
+from ..geometry import Box, box_areas, decode_jacobian_rows, encode_rows, iou_matrix, iou_rows, iou_value
 from ..losses import HeadOutputs, PROB_EPS
-from ..nms import Detections
+from ..nms import Detections, GroundTruths
 from .config import NumericalError, ScenarioConfig
 
 HIST_BINS = 10
@@ -34,8 +33,7 @@ HIST_BINS = 10
 @dataclass
 class SceneImage:
     image_id: str
-    gts: list[Box]
-    gt_classes: list[int]
+    gts: GroundTruths
     match: MatchResult
     features: np.ndarray  # (n_anchors, feature_dim), column 0 is constant 1
     heads: HeadOutputs
@@ -47,10 +45,6 @@ class Scenario:
     anchors: AnchorSet
     images: list[SceneImage]
 
-    def ground_truths(self) -> GroundTruthsByImage:
-        """image_id -> [(box, class_id)], the evaluator's ground-truth map."""
-        return {img.image_id: list(zip(img.gts, img.gt_classes)) for img in self.images}
-
 
 def scenario_levels(cfg: ScenarioConfig):
     ratios = DEFAULT_SCALE_RATIOS[: len(cfg.grids) + 1]
@@ -58,8 +52,8 @@ def scenario_levels(cfg: ScenarioConfig):
     return build_levels(cfg.grids, strides, ratios)
 
 
-def _sample_gt_boxes(rng: np.random.Generator, cfg: ScenarioConfig, count: int) -> list[Box]:
-    """Boxes inside the image, resampled (best effort) to keep mutual IOU low."""
+def _sample_gt_boxes(rng: np.random.Generator, cfg: ScenarioConfig, count: int) -> np.ndarray:
+    """(count, 4) corner rows inside the image, resampled (best effort) to keep mutual IOU low."""
     size = cfg.image_size
     lo, hi = cfg.object_size_range
     boxes: list[Box] = []
@@ -78,7 +72,7 @@ def _sample_gt_boxes(rng: np.random.Generator, cfg: ScenarioConfig, count: int) 
             if overlap < 0.25:
                 break
         boxes.append(best)
-    return boxes
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:
@@ -91,9 +85,8 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     images: list[SceneImage] = []
     for img_i in range(cfg.n_images):
         count = int(rng.integers(cfg.object_count[0], cfg.object_count[1] + 1))
-        gts = _sample_gt_boxes(rng, cfg, count)
-        gt_classes = [int(c) for c in rng.integers(1, cfg.n_classes + 1, count)]
-        match = match_anchors(anchors, gts)
+        gts = GroundTruths(_sample_gt_boxes(rng, cfg, count), rng.integers(1, cfg.n_classes + 1, count))
+        match = match_anchors(anchors, gts.boxes)
         # unit-scale features: |f|^2 ~ 2 regardless of width, so the fit
         # step is width-independent and cross-anchor interference ~ 1/sqrt(F)
         features = rng.normal(0.0, 1.0, (n, cfg.fit.feature_dim)) / np.sqrt(cfg.fit.feature_dim)
@@ -117,25 +110,23 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
 
         pos = match.positive_indices
         pos_gt = match.gt_index[pos]
-        target = encode_rows(anchors.cwh[pos], corners(gts)[pos_gt])
+        target = encode_rows(anchors.cwh[pos], gts.boxes[pos_gt])
         sigma = np.where(is_distractor[pos], noise.distractor_offset_sigma, noise.offset_sigma)
         offsets[pos] = target + sigma[:, None] * offset_noise[pos]
         probs[pos] = ((1.0 - pos_conf[pos]) / cfg.n_classes)[:, None]
-        probs[pos, np.array(gt_classes)[pos_gt]] = pos_conf[pos]
+        probs[pos, gts.class_id[pos_gt]] = pos_conf[pos]
         try:
             true = _measured_ious(anchors, match, gts, offsets, pos)
         except OverflowError as exc:  # math.exp of a huge noisy size offset
             raise NumericalError(f"image {img_i}: a noisy offset overflows its decoded box ({exc})") from exc
         p_iou[pos] = np.clip(true + noise.p_iou_sigma * p_iou_noise[pos], PROB_EPS, 1.0)
 
-        images.append(
-            SceneImage(str(img_i), gts, gt_classes, match, features, HeadOutputs(offsets, probs, p_iou))
-        )
+        images.append(SceneImage(str(img_i), gts, match, features, HeadOutputs(offsets, probs, p_iou)))
     return Scenario(cfg, anchors, images)
 
 
 def _measured_ious(
-    anchors: AnchorSet, match: MatchResult, gts: list[Box], offsets: np.ndarray, pos: np.ndarray
+    anchors: AnchorSet, match: MatchResult, gts: GroundTruths, offsets: np.ndarray, pos: np.ndarray
 ) -> np.ndarray:
     """IOU of each positive anchor's decoded box against its ground truth,
     as ``iou_value`` gives it; the positives ``pos`` of ``match`` are
@@ -145,7 +136,7 @@ def _measured_ious(
     valid = (boxes[:, 2] >= boxes[:, 0]) & (boxes[:, 3] >= boxes[:, 1])
     if not valid.all():
         Box(*boxes[np.argmin(valid)])  # raises for the first such row
-    gt = corners(gts)[match.gt_index[pos]]
+    gt = gts.boxes[match.gt_index[pos]]
     return iou_rows(boxes, gt, box_areas(gt))[0]
 
 
@@ -184,9 +175,9 @@ def iou_histogram(values, bins: int = HIST_BINS) -> tuple[list[float], list[int]
     return edges, np.bincount(k, minlength=bins).tolist()
 
 
-def true_iou(dets: Detections, gts: list[Box], gt_classes: list[int]) -> np.ndarray:
+def true_iou(dets: Detections, gts: GroundTruths) -> np.ndarray:
     """Best IOU of each detection against the same-class ground truths, 0
     where none overlaps."""
-    ious = iou_matrix(dets.boxes, corners(gts))
-    overlaps = (dets.class_id[:, None] == np.array(gt_classes, dtype=np.int64)) & (ious > 0.0)
+    ious = iou_matrix(dets.boxes, gts.boxes)
+    overlaps = (dets.class_id[:, None] == gts.class_id) & (ious > 0.0)
     return np.where(overlaps, ious, 0.0).max(axis=1, initial=0.0)

@@ -95,7 +95,7 @@ def fit_toy(model: ToyModel, scenario: Scenario, cfg: ScenarioConfig) -> FitResu
         for img in scenario.images:
             heads, raw_cls, raw_iou = model.forward(img.features)
             heads_list.append(heads)
-            tl = total_loss(img.match, heads, scenario.anchors, img.gts, img.gt_classes, cfg.losses)
+            tl = total_loss(img.match, heads, scenario.anchors, img.gts, cfg.losses)
             totals["total"] += tl.value / n_images
             for key in ("cls", "reg", "iou"):
                 totals[key] += tl.terms[key] / n_images

@@ -29,9 +29,9 @@ import numpy as np
 
 from .anchors import AnchorSet, MatchResult
 from .geometry import (
-    Box, OffsetEncoding, box_areas, corners, decode_jacobian, decode_jacobian_rows, encode_rows, iou, iou_rows,
-    math_map,
+    Box, OffsetEncoding, box_areas, decode_jacobian, decode_jacobian_rows, encode_rows, iou, iou_rows, math_map,
 )
+from .nms import GroundTruths
 
 PROB_EPS = 1e-6  # probability clamp against log singularities
 CEJI_IOU_GATE = 0.5  # positives below this measured IOU are ignored
@@ -283,7 +283,7 @@ def _chain(d_box: np.ndarray, jac: np.ndarray) -> np.ndarray:
 
 def _raise_first_failure(
     anchors: AnchorSet, pos: np.ndarray, pos_gt: np.ndarray, pos_cls: np.ndarray, preds: HeadOutputs,
-    gts: list[Box], cfg: LossConfig,
+    gts: GroundTruths, cfg: LossConfig,
 ) -> None:
     """Run each positive through the per-term functions in their per-anchor
     order, so the first one that fails raises the exception it always has:
@@ -292,7 +292,7 @@ def _raise_first_failure(
     iou_fn = r_iou_loss if cfg.iou == "r_iou" else l2_iou_loss
     for a, g, c in zip(pos.tolist(), pos_gt.tolist(), pos_cls.tolist()):
         box, _ = decode_jacobian(anchors.box(a), OffsetEncoding(*preds.offsets[a]))
-        iou_tar = iou(box, gts[g])
+        iou_tar = iou(box, Box(*gts.boxes[g].tolist()))
         if cfg.cls == "ceji":
             ceji_loss(preds.class_probs[a, c], iou_tar, True)
         if iou_tar.value >= CEJI_IOU_GATE:
@@ -303,8 +303,7 @@ def total_loss(
     match: MatchResult,
     preds: HeadOutputs,
     anchors: AnchorSet,
-    gts: list[Box],
-    gt_classes: list[int],
+    gts: GroundTruths,
     cfg: LossConfig = LossConfig(),
 ) -> TotalLoss:
     """Aggregate loss over one image, normalized by the positive count.
@@ -329,8 +328,8 @@ def total_loss(
     """
     pos, neg = match.positive_indices, match.negative_indices
     pos_gt = match.gt_index[pos]
-    pos_cls = np.array(gt_classes, dtype=np.intp)[pos_gt]
-    gt_box = corners(gts)[pos_gt]
+    pos_cls = gts.class_id[pos_gt]
+    gt_box = gts.boxes[pos_gt]
     n_pos = len(pos)
     d_off = np.zeros_like(preds.offsets)
     d_cls = np.zeros_like(preds.class_probs)

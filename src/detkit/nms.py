@@ -7,7 +7,8 @@ localized rival. Candidates below a small score floor are dropped up
 front.
 
 Every stage from decoding to the CSV files reads and writes one table,
-``Detections``: a column per CSV field, one row per (box, class).
+``Detections``: a column per CSV field, one row per (box, class); each
+image's ground truths are one ``GroundTruths`` table, synthesis to AP.
 ``greedy_nms`` orders the candidates by (-score, -area, index). It then
 walks each class separately, row by row: every survivor is compared with
 the later candidates of its class as one 1 x M vector, and those
@@ -38,6 +39,18 @@ SCORE_FLOOR = 0.01
 DETECTIONS_CSV_HEADER = ["image_id", "class_id", "x1", "y1", "x2", "y2", "p_cls", "p_iou"]
 
 
+def _set_columns(table, dtypes) -> None:
+    """Each field of a frozen table as an array of its dtype, ``boxes`` as (N, 4) rows, all of one length."""
+    for f, dtype in zip(fields(table), dtypes):
+        try:
+            column = np.asarray(getattr(table, f.name), dtype=dtype)
+        except OverflowError:  # a class id beyond 64 bits stays a Python int
+            column = np.asarray(getattr(table, f.name), dtype=object if dtype is np.int64 else dtype)
+        object.__setattr__(table, f.name, column.reshape(-1, 4) if f.name == "boxes" else column)
+    if len({getattr(table, f.name).shape[0] for f in fields(table)}) != 1:
+        raise ValueError(f"{type(table).__name__} columns differ in length")
+
+
 @dataclass(frozen=True, eq=False)
 class Detections:
     """Detections as columns in CSV order, one row per (box, class);
@@ -52,14 +65,7 @@ class Detections:
     p_iou: np.ndarray = ()  # (N,) float64
 
     def __post_init__(self):
-        for f, dtype in zip(fields(self), (object, np.float64, np.int64, np.float64, np.float64)):
-            try:
-                column = np.asarray(getattr(self, f.name), dtype=dtype)
-            except OverflowError:  # a class id beyond 64 bits stays a Python int
-                column = np.asarray(getattr(self, f.name), dtype=object if dtype is np.int64 else dtype)
-            object.__setattr__(self, f.name, column.reshape(-1, 4) if f.name == "boxes" else column)
-        if len({getattr(self, f.name).shape[0] for f in fields(self)}) != 1:
-            raise ValueError("Detections columns differ in length")
+        _set_columns(self, (object, np.float64, np.int64, np.float64, np.float64))
         x1, y1, x2, y2 = self.boxes.T
         valid = (x2 >= x1) & (y2 >= y1) & (self.p_cls >= 0.0) & (self.p_cls <= 1.0)
         valid &= (self.p_iou >= 0.0) & (self.p_iou <= 1.0)
@@ -94,6 +100,22 @@ class Detections:
         """The rows of ``parts``, one table after another."""
         parts = list(parts) or [Detections()]
         return Detections(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Detections)))
+
+
+@dataclass(frozen=True, eq=False)
+class GroundTruths:
+    """One image's ground truths as columns; ``GroundTruths()`` is the empty table. Sequences
+    become arrays. A non-finite corner or a box of negative extent is rejected."""
+
+    boxes: np.ndarray = ()  # (G, 4) float64 corners x1, y1, x2, y2
+    class_id: np.ndarray = ()  # (G,) int64, or Python ints if one lies beyond 64 bits
+
+    def __post_init__(self):
+        _set_columns(self, (np.float64, np.int64))
+        valid = np.isfinite(self.boxes).all(axis=1) & (self.boxes[:, 2:] >= self.boxes[:, :2]).all(axis=1)
+        if not valid.all():
+            i = int(np.argmin(valid))
+            raise ValueError(f"ground truth {i}: non-finite corner or negative extent in {self.boxes[i].tolist()}")
 
 
 def greedy_nms(

@@ -182,6 +182,9 @@ def chain_from_json(text: str) -> tuple[RFState, list[LayerSpec]]:
     "layers": [{"kernel", ...}]}; initial defaults to (1, 1). Every
     numeric field must be a JSON integer."""
     doc = json.loads(text)
+    if not (isinstance(doc, dict) and isinstance(doc.get("initial", {}), dict) and isinstance(doc.get("layers"), list)
+            and all(isinstance(spec, dict) for spec in doc["layers"])):
+        raise ValueError('chain document must be {"initial": {...}, "layers": [{...}, ...]}')
     init = doc.get("initial", {})
     initial = RFState(
         _json_int(init.get("receptive_field", 1), "initial receptive_field"),

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from detkit.geometry import Box
-from detkit.nms import Detections, greedy_nms
+from detkit.nms import Detections, GroundTruths, greedy_nms
 from oracles import Detection
 
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
@@ -140,4 +140,11 @@ def tables(dets_by_image) -> dict[str, Detections]:
         img: Detections([img] * len(rows), [b.as_tuple() for b, _, _ in rows], [c for _, c, _ in rows],
                         [s for _, _, s in rows], [1.0] * len(rows))
         for img, rows in dets_by_image.items()
+    }
+
+
+def gt_tables(gts_by_image) -> dict[str, GroundTruths]:
+    """(box, class_id) rows per image, the AP oracle's format, as tables."""
+    return {
+        img: GroundTruths([b.as_tuple() for b, _ in objs], [c for _, c in objs]) for img, objs in gts_by_image.items()
     }

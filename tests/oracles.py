@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from detkit.anchors import POSITIVE_IOU_THRESHOLD, FeatureLevelSpec
-from detkit.evaluation import RECALL_POINTS, GroundTruthsByImage
+from detkit.evaluation import RECALL_POINTS
 from detkit.geometry import DEFAULT_VARIANCES, Box, IouValue, OffsetEncoding, _require_positive_extent, iou_value
 from detkit.harness.config import ScenarioConfig
 from detkit.harness.scenario import _sample_gt_boxes, scenario_levels
@@ -167,9 +167,7 @@ def default_boxes(
     return boxes, level_index, cell_index, template_index
 
 
-def match_anchors(
-    anchors: list[Box], gts: list[Box], pos_threshold: float = POSITIVE_IOU_THRESHOLD
-) -> tuple[list[int], list[float]]:
+def match_anchors(anchors: list[Box], gts: list[Box]) -> tuple[list[int], list[float]]:
     """Per anchor: the matched ground-truth index (-1 for a negative) and
     the best IOU. Positive above the threshold, to the first best ground
     truth; then each overlapping ground truth in turn claims its first
@@ -180,7 +178,7 @@ def match_anchors(
     for a, row in enumerate(ious):
         if row:
             best_iou[a] = max(row)
-            if best_iou[a] > pos_threshold:
+            if best_iou[a] > POSITIVE_IOU_THRESHOLD:
                 gt_index[a] = row.index(best_iou[a])
     for g in range(len(gts)):
         col = [row[g] for row in ious]
@@ -202,7 +200,7 @@ def scenario_images(cfg: ScenarioConfig) -> list[tuple[list[Box], list[int], lis
     images = []
     for _ in range(cfg.n_images):
         count = int(rng.integers(cfg.object_count[0], cfg.object_count[1] + 1))
-        gts = _sample_gt_boxes(rng, cfg, count)
+        gts = [Box(*row) for row in _sample_gt_boxes(rng, cfg, count).tolist()]
         gt_classes = [int(c) for c in rng.integers(1, cfg.n_classes + 1, count)]
         gt_index, _ = match_anchors(anchors, gts)
         features = rng.normal(0.0, 1.0, (n, cfg.fit.feature_dim)) / np.sqrt(cfg.fit.feature_dim)
@@ -399,6 +397,8 @@ def score_flip_pair() -> tuple[list[Detection], Detection, Detection]:
 
 # image_id -> [(Box, class_id, score)]
 DetectionsByImage = dict[str, list[tuple[Box, int, float]]]
+# image_id -> [(Box, class_id)]
+GroundTruthsByImage = dict[str, list[tuple[Box, int]]]
 
 
 def ap_bruteforce(detections: DetectionsByImage, gts: GroundTruthsByImage, class_id: int, iou_threshold: float) -> float:

@@ -40,7 +40,7 @@ from detkit.harness.config import FitConfig
 from detkit.losses import BalanceL1Params, balance_l1, ceji_loss, r_iou_loss
 from detkit.rfcalc import LayerSpec, RFState, analyze_builtin, analyze_chain, expansion_ratios, ratio_spread
 
-from conftest import central_diff, kept_records, rel_err, random_overlapping_pair, tables
+from conftest import central_diff, gt_tables, kept_records, rel_err, random_overlapping_pair, tables
 from oracles import Detection, ap_bruteforce, nms_bruteforce, score_flip_pair
 from test_evaluation import PERFECT_GTS, crafted_instance
 from test_graph import conv2d_bruteforce
@@ -227,17 +227,17 @@ def test_criterion_6_forward_graph_contracts(tmp_path):
 
 def test_criterion_7_ap_evaluator():
     dets = {img: [(b, c, 1.0) for b, c in objs] for img, objs in PERFECT_GTS.items()}
-    report = evaluate(tables(dets), PERFECT_GTS, "standard")
+    report = evaluate(tables(dets), gt_tables(PERFECT_GTS), "standard")
     assert all(v == 1.0 for v in report.as_dict().values())
 
     cdets, cgts = crafted_instance()
     want = ap_bruteforce(cdets, cgts, class_id=1, iou_threshold=0.5)
-    got = evaluate(tables(cdets), cgts, "standard").ap50
+    got = evaluate(tables(cdets), gt_tables(cgts), "standard").ap50
     assert abs(got - want) <= 1e-12
 
     rng = np.random.default_rng(707)
     scenario = generate_scenario(replace(ACCEPT_CFG, seed=7, n_images=4))
-    gts = {img.image_id: list(zip(img.gts, img.gt_classes)) for img in scenario.images}
+    gts = {img.image_id: img.gts for img in scenario.images}
     from detkit.harness import detections_from_heads
 
     det_map = {

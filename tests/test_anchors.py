@@ -117,13 +117,13 @@ class TestMatching:
     def test_identity_anchor_positive(self):
         anchors = generate_default_boxes(32, small_levels())
         gt = anchors.box(5)
-        res = match_anchors(anchors, [gt])
+        res = match_anchors(anchors, [gt.as_tuple()])
         assert 5 in res.positive_indices.tolist() and res.gt_index[5] == 0
         assert res.best_iou[5] == 1.0
 
     def test_all_disjoint_all_negative(self):
         anchors = generate_default_boxes(32, small_levels())
-        res = match_anchors(anchors, [Box(1000, 1000, 1010, 1010)])
+        res = match_anchors(anchors, [(1000, 1000, 1010, 1010)])
         assert res.positive_indices.tolist() == []
         assert res.negative_indices.tolist() == list(range(len(anchors)))
 
@@ -140,7 +140,7 @@ class TestMatching:
         # admitted as positive here and only later gated by the loss
         a0 = anchors.box(0)
         gt = Box(a0.x1, a0.y1, a0.x1 + 0.45 * a0.w, a0.y2)
-        res = match_anchors(anchors, [gt], pos_threshold=0.4)
+        res = match_anchors(anchors, [gt.as_tuple()])
         assert res.best_iou[0] == pytest.approx(0.45, abs=1e-12)
         positives = res.positive_indices.tolist()
         assert 0 in positives
@@ -152,7 +152,7 @@ class TestMatching:
         anchors = generate_default_boxes(32, small_levels())
         # a sliver overlapping only slightly: below threshold everywhere
         gt = Box(0.0, 0.0, 2.0, 2.0)
-        res = match_anchors(anchors, [gt])
+        res = match_anchors(anchors, [gt.as_tuple()])
         ious = [iou_value(anchors.box(i), gt) for i in range(len(anchors))]
         best = max(range(len(ious)), key=lambda i: (ious[i], -i))
         assert max(ious) < 0.4
@@ -162,14 +162,14 @@ class TestMatching:
     def test_recorded_iou_matches_geometry(self):
         anchors = generate_default_boxes(32, small_levels())
         gts = [Box(3.0, 4.0, 14.0, 13.0), Box(10.0, 10.0, 30.0, 28.0)]
-        res = match_anchors(anchors, gts)
+        res = match_anchors(anchors, [g.as_tuple() for g in gts])
         for a in range(len(anchors)):
             want = max(iou_value(anchors.box(a), g) for g in gts)
             assert res.best_iou[a] == pytest.approx(want, abs=1e-14)
 
     def test_determinism(self):
         anchors = generate_default_boxes(32, small_levels())
-        gts = [Box(3.0, 4.0, 14.0, 13.0)]
+        gts = [(3.0, 4.0, 14.0, 13.0)]
         r1 = match_anchors(anchors, gts)
         r2 = match_anchors(anchors, gts)
         assert r1.gt_index.tolist() == r2.gt_index.tolist()
@@ -192,14 +192,9 @@ class TestMatching:
                 else:
                     x1, y1 = rng.uniform(-4.0, 30.0, 2)
                     gts.append(Box(x1, y1, x1 + rng.uniform(0.5, 20.0), y1 + rng.uniform(0.5, 20.0)))
-            res = match_anchors(anchors, gts)
+            res = match_anchors(anchors, [g.as_tuple() for g in gts])
             gt_index, best_iou = oracles.match_anchors(boxes, gts)
             assert res.gt_index.tolist() == gt_index
             assert res.best_iou.tobytes() == np.array(best_iou, dtype=np.float64).tobytes()
             assert res.positive_indices.tolist() == [a for a, g in enumerate(gt_index) if g >= 0]
             assert res.negative_indices.tolist() == [a for a, g in enumerate(gt_index) if g < 0]
-
-    def test_bad_threshold_rejected(self):
-        anchors = generate_default_boxes(32, small_levels())
-        with pytest.raises(ValueError):
-            match_anchors(anchors, [], pos_threshold=1.5)

@@ -143,6 +143,21 @@ class TestRf:
         assert len(err.strip().splitlines()) == 1 and message in err
         assert not out.exists()
 
+    # each raised an AttributeError or a TypeError, and rf exited 1 with a traceback
+    @pytest.mark.parametrize(
+        "doc",
+        ["[]", '{"layers": 5}', '{"layers": [5]}', '{"initial": 5, "layers": [{"kernel": 3}]}'],
+        ids=["list", "layers-int", "layer-int", "initial-int"],
+    )
+    def test_malformed_chain_document_exits_2_with_one_line(self, tmp_path, capsys, doc):
+        chain = tmp_path / "chain.json"
+        chain.write_text(doc)
+        out = tmp_path / "rf.csv"
+        assert main(["rf", "--chain", str(chain), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "chain document must be" in err
+        assert not out.exists()
+
     def test_non_integer_initial_state_exits_2(self, tmp_path, capsys):
         chain = tmp_path / "chain.json"
         chain.write_text(json.dumps({"initial": {"jump": 1.5}, "layers": [{"kernel": 3}]}))
@@ -285,6 +300,66 @@ class TestMalformedGroundTruthBox:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and message in err
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestMalformedGroundTruthDocument:
+    # each raised a TypeError (the integer coordinate an OverflowError), and
+    # eval exited 1 with a traceback
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ("[]", "ground-truth document must be"),
+            ('{"images": 5}', "ground-truth document must be"),
+            ('{"images": [5]}', "ground-truth document must be"),
+            ('{"images": [{"image_id": "img0", "objects": 5}]}', "ground-truth document must be"),
+            ('{"images": [{"image_id": "img0", "objects": [5]}]}', "ground-truth document must be"),
+            (
+                '{"images": [{"image_id": "img0", "objects": [{"box": [0, 0, 1%s, 4], "class_id": 1}]}]}' % ("0" * 400),
+                "int too large to convert to float",
+            ),
+        ],
+        ids=["list", "images-int", "image-int", "objects-int", "object-int", "coordinate-1e400"],
+    )
+    def test_eval_exits_2_with_one_line(self, tmp_path, capsys, doc, message):
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\nimg0,1,0,0,4,4,0.9,0.8\n")
+        gts = tmp_path / "gts.json"
+        gts.write_text(doc)
+        argv = ["eval", "--detections", str(dets), "--ground-truths", str(gts),
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and message in err
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestOverflowingArea:
+    # finite corners whose area overflows to inf: such a box lay outside every
+    # area range and was ignored, so eval reported AP 1.000 instead of 0.505
+    # (a second ground truth) or 0.5 (a detection ranked above the true
+    # positive); the detection also printed a numpy RuntimeWarning
+    @pytest.mark.parametrize(
+        "det_rows,objects",
+        [
+            (["img0,1,0,0,4,4,0.9,0.8"], [[0, 0, 4, 4], [-1e308, 0, 1e308, 10]]),
+            (["img0,1,-1e308,0,1e308,4,0.9,0.8", "img0,1,0,0,4,4,0.8,0.8"], [[0, 0, 4, 4]]),
+        ],
+        ids=["ground-truth", "detection"],
+    )
+    def test_eval_exits_2_with_one_line(self, tmp_path, capsys, det_rows, objects):
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\n" + "\n".join(det_rows) + "\n")
+        gts = tmp_path / "gts.json"
+        doc = {"images": [{"image_id": "img0", "objects": [{"box": b, "class_id": 1} for b in objects]}]}
+        gts.write_text(json.dumps(doc))
+        argv = ["eval", "--detections", str(dets), "--ground-truths", str(gts),
+                "--out", str(tmp_path / "report.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "a box area overflows float64 in image 'img0'" in err
         assert not (tmp_path / "report.json").exists()
 
 

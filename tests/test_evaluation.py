@@ -6,7 +6,7 @@ from detkit.evaluation import ApReport, evaluate, ground_truths_from_json, groun
 from detkit.geometry import Box, iou_value
 from detkit.nms import Detections
 
-from conftest import any_boxes, awkward_text, bits, records, tables
+from conftest import any_boxes, awkward_text, bits, gt_tables, records, tables
 from oracles import ap_bruteforce, score
 
 # one small, one medium, one large object (areas 400, 3600, 14400)
@@ -44,21 +44,21 @@ class TestEvaluate:
         dets = {
             img: [(b, c, 1.0) for b, c in objs] for img, objs in PERFECT_GTS.items()
         }
-        report = evaluate(tables(dets), PERFECT_GTS, "standard")
+        report = evaluate(tables(dets), gt_tables(PERFECT_GTS), "standard")
         assert report == ApReport(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_zero_detections_score_zero(self):
-        report = evaluate({}, PERFECT_GTS, "standard")
+        report = evaluate({}, gt_tables(PERFECT_GTS), "standard")
         assert report == ApReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_crafted_instance_matches_rational_oracle(self):
         dets, gts = crafted_instance()
-        assert evaluate(tables(dets), gts, "standard").ap50 == pytest.approx(AP50_CRAFTED, abs=1e-12)
+        assert evaluate(tables(dets), gt_tables(gts), "standard").ap50 == pytest.approx(AP50_CRAFTED, abs=1e-12)
 
     def test_crafted_instance_matches_bruteforce_oracle(self):
         dets, gts = crafted_instance()
         want = ap_bruteforce(dets, gts, class_id=1, iou_threshold=0.5)
-        assert evaluate(tables(dets), gts, "standard").ap50 == pytest.approx(want, abs=1e-12)
+        assert evaluate(tables(dets), gt_tables(gts), "standard").ap50 == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(AP50_CRAFTED, abs=1e-12)
 
     def test_ap_nonincreasing_in_threshold(self):
@@ -66,19 +66,19 @@ class TestEvaluate:
         thresholds = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95]
         aps = [ap_bruteforce(dets, gts, 1, t) for t in thresholds]
         assert all(a >= b for a, b in zip(aps, aps[1:]))
-        report = evaluate(tables(dets), gts, "standard")
+        report = evaluate(tables(dets), gt_tables(gts), "standard")
         assert report.ap50 >= report.ap75
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         dets, gts = _random_instance(rng, n_images=5)
-        want = evaluate(tables(dets), gts, "standard")
+        want = evaluate(tables(dets), gt_tables(gts), "standard")
         for _ in range(50):
             order = list(gts)
             rng.shuffle(order)
             dets_shuffled = {k: dets[k] for k in order if k in dets}
             gts_shuffled = {k: gts[k] for k in order}
-            assert evaluate(tables(dets_shuffled), gts_shuffled, "standard") == want
+            assert evaluate(tables(dets_shuffled), gt_tables(gts_shuffled), "standard") == want
 
     def test_adding_perfect_match_never_decreases(self):
         rng = np.random.default_rng(1)
@@ -89,10 +89,10 @@ class TestEvaluate:
             if found is None:
                 continue
             img, (gt_box, gt_cls) = found
-            before = evaluate(tables(dets), gts, "standard")
+            before = evaluate(tables(dets), gt_tables(gts), "standard")
             top = max((s for lst in dets.values() for _, _, s in lst), default=0.5)
             dets.setdefault(img, []).append((gt_box, gt_cls, min(top + 0.01, 1.0)))
-            after = evaluate(tables(dets), gts, "standard")
+            after = evaluate(tables(dets), gt_tables(gts), "standard")
             for field in ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large"):
                 assert getattr(after, field) >= getattr(before, field) - 1e-12
             checked += 1
@@ -101,7 +101,7 @@ class TestEvaluate:
         rng = np.random.default_rng(2)
         for _ in range(10):
             dets, gts = _random_instance(rng, n_images=3)
-            report = evaluate(tables(dets), gts, "standard")
+            report = evaluate(tables(dets), gt_tables(gts), "standard")
             for v in report.as_dict().values():
                 assert 0.0 <= v <= 1.0
             assert report.ap <= max(report.ap50, report.ap75) + 1e-12
@@ -121,7 +121,7 @@ class TestEvaluate:
         )
         oracle_rows = [(d.box, d.class_id, score(d, mode)) for d in records(dets)]
         want = ap_bruteforce({"0": oracle_rows}, gts, class_id=1, iou_threshold=0.5)
-        assert evaluate({"0": dets}, gts, mode).ap50 == pytest.approx(want, abs=1e-12)
+        assert evaluate({"0": dets}, gt_tables(gts), mode).ap50 == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx({"standard": 0.5, "iou_guided": 1.0}[mode], abs=1e-12)
 
 
@@ -141,15 +141,15 @@ class TestOracleGuards:
 
 class TestGroundTruthJson:
     def test_roundtrip(self):
-        text = ground_truths_to_json(PERFECT_GTS)
+        text = ground_truths_to_json(gt_tables(PERFECT_GTS))
         back = ground_truths_from_json(text)
-        assert back == PERFECT_GTS
+        assert {k: bits(v) for k, v in back.items()} == {k: bits(v) for k, v in gt_tables(PERFECT_GTS).items()}
 
     @settings(deadline=None)
     @given(st.dictionaries(awkward_text, st.lists(st.tuples(any_boxes(), st.integers()), max_size=4), max_size=5))
     def test_roundtrip_any_values(self, gts):
-        back = ground_truths_from_json(ground_truths_to_json(gts))
-        assert {k: bits(v) for k, v in back.items()} == {k: bits(v) for k, v in gts.items()}
+        back = ground_truths_from_json(ground_truths_to_json(gt_tables(gts)))
+        assert {k: bits(v) for k, v in back.items()} == {k: bits(v) for k, v in gt_tables(gts).items()}
 
     def test_duplicate_image_rejected(self):
         doc = '{"images": [{"image_id": "0", "objects": []}, {"image_id": "0", "objects": []}]}'

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from detkit.anchors import build_levels, generate_default_boxes, match_anchors
-from detkit.geometry import Box, OffsetEncoding
+from detkit.geometry import Box, OffsetEncoding, box_areas
 from detkit.harness import (
     ConfigError,
     NumericalError,
@@ -30,7 +30,7 @@ from detkit.harness import (
 from detkit.harness.config import SCHEMA, SCHEMA_PATH, FitConfig, NmsConfig, NoiseConfig, _build, _check
 from detkit.harness.plots import histogram_svg, scatter_svg
 from detkit.losses import CLS_LOSSES, IOU_LOSSES, REG_LOSSES, HeadOutputs, LossConfig
-from detkit.nms import MODES
+from detkit.nms import MODES, GroundTruths
 
 import oracles
 from conftest import kept_records, outcome
@@ -130,6 +130,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_json('{"schema_version": 99}')
 
+    def test_boolean_schema_version_rejected(self):
+        # JSON Schema's const holds 1 and 1.0 equal, but true and 1 not
+        with pytest.raises(ConfigError, match=re.escape("scenario.schema_version must be 1, got True")):
+            config_from_json('{"schema_version": true}')
+        assert config_from_json('{"schema_version": 1.0}') == ScenarioConfig()
+
     def test_objects_larger_than_image_rejected(self):
         with pytest.raises(ConfigError):
             config_from_json('{"object_size_range": [0.5, 1.5]}')
@@ -206,14 +212,15 @@ class TestScenario:
         a = generate_scenario(SMALL)
         b = generate_scenario(SMALL)
         for ia, ib in zip(a.images, b.images):
-            assert ia.gts == ib.gts and ia.gt_classes == ib.gt_classes
+            assert ia.gts.boxes.tobytes() == ib.gts.boxes.tobytes()
+            assert ia.gts.class_id.tolist() == ib.gts.class_id.tolist()
             np.testing.assert_array_equal(ia.heads.offsets, ib.heads.offsets)
             np.testing.assert_array_equal(ia.features, ib.features)
 
     def test_different_seeds_differ(self):
         a = generate_scenario(SMALL)
         b = generate_scenario(replace(SMALL, seed=1))
-        assert a.images[0].gts != b.images[0].gts
+        assert a.images[0].gts.boxes.tolist() != b.images[0].gts.boxes.tolist()
 
     def test_most_anchors_negative(self):
         s = generate_scenario(ScenarioConfig(seed=1))
@@ -245,15 +252,15 @@ class TestScenario:
             s = generate_scenario(cfg)
             rep = run_nms_ab(s)
         assert all(len(img.match.positive_indices) for img in s.images)
-        assert all(img.gts and min(b.area for b in img.gts) > 0.0 for img in s.images)
+        assert all(len(img.gts.boxes) and box_areas(img.gts.boxes).min() > 0.0 for img in s.images)
         assert rep.modes["iou_guided"].kept_count > 0
 
     def test_gts_inside_image(self):
         s = generate_scenario(SMALL)
         for img in s.images:
-            for b in img.gts:
-                assert 0.0 <= b.x1 <= b.x2 <= SMALL.image_size
-                assert 0.0 <= b.y1 <= b.y2 <= SMALL.image_size
+            for x1, y1, x2, y2 in img.gts.boxes.tolist():
+                assert 0.0 <= x1 <= x2 <= SMALL.image_size
+                assert 0.0 <= y1 <= y2 <= SMALL.image_size
 
     def test_histogram_conserves_samples(self):
         s = generate_scenario(SMALL)
@@ -298,7 +305,8 @@ class TestScenario:
         want = oracles.scenario_images(s.cfg)
         assert len(s.images) == len(want)
         for img, (gts, gt_classes, gt_index, features, heads) in zip(s.images, want):
-            assert img.gts == gts and img.gt_classes == gt_classes
+            assert img.gts.boxes.tolist() == [list(b.as_tuple()) for b in gts]
+            assert img.gts.class_id.tolist() == gt_classes
             assert img.match.gt_index.tolist() == gt_index
             assert img.features.tobytes() == features.tobytes()
             for name in ("offsets", "class_probs", "p_iou"):
@@ -318,10 +326,11 @@ def _frozen_optimum():
     anchors = generate_default_boxes(16.0, levels)
     n = len(anchors)
     gt = anchors.box(0)
-    match = match_anchors(anchors, [gt])
+    gts = GroundTruths([gt.as_tuple()], [1])
+    match = match_anchors(anchors, gts.boxes)
     features = np.eye(n)
     heads = HeadOutputs(np.zeros((n, 4)), np.zeros((n, 2)), np.zeros(n))
-    image = SceneImage("0", [gt], [1], match, features, heads)
+    image = SceneImage("0", gts, match, features, heads)
     cfg = replace(
         SMALL,
         n_classes=1,

@@ -18,6 +18,7 @@ from detkit.geometry import (
 from detkit.harness import FitConfig, ScenarioConfig, fit_toy, generate_scenario, init_toy_model
 from detkit.harness import toyfit
 from detkit import losses
+from detkit.nms import GroundTruths
 from detkit.losses import (
     CEJI_IOU_GATE,
     NEG_POS_RATIO,
@@ -292,22 +293,22 @@ def _five_anchor_instance(seed=0):
     rng = np.random.default_rng(seed)
     levels = build_levels((2, 1), (8.0, 16.0), (0.3, 0.6, 0.9))
     anchors = generate_default_boxes(16, levels)
-    gts = [Box(0.5, 0.5, 7.5, 7.5), Box(8.5, 8.5, 15.5, 15.5)]
-    gt_classes = [1, 2]
-    match = match_anchors(anchors, gts)
+    gts = GroundTruths([(0.5, 0.5, 7.5, 7.5), (8.5, 8.5, 15.5, 15.5)], [1, 2])
+    match = match_anchors(anchors, gts.boxes)
     n = len(anchors)
     offsets = rng.uniform(-0.3, 0.3, (n, 4))
     probs = rng.uniform(0.2, 0.9, (n, 3))
     p_iou = rng.uniform(0.2, 0.9, n)
-    return match, HeadOutputs(offsets, probs, p_iou), anchors, gts, gt_classes
+    return match, HeadOutputs(offsets, probs, p_iou), anchors, gts
 
 
 class TestTotalLoss:
     def test_exact_predictions_give_zero(self):
         levels = build_levels((2,), (8.0,), (0.5, 0.9))
         anchors = generate_default_boxes(16, levels)
-        gts = [Box(2.0, 2.0, 10.0, 10.0)]
-        match = match_anchors(anchors, gts)
+        gt = Box(2.0, 2.0, 10.0, 10.0)
+        gts = GroundTruths([gt.as_tuple()], [1])
+        match = match_anchors(anchors, gts.boxes)
         n = len(anchors)
         offsets = np.zeros((n, 4))
         probs = np.zeros((n, 2))
@@ -315,11 +316,11 @@ class TestTotalLoss:
         from detkit.geometry import encode
 
         for a in match.positive_indices:
-            offsets[a] = encode(anchors.box(a), gts[0]).as_tuple()
+            offsets[a] = encode(anchors.box(a), gt).as_tuple()
             probs[a, 1] = 1.0
         for a in match.negative_indices:
             probs[a, 0] = 1.0
-        tl = total_loss(match, HeadOutputs(offsets, probs, p_iou), anchors, gts, [1])
+        tl = total_loss(match, HeadOutputs(offsets, probs, p_iou), anchors, gts)
         assert tl.value == 0.0
         assert np.all(tl.d_offsets == 0.0)
         assert np.all(tl.d_p_iou == 0.0)
@@ -330,8 +331,8 @@ class TestTotalLoss:
         levels = build_levels((1,), (16.0,), (0.5, 0.5), aspect_ratios=(1.0,))
         anchors = generate_default_boxes(16, levels)
         gt = anchors.box(0)  # both templates coincide; positives = {0, 1}
-        gts = [gt]
-        match = match_anchors(anchors, gts)
+        gts = GroundTruths([gt.as_tuple()], [1])
+        match = match_anchors(anchors, gts.boxes)
         assert match.positive_indices.tolist() == [0, 1]
 
         from detkit.geometry import OffsetEncoding, decode, iou
@@ -341,7 +342,7 @@ class TestTotalLoss:
         offsets[:, 0] = 1.0  # t_cx residual of exactly 1
         probs = np.full((n, 2), 0.8)
         p_iou = np.full(n, 0.6)
-        tl = total_loss(match, HeadOutputs(offsets, probs, p_iou), anchors, gts, [1])
+        tl = total_loss(match, HeadOutputs(offsets, probs, p_iou), anchors, gts)
 
         iou_tar = iou(decode(anchors.box(0), OffsetEncoding(1.0, 0.0, 0.0, 0.0)), gt).value
         per_anchor = (
@@ -359,30 +360,30 @@ class TestTotalLoss:
         match = match_anchors(anchors, [])
         n = len(anchors)
         probs = np.full((n, 2), 0.5)
-        tl = total_loss(match, HeadOutputs(np.zeros((n, 4)), probs, np.ones(n)), anchors, [], [])
+        tl = total_loss(match, HeadOutputs(np.zeros((n, 4)), probs, np.ones(n)), anchors, GroundTruths())
         assert tl.n_pos == 0
         assert tl.terms["reg"] == 0.0 and tl.terms["iou"] == 0.0
         assert tl.value == pytest.approx(math.log(2.0), abs=1e-12)  # mean CE over all anchors
 
     def test_mining_ratio_limits_negatives(self):
-        match, heads, anchors, gts, gt_classes = _five_anchor_instance()
+        match, heads, anchors, gts = _five_anchor_instance()
         # crank one negative's background prob down: it must be among the mined
         neg = match.negative_indices.tolist()
         pos = match.positive_indices.tolist()
         mined_budget = min(3 * len(pos), len(neg))
         heads.class_probs[neg[0], 0] = 0.01
-        tl = total_loss(match, heads, anchors, gts, gt_classes)
+        tl = total_loss(match, heads, anchors, gts)
         touched = [a for a in neg if tl.d_class_probs[a, 0] != 0.0]
         assert len(touched) == mined_budget
         assert neg[0] in touched
 
     def test_detach_iou_keeps_value_but_cuts_box_chain(self):
-        match, heads, anchors, gts, gt_classes = _five_anchor_instance(seed=4)
+        match, heads, anchors, gts = _five_anchor_instance(seed=4)
         # over-predict the IOU so the CEJI and R_IOU target chains do not
         # cancel (-1/t vs +1/t) and the detachment is observable
         heads.p_iou[:] = 0.99
-        full = total_loss(match, heads, anchors, gts, gt_classes, LossConfig())
-        detached = total_loss(match, heads, anchors, gts, gt_classes, LossConfig(detach_iou=True))
+        full = total_loss(match, heads, anchors, gts, LossConfig())
+        detached = total_loss(match, heads, anchors, gts, LossConfig(detach_iou=True))
         assert detached.value == full.value
         assert not np.allclose(detached.d_offsets, full.d_offsets)
         # probability-head gradients are untouched by the detachment
@@ -394,12 +395,12 @@ class TestTotalLoss:
         LossConfig(cls="ce", iou="l2", reg="smooth_l1"),
     ])
     def test_gradient_matches_finite_differences(self, cfg):
-        match, heads, anchors, gts, gt_classes = _five_anchor_instance(seed=4)
-        base = total_loss(match, heads, anchors, gts, gt_classes, cfg)
+        match, heads, anchors, gts = _five_anchor_instance(seed=4)
+        base = total_loss(match, heads, anchors, gts, cfg)
         step = 1e-6
 
         def loss_of(heads2):
-            return total_loss(match, heads2, anchors, gts, gt_classes, cfg).value
+            return total_loss(match, heads2, anchors, gts, cfg).value
 
         rng = np.random.default_rng(9)
         for _ in range(60):
@@ -441,8 +442,7 @@ def total_loss_scalar(
     match: MatchResult,
     preds: HeadOutputs,
     anchors: AnchorSet,
-    gts: list[Box],
-    gt_classes: list[int],
+    gts: GroundTruths,
     cfg: LossConfig = LossConfig(),
 ) -> TotalLoss:
     """Reference: the original per-anchor loop, one call of the scalar
@@ -476,14 +476,14 @@ def total_loss_scalar(
 
     for a in pos:
         g = int(match.gt_index[a])
-        gt = gts[g]
+        gt = Box(*gts.boxes[g].tolist())
         anchor = anchors.box(a)
         off = OffsetEncoding(*preds.offsets[a])
         decoded, jac = oracles.decode_jacobian(anchor, off)
         iou_tar = oracles.iou(decoded, gt)
 
         # classification on the ground-truth class probability
-        c = gt_classes[g]
+        c = int(gts.class_id[g])
         p_cls = preds.class_probs[a, c]
         if cfg.cls == "ceji":
             term = oracles.ceji_loss(p_cls, iou_tar, True, detach_iou=cfg.detach_iou)
@@ -628,7 +628,7 @@ class TestTotalLossMatchesScalarLoop:
             "tied_background": dict(layout="pyramid", n_gts=1, probs="tied"),
         }
         for name, kw in kinds.items():
-            match, heads, anchors, gts, classes = _loss_instance(seed=7, **kw)
+            match, heads, anchors, gts = _loss_instance(seed=7, **kw)
             pos, neg = match.positive_indices.tolist(), match.negative_indices.tolist()
             if name == "no_positives":
                 assert not pos
@@ -640,10 +640,8 @@ class TestTotalLossMatchesScalarLoop:
                 assert all(heads.p_iou[a] == _measured_iou(anchors, heads, gts, match, a) for a in pos)
                 assert any(heads.p_iou[a] >= CEJI_IOU_GATE for a in pos)
             if name == "exact_residuals":
-                residuals = {
-                    float(heads.offsets[a, k]) - encode(anchors.box(a), gts[match.gt_index[a]]).as_tuple()[k]
-                    for a in pos for k in range(4)
-                }
+                targets = {a: encode(anchors.box(a), Box(*gts.boxes[match.gt_index[a]].tolist())) for a in pos}
+                residuals = {float(heads.offsets[a, k]) - targets[a].as_tuple()[k] for a in pos for k in range(4)}
                 assert {0.0, 1.0, -1.0} <= residuals
             if name == "clamped_probs":
                 assert (heads.class_probs < PROB_EPS).any() and (heads.class_probs > 1.0).any()
@@ -653,14 +651,14 @@ class TestTotalLossMatchesScalarLoop:
                 assert bg[n_mined - 1] == bg[n_mined]  # the mining cut falls inside a tie
             for cfg in ALL_LOSS_CONFIGS:
                 assert_same_loss(
-                    total_loss(match, heads, anchors, gts, classes, cfg),
-                    total_loss_scalar(match, heads, anchors, gts, classes, cfg),
+                    total_loss(match, heads, anchors, gts, cfg),
+                    total_loss_scalar(match, heads, anchors, gts, cfg),
                 )
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_non_finite_inputs_raise_like_the_scalar_loop(self, data):
-        match, heads, anchors, gts, classes = data.draw(_loss_instances(min_gts=1))
+        match, heads, anchors, gts = data.draw(_loss_instances(min_gts=1))
         pos = match.positive_indices.tolist()
         for _ in range(data.draw(st.integers(1, 4))):
             a = data.draw(st.sampled_from(pos))
@@ -669,7 +667,7 @@ class TestTotalLossMatchesScalarLoop:
         if data.draw(st.booleans()):
             heads.p_iou[data.draw(st.sampled_from(pos))] = math.nan
         cfg = data.draw(st.sampled_from(ALL_LOSS_CONFIGS))
-        args = (match, heads, anchors, gts, classes, cfg)
+        args = (match, heads, anchors, gts, cfg)
         with np.errstate(all="ignore"):
             try:
                 want = total_loss_scalar(*args)
@@ -746,18 +744,18 @@ class TestTotalLossMatchesScalarLoop:
         # total_loss builds its per-image arrays from each call's inputs, so
         # the same match against moved ground truths gives the scalar loop's
         # result for those ground truths
-        match, heads, anchors, gts, classes = _five_anchor_instance(seed=2)
-        total_loss(match, heads, anchors, gts, classes)
-        moved = [gts[0].translated(0.5, 0.0), gts[1]]
+        match, heads, anchors, gts = _five_anchor_instance(seed=2)
+        total_loss(match, heads, anchors, gts)
+        moved = GroundTruths(gts.boxes + [(0.5, 0.0, 0.5, 0.0), (0.0, 0.0, 0.0, 0.0)], [2, 1])
         assert_same_loss(
-            total_loss(match, heads, anchors, moved, [2, 1]),
-            total_loss_scalar(match, heads, anchors, moved, [2, 1]),
+            total_loss(match, heads, anchors, moved),
+            total_loss_scalar(match, heads, anchors, moved),
         )
 
 
 def _measured_iou(anchors, heads, gts, match, a) -> float:
     box = decode(anchors.box(a), OffsetEncoding(*heads.offsets[a]))
-    return iou(box, gts[match.gt_index[a]]).value
+    return iou(box, Box(*gts.boxes[match.gt_index[a]].tolist())).value
 
 
 TIED_PROBS = (0.05, 0.5, 0.9)
@@ -785,7 +783,7 @@ def _loss_instance(seed, layout="pyramid", n_gts=2, offsets="random", p_iou="ran
                 w, h = rng.uniform(2.0, 8.0, 2)
                 gts.append(Box(x1, y1, x1 + w, y1 + h))
     classes = [int(c) for c in rng.integers(1, 3, len(gts))]
-    match = match_anchors(anchors, gts)
+    match = match_anchors(anchors, [g.as_tuple() for g in gts])
     n = len(anchors)
     pos = match.positive_indices.tolist()
 
@@ -808,12 +806,13 @@ def _loss_instance(seed, layout="pyramid", n_gts=2, offsets="random", p_iou="ran
         cls_probs = rng.uniform(0.0, 1.0, (n, 3))
 
     heads = HeadOutputs(off, cls_probs, rng.uniform(0.0, 1.0, n))
+    gts = GroundTruths([g.as_tuple() for g in gts], classes)
     if p_iou == "measured":
         for a in pos:
             heads.p_iou[a] = _measured_iou(anchors, heads, gts, match, a)
     elif p_iou == "clamped":
         heads.p_iou[:] = rng.choice(CLAMPED_PROBS, n)
-    return match, heads, anchors, gts, classes
+    return match, heads, anchors, gts
 
 
 @st.composite

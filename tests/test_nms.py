@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from detkit.geometry import Box, iou_value
 from detkit.harness import ScenarioConfig, detections_from_heads, generate_scenario, init_toy_model
-from detkit.nms import Detections, detections_from_csv, detections_to_csv, greedy_nms
+from detkit.nms import Detections, GroundTruths, detections_from_csv, detections_to_csv, greedy_nms
 
 from conftest import any_boxes, awkward_text, bits, kept_records, records, table
 from oracles import Detection, nms_bruteforce, priority_order
@@ -169,6 +169,33 @@ class TestTable:
         assert list(groups) == ["a", "b", "c"]
         assert {k: v.class_id.tolist() for k, v in groups.items()} == {"a": [2, 5], "b": [1, 3, 6], "c": [4]}
         assert Detections().by_image() == {}
+
+
+class TestGroundTruthsTable:
+    def test_columns_and_empty_table(self):
+        t = GroundTruths([(0, 0, 4, 4), (1, 2, 3, 5)], [2, 1])
+        assert t.boxes.dtype == np.float64 and t.boxes.shape == (2, 4)
+        assert t.class_id.dtype == np.int64 and t.class_id.tolist() == [2, 1]
+        empty = GroundTruths()
+        assert empty.boxes.shape == (0, 4) and empty.class_id.shape == (0,) and empty.class_id.dtype == np.int64
+
+    def test_class_ids_beyond_64_bits_stay_python_ints(self):
+        t = GroundTruths([(0, 0, 1, 1)] * 3, [2**64, 1, -(2**70)])
+        assert t.class_id.dtype == object and t.class_id.tolist() == [2**64, 1, -(2**70)]
+        assert all(type(c) is int for c in t.class_id)
+
+    def test_columns_of_different_length_rejected(self):
+        with pytest.raises(ValueError, match="GroundTruths columns differ in length"):
+            GroundTruths([(0, 0, 1, 1)], [1, 2])
+
+    @pytest.mark.parametrize(
+        "box",
+        [(1, 0, 0, 1), (0, 1, 1, 0), (0, 0, float("inf"), 1), (float("-inf"), 0, 1, 1), (0, float("nan"), 1, 1)],
+        ids=["x-reversed", "y-reversed", "inf", "-inf", "nan"],
+    )
+    def test_negative_extent_or_non_finite_corner_rejected(self, box):
+        with pytest.raises(ValueError, match=r"ground truth 1: non-finite corner or negative extent"):
+            GroundTruths([(0, 0, 1, 1), box], [1, 1])
 
 
 class TestGreedy:

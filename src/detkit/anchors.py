@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, iou_matrix
+from .geometry import iou_matrix
 
 # Per-level square-box size ratios for the 320-pixel pyramid; seven values
 # feed six levels, level k pairing (s_k, sqrt(s_k * s_{k+1})).
@@ -86,10 +86,6 @@ class AnchorSet:
 
     def __len__(self) -> int:
         return len(self.boxes)
-
-    def box(self, i: int) -> Box:
-        """Anchor ``i`` as a scalar ``Box``."""
-        return Box(*self.boxes[i].tolist())
 
     def to_json(self) -> str:
         """Export as a JSON array of [x1, y1, x2, y2, level, cell, template]."""

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fileio import json_text
-from .geometry import box_areas, iou_matrix
-from .nms import Detections, GroundTruths
+from .geometry import iou_matrix
+from .nms import Detections, GroundTruths, checked_areas
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_POINTS = 101
@@ -126,17 +126,14 @@ def _area_ap(blocks: dict[int, list[tuple]], area: tuple[float, float]) -> list[
 
 def evaluate(detections: dict[str, Detections], gts: dict[str, GroundTruths], mode: str) -> ApReport:
     """Full report: AP(0.5:0.95), AP50, AP75, and the three area splits,
-    ranking each image's detections by their ``mode`` score; a box of non-finite area is rejected."""
+    ranking each image's detections by their ``mode`` score; ``nms.checked_areas`` guards the box areas."""
     # per (image, class) with a detection or a ground truth, for all area ranges and
     # thresholds: the top detections in score order, and one IOU block against the ground truths
     blocks: dict[int, list[tuple]] = {c: [] for c in sorted({c for t in gts.values() for c in t.class_id.tolist()})}
     for img in sorted(set(gts) | set(detections), key=str):
         dets, truths = detections.get(img, Detections()), gts.get(img, GroundTruths())
         scores = dets.score(mode)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d_areas, g_areas = box_areas(dets.boxes), box_areas(truths.boxes)
-        if not (np.isfinite(d_areas).all() and np.isfinite(g_areas).all()):
-            raise ValueError(f"a box area overflows float64 in image {img!r}")
+        d_areas, g_areas = (checked_areas(t.boxes, [img] * len(t.boxes)) for t in (dets, truths))
         for c in (set(truths.class_id.tolist()) | set(dets.class_id.tolist())) & blocks.keys():
             g = np.flatnonzero(truths.class_id == c)
             d = np.flatnonzero(dets.class_id == c)

@@ -2,18 +2,17 @@
 offset encoding/decoding.
 
 Boxes are stored in corner form (x1, y1, x2, y2) with center-form accessors;
-encode/decode work in center form, overlap tests in corner form. The IOU
-gradient, the offset encoding and the decode Jacobian are computed only
-by the row kernels ``iou_rows``, ``encode_rows`` and
-``decode_jacobian_rows``; ``iou``, ``encode``, ``decode`` and
-``decode_jacobian`` are thin wrappers over them. All functions are pure
-and safe to call concurrently.
+encode/decode work in center form, overlap tests in corner form. Only
+``iou_terms`` applies ``iou_value``'s rule to arrays; only the row kernels
+``iou_rows``, ``encode_rows`` and ``decode_jacobian_rows`` compute the IOU
+gradient, offset encoding and decode Jacobian, wrapped by ``iou``,
+``encode``, ``decode`` and ``decode_jacobian``. All are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,7 +39,7 @@ class Box:
 
     def __post_init__(self):
         if not (self.x2 >= self.x1 and self.y2 >= self.y1):
-            raise ValueError(f"negative box extent: {self}")
+            raise extent_error(self.as_tuple())
 
     @property
     def cx(self) -> float:
@@ -84,6 +83,11 @@ class Box:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
+def extent_error(row) -> ValueError:
+    """The ValueError ``Box(*row)`` raises for corners of negative extent or NaN."""
+    return ValueError("negative box extent: Box(%s)" % ", ".join(f"{f.name}={v!r}" for f, v in zip(fields(Box), row)))
+
+
 @dataclass(frozen=True)
 class IouValue:
     """Intersection-over-union plus its 8 partial derivatives.
@@ -102,7 +106,7 @@ class IouValue:
 
 
 def iou_value(a: Box, b: Box) -> float:
-    """IOU value only (fast path for NMS, matching, and evaluation)."""
+    """IOU value only: the scalar rule that :func:`iou_terms` applies to arrays."""
     iw = min(a.x2, b.x2) - max(a.x1, b.x1)
     ih = min(a.y2, b.y2) - max(a.y1, b.y1)
     if iw <= 0.0 or ih <= 0.0:
@@ -125,19 +129,25 @@ def iou(a: Box, b: Box) -> IouValue:
     return IouValue(float(value[0]), tuple(grad[0].tolist()), tuple(grad[1].tolist()))
 
 
-def iou_rows(a: np.ndarray, b: np.ndarray, b_area: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """IOU of each corner row of ``a`` (P, 4) against the same row of ``b``,
-    given ``b``'s areas: values (P,) and ``grad_a`` (P, 4) under the
-    conventions of :class:`IouValue`. The values follow :func:`iou_value`
-    step by step and equal it bit for bit."""
-    ax1, ay1, ax2, ay2 = a.T
-    bx1, by1, bx2, by2 = b.T
+def iou_terms(a, a_area, b, b_area):
+    """:func:`iou_value` step by step on broadcast corner columns ``a``, ``b`` and their areas: ``iw, ih, inter,
+    union`` and the mask ``zero`` where the IOU is 0; callers silence the warnings of what they mask out."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
     iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
     ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
     inter = iw * ih
+    union = a_area + b_area - inter
+    return iw, ih, inter, union, (iw <= 0.0) | (ih <= 0.0) | (union <= 0.0)
+
+
+def iou_rows(a: np.ndarray, b: np.ndarray, b_area: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """IOU of each corner row of ``a`` (P, 4) against the same row of ``b``, given ``b``'s areas: values (P,),
+    :func:`iou_value`'s bit for bit, and ``grad_a`` (P, 4) under the conventions of :class:`IouValue`."""
+    ax1, ay1, ax2, ay2 = a.T
+    bx1, by1, bx2, by2 = b.T
     aw, ah = ax2 - ax1, ay2 - ay1
-    union = aw * ah + b_area - inter
-    zero = (iw <= 0.0) | (ih <= 0.0) | (union <= 0.0)
+    iw, ih, inter, union, zero = iou_terms(a.T, aw * ah, b.T, b_area)
 
     def share(own, other, above):
         return np.where(own == other, 0.5, np.where(own > other if above else own < other, 1.0, 0.0))
@@ -159,18 +169,12 @@ def box_areas(rows: np.ndarray) -> np.ndarray:
     return (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IOU values between (N, 4) and (M, 4) corner-form arrays."""
+def iou_matrix(a, b) -> np.ndarray:
+    """:func:`iou_value` of each pair of (N, 4) and (M, 4) corner rows, arrays or nested lists."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    lt = np.maximum(a[:, None, :2], b[None, :, :2])
-    rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
-    wh = np.clip(rb - lt, 0.0, None)
-    inter = wh[..., 0] * wh[..., 1]
-    union = box_areas(a)[:, None] + box_areas(b)[None, :] - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0.0)
-    return out
+    _, _, inter, union, zero = iou_terms(a.T[:, :, None], box_areas(a)[:, None], b.T[:, None, :], box_areas(b))
+    return np.divide(inter, union, out=np.zeros_like(inter), where=~zero)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from ..anchors import (
     generate_default_boxes,
     match_anchors,
 )
-from ..geometry import Box, box_areas, decode_jacobian_rows, encode_rows, iou_matrix, iou_rows, iou_value
+from ..geometry import box_areas, decode_jacobian_rows, encode_rows, extent_error, iou_matrix, iou_rows
 from ..losses import HeadOutputs, PROB_EPS
 from ..nms import Detections, GroundTruths
 from .config import NumericalError, ScenarioConfig
@@ -56,23 +56,22 @@ def _sample_gt_boxes(rng: np.random.Generator, cfg: ScenarioConfig, count: int) 
     """(count, 4) corner rows inside the image, resampled (best effort) to keep mutual IOU low."""
     size = cfg.image_size
     lo, hi = cfg.object_size_range
-    boxes: list[Box] = []
+    boxes = np.zeros((0, 4))
     for _ in range(count):
-        best = None
-        best_overlap = None
+        best, best_overlap = None, np.inf
         for _ in range(100):
             w = rng.uniform(lo, hi) * size
             h = rng.uniform(lo, hi) * size
             cx = rng.uniform(w / 2, size - w / 2)
             cy = rng.uniform(h / 2, size - h / 2)
-            cand = Box.from_center(cx, cy, w, h)
-            overlap = max((iou_value(cand, b) for b in boxes), default=0.0)
-            if best is None or overlap < best_overlap:
+            cand = [cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h]  # as Box.from_center
+            overlap = iou_matrix([cand], boxes).max(initial=0.0)
+            if overlap < best_overlap:
                 best, best_overlap = cand, overlap
             if overlap < 0.25:
                 break
-        boxes.append(best)
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+        boxes = np.vstack((boxes, [best]))
+    return boxes
 
 
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:
@@ -135,7 +134,7 @@ def _measured_ious(
     boxes, _ = decode_jacobian_rows(anchors.cwh[pos], offsets[pos])
     valid = (boxes[:, 2] >= boxes[:, 0]) & (boxes[:, 3] >= boxes[:, 1])
     if not valid.all():
-        Box(*boxes[np.argmin(valid)])  # raises for the first such row
+        raise extent_error(boxes[np.argmin(valid)])
     gt = gts.boxes[match.gt_index[pos]]
     return iou_rows(boxes, gt, box_areas(gt))[0]
 

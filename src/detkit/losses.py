@@ -29,12 +29,13 @@ import numpy as np
 
 from .anchors import AnchorSet, MatchResult
 from .geometry import (
-    Box, OffsetEncoding, box_areas, decode_jacobian, decode_jacobian_rows, encode_rows, iou, iou_rows, math_map,
+    DEFAULT_VARIANCES, box_areas, decode_jacobian_rows, encode_rows, extent_error, iou_rows, math_map,
 )
 from .nms import GroundTruths
 
 PROB_EPS = 1e-6  # probability clamp against log singularities
 CEJI_IOU_GATE = 0.5  # positives below this measured IOU are ignored
+EXP_MAX = 709.782712893384  # the largest double whose math.exp does not overflow
 
 
 @dataclass(frozen=True)
@@ -281,22 +282,20 @@ def _chain(d_box: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return np.matmul(d_box[:, None, :], jac)[:, 0, :]
 
 
-def _raise_first_failure(
-    anchors: AnchorSet, pos: np.ndarray, pos_gt: np.ndarray, pos_cls: np.ndarray, preds: HeadOutputs,
-    gts: GroundTruths, cfg: LossConfig,
-) -> None:
-    """Run each positive through the per-term functions in their per-anchor
-    order, so the first one that fails raises the exception it always has:
-    OverflowError from exp, ValueError from a NaN or negative-extent box or
-    an invalid IOU."""
-    iou_fn = r_iou_loss if cfg.iou == "r_iou" else l2_iou_loss
-    for a, g, c in zip(pos.tolist(), pos_gt.tolist(), pos_cls.tolist()):
-        box, _ = decode_jacobian(anchors.box(a), OffsetEncoding(*preds.offsets[a]))
-        iou_tar = iou(box, Box(*gts.boxes[g].tolist()))
-        if cfg.cls == "ceji":
-            ceji_loss(preds.class_probs[a, c], iou_tar, True)
-        if iou_tar.value >= CEJI_IOU_GATE:
-            iou_fn(preds.p_iou[a], iou_tar.value)
+def _raise_first_failure(overflows, box, iou_tar, p_iou, cfg: LossConfig) -> None:
+    """Raise what the per-term functions raise for the first positive that fails them, in their per-anchor order:
+    OverflowError from exp, ValueError from a NaN box, a bad ceji target or a NaN r_iou prediction past the gate."""
+    fails = np.stack((  # (kind, positive), kinds in the order the per-term functions check them
+        overflows,
+        ~((box[:, 2] >= box[:, 0]) & (box[:, 3] >= box[:, 1])),
+        ~((iou_tar >= 0.0) & (iou_tar <= 1.0)) & (cfg.cls == "ceji"),
+        (iou_tar >= CEJI_IOU_GATE) & np.isnan(p_iou) & (cfg.iou == "r_iou"),
+    ))
+    if fails.any():
+        i = int(np.argmax(fails.any(axis=0)))
+        raise (OverflowError("math range error"), extent_error(box[i]),
+               ValueError(f"target IOU outside [0, 1]: {float(iou_tar[i])!r}"),
+               ValueError(f"invalid predicted IOU: {p_iou[i]!r}"))[int(np.argmax(fails[:, i]))]
 
 
 def total_loss(
@@ -340,14 +339,13 @@ def total_loss(
     if n_pos:
         off = preds.offsets[pos]
         p_iou = preds.p_iou[pos]
-        # only non-finite or huge offsets (exp overflows from t_w ~ 3549) and
-        # NaN IOU predictions can fail; the replay raises what the first
-        # failing positive always raised
-        if not (np.abs(off).max() < 1e3) or np.isnan(p_iou).any():
-            _raise_first_failure(anchors, pos, pos_gt, pos_cls, preds, gts, cfg)
         anchor_cwh = anchors.cwh[pos]
-        box, jac = decode_jacobian_rows(anchor_cwh, off)
-        iou_tar, d_iou_box = iou_rows(box, gt_box, box_areas(gt_box))
+        t_wh = off[:, 2:] * DEFAULT_VARIANCES[2:]
+        overflows = ((t_wh > EXP_MAX) & (t_wh < math.inf)).any(axis=1)  # math.exp would raise
+        with np.errstate(all="ignore"):  # failing rows, which raise below
+            box, jac = decode_jacobian_rows(anchor_cwh, np.where(overflows[:, None], 0.0, off))
+            iou_tar, d_iou_box = iou_rows(box, gt_box, box_areas(gt_box))
+        _raise_first_failure(overflows, box, iou_tar, p_iou, cfg)
         p_cls = preds.class_probs[pos, pos_cls]
 
         if cfg.cls == "ceji":

@@ -16,8 +16,8 @@ overlapping it beyond the threshold are struck. No pairwise matrix is
 built, so memory stays O(N). Classes are kept apart by bucketing, not by
 the common trick of offsetting each class's coordinates into a disjoint
 region: the offset changes the IOU's float bits and can flip a kept set
-at the threshold. The IOU arithmetic follows ``iou_value`` step by step,
-so the kept rows are the ones the scalar definition gives.
+at the threshold. The IOU is ``geometry.iou_terms``, ``iou_value`` step by
+step, so the kept rows are the ones the scalar definition gives.
 """
 
 from __future__ import annotations
@@ -31,12 +31,23 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .fileio import csv_text
+from .geometry import box_areas, iou_terms
 
 MODES = ("standard", "iou_guided")
 DEFAULT_IOU_THRESHOLD = 0.5
 SCORE_FLOOR = 0.01
 
 DETECTIONS_CSV_HEADER = ["image_id", "class_id", "x1", "y1", "x2", "y2", "p_cls", "p_iou"]
+
+
+def checked_areas(boxes: np.ndarray, image_ids) -> np.ndarray:
+    """Each row's area; ValueError names ``image_ids[i]`` for an area not finite or too large to add to another."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = box_areas(boxes)
+    bounded = areas <= np.finfo(np.float64).max / 2
+    if not bounded.all():
+        raise ValueError(f"a box area overflows float64 in image {image_ids[int(np.argmin(bounded))]!r}")
+    return areas
 
 
 def _set_columns(table, dtypes) -> None:
@@ -128,13 +139,12 @@ def greedy_nms(
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError("iou_threshold must lie in (0, 1)")
     scores = dets.score(mode)
-    boxes = dets.boxes
-    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    areas = checked_areas(dets.boxes, dets.image_id)
 
     cand = np.flatnonzero(scores >= score_floor)
     order = cand[np.lexsort((cand, -areas[cand], -scores[cand]))]
     # rows x1, y1, x2, y2, area of the candidates, in priority order
-    rows = np.vstack((boxes[order].T, areas[order]))
+    rows = np.vstack((dets.boxes[order].T, areas[order]))
     order_classes = dets.class_id[order]
     kept = np.zeros(order.size, dtype=bool)  # by global rank
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -147,10 +157,8 @@ def greedy_nms(
 def _greedy_rows(rows: np.ndarray, iou_threshold: float) -> list[int]:
     """Positions kept by greedy suppression of one class's (5, M) rows
     (x1, y1, x2, y2, area), already in priority order. Each survivor is
-    compared with the later candidates as one 1 x M vector, using
-    iou_value's arithmetic in its order; IOU counts as 0 where the
-    boxes do not overlap or the union is not positive. The caller
-    silences the division warnings of those masked-out entries."""
+    compared with the later candidates as one 1 x M vector of ``iou_terms``;
+    the caller silences the division warnings of the entries whose IOU is 0."""
     x1, y1, x2, y2, area = rows
     alive = np.ones(rows.shape[1], dtype=bool)
     kept = []
@@ -159,11 +167,9 @@ def _greedy_rows(rows: np.ndarray, iou_threshold: float) -> list[int]:
             continue
         kept.append(i)
         later = slice(i + 1, None)
-        iw = np.minimum(x2[i], x2[later]) - np.maximum(x1[i], x1[later])
-        ih = np.minimum(y2[i], y2[later]) - np.maximum(y1[i], y1[later])
-        inter = iw * ih
-        union = area[i] + area[later] - inter
-        alive[later] &= ~((iw > 0.0) & (ih > 0.0) & (union > 0.0) & (inter / union > iou_threshold))
+        _, _, inter, union, zero = iou_terms((x1[i], y1[i], x2[i], y2[i]), area[i],
+                                             (x1[later], y1[later], x2[later], y2[later]), area[later])
+        alive[later] &= zero | ~(inter / union > iou_threshold)
     return kept
 
 

@@ -49,6 +49,11 @@ def int_boxes(draw) -> Box:
     return Box(float(x1), float(y1), float(x1 + w), float(y1 + h))
 
 
+def anchor_box(anchors, i: int) -> Box:
+    """Anchor ``i`` of an ``AnchorSet`` as a scalar ``Box``."""
+    return Box(*anchors.boxes[i].tolist())
+
+
 def central_diff(f, x: float, step: float = 1e-5) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)
 

@@ -7,9 +7,10 @@ Each is an independent, deliberately plain copy of a definition:
   them through its array kernels. The kernels and the public wrappers
   around them must match these bit for bit, exceptions and messages
   included;
-- default-box tiling, anchor matching and scenario head synthesis as the
-  per-cell and per-anchor loops they were before the library built them
-  as arrays; the arrays must match these bit for bit;
+- default-box tiling, anchor matching, ground-truth sampling and scenario
+  head synthesis as the per-cell, per-anchor and per-box loops they were
+  before the library built them as arrays; the arrays must match these
+  bit for bit;
 - brute-force greedy NMS and brute-force AP over tiny instances, on
   per-object detection records rather than the library's table;
 - the two-box score-flip scenario of the paper's IOU-guided NMS.
@@ -26,7 +27,7 @@ from detkit.anchors import POSITIVE_IOU_THRESHOLD, FeatureLevelSpec
 from detkit.evaluation import RECALL_POINTS
 from detkit.geometry import DEFAULT_VARIANCES, Box, IouValue, OffsetEncoding, _require_positive_extent, iou_value
 from detkit.harness.config import ScenarioConfig
-from detkit.harness.scenario import _sample_gt_boxes, scenario_levels
+from detkit.harness.scenario import scenario_levels
 from detkit.losses import CEJI_IOU_GATE, PROB_EPS, BalanceL1Params, HeadOutputs, LossTerm
 from detkit.nms import DEFAULT_IOU_THRESHOLD, SCORE_FLOOR
 
@@ -188,6 +189,31 @@ def match_anchors(anchors: list[Box], gts: list[Box]) -> tuple[list[int], list[f
     return gt_index, best_iou
 
 
+def sample_gt_boxes(rng: np.random.Generator, cfg: ScenarioConfig, count: int) -> list[Box]:
+    """Ground truths inside the image, each the first of up to 100 draws
+    whose IOU with every earlier one is below 0.25, else the draw of least
+    such IOU."""
+    size = cfg.image_size
+    lo, hi = cfg.object_size_range
+    boxes: list[Box] = []
+    for _ in range(count):
+        best = None
+        best_overlap = None
+        for _ in range(100):
+            w = rng.uniform(lo, hi) * size
+            h = rng.uniform(lo, hi) * size
+            cx = rng.uniform(w / 2, size - w / 2)
+            cy = rng.uniform(h / 2, size - h / 2)
+            cand = Box.from_center(cx, cy, w, h)
+            overlap = max((iou_value(cand, b) for b in boxes), default=0.0)
+            if best is None or overlap < best_overlap:
+                best, best_overlap = cand, overlap
+            if overlap < 0.25:
+                break
+        boxes.append(best)
+    return boxes
+
+
 def scenario_images(cfg: ScenarioConfig) -> list[tuple[list[Box], list[int], list[int], np.ndarray, HeadOutputs]]:
     """Per image of ``generate_scenario(cfg)``: ground truths, their
     classes, each anchor's matched ground truth, the features and the head
@@ -200,7 +226,7 @@ def scenario_images(cfg: ScenarioConfig) -> list[tuple[list[Box], list[int], lis
     images = []
     for _ in range(cfg.n_images):
         count = int(rng.integers(cfg.object_count[0], cfg.object_count[1] + 1))
-        gts = [Box(*row) for row in _sample_gt_boxes(rng, cfg, count).tolist()]
+        gts = sample_gt_boxes(rng, cfg, count)
         gt_classes = [int(c) for c in rng.integers(1, cfg.n_classes + 1, count)]
         gt_index, _ = match_anchors(anchors, gts)
         features = rng.normal(0.0, 1.0, (n, cfg.fit.feature_dim)) / np.sqrt(cfg.fit.feature_dim)

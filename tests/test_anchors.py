@@ -17,6 +17,7 @@ from detkit.anchors import (
 from detkit.geometry import Box, iou_value
 
 import oracles
+from conftest import anchor_box
 
 
 def small_levels():
@@ -49,7 +50,7 @@ class TestGeneration:
         levels = build_levels((40,), (8.0,), (0.06, 0.15))
         anchors = generate_default_boxes(320, levels, clip=False)
         # first cell, first template: aspect 1 at scale 0.06*320 = 19.2
-        b = anchors.box(0)
+        b = anchor_box(anchors, 0)
         assert (b.cx, b.cy) == (4.0, 4.0)
         assert b.w == pytest.approx(19.2, abs=1e-12)
         assert b.h == pytest.approx(19.2, abs=1e-12)
@@ -57,7 +58,7 @@ class TestGeneration:
     def test_extra_square_uses_geometric_mean_scale(self):
         levels = build_levels((1,), (320.0,), (0.87, 1.05))
         anchors = generate_default_boxes(320, levels, clip=False)
-        extra = anchors.box(3)  # templates: ar 1, 2, 0.5, then the extra square
+        extra = anchor_box(anchors, 3)  # templates: ar 1, 2, 0.5, then the extra square
         want = (0.87 * 1.05) ** 0.5 * 320
         assert extra.w == pytest.approx(want, abs=1e-9)
         assert extra.w == pytest.approx(extra.h, abs=1e-12)
@@ -85,7 +86,7 @@ class TestGeneration:
         assert anchors.template_index.tolist() == template_index
         cwh = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64)
         assert anchors.cwh.tobytes() == cwh.tobytes()
-        assert all(anchors.box(i) == b for i, b in enumerate(boxes))
+        assert all(anchor_box(anchors, i) == b for i, b in enumerate(boxes))
 
     def test_unclipped_coordinate_bounds(self):
         input_size = 320
@@ -99,7 +100,7 @@ class TestGeneration:
 
     def test_clipped_boxes_inside_image_and_nondegenerate(self):
         anchors = generate_default_boxes(320, detector_320_levels(), clip=True)
-        for b in map(anchors.box, range(len(anchors))):
+        for b in (anchor_box(anchors, i) for i in range(len(anchors))):
             assert 0.0 <= b.x1 <= b.x2 <= 320.0
             assert 0.0 <= b.y1 <= b.y2 <= 320.0
             assert b.area > 0.0
@@ -116,7 +117,7 @@ class TestGeneration:
 class TestMatching:
     def test_identity_anchor_positive(self):
         anchors = generate_default_boxes(32, small_levels())
-        gt = anchors.box(5)
+        gt = anchor_box(anchors, 5)
         res = match_anchors(anchors, [gt.as_tuple()])
         assert 5 in res.positive_indices.tolist() and res.gt_index[5] == 0
         assert res.best_iou[5] == 1.0
@@ -138,7 +139,7 @@ class TestMatching:
         anchors = generate_default_boxes(32, small_levels())
         # nested box covering 45% of anchor 0: IOU exactly 0.45, in the band
         # admitted as positive here and only later gated by the loss
-        a0 = anchors.box(0)
+        a0 = anchor_box(anchors, 0)
         gt = Box(a0.x1, a0.y1, a0.x1 + 0.45 * a0.w, a0.y2)
         res = match_anchors(anchors, [gt.as_tuple()])
         assert res.best_iou[0] == pytest.approx(0.45, abs=1e-12)
@@ -153,7 +154,7 @@ class TestMatching:
         # a sliver overlapping only slightly: below threshold everywhere
         gt = Box(0.0, 0.0, 2.0, 2.0)
         res = match_anchors(anchors, [gt.as_tuple()])
-        ious = [iou_value(anchors.box(i), gt) for i in range(len(anchors))]
+        ious = [iou_value(anchor_box(anchors, i), gt) for i in range(len(anchors))]
         best = max(range(len(ious)), key=lambda i: (ious[i], -i))
         assert max(ious) < 0.4
         assert best in res.positive_indices.tolist()
@@ -164,7 +165,7 @@ class TestMatching:
         gts = [Box(3.0, 4.0, 14.0, 13.0), Box(10.0, 10.0, 30.0, 28.0)]
         res = match_anchors(anchors, [g.as_tuple() for g in gts])
         for a in range(len(anchors)):
-            want = max(iou_value(anchors.box(a), g) for g in gts)
+            want = max(iou_value(anchor_box(anchors, a), g) for g in gts)
             assert res.best_iou[a] == pytest.approx(want, abs=1e-14)
 
     def test_determinism(self):
@@ -180,7 +181,7 @@ class TestMatching:
         # other, so several claim the same best anchor
         rng = np.random.default_rng(8)
         anchors = generate_default_boxes(32, small_levels())
-        boxes = [anchors.box(i) for i in range(len(anchors))]
+        boxes = [anchor_box(anchors, i) for i in range(len(anchors))]
         for _ in range(40):
             gts = []
             for _ in range(int(rng.integers(0, 6))):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from detkit.cli import main
+from detkit.geometry import Box
 from detkit.harness import ScenarioConfig
 from detkit.harness.config import FitConfig
 
@@ -344,8 +345,11 @@ class TestOverflowingArea:
         [
             (["img0,1,0,0,4,4,0.9,0.8"], [[0, 0, 4, 4], [-1e308, 0, 1e308, 10]]),
             (["img0,1,-1e308,0,1e308,4,0.9,0.8", "img0,1,0,0,4,4,0.8,0.8"], [[0, 0, 4, 4]]),
+            # a finite area whose union with itself overflowed: the perfect
+            # match read IOU 0 and eval reported AP 0.000
+            (["img0,1,0,0,1e154,1.5e154,0.9,0.8"], [[0, 0, 1e154, 1.5e154]]),
         ],
-        ids=["ground-truth", "detection"],
+        ids=["ground-truth", "detection", "union"],
     )
     def test_eval_exits_2_with_one_line(self, tmp_path, capsys, det_rows, objects):
         dets = tmp_path / "dets.csv"
@@ -361,6 +365,46 @@ class TestOverflowingArea:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "a box area overflows float64 in image 'img0'" in err
         assert not (tmp_path / "report.json").exists()
+
+
+    # nms ranked the first box by an infinite area, and let the union of the
+    # identical pair overflow so that their IOU read 0: both exited 0, keeping
+    # both rows, and printed a numpy RuntimeWarning
+    @pytest.mark.parametrize(
+        "det_rows",
+        [
+            ["img0,1,-1e308,0,1e308,4,0.9,0.8", "img0,1,0,0,4,4,0.8,0.8"],
+            ["img0,1,0,0,1e154,1.5e154,0.9,0.8", "img0,1,0,0,1e154,1.5e154,0.8,0.8"],
+        ],
+        ids=["infinite", "union"],
+    )
+    def test_nms_exits_2_with_one_line(self, tmp_path, capsys, det_rows):
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\n" + "\n".join(det_rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["nms", "--detections", str(dets), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "a box area overflows float64 in image 'img0'" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestNoScalarBox:
+    # every CLI success path runs on arrays: none builds a scalar Box
+    def test_cli_builds_no_box(self, tmp_path, monkeypatch):
+        def refuse(box):
+            raise AssertionError(f"a scalar Box was built: {box!r}")
+
+        monkeypatch.setattr(Box, "__post_init__", refuse)
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"n_images": 2, "fit": {"epochs": 3}}')
+        for command in (["gen"], ["fit"], ["report", "--ablation"]):
+            assert main([*command, "--config", str(cfg), "--out", str(tmp_path / command[0])]) == 0
+        gen = tmp_path / "gen"
+        assert main(["nms", "--detections", str(gen / "detections.csv"), "--out", str(tmp_path / "nms")]) == 0
+        argv = ["eval", "--detections", str(tmp_path / "nms" / "kept.csv"),
+                "--ground-truths", str(gen / "ground_truths.json"), "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
 
 
 class TestMalformedConfig:

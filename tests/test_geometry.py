@@ -19,6 +19,19 @@ from detkit.geometry import (
 import oracles
 from conftest import boxes, int_boxes, central_diff, outcome, rel_err, random_overlapping_pair
 
+# the pairs greedy NMS must get exactly: identical boxes, IOU exactly 0.5 and
+# 0.25, an edge or a corner touching, zero-area boxes
+TIE_TOUCH_PAIRS = [
+    (Box(0.0, 0.0, 4.0, 4.0), Box(0.0, 0.0, 4.0, 4.0)),
+    (Box(0.0, 0.0, 10.0, 10.0), Box(0.0, 0.0, 5.0, 10.0)),
+    (Box(0.0, 0.0, 10.0, 10.0), Box(0.0, 0.0, 5.0, 5.0)),
+    (Box(0.0, 0.0, 4.0, 4.0), Box(4.0, 0.0, 8.0, 4.0)),
+    (Box(0.0, 0.0, 4.0, 4.0), Box(4.0, 4.0, 8.0, 8.0)),
+    (Box(2.0, 2.0, 2.0, 2.0), Box(2.0, 2.0, 2.0, 2.0)),
+    (Box(2.0, 2.0, 2.0, 2.0), Box(0.0, 0.0, 4.0, 4.0)),
+    (Box(0.0, 0.0, 0.0, 4.0), Box(0.0, 0.0, 4.0, 4.0)),
+]
+
 
 class TestBox:
     def test_center_accessors(self):
@@ -121,13 +134,22 @@ class TestIou:
 
     def test_matrix_agrees_with_scalar(self):
         rng = np.random.default_rng(5)
-        pairs = [random_overlapping_pair(rng, margin=0.0) for _ in range(40)]
+        pairs = [random_overlapping_pair(rng, margin=0.0) for _ in range(40)] + TIE_TOUCH_PAIRS
         arr_a = np.array([p[0].as_tuple() for p in pairs])
         arr_b = np.array([p[1].as_tuple() for p in pairs])
         mat = iou_matrix(arr_a, arr_b)
         for i, (a, _) in enumerate(pairs):
             for j, (_, b) in enumerate(pairs):
-                assert mat[i, j] == pytest.approx(iou_value(a, b), abs=1e-14)
+                assert mat[i, j] == iou_value(a, b), (a, b)
+
+    def test_nan_union_reads_as_the_scalar(self):
+        # extents and areas overflow to inf, so the union is inf + inf - inf:
+        # iou_value returns NaN, and so do the array paths
+        a = Box(-1e308, -1e308, 1e308, 1e308)
+        assert math.isnan(iou_value(a, a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(iou(a, a).value)
+            assert math.isnan(iou_matrix([a.as_tuple()], [a.as_tuple()])[0, 0])
 
 
 class TestOffsets:
@@ -226,8 +248,9 @@ class TestScalarGeometryMatchesOracles:
             for k in range(4):
                 rows.append([0.3, -0.2, 0.1, 0.4])
                 rows[-1][k] = v
-        # offsets as numpy scalars, the type the loss replay passes: a box
-        # built from them reports np.float64 fields in its error message
+        # offsets as numpy scalars, the type of array elements: a box built
+        # from them reports np.float64 fields in its error message, as the
+        # loss's extent_error does for a decoded row
         offsets = [OffsetEncoding(*np.array(r)) for r in rows]
         messages = set()
         with np.errstate(invalid="ignore"):

@@ -29,11 +29,12 @@ from detkit.harness import (
 )
 from detkit.harness.config import SCHEMA, SCHEMA_PATH, FitConfig, NmsConfig, NoiseConfig, _build, _check
 from detkit.harness.plots import histogram_svg, scatter_svg
+from detkit.harness.scenario import _sample_gt_boxes
 from detkit.losses import CLS_LOSSES, IOU_LOSSES, REG_LOSSES, HeadOutputs, LossConfig
 from detkit.nms import MODES, GroundTruths
 
 import oracles
-from conftest import kept_records, outcome
+from conftest import anchor_box, kept_records, outcome
 from oracles import score_flip_pair
 
 
@@ -278,7 +279,7 @@ class TestScenario:
         first, later = s.images[1].match.positive_indices[[0, 2]]
         heads[1].offsets[later, 0] = math.nan
         heads[1].offsets[first, 3] = math.nan
-        want = outcome(oracles.decode, s.anchors.box(first), OffsetEncoding(*heads[1].offsets[first]))
+        want = outcome(oracles.decode, anchor_box(s.anchors, first), OffsetEncoding(*heads[1].offsets[first]))
         assert want[:2] == ("raises", ValueError) and want[2].startswith("negative box extent")
         assert outcome(iou_tar_values, s, heads) == want
 
@@ -312,6 +313,21 @@ class TestScenario:
             for name in ("offsets", "class_probs", "p_iou"):
                 assert getattr(img.heads, name).tobytes() == getattr(heads, name).tobytes(), name
 
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"n_classes": 5, "grids": (10, 5, 3), "image_size": 96.0}], ids=["default", "5-class"]
+    )
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ground_truths_match_per_box_loop(self, overrides, seed):
+        # the rows, and the random draws they take, of the Box/iou_value loop;
+        # 30 boxes crowd the image, so some take the least-overlapping of 100 draws
+        cfg = replace(ScenarioConfig(seed=seed), **overrides)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for count in (0, 1, 4, 30):
+            rows = _sample_gt_boxes(rng, cfg, count)
+            want = np.array([b.as_tuple() for b in oracles.sample_gt_boxes(oracle_rng, cfg, count)]).reshape(-1, 4)
+            assert rows.dtype == np.float64 and rows.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
     def test_score_flip_pair(self):
         dets, a, b = score_flip_pair()
         assert kept_records(dets, 0.5, "standard") == [a]
@@ -325,7 +341,7 @@ def _frozen_optimum():
     levels = build_levels((2,), (8.0,), (0.5, 0.5), aspect_ratios=(1.0,))
     anchors = generate_default_boxes(16.0, levels)
     n = len(anchors)
-    gt = anchors.box(0)
+    gt = anchor_box(anchors, 0)
     gts = GroundTruths([gt.as_tuple()], [1])
     match = match_anchors(anchors, gts.boxes)
     features = np.eye(n)

@@ -37,7 +37,7 @@ from detkit.losses import (
 )
 
 import oracles
-from conftest import central_diff, outcome, rel_err, random_overlapping_pair
+from conftest import anchor_box, central_diff, outcome, rel_err, random_overlapping_pair
 
 # frozen from the mpmath continuity oracle: b = e^3 - 1, C from piece equality at |x| = 1
 B_ORACLE = 19.085536923187668
@@ -316,7 +316,7 @@ class TestTotalLoss:
         from detkit.geometry import encode
 
         for a in match.positive_indices:
-            offsets[a] = encode(anchors.box(a), gt).as_tuple()
+            offsets[a] = encode(anchor_box(anchors, a), gt).as_tuple()
             probs[a, 1] = 1.0
         for a in match.negative_indices:
             probs[a, 0] = 1.0
@@ -330,7 +330,7 @@ class TestTotalLoss:
         # the independently verified per-term functions composed by hand
         levels = build_levels((1,), (16.0,), (0.5, 0.5), aspect_ratios=(1.0,))
         anchors = generate_default_boxes(16, levels)
-        gt = anchors.box(0)  # both templates coincide; positives = {0, 1}
+        gt = anchor_box(anchors, 0)  # both templates coincide; positives = {0, 1}
         gts = GroundTruths([gt.as_tuple()], [1])
         match = match_anchors(anchors, gts.boxes)
         assert match.positive_indices.tolist() == [0, 1]
@@ -344,7 +344,7 @@ class TestTotalLoss:
         p_iou = np.full(n, 0.6)
         tl = total_loss(match, HeadOutputs(offsets, probs, p_iou), anchors, gts)
 
-        iou_tar = iou(decode(anchors.box(0), OffsetEncoding(1.0, 0.0, 0.0, 0.0)), gt).value
+        iou_tar = iou(decode(anchor_box(anchors, 0), OffsetEncoding(1.0, 0.0, 0.0, 0.0)), gt).value
         per_anchor = (
             ceji_loss(0.8, iou_tar, True).value
             + balance_l1(1.0).value
@@ -477,7 +477,7 @@ def total_loss_scalar(
     for a in pos:
         g = int(match.gt_index[a])
         gt = Box(*gts.boxes[g].tolist())
-        anchor = anchors.box(a)
+        anchor = anchor_box(anchors, a)
         off = OffsetEncoding(*preds.offsets[a])
         decoded, jac = oracles.decode_jacobian(anchor, off)
         iou_tar = oracles.iou(decoded, gt)
@@ -640,7 +640,7 @@ class TestTotalLossMatchesScalarLoop:
                 assert all(heads.p_iou[a] == _measured_iou(anchors, heads, gts, match, a) for a in pos)
                 assert any(heads.p_iou[a] >= CEJI_IOU_GATE for a in pos)
             if name == "exact_residuals":
-                targets = {a: encode(anchors.box(a), Box(*gts.boxes[match.gt_index[a]].tolist())) for a in pos}
+                targets = {a: encode(anchor_box(anchors, a), Box(*gts.boxes[match.gt_index[a]].tolist())) for a in pos}
                 residuals = {float(heads.offsets[a, k]) - targets[a].as_tuple()[k] for a in pos for k in range(4)}
                 assert {0.0, 1.0, -1.0} <= residuals
             if name == "clamped_probs":
@@ -663,7 +663,9 @@ class TestTotalLossMatchesScalarLoop:
         for _ in range(data.draw(st.integers(1, 4))):
             a = data.draw(st.sampled_from(pos))
             k = data.draw(st.integers(0, 3))
-            heads.offsets[a, k] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, 4e3, -4e3, 1e308]))
+            # 3548.91356446692 * 0.2 is the first product past the largest double whose exp is finite
+            offsets = [math.nan, math.inf, -math.inf, 4e3, -4e3, 1e308, 3548.9135644669195, 3548.91356446692]
+            heads.offsets[a, k] = data.draw(st.sampled_from(offsets))
         if data.draw(st.booleans()):
             heads.p_iou[data.draw(st.sampled_from(pos))] = math.nan
         cfg = data.draw(st.sampled_from(ALL_LOSS_CONFIGS))
@@ -754,7 +756,7 @@ class TestTotalLossMatchesScalarLoop:
 
 
 def _measured_iou(anchors, heads, gts, match, a) -> float:
-    box = decode(anchors.box(a), OffsetEncoding(*heads.offsets[a]))
+    box = decode(anchor_box(anchors, a), OffsetEncoding(*heads.offsets[a]))
     return iou(box, Box(*gts.boxes[match.gt_index[a]].tolist())).value
 
 
@@ -770,14 +772,14 @@ def _loss_instance(seed, layout="pyramid", n_gts=2, offsets="random", p_iou="ran
     rng = np.random.default_rng(seed)
     if layout == "one_cell":
         anchors = generate_default_boxes(16, build_levels((1,), (16.0,), (0.5, 0.5), aspect_ratios=(1.0,)))
-        gts = [anchors.box(0)][:n_gts]
+        gts = [anchor_box(anchors, 0)][:n_gts]
     else:
         anchors = generate_default_boxes(16, build_levels((4, 2, 1), (4.0, 8.0, 16.0), (0.2, 0.4, 0.7, 0.95)))
         gts = []
         for _ in range(n_gts):
             if gt_on_anchor:
                 # a ground truth equal to an anchor box encodes to exactly 0 there
-                gts.append(anchors.box(int(rng.integers(0, len(anchors)))))
+                gts.append(anchor_box(anchors, int(rng.integers(0, len(anchors)))))
             else:
                 x1, y1 = rng.uniform(0.0, 10.0, 2)
                 w, h = rng.uniform(2.0, 8.0, 2)
@@ -788,7 +790,7 @@ def _loss_instance(seed, layout="pyramid", n_gts=2, offsets="random", p_iou="ran
     pos = match.positive_indices.tolist()
 
     off = rng.uniform(-0.4, 0.4, (n, 4))
-    targets = {a: np.array(encode(anchors.box(a), gts[match.gt_index[a]]).as_tuple()) for a in pos}
+    targets = {a: np.array(encode(anchor_box(anchors, a), gts[match.gt_index[a]]).as_tuple()) for a in pos}
     if offsets == "below_gate":
         for a in pos:
             off[a] = targets[a] + (0.0, 0.0, -4.0, -4.0)  # boxes shrunk to under half the area

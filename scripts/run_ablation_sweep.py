@@ -40,7 +40,7 @@ def main() -> None:
             print(f"seed {seed} {r.iou_loss}+{r.cls_loss}: loss {r.initial_loss:.4f} -> {r.final_loss:.4f}, "
                   f"ap {r.report.ap:.4f}")
 
-    write_csv(args.out, ["seed", "losses", "initial_loss", "final_loss", "ap", "ap50", "ap75"], rows)
+    write_csv(args.out, ["seed", "losses", "initial_loss", "final_loss", "ap", "ap50", "ap75"], list(zip(*rows)))
     print(f"wrote {args.out}")
 
 

@@ -31,7 +31,7 @@ def main() -> None:
             rows.append((seed, mode, res.report.ap, res.report.ap50, res.kept_count, res.high_score_low_iou))
         wins += rep.modes["iou_guided"].high_score_low_iou < rep.modes["standard"].high_score_low_iou
 
-    write_csv(args.out, ["seed", "mode", "ap", "ap50", "kept", "high_score_low_iou"], rows)
+    write_csv(args.out, ["seed", "mode", "ap", "ap50", "kept", "high_score_low_iou"], list(zip(*rows)))
     print(f"wrote {args.out}")
     print(f"guided mode kept strictly fewer confident low-IOU boxes in {wins}/{args.seeds} scenarios")
 

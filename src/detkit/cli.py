@@ -44,8 +44,7 @@ def _load(args) -> tuple:
 
 
 def _write_hist_csv(path, edges, counts):
-    rows = [(left, right, n) for left, right, n in zip(edges, edges[1:], counts)]
-    write_csv(path, ["bin_left", "bin_right", "count"], rows)
+    write_csv(path, ["bin_left", "bin_right", "count"], [edges[:-1], edges[1:], counts])
 
 
 def cmd_gen(args) -> int:
@@ -77,7 +76,7 @@ def cmd_fit(args) -> int:
     write_csv(
         out / "loss_trace.csv",
         ["epoch", "total", "cls", "reg", "iou"],
-        [(i, t["total"], t["cls"], t["reg"], t["iou"]) for i, t in enumerate(result.trace)],
+        [range(len(result.trace)), *([t[term] for t in result.trace] for term in ("total", "cls", "reg", "iou"))],
     )
     for epoch, edges, counts in result.snapshots:
         _write_hist_csv(out / f"iou_tar_hist_epoch{epoch:04d}.csv", edges, counts)
@@ -154,7 +153,7 @@ def cmd_report(args) -> int:
             "kept": res.kept_count,
             "high_score_low_iou": res.high_score_low_iou,
         }
-        write_csv(out / f"scatter_{mode}.csv", ["score", "true_iou"], res.scatter)
+        write_csv(out / f"scatter_{mode}.csv", ["score", "true_iou"], list(zip(*res.scatter)))
         atomic_write_text(
             out / f"scatter_{mode}.svg",
             scatter_svg(res.scatter, f"NMS scores vs true IOU ({mode})", "score", "true IOU"),
@@ -179,7 +178,7 @@ def cmd_report(args) -> int:
             out / "ablation.csv",
             ["cls_loss", "iou_loss", "reg_loss", "initial_loss", "final_loss",
              "ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large"],
-            rows,
+            list(zip(*rows)),
         )
     print(f"wrote NMS A/B report to {out}")
     return EXIT_OK

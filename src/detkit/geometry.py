@@ -147,17 +147,17 @@ def iou_rows(a: np.ndarray, b: np.ndarray, b_area: np.ndarray) -> tuple[np.ndarr
     ax1, ay1, ax2, ay2 = a.T
     bx1, by1, bx2, by2 = b.T
     aw, ah = ax2 - ax1, ay2 - ay1
-    iw, ih, inter, union, zero = iou_terms(a.T, aw * ah, b.T, b_area)
 
     def share(own, other, above):
         return np.where(own == other, 0.5, np.where(own > other if above else own < other, 1.0, 0.0))
 
-    d_inter = (-ih * share(ax1, bx1, True), -iw * share(ay1, by1, True),
-               ih * share(ax2, bx2, False), iw * share(ay2, by2, False))
     d_area = (-ah, -aw, ah, aw)
-    # rows on the zero branch, and huge decoded boxes whose squared union
+    # rows on the zero branch, and huge boxes whose area or squared union
     # overflows (a diverging fit, which the loss then reports)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        iw, ih, inter, union, zero = iou_terms(a.T, aw * ah, b.T, b_area)
+        d_inter = (-ih * share(ax1, bx1, True), -iw * share(ay1, by1, True),
+                   ih * share(ax2, bx2, False), iw * share(ay2, by2, False))
         inv_u2 = 1.0 / (union * union)
         grad = np.stack([(di * union - inter * (da - di)) * inv_u2 for di, da in zip(d_inter, d_area)], axis=1)
         value = inter / union

@@ -10,14 +10,20 @@ Every stage from decoding to the CSV files reads and writes one table,
 ``Detections``: a column per CSV field, one row per (box, class); each
 image's ground truths are one ``GroundTruths`` table, synthesis to AP.
 ``greedy_nms`` orders the candidates by (-score, -area, index). It then
-walks each class separately, row by row: every survivor is compared with
-the later candidates of its class as one 1 x M vector, and those
-overlapping it beyond the threshold are struck. No pairwise matrix is
-built, so memory stays O(N). Classes are kept apart by bucketing, not by
-the common trick of offsetting each class's coordinates into a disjoint
-region: the offset changes the IOU's float bits and can flip a kept set
-at the threshold. The IOU is ``geometry.iou_terms``, ``iou_value`` step by
-step, so the kept rows are the ones the scalar definition gives.
+takes each class separately and decides its live candidates in rank
+blocks of ``BLOCK_ROWS``. Within a block only the pairs whose x-intervals
+overlap are formed (an argsort and ``searchsorted`` on x1), and a Python
+pass in rank order keeps the block's survivors. The survivors then strike
+the later live rows whose x-intervals overlap theirs, ``PAIR_BUDGET``
+pairs at a time, so memory stays O(N + budget). The kept rows are the
+ones the scalar definition gives: a pair left out has ``iw <= 0``, IOU 0
+under ``iou_value``'s rule, and every other pair goes through
+``geometry.iou_terms``, ``iou_value`` step by step, with the
+higher-priority row first. Where fewer pairs overlap in y, the sweep runs
+along y instead; iw and ih trade places and inter = iw * ih keeps its
+bits. Classes are kept apart by bucketing, not by the common trick of
+offsetting each class's coordinates into a disjoint region: the offset
+changes the IOU's float bits and can flip a kept set at the threshold.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from .geometry import box_areas, iou_terms
 MODES = ("standard", "iou_guided")
 DEFAULT_IOU_THRESHOLD = 0.5
 SCORE_FLOOR = 0.01
+BLOCK_ROWS = 96  # live candidates decided at a time
+PAIR_BUDGET = 4096  # candidate pairs compared at a time, which bounds the transient memory
 
 DETECTIONS_CSV_HEADER = ["image_id", "class_id", "x1", "y1", "x2", "y2", "p_cls", "p_iou"]
 
@@ -97,8 +105,16 @@ class Detections:
         raise ValueError(f"unknown NMS mode {mode!r}")
 
     def take(self, idx) -> Detections:
-        """The rows ``idx`` selects (an index array or a boolean mask)."""
-        return Detections(*(getattr(self, f.name)[idx] for f in fields(self)))
+        """The rows ``idx`` selects (an index array or a boolean mask). A row
+        subset of a valid table is valid, so only Python-int class ids, which
+        a subset may bring back within 64 bits, go through the constructor."""
+        columns = [getattr(self, f.name)[idx] for f in fields(self)]
+        if self.class_id.dtype == object:
+            return Detections(*columns)
+        table = object.__new__(Detections)
+        for f, column in zip(fields(self), columns):
+            object.__setattr__(table, f.name, column)
+        return table
 
     def by_image(self) -> dict[str, Detections]:
         """Each image's rows, in row order, keyed by image id in sorted order."""
@@ -143,40 +159,105 @@ def greedy_nms(
 
     cand = np.flatnonzero(scores >= score_floor)
     order = cand[np.lexsort((cand, -areas[cand], -scores[cand]))]
-    # rows x1, y1, x2, y2, area of the candidates, in priority order
-    rows = np.vstack((dets.boxes[order].T, areas[order]))
     order_classes = dets.class_id[order]
     kept = np.zeros(order.size, dtype=bool)  # by global rank
     with np.errstate(divide="ignore", invalid="ignore"):
         for c in set(order_classes.tolist()):
             ranks = np.flatnonzero(order_classes == c)
-            kept[ranks[_greedy_rows(rows[:, ranks], iou_threshold)]] = True
+            # rows x1, y1, x2, y2, area of the class's candidates, in priority order
+            rows = np.vstack((dets.boxes[order[ranks]].T, areas[order[ranks]]))
+            kept[ranks[_greedy_rows(rows, iou_threshold)]] = True
     return dets.take(order[kept])
 
 
-def _greedy_rows(rows: np.ndarray, iou_threshold: float) -> list[int]:
+def _greedy_rows(rows: np.ndarray, iou_threshold: float) -> np.ndarray:
     """Positions kept by greedy suppression of one class's (5, M) rows
-    (x1, y1, x2, y2, area), already in priority order. Each survivor is
-    compared with the later candidates as one 1 x M vector of ``iou_terms``;
-    the caller silences the division warnings of the entries whose IOU is 0."""
-    x1, y1, x2, y2, area = rows
-    alive = np.ones(rows.shape[1], dtype=bool)
+    (x1, y1, x2, y2, area), already in priority order, in the rank blocks
+    of the module docstring; the caller silences the division warnings of
+    the pairs whose IOU is 0."""
+    # one block forms only its own pairs, on either axis
+    if rows.shape[1] > BLOCK_ROWS and _sweep_pairs(rows[1], rows[3]) < _sweep_pairs(rows[0], rows[2]):
+        rows = rows[[1, 0, 3, 2, 4]]
+    x1, x2 = rows[0], rows[2]
+    live = np.ones(rows.shape[1], dtype=bool)  # neither struck nor decided
+    by_x = np.argsort(x1, kind="stable")  # the live rows by x1
     kept = []
-    for i in range(rows.shape[1]):
-        if not alive[i]:
-            continue
-        kept.append(i)
-        later = slice(i + 1, None)
-        _, _, inter, union, zero = iou_terms((x1[i], y1[i], x2[i], y2[i]), area[i],
-                                             (x1[later], y1[later], x2[later], y2[later]), area[later])
-        alive[later] &= zero | ~(inter / union > iou_threshold)
-    return kept
+    start = 0
+    while (block := np.flatnonzero(live[start:])[:BLOCK_ROWS] + start).size:
+        start = block[-1] + 1
+        live[block] = False
+        by_x = by_x[live[by_x]]
+
+        # each pair of block positions once, lower first: a row with every
+        # row after it in x order that starts before it ends
+        block_rows = rows[:, block]
+        bx = np.argsort(block_rows[0], kind="stable")
+        after = np.arange(1, bx.size + 1)
+        pairs = _pairs(bx, after, np.searchsorted(block_rows[0][bx], block_rows[2][bx]) - after, bx)
+        hits = _suppressing(block_rows, iou_threshold, ((np.minimum(p, q), np.maximum(p, q)) for p, q in pairs))
+        a, b = (np.concatenate(column) for column in zip(*hits, (block[:0], block[:0])))
+        order = np.argsort(a, kind="stable")
+        struck = [False] * block.size
+        for i, j in zip(a[order].tolist(), b[order].tolist()):
+            if not struck[i]:
+                struck[j] = True
+        survivors = block[~np.array(struck)]
+        kept.append(survivors)
+        if not by_x.size:
+            break
+
+        # the survivors against the later live rows that start inside one,
+        # and those that one starts inside
+        sx = survivors[np.argsort(x1[survivors], kind="stable")]
+        later = x1[by_x]
+        lo = np.searchsorted(later, x1[sx])
+        for _, b in _suppressing(rows, iou_threshold, _pairs(sx, lo, np.searchsorted(later, x2[sx]) - lo, by_x)):
+            live[b] = False
+        # a survivor starts inside only rows that start before the last one
+        # does (the block's first row always survives)
+        before = by_x[:np.searchsorted(later, x1[sx[-1]])]
+        lo = np.searchsorted(x1[sx], x1[before], "right")
+        pairs = _pairs(before, lo, np.searchsorted(x1[sx], x2[before]) - lo, sx)
+        for _, b in _suppressing(rows, iou_threshold, ((s, r) for r, s in pairs)):
+            live[b] = False
+    return np.concatenate(kept or [block])
+
+
+def _sweep_pairs(lo, hi) -> int:
+    """How many pairs a sweep over the intervals [lo, hi) forms: those of
+    each row with every row starting inside it."""
+    lo_sorted = np.sort(lo)
+    return int(np.searchsorted(lo_sorted, hi).sum() - np.searchsorted(lo_sorted, lo).sum())
+
+
+def _pairs(owners, starts, counts, targets):
+    """Index arrays of at most ``PAIR_BUDGET`` pairs each, which together
+    pair ``owners[i]`` with ``targets[starts[i]:starts[i] + counts[i]]``."""
+    counts = np.maximum(counts, 0)
+    ends = np.cumsum(counts)
+    shift = starts - ends + counts  # pair k of owner i is target k + shift[i]
+    total = int(ends[-1]) if ends.size else 0
+    for first in range(0, total, PAIR_BUDGET):
+        last = min(first + PAIR_BUDGET, total)
+        i, j = np.searchsorted(ends, (first, last - 1), "right") + (0, 1)
+        n = np.minimum(ends[i:j], last) - np.maximum(ends[i:j] - counts[i:j], first)
+        yield np.repeat(owners[i:j], n), targets[np.arange(first, last) + np.repeat(shift[i:j], n)]
+
+
+def _suppressing(rows, iou_threshold, pairs):
+    """The index pairs (a, b) of each chunk of ``pairs`` whose IOU exceeds
+    the threshold; ``a``, the higher-priority row, is ``iou_terms``' first
+    operand."""
+    for a, b in pairs:
+        (*a_corners, a_area), (*b_corners, b_area) = ([column[a] for column in rows], [column[b] for column in rows])
+        _, _, inter, union, zero = iou_terms(a_corners, a_area, b_corners, b_area)
+        hit = ~zero & (inter / union > iou_threshold)
+        yield a[hit], b[hit]
 
 
 def detections_to_csv(rows: Detections) -> str:
     """Serialize a detections table under the pinned schema."""
-    columns = (rows.image_id, rows.class_id, *rows.boxes.T, rows.p_cls, rows.p_iou)
-    return csv_text(DETECTIONS_CSV_HEADER, zip(*(column.tolist() for column in columns)))
+    return csv_text(DETECTIONS_CSV_HEADER, (rows.image_id, rows.class_id, *rows.boxes.T, rows.p_cls, rows.p_iou))
 
 
 def detections_from_csv(text: str) -> Detections:

@@ -83,12 +83,12 @@ class ChainAnalysis:
         return csv_text(
             ["name", "kind", "kernel", "stride", "dilation", "padding",
              "in_channels", "out_channels", "rf", "jump", "params", "cum_params"],
-            [
+            list(zip(*(
                 (layer.name, layer.kind, layer.kernel, layer.stride, layer.dilation,
                  layer.padding, layer.in_channels, layer.out_channels,
                  state.receptive_field, state.jump, layer.parameters, cum)
                 for layer, state, cum in zip(self.layers, self.states, self.cumulative_parameters)
-            ],
+            ))),
         )
 
 

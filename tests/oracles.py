@@ -13,11 +13,15 @@ Each is an independent, deliberately plain copy of a definition:
   bit for bit;
 - brute-force greedy NMS and brute-force AP over tiny instances, on
   per-object detection records rather than the library's table;
-- the two-box score-flip scenario of the paper's IOU-guided NMS.
+- the two-box score-flip scenario of the paper's IOU-guided NMS;
+- the CSV text of rows written one at a time by a plain ``csv.writer``,
+  which the column-wise writer must match byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -481,3 +485,15 @@ def ap_bruteforce(detections: DetectionsByImage, gts: GroundTruthsByImage, class
         cands = [p for p, rec in points if rec >= r]
         total += max(cands) if cands else 0.0
     return total / RECALL_POINTS
+
+
+def csv_text(header: list[str], rows) -> str:
+    """CSV text from a plain ``csv.writer``, row by row; a row holding a bare
+    "\r" in a string field is written with every field quoted."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    w.writerow(header)
+    for row in rows:
+        (quote_all if any(isinstance(v, str) and "\r" in v for v in row) else w).writerow(row)
+    return buf.getvalue()

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from detkit import nms
 from detkit.geometry import Box, iou_value
 from detkit.harness import ScenarioConfig, detections_from_heads, generate_scenario, init_toy_model
-from detkit.nms import Detections, GroundTruths, detections_from_csv, detections_to_csv, greedy_nms
+from detkit.nms import DETECTIONS_CSV_HEADER, Detections, GroundTruths, detections_from_csv, detections_to_csv, greedy_nms
 
 from conftest import any_boxes, awkward_text, bits, kept_records, records, table
+import oracles
 from oracles import Detection, nms_bruteforce, priority_order
 
 # any probability, -0.0 and subnormals included
@@ -98,6 +102,32 @@ def random_detections(rng, n, n_classes=2):
     return out
 
 
+def shape_boxes(shape: str, n: int, rng) -> np.ndarray:
+    """(n, 4) corner rows of one layout that a sweep over x or y meets."""
+    k = np.arange(n, dtype=np.float64)[:, None]
+    if shape == "identical":
+        return np.tile([2.0, 3.0, 7.0, 9.0], (n, 1))
+    if shape == "touching":  # 4 x 4 cells meeting edge to edge, and the cells half a cell right: IOU 1/3
+        cells = np.hstack([k % 6 * 4, k // 6 % 6 * 4, k % 6 * 4 + 4, k // 6 % 6 * 4 + 4])
+        return cells + np.where(k % 72 < 36, 0.0, [2.0, 0.0, 2.0, 0.0])
+    if shape == "zero_width":  # x1 == x2 on every other row, on the edges of the others
+        x = rng.integers(0, 8, (n, 1)).astype(np.float64)
+        return np.hstack([x, k % 5, np.where(k % 2 == 0, x, x + 4), k % 5 + 5])
+    if shape == "stacked":  # every pair overlaps in x; neighbours overlap in y at IOU 1/4
+        return np.hstack([np.zeros((n, 1)), 3 * k, np.full((n, 1), 10.0), 3 * k + 5])
+    if shape == "crossing":  # bars across each other: every pair overlaps in x or y, most in both
+        bars = np.hstack([2 * k, np.zeros((n, 1)), 2 * k + 1, np.full((n, 1), 4.0 * n)])
+        return np.where(k % 2 == 0, bars, bars[:, [1, 0, 3, 2]])
+    if shape == "clustered":  # jittered boxes around a few centres
+        centres = rng.uniform(0, 60, (8, 2)).repeat(-(-n // 8), axis=0)[:n] + rng.normal(0, 1.5, (n, 2))
+        half = rng.uniform(3, 6, (n, 2))
+        return np.hstack([centres - half, centres + half])
+    raise ValueError(shape)
+
+
+SHAPES = ("identical", "touching", "zero_width", "stacked", "crossing", "clustered")
+
+
 class TestScore:
     def test_equal_when_p_iou_one(self):
         t = table([det(0, 0, 1, 1, p_cls=0.7, p_iou=1.0)])
@@ -152,6 +182,29 @@ class TestTable:
         both = Detections.concat([t.take([1]), Detections(), t.take([0])])
         assert bits(both) == bits(t.take([1, 0]))
         assert len(Detections.concat([])) == 0 and Detections.concat([]).boxes.shape == (0, 4)
+
+    def test_take_keeps_column_dtypes(self):
+        t = table([det(0, 0, 1, 1, cls=1), det(1, 1, 2, 3, cls=2**70), det(2, 2, 3, 3, cls=3)])
+        for idx in ([2, 1], [], np.array([True, True, False]), np.zeros(3, dtype=bool), np.zeros(0, dtype=np.intp)):
+            sub = t.take(idx)
+            assert sub.image_id.dtype == object and sub.boxes.dtype == np.float64 and sub.boxes.shape == (len(sub), 4)
+            assert sub.p_cls.dtype == sub.p_iou.dtype == np.float64
+            assert bits(sub) == bits(Detections(*(np.asarray(getattr(t, f))[idx] for f in
+                                                  ("image_id", "boxes", "class_id", "p_cls", "p_iou"))))
+        assert t.take([1]).class_id.dtype == object and type(t.take([1]).class_id[0]) is int
+        small = t.take([0, 2])
+        assert small.class_id.dtype == np.int64 and small.take([]).class_id.dtype == np.int64
+        assert small.take([]).boxes.shape == (0, 4) and small.take([]).image_id.dtype == object
+
+    def test_take_does_not_validate_again(self, monkeypatch):
+        t = table([det(0, 0, 1, 1, cls=1), det(1, 1, 2, 2, cls=2)])
+        want = bits(Detections(t.image_id[::-1], t.boxes[::-1], t.class_id[::-1], t.p_cls[::-1], t.p_iou[::-1]))
+
+        def refuse(self):
+            raise AssertionError("validated again")
+
+        monkeypatch.setattr(Detections, "__post_init__", refuse)
+        assert bits(t.take([1, 0])) == want
 
     def test_class_ids_beyond_64_bits(self):
         t = table([det(0, 0, 1, 1, cls=2**64), det(0, 0, 1, 1, cls=1), det(0, 0, 1, 1, cls=-(2**70))])
@@ -276,6 +329,17 @@ class TestScalarEquivalence:
     def test_matches_scalar_loop(self, dets, thr, mode, floor):
         assert_same_objects(kept_records(dets, thr, mode, floor), greedy_nms_scalar(dets, thr, mode, floor))
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_scalar_loop_on_shapes(self, shape):
+        rng = np.random.default_rng(SHAPES.index(shape))
+        dets = [
+            Detection(Box(*box), int(rng.integers(1, 3)), float(rng.choice(TIE_SCORES)), float(rng.choice([0.5, 1.0])))
+            for box in shape_boxes(shape, 144, rng).tolist()
+        ]
+        for thr in (0.25, 1 / 3, 0.5):
+            for mode in ("standard", "iou_guided"):
+                assert_same_objects(kept_records(dets, thr, mode), greedy_nms_scalar(dets, thr, mode))
+
     def test_seeded_scenario_image(self):
         cfg = ScenarioConfig(seed=0)
         scenario = generate_scenario(cfg)
@@ -312,6 +376,52 @@ class TestOracle:
             assert kept_records([a, b], 0.5, mode) == nms_bruteforce([a, b], 0.5, mode)
 
 
+@pytest.fixture(scope="class")
+def small_blocks(request):
+    """``greedy_nms`` in blocks of ``request.param`` = (rows, pairs per chunk),
+    so that block boundaries and chunk splits fall everywhere."""
+    saved = nms.BLOCK_ROWS, nms.PAIR_BUDGET
+    nms.BLOCK_ROWS, nms.PAIR_BUDGET = request.param
+    yield
+    nms.BLOCK_ROWS, nms.PAIR_BUDGET = saved
+
+
+def block_ids(sizes):
+    return f"block{sizes[0]}-budget{sizes[1]}"
+
+
+# Budgets of 5 and 7 pairs split chunks inside and across rows' ranges;
+# a budget of 1 here would take 12 s per block size.
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("small_blocks", [(2, 5), (3, 7)], ids=block_ids, indirect=True)
+class TestScalarEquivalenceInSmallBlocks(TestScalarEquivalence):
+    test_seeded_scenario_image = None  # 6,408 rows a few pairs at a time: minutes
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("small_blocks", [(1, 1), (2, 1), (3, 1)], ids=block_ids, indirect=True)
+class TestOracleInSmallBlocks(TestOracle):
+    pass
+
+
+class TestMemory:
+    """The pairs are compared ``PAIR_BUDGET`` at a time, so memory stays
+    O(N + budget) however many pairs overlap."""
+
+    @pytest.mark.parametrize("shape, n, bound_mib", [("identical", 20_000, 3.5), ("stacked", 5_000, 1.5),
+                                                     ("crossing", 2_000, 2.0)])
+    def test_peak(self, shape, n, bound_mib):
+        rng = np.random.default_rng(0)
+        dets = Detections(["img"] * n, shape_boxes(shape, n, rng), [1] * n, rng.uniform(0.1, 1.0, n), np.ones(n))
+        tracemalloc.start()
+        try:
+            greedy_nms(dets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
+
+
 class TestCsv:
     def test_roundtrip(self):
         rows = Detections(
@@ -329,6 +439,21 @@ class TestCsv:
             [c[3] for c in cells], [c[4] for c in cells],
         )
         assert bits(detections_from_csv(detections_to_csv(rows))) == bits(rows)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from((",", '"', "\n", "\r", '""', "", " ", "img 0")), awkward_text),
+        st.one_of(st.sampled_from((Box(-0.0, -0.0, 0.0, 0.0), Box(-1e300, -0.0, 1e300, 1e300))), any_boxes()),
+        st.one_of(st.sampled_from((2**70, -(2**70))), st.integers()),
+        probability, probability), max_size=8))
+    def test_matches_row_writer(self, cells):
+        rows = Detections(
+            [c[0] for c in cells], [c[1].as_tuple() for c in cells], [c[2] for c in cells],
+            [c[3] for c in cells], [c[4] for c in cells],
+        )
+        columns = (rows.image_id, rows.class_id, *rows.boxes.T, rows.p_cls, rows.p_iou)
+        want = oracles.csv_text(DETECTIONS_CSV_HEADER, zip(*(column.tolist() for column in columns)))
+        assert detections_to_csv(rows) == want
 
     def test_header_validated(self):
         with pytest.raises(ValueError):

@@ -72,6 +72,7 @@ def cmd_fit(args) -> int:
     scenario = generate_scenario(cfg)
     model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed)
     result = fit_toy(model, scenario, cfg)
+    decoded = fit_detections(scenario, result)
 
     write_csv(
         out / "loss_trace.csv",
@@ -81,7 +82,6 @@ def cmd_fit(args) -> int:
     for epoch, edges, counts in result.snapshots:
         _write_hist_csv(out / f"iou_tar_hist_epoch{epoch:04d}.csv", edges, counts)
 
-    decoded = fit_detections(scenario, result)
     atomic_write_text(out / "detections_final.csv", nms.detections_to_csv(nms.Detections.concat(decoded.values())))
 
     _, report = nms_and_ap(scenario, decoded, cfg.nms.mode)

@@ -2,7 +2,8 @@
 
 Floats are serialized with repr (shortest round-trip form), JSON with
 sorted keys, and every write goes through a temp file + rename so
-partially written artifacts never appear.
+partially written artifacts never appear. The CSV writer formats a
+float64 column once per distinct bit pattern in each chunk of rows.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import json
 import os
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 CSV_CHUNK_ROWS = 4096  # rows formatted at a time, which bounds the field strings held at once
 
@@ -36,12 +39,13 @@ def csv_text(header: list[str], columns) -> str:
     or arrays), as ``csv.writer`` writes their rows.
 
     Each column is formatted once per ``CSV_CHUNK_ROWS`` rows: floats by
-    repr and ints by str, which is how the writer spells them, and each
-    distinct string, or each value of a column of mixed types, by the writer
-    itself in a row of two fields. The writer quotes a lone empty field, so
-    a row of one empty field is left to it. It quotes a field holding "\n"
-    but not one holding a bare "\r", which a reader then takes for a line
-    break; such rows are written with every field quoted.
+    repr, once per distinct bit pattern, and ints by str, which is how the
+    writer spells them, and each distinct string, or each value of a column
+    of mixed types, by the writer itself in a row of two fields. The writer
+    quotes a lone empty field, so a row of one empty field is left to it. It
+    quotes a field holding "\n" but not one holding a bare "\r", which a
+    reader then takes for a line break; such rows are written with every
+    field quoted.
     """
     columns = list(columns)
     lengths = {len(column) for column in columns}
@@ -52,9 +56,10 @@ def csv_text(header: list[str], columns) -> str:
     quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     w.writerow(header)
     for first in range(0, max(lengths, default=0), CSV_CHUNK_ROWS):
-        part = [column[first:first + CSV_CHUNK_ROWS] for column in columns]
-        part = [column.tolist() if hasattr(column, "tolist") else list(column) for column in part]
-        lines = list(map(",".join, zip(*map(_csv_fields, part))))
+        # a float column's fields stand in for its values below: the writer
+        # spells a float as its repr and never quotes one
+        part, fields = zip(*(_csv_column(column[first:first + CSV_CHUNK_ROWS]) for column in columns))
+        lines = list(map(",".join, zip(*fields)))
         body = "\n".join(lines)
         if "\r" not in body and "" not in lines:
             buf.write(body + "\n")
@@ -69,11 +74,27 @@ def csv_text(header: list[str], columns) -> str:
     return buf.getvalue()
 
 
+def _csv_column(values) -> tuple[list, list[str]]:
+    """A column chunk's values as the writer takes them, and their fields."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        fields = _float_fields(values)
+        return fields, fields
+    values = values.tolist() if hasattr(values, "tolist") else list(values)
+    return values, _csv_fields(values)
+
+
+def _float_fields(values: np.ndarray) -> list[str]:
+    """The repr of each float, taken once per distinct bit pattern (which
+    keeps 0.0 and -0.0 apart)."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)[inverse].tolist()
+
+
 def _csv_fields(values: list) -> list[str]:
     """Each value as its field in a CSV row of several fields."""
     kinds = set(map(type, values))
     if kinds <= {float}:
-        return list(map(float.__repr__, values))
+        return _float_fields(np.array(values, dtype=np.float64))
     if kinds <= {int}:
         return list(map(str, values))
     if kinds <= {str}:

@@ -88,6 +88,10 @@ class ScenarioConfig:
         """Check the config against the schema, plus the ``lo <= hi`` of its
         ranges, which the schema cannot state."""
         _check({"schema_version": SCHEMA_VERSION, **asdict(self)}, SCHEMA, "scenario")
+        return self._check_ranges()
+
+    def _check_ranges(self) -> "ScenarioConfig":
+        """Raise ConfigError unless each range is ``[lo, hi]`` with ``lo <= hi``."""
         for name in ("object_count", "object_size_range", "noise.cls_confidence_range", "noise.neg_background_range"):
             lo, hi = operator.attrgetter(name)(self)
             if lo > hi:
@@ -178,7 +182,7 @@ def config_from_json(text: str) -> ScenarioConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _check(doc, SCHEMA, "scenario")
     doc.pop("schema_version", None)
-    return _build(ScenarioConfig, doc).validate()
+    return _build(ScenarioConfig, doc)._check_ranges()
 
 
 def load_config(path) -> ScenarioConfig:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 from ..evaluation import ApReport, evaluate
 from ..nms import MODES, Detections, greedy_nms
-from .config import ScenarioConfig
+from .config import NumericalError, ScenarioConfig
 from .scenario import Scenario, detections_from_heads, generate_scenario, true_iou
 from .toyfit import FitResult, fit_toy, init_toy_model
 
@@ -86,12 +86,16 @@ def run_ablation(cfg: ScenarioConfig) -> list[AblationRow]:
 
 def fit_detections(scenario: Scenario, fit: FitResult) -> dict[str, Detections]:
     """Decode the fitted model's heads on every image, keyed by image id in
-    scenario order."""
+    scenario order. A decode that overflows, or a box that is NaN or of
+    negative extent, raises NumericalError."""
     floor = scenario.cfg.nms.score_floor
-    return {
-        img.image_id: detections_from_heads(scenario.anchors, fit.model.forward(img.features)[0], floor, img.image_id)
-        for img in scenario.images
-    }
+    try:
+        return {
+            img.image_id: detections_from_heads(scenario.anchors, fit.model.forward(img.features)[0], floor, img.image_id)
+            for img in scenario.images
+        }
+    except (OverflowError, ValueError) as exc:
+        raise NumericalError(f"fitted model decodes invalid boxes: {exc}") from exc
 
 
 def nms_and_ap(scenario: Scenario, decoded: dict[str, Detections], mode: str) -> tuple[dict[str, Detections], ApReport]:

@@ -16,8 +16,10 @@ element by element, because numpy's vectorized versions differ in the
 last bit on a few percent of inputs; the IOU gradient reaches the
 offsets through a batched ``np.matmul``, which rounds as the per-row
 vector-matrix product does; sums are added left to right in the
-per-anchor order; and hard negatives are ordered by ``np.lexsort`` on
-(-loss, anchor index).
+per-anchor order; and hard negatives are ordered by a stable argsort on
+-loss, which keeps ties in anchor order. Mining takes logs only for the
+negatives that can be mined: those within ``MINE_MARGIN`` of the cut that
+``np.partition`` finds, once per distinct probability.
 """
 
 from __future__ import annotations
@@ -158,6 +160,7 @@ CLS_LOSSES = ("ceji", "ce")
 IOU_LOSSES = ("r_iou", "l2")
 REG_LOSSES = ("balance_l1", "smooth_l1")
 NEG_POS_RATIO = 3.0  # hard negatives mined per positive
+MINE_MARGIN = 1e-9  # relative slack above the mining cut; see total_loss
 
 
 @dataclass(frozen=True)
@@ -206,6 +209,12 @@ def _clamp_prob(p: np.ndarray) -> np.ndarray:
     """min(max(p, PROB_EPS), 1.0); NaN passes through."""
     p = np.where(PROB_EPS > p, PROB_EPS, p)
     return np.where(1.0 < p, 1.0, p)
+
+
+def _log_once_per_value(p: np.ndarray) -> np.ndarray:
+    """``math.log`` of each element, taken once per distinct bit pattern."""
+    bits, inverse = np.unique(p.view(np.int64), return_inverse=True)
+    return math_map(math.log, bits.view(np.float64))[inverse]
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -372,14 +381,26 @@ def total_loss(
             d_off[pos[gated]] += _chain(d_t[:, None] * d_iou_box[gated], jac[gated])
 
     # hard-negative mining on the background probability
-    neg_values, d_neg = _cross_entropy_arr(preds.class_probs[neg, 0])
+    p_bg = _clamp_prob(preds.class_probs[neg, 0])
+    mined = np.arange(len(neg))
+    n_mined = min(int(NEG_POS_RATIO * n_pos), len(neg))
+    if n_pos and n_mined < len(neg):
+        # Only rows at most MINE_MARGIN above the n_mined-th smallest
+        # probability, and NaN rows (partition puts NaN last, so a NaN cut
+        # keeps every row), can be mined. A row above it is beaten by the
+        # n_mined rows below the cut, whose -log exceeds its own by at least
+        # log(1 + MINE_MARGIN) ~ 1e-9, as long as math.log errs by under
+        # 5e-10 absolute on [PROB_EPS, 1]; glibc's log errs by under 1 ulp
+        # there (~2e-15).
+        cut = np.partition(p_bg, n_mined - 1)[n_mined - 1]
+        mined = np.flatnonzero(~(p_bg > cut * (1.0 + MINE_MARGIN)))
+    neg_values = -_log_once_per_value(p_bg[mined])
     if n_pos:
-        n_mined = min(int(NEG_POS_RATIO * n_pos), len(neg))
-        mined = np.lexsort((neg, -neg_values))[:n_mined]
-    else:
-        mined = np.arange(len(neg))
-    d_cls[neg[mined], 0] += d_neg[mined]
-    cls_sum = _sequential_sum(np.concatenate((pos_cls_values, neg_values[mined])))
+        # stable on -loss, so ties keep anchor order
+        order = np.argsort(-neg_values, kind="stable")[:n_mined]
+        mined, neg_values = mined[order], neg_values[order]
+    d_cls[neg[mined], 0] += -1.0 / p_bg[mined]
+    cls_sum = _sequential_sum(np.concatenate((pos_cls_values, neg_values)))
 
     norm = float(n_pos) if n_pos else float(max(len(anchors), 1))
     value = (cls_sum + reg_sum + iou_sum) / norm

@@ -1,13 +1,15 @@
 import json
+import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from detkit import cli
 from detkit.cli import main
 from detkit.geometry import Box
-from detkit.harness import ScenarioConfig
+from detkit.harness import ScenarioConfig, fit_toy
 from detkit.harness.config import FitConfig
 
 
@@ -532,6 +534,26 @@ class TestDivergingFit:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "loss diverged at epoch 2" in err
         assert not (tmp_path / "out").exists()
+
+
+class TestFittedDecode:
+    # the fitted heads are decoded outside fit_toy's guard: an overflowing
+    # exp ended in a traceback, and a NaN box exited 2 as a config error
+    @pytest.mark.parametrize("row, weight, message", [
+        (2, 4e3, "math range error"), (0, math.nan, "negative box extent"),
+    ], ids=["overflow", "nan"])
+    def test_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, row, weight, message):
+        def fit_then_break(model, scenario, cfg):
+            fit = fit_toy(model, scenario, cfg)
+            fit.model.w_off[row, 0] = weight  # feature 0 is 1 on every anchor
+            return fit
+
+        monkeypatch.setattr(cli, "fit_toy", fit_then_break)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "fitted model decodes invalid boxes" in err and message in err
+        assert not out.exists()
 
 
 class TestClassIdBeyond64Bits:

@@ -1,8 +1,10 @@
 """``fileio.csv_text``, the one CSV writer, formats column by column; its
 bytes must be those of a plain ``csv.writer`` writing row by row."""
 
+import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -46,3 +48,47 @@ def test_lone_field(value):
 def test_columns_of_different_length_rejected():
     with pytest.raises(ValueError, match="CSV columns differ in length"):
         csv_text(["a", "b"], [[1, 2], [3]])
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 0.1, 2.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from((1, 2, 3, fileio.CSV_CHUNK_ROWS)))
+def test_float_arrays_match_row_writer(data, chunk_rows):
+    # float64 array columns are formatted once per distinct bit pattern in a
+    # chunk; values repeat within and across chunk edges, and a string column
+    # holding "\r" or a lone "" sends rows through the writer itself
+    n = data.draw(st.integers(0, 9))
+    pool = data.draw(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), min_size=1, max_size=4))
+    n_float = data.draw(st.integers(1, 3))
+    columns = [np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=np.float64)
+               for _ in range(n_float)]
+    if data.draw(st.booleans()):
+        columns.insert(data.draw(st.integers(0, n_float)), data.draw(st.lists(awkward_str, min_size=n, max_size=n)))
+    header = [f"c{i}" for i in range(len(columns))]
+    with mock.patch.object(fileio, "CSV_CHUNK_ROWS", chunk_rows):
+        got = csv_text(header, columns)
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    assert got == oracles.csv_text(header, rows)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, fileio.CSV_CHUNK_ROWS])
+def test_special_floats_in_one_chunk(chunk_rows):
+    values = np.array(SPECIAL_FLOATS * 2)
+    column = values.tolist()
+    with mock.patch.object(fileio, "CSV_CHUNK_ROWS", chunk_rows):
+        assert csv_text(["v", "w"], [values, column]) == oracles.csv_text(["v", "w"], zip(column, column))
+    assert csv_text(["v"], [values]).split("\n")[1:3] == ["0.0", "-0.0"]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, fileio.CSV_CHUNK_ROWS])
+def test_strided_columns(chunk_rows):
+    # the columns of boxes.T are strided views, each anchor's box repeated
+    rng = np.random.default_rng(0)
+    boxes = np.repeat(rng.uniform(-1.0, 1.0, (5, 4)), 3, axis=0)
+    boxes[::4, 1] = -0.0
+    with mock.patch.object(fileio, "CSV_CHUNK_ROWS", chunk_rows):
+        got = csv_text(list("abcd"), boxes.T)
+    assert not boxes.T[0].flags.contiguous
+    assert got == oracles.csv_text(list("abcd"), boxes.tolist())

@@ -27,6 +27,7 @@ from detkit.harness import (
     run_ablation,
     run_nms_ab,
 )
+from detkit.harness import config as config_module
 from detkit.harness.config import SCHEMA, SCHEMA_PATH, FitConfig, NmsConfig, NoiseConfig, _build, _check
 from detkit.harness.plots import histogram_svg, scatter_svg
 from detkit.harness.scenario import _sample_gt_boxes
@@ -206,6 +207,30 @@ class TestConfig:
             config_from_json(doc)
         with pytest.raises(ConfigError, match=re.escape(message)):
             _build(ScenarioConfig, json.loads(doc)).validate()
+
+
+    @pytest.mark.parametrize("cfg, message", [
+        (ScenarioConfig(object_count=(3, 2)), "scenario.object_count must be [lo, hi] with lo <= hi, got [3, 2]"),
+        (ScenarioConfig(noise=NoiseConfig(neg_background_range=(1.0, 0.99))),
+         "scenario.noise.neg_background_range must be [lo, hi]"),
+        (ScenarioConfig(seed=1.5), "scenario.seed must be int"),
+    ], ids=["object_count", "neg_background_range", "schema"])
+    def test_python_built_config_rejected_before_generation(self, cfg, message):
+        # config_from_json leaves the schema pass of validate() out; a config
+        # built in Python meets the whole check in generate_scenario
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            generate_scenario(cfg)
+
+    def test_json_config_meets_the_schema_once(self, monkeypatch):
+        passes = []
+
+        def counted(value, spec, name):
+            passes.append(name)
+            _check(value, spec, name)
+
+        monkeypatch.setattr(config_module, "_check", counted)
+        config_from_json('{"seed": 3}')
+        assert passes.count("scenario") == 1
 
 
 class TestScenario:

@@ -21,6 +21,7 @@ from detkit import losses
 from detkit.nms import GroundTruths
 from detkit.losses import (
     CEJI_IOU_GATE,
+    MINE_MARGIN,
     NEG_POS_RATIO,
     PROB_EPS,
     BalanceL1Params,
@@ -829,3 +830,106 @@ def _loss_instances(draw, min_gts=0):
         probs=draw(st.sampled_from(("random", "tied", "clamped"))),
         gt_on_anchor=draw(st.booleans()),
     )
+
+
+# ---------------------------------------------------------------------------
+# hard-negative mining: logs only for the negatives within MINE_MARGIN of the cut
+
+
+def _mining_instance(bg, n_pos=5, seed=5):
+    """The pyramid instance (84 anchors) with anchors 0..n_pos-1 positive on
+    its one ground truth and the background probabilities of the others set
+    to ``bg``; n_pos=5 mines 15 of 79 negatives."""
+    match, heads, anchors, gts = _loss_instance(seed, n_gts=1)
+    gt_index = np.full(len(anchors), -1, dtype=np.intp)
+    gt_index[:n_pos] = 0
+    heads.class_probs[n_pos:, 0] = bg
+    return MatchResult(gt_index, match.best_iou), heads, anchors, gts
+
+
+def _assert_mines_as_scalar_loop(inst):
+    for cfg in (LossConfig(), LossConfig(cls="ce", iou="l2")):
+        assert_same_loss(total_loss(*inst, cfg), total_loss_scalar(*inst, cfg))
+
+
+def _mining_candidates(match, heads) -> np.ndarray:
+    """The clamped background probabilities a call may take logs of: every
+    negative with no positives, else those at most MINE_MARGIN above the
+    n_mined-th smallest, and NaN."""
+    neg = match.negative_indices
+    p = np.clip(heads.class_probs[neg, 0], PROB_EPS, 1.0)
+    n_pos = len(match.positive_indices)
+    n_mined = min(int(NEG_POS_RATIO * n_pos), len(neg))
+    if not n_pos or n_mined == len(neg):
+        return p
+    cut = np.sort(p)[n_mined - 1]
+    return p[np.isnan(p) | (p <= cut * (1.0 + MINE_MARGIN)) | np.isnan(cut)]
+
+
+class TestMining:
+    def test_neighbours_straddling_the_cut(self):
+        rng = np.random.default_rng(0)
+        for cut in (0.5, 0.9853, PROB_EPS * 3, 1.0 - 2**-30):
+            edge = cut * (1.0 + MINE_MARGIN)
+            near = [np.nextafter(cut, 0.0), cut, cut, np.nextafter(cut, 1.0), np.nextafter(edge, 0.0), edge,
+                    np.nextafter(edge, 1.0), np.nextafter(np.nextafter(edge, 1.0), 1.0)]
+            below = rng.uniform(PROB_EPS, cut / 2, 13)  # the cut is the 15th smallest: cut itself
+            bg = np.concatenate((below, near, np.full(79 - 13 - len(near), 1.0)))
+            _assert_mines_as_scalar_loop(_mining_instance(rng.permutation(bg)))
+
+    def test_ties_at_the_clamps(self):
+        rng = np.random.default_rng(1)
+        low = (-0.3, 0.0, 1e-7, PROB_EPS)  # all clamp to PROB_EPS
+        high = (1.0, 1.0 + 1e-9, 1.4)  # all clamp to 1.0
+        for n_low in (0, 10, 15, 30, 79):
+            bg = np.concatenate((rng.choice(low, n_low), rng.choice(high, 40), rng.uniform(0.2, 0.8, 39)))[:79]
+            _assert_mines_as_scalar_loop(_mining_instance(rng.permutation(bg)))
+        _assert_mines_as_scalar_loop(_mining_instance(rng.choice(high, 79)))
+
+    @pytest.mark.parametrize("n_nan", [1, 3, 64, 65, 79])
+    def test_nan_backgrounds(self, n_nan):
+        # NaN rows come last: the scalar loop's sort keys compare unordered
+        # with NaN, so only there is its order the one numpy gives (NaN last,
+        # then by anchor). 65 or more NaN leave fewer than the 15 mined rows
+        # finite, and the cut itself is NaN
+        rng = np.random.default_rng(n_nan)
+        bg = np.concatenate((rng.uniform(0.0, 1.0, 79 - n_nan), np.full(n_nan, math.nan)))
+        _assert_mines_as_scalar_loop(_mining_instance(bg))
+
+    def test_every_negative_mined(self):
+        rng = np.random.default_rng(2)
+        # 21 positives and 63 negatives: n_mined == len(neg)
+        _assert_mines_as_scalar_loop(_mining_instance(rng.uniform(0.0, 1.0, 63), n_pos=21))
+        _assert_mines_as_scalar_loop(_mining_instance(rng.choice((0.3, 1.0, math.nan), 63), n_pos=21))
+
+    def test_no_positives_mine_every_negative_in_anchor_order(self):
+        rng = np.random.default_rng(3)
+        inst = _mining_instance(rng.uniform(0.0, 1.0, 84), n_pos=0)
+        _assert_mines_as_scalar_loop(inst)
+        got = total_loss(*inst)
+        assert (got.d_class_probs[:, 0] < 0.0).all()
+
+    def test_logs_once_per_distinct_candidate(self, monkeypatch):
+        # at the benchmark's scale, each call takes the log of its distinct
+        # candidates and no other negatives: the last log of a call is mining's
+        cfg = ScenarioConfig(fit=FitConfig(epochs=2))
+        math_map = losses.math_map
+        logged, sizes = [], []
+
+        def counted(fn, x):
+            if fn is math.log:
+                logged.append(x.size)
+            return math_map(fn, x)
+
+        def checked(match, heads, *rest):
+            logged.clear()
+            got = total_loss(match, heads, *rest)
+            assert logged[-1] <= len(np.unique(_mining_candidates(match, heads).view(np.int64)))
+            sizes.append((logged[-1], len(match.negative_indices)))
+            return got
+
+        monkeypatch.setattr(losses, "math_map", counted)
+        monkeypatch.setattr(toyfit, "total_loss", checked)
+        fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), generate_scenario(cfg), cfg)
+        assert len(sizes) == cfg.n_images * 3
+        assert sum(n for n, _ in sizes) * 10 < sum(n_neg for _, n_neg in sizes)

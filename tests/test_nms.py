@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from detkit import nms
 from detkit.geometry import Box, iou_value
-from detkit.harness import ScenarioConfig, detections_from_heads, generate_scenario, init_toy_model
+from detkit.harness import (
+    ScenarioConfig, detections_from_heads, fit_detections, fit_toy, generate_scenario, init_toy_model,
+)
 from detkit.nms import DETECTIONS_CSV_HEADER, Detections, GroundTruths, detections_from_csv, detections_to_csv, greedy_nms
 
 from conftest import any_boxes, awkward_text, bits, kept_records, records, table
@@ -454,6 +456,21 @@ class TestCsv:
         columns = (rows.image_id, rows.class_id, *rows.boxes.T, rows.p_cls, rows.p_iou)
         want = oracles.csv_text(DETECTIONS_CSV_HEADER, zip(*(column.tolist() for column in columns)))
         assert detections_to_csv(rows) == want
+
+    def test_fitted_table_peak(self):
+        # the default fit's 25,632 rows; each box column holds 8,544 distinct values
+        cfg = ScenarioConfig()
+        scenario = generate_scenario(cfg)
+        fit = fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), scenario, cfg)
+        rows = Detections.concat(fit_detections(scenario, fit).values())
+        assert len(rows) == 25_632
+        tracemalloc.start()
+        try:
+            detections_to_csv(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
 
     def test_header_validated(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 Floats are serialized with repr (shortest round-trip form), JSON with
 sorted keys, and every write goes through a temp file + rename so
 partially written artifacts never appear. The CSV writer formats a
-float64 column once per distinct bit pattern in each chunk of rows.
+float64 array column once per distinct bit pattern in each chunk of rows.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ def csv_text(header: list[str], columns) -> str:
     or arrays), as ``csv.writer`` writes their rows.
 
     Each column is formatted once per ``CSV_CHUNK_ROWS`` rows: floats by
-    repr, once per distinct bit pattern, and ints by str, which is how the
-    writer spells them, and each distinct string, or each value of a column
-    of mixed types, by the writer itself in a row of two fields. The writer
-    quotes a lone empty field, so a row of one empty field is left to it. It
-    quotes a field holding "\n" but not one holding a bare "\r", which a
-    reader then takes for a line break; such rows are written with every
-    field quoted.
+    repr (a float64 array once per distinct bit pattern) and ints by str,
+    which is how the writer spells them, and each distinct string, or each
+    value of a column of mixed types, by the writer itself in a row of two
+    fields. The writer quotes a lone empty field, so a row of one empty
+    field is left to it. It quotes a field holding "\n" but not one holding
+    a bare "\r", which a reader then takes for a line break; such rows are
+    written with every field quoted.
     """
     columns = list(columns)
     lengths = {len(column) for column in columns}
@@ -94,7 +94,7 @@ def _csv_fields(values: list) -> list[str]:
     """Each value as its field in a CSV row of several fields."""
     kinds = set(map(type, values))
     if kinds <= {float}:
-        return _float_fields(np.array(values, dtype=np.float64))
+        return list(map(float.__repr__, values))
     if kinds <= {int}:
         return list(map(str, values))
     if kinds <= {str}:

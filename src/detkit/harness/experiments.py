@@ -86,8 +86,8 @@ def run_ablation(cfg: ScenarioConfig) -> list[AblationRow]:
 
 def fit_detections(scenario: Scenario, fit: FitResult) -> dict[str, Detections]:
     """Decode the fitted model's heads on every image, keyed by image id in
-    scenario order. A decode that overflows, or a box that is NaN or of
-    negative extent, raises NumericalError."""
+    scenario order. A decode that overflows, a NaN probability, or a box
+    that is NaN or of negative extent raises NumericalError."""
     floor = scenario.cfg.nms.score_floor
     try:
         return {
@@ -95,7 +95,7 @@ def fit_detections(scenario: Scenario, fit: FitResult) -> dict[str, Detections]:
             for img in scenario.images
         }
     except (OverflowError, ValueError) as exc:
-        raise NumericalError(f"fitted model decodes invalid boxes: {exc}") from exc
+        raise NumericalError(f"fitted model decodes invalid detections: {exc}") from exc
 
 
 def nms_and_ap(scenario: Scenario, decoded: dict[str, Detections], mode: str) -> tuple[dict[str, Detections], ApReport]:

@@ -143,8 +143,12 @@ def detections_from_heads(
     anchors: AnchorSet, heads: HeadOutputs, floor: float, image_id: str
 ) -> Detections:
     """One image's detections: a row per (anchor, class) whose probability
-    reaches the floor, anchors in order and classes ascending."""
+    reaches the floor, anchors in order and classes ascending. A NaN class
+    probability raises ValueError: it would drop its anchor's every class."""
     probs = heads.class_probs[:, 1:]
+    nan_rows = np.isnan(probs).any(axis=1)
+    if nan_rows.any():
+        raise ValueError(f"image {image_id!r}: NaN class probability at anchor {int(nan_rows.argmax())}")
     keep = np.nonzero(probs.max(axis=1) >= floor)[0]
     boxes, _ = decode_jacobian_rows(anchors.cwh[keep], heads.offsets[keep])
     row, col = np.nonzero(probs[keep] >= floor)

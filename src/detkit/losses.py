@@ -17,9 +17,8 @@ last bit on a few percent of inputs; the IOU gradient reaches the
 offsets through a batched ``np.matmul``, which rounds as the per-row
 vector-matrix product does; sums are added left to right in the
 per-anchor order; and hard negatives are ordered by a stable argsort on
--loss, which keeps ties in anchor order. Mining takes logs only for the
-negatives that can be mined: those within ``MINE_MARGIN`` of the cut that
-``np.partition`` finds, once per distinct probability.
+-loss, which keeps ties in anchor order. Mining takes the log of each
+distinct background probability once.
 """
 
 from __future__ import annotations
@@ -160,7 +159,6 @@ CLS_LOSSES = ("ceji", "ce")
 IOU_LOSSES = ("r_iou", "l2")
 REG_LOSSES = ("balance_l1", "smooth_l1")
 NEG_POS_RATIO = 3.0  # hard negatives mined per positive
-MINE_MARGIN = 1e-9  # relative slack above the mining cut; see total_loss
 
 
 @dataclass(frozen=True)
@@ -380,27 +378,16 @@ def total_loss(
         if not cfg.detach_iou:
             d_off[pos[gated]] += _chain(d_t[:, None] * d_iou_box[gated], jac[gated])
 
-    # hard-negative mining on the background probability
+    # hard-negative mining on the background probability: most negatives
+    # share a few clamped probabilities, so each distinct one is logged once
     p_bg = _clamp_prob(preds.class_probs[neg, 0])
+    neg_values = -_log_once_per_value(p_bg)
     mined = np.arange(len(neg))
-    n_mined = min(int(NEG_POS_RATIO * n_pos), len(neg))
-    if n_pos and n_mined < len(neg):
-        # Only rows at most MINE_MARGIN above the n_mined-th smallest
-        # probability, and NaN rows (partition puts NaN last, so a NaN cut
-        # keeps every row), can be mined. A row above it is beaten by the
-        # n_mined rows below the cut, whose -log exceeds its own by at least
-        # log(1 + MINE_MARGIN) ~ 1e-9, as long as math.log errs by under
-        # 5e-10 absolute on [PROB_EPS, 1]; glibc's log errs by under 1 ulp
-        # there (~2e-15).
-        cut = np.partition(p_bg, n_mined - 1)[n_mined - 1]
-        mined = np.flatnonzero(~(p_bg > cut * (1.0 + MINE_MARGIN)))
-    neg_values = -_log_once_per_value(p_bg[mined])
     if n_pos:
-        # stable on -loss, so ties keep anchor order
-        order = np.argsort(-neg_values, kind="stable")[:n_mined]
-        mined, neg_values = mined[order], neg_values[order]
+        n_mined = min(int(NEG_POS_RATIO * n_pos), len(neg))
+        mined = np.argsort(-neg_values, kind="stable")[:n_mined]  # ties keep anchor order
     d_cls[neg[mined], 0] += -1.0 / p_bg[mined]
-    cls_sum = _sequential_sum(np.concatenate((pos_cls_values, neg_values)))
+    cls_sum = _sequential_sum(np.concatenate((pos_cls_values, neg_values[mined])))
 
     norm = float(n_pos) if n_pos else float(max(len(anchors), 1))
     value = (cls_sum + reg_sum + iou_sum) / norm

@@ -538,21 +538,25 @@ class TestDivergingFit:
 
 class TestFittedDecode:
     # the fitted heads are decoded outside fit_toy's guard: an overflowing
-    # exp ended in a traceback, and a NaN box exited 2 as a config error
-    @pytest.mark.parametrize("row, weight, message", [
-        (2, 4e3, "math range error"), (0, math.nan, "negative box extent"),
-    ], ids=["overflow", "nan"])
-    def test_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, row, weight, message):
+    # exp ended in a traceback, a NaN box exited 2 as a config error, and a
+    # NaN class probability dropped every detection and exited 0
+    @pytest.mark.parametrize("head, index, weight, message", [
+        ("w_off", (2, 0), 4e3, "math range error"),
+        ("w_off", (0, 0), math.nan, "negative box extent"),
+        ("w_cls", (1, 0), math.nan, "NaN class probability"),
+        ("w_iou", 0, math.nan, "p_iou=nan"),
+    ], ids=["overflow", "nan_box", "nan_class", "nan_iou"])
+    def test_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, head, index, weight, message):
         def fit_then_break(model, scenario, cfg):
             fit = fit_toy(model, scenario, cfg)
-            fit.model.w_off[row, 0] = weight  # feature 0 is 1 on every anchor
+            getattr(fit.model, head)[index] = weight  # feature 0 is 1 on every anchor
             return fit
 
         monkeypatch.setattr(cli, "fit_toy", fit_then_break)
         out = tmp_path / "out"
         assert main(["fit", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and "fitted model decodes invalid boxes" in err and message in err
+        assert len(err.strip().splitlines()) == 1 and "fitted model decodes invalid detections" in err and message in err
         assert not out.exists()
 
 

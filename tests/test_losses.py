@@ -21,7 +21,6 @@ from detkit import losses
 from detkit.nms import GroundTruths
 from detkit.losses import (
     CEJI_IOU_GATE,
-    MINE_MARGIN,
     NEG_POS_RATIO,
     PROB_EPS,
     BalanceL1Params,
@@ -833,7 +832,7 @@ def _loss_instances(draw, min_gts=0):
 
 
 # ---------------------------------------------------------------------------
-# hard-negative mining: logs only for the negatives within MINE_MARGIN of the cut
+# hard-negative mining: one log per distinct background probability
 
 
 def _mining_instance(bg, n_pos=5, seed=5):
@@ -852,29 +851,16 @@ def _assert_mines_as_scalar_loop(inst):
         assert_same_loss(total_loss(*inst, cfg), total_loss_scalar(*inst, cfg))
 
 
-def _mining_candidates(match, heads) -> np.ndarray:
-    """The clamped background probabilities a call may take logs of: every
-    negative with no positives, else those at most MINE_MARGIN above the
-    n_mined-th smallest, and NaN."""
-    neg = match.negative_indices
-    p = np.clip(heads.class_probs[neg, 0], PROB_EPS, 1.0)
-    n_pos = len(match.positive_indices)
-    n_mined = min(int(NEG_POS_RATIO * n_pos), len(neg))
-    if not n_pos or n_mined == len(neg):
-        return p
-    cut = np.sort(p)[n_mined - 1]
-    return p[np.isnan(p) | (p <= cut * (1.0 + MINE_MARGIN)) | np.isnan(cut)]
-
-
 class TestMining:
     def test_neighbours_straddling_the_cut(self):
         rng = np.random.default_rng(0)
         for cut in (0.5, 0.9853, PROB_EPS * 3, 1.0 - 2**-30):
-            edge = cut * (1.0 + MINE_MARGIN)
-            near = [np.nextafter(cut, 0.0), cut, cut, np.nextafter(cut, 1.0), np.nextafter(edge, 0.0), edge,
-                    np.nextafter(edge, 1.0), np.nextafter(np.nextafter(edge, 1.0), 1.0)]
-            below = rng.uniform(PROB_EPS, cut / 2, 13)  # the cut is the 15th smallest: cut itself
-            bg = np.concatenate((below, near, np.full(79 - 13 - len(near), 1.0)))
+            # the 15th smallest, the last mined, is cut itself, next to its
+            # neighbours a few ulps either side
+            up = np.nextafter(cut, 1.0)
+            near = [np.nextafter(cut, 0.0), cut, cut, up, up, np.nextafter(up, 1.0), np.nextafter(cut, 0.0)]
+            below = rng.uniform(PROB_EPS, cut / 2, 12)
+            bg = np.concatenate((below, near, np.full(79 - 12 - len(near), 1.0)))
             _assert_mines_as_scalar_loop(_mining_instance(rng.permutation(bg)))
 
     def test_ties_at_the_clamps(self):
@@ -909,9 +895,10 @@ class TestMining:
         got = total_loss(*inst)
         assert (got.d_class_probs[:, 0] < 0.0).all()
 
-    def test_logs_once_per_distinct_candidate(self, monkeypatch):
-        # at the benchmark's scale, each call takes the log of its distinct
-        # candidates and no other negatives: the last log of a call is mining's
+    def test_logs_once_per_distinct_probability(self, monkeypatch):
+        # each call takes one log per distinct clamped background probability:
+        # the last log of a call is mining's. From the second epoch of the
+        # benchmark's fit on, every background clamps to 1.0
         cfg = ScenarioConfig(fit=FitConfig(epochs=2))
         math_map = losses.math_map
         logged, sizes = [], []
@@ -924,12 +911,13 @@ class TestMining:
         def checked(match, heads, *rest):
             logged.clear()
             got = total_loss(match, heads, *rest)
-            assert logged[-1] <= len(np.unique(_mining_candidates(match, heads).view(np.int64)))
-            sizes.append((logged[-1], len(match.negative_indices)))
+            p = np.clip(heads.class_probs[match.negative_indices, 0], PROB_EPS, 1.0)
+            assert logged[-1] == len(np.unique(p.view(np.int64)))
+            sizes.append((logged[-1], len(p)))
             return got
 
         monkeypatch.setattr(losses, "math_map", counted)
         monkeypatch.setattr(toyfit, "total_loss", checked)
         fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), generate_scenario(cfg), cfg)
         assert len(sizes) == cfg.n_images * 3
-        assert sum(n for n, _ in sizes) * 10 < sum(n_neg for _, n_neg in sizes)
+        assert all(n == 1 < n_neg for n, n_neg in sizes[cfg.n_images:])

@@ -1,13 +1,16 @@
 """COCO-protocol average precision over IOU thresholds and area splits.
 
-Follows the standard conventions: greedy score-ordered matching of
-detections to unmatched ground truths per image and class, thresholds
-0.50 to 0.95 in steps of 0.05, 101-point interpolated precision, area
-boundaries at 32^2 and 96^2 pixels, and at most 100 detections per image
-and class. Ground truths outside an area range are ignored rather than
-counted, as are detections matched to them or falling outside the range
-unmatched. A field with no qualifying ground truths reports 0.0, keeping
-every component inside [0, 1].
+Follows the standard conventions: thresholds 0.50 to 0.95 in steps of
+0.05, 101-point interpolated precision, area boundaries at 32^2 and 96^2
+pixels, and at most 100 detections per image and class. Per image and
+class, each detection in score order takes the untaken ground truth with
+IOU at or above the threshold that is highest under the key (not ignored,
+IOU), the first in table order on a tie. Ground truths outside an area
+range are ignored rather than counted, as are detections matched to them
+or falling outside the range unmatched. A class's detections are ranked
+once, by (-score, image, row), for every area range and threshold. A
+field with no qualifying ground truths reports 0.0, keeping every
+component inside [0, 1].
 """
 
 from __future__ import annotations
@@ -51,38 +54,27 @@ def _match_image(gt_ignored: list[bool], ious: list[list[float]], thr: float) ->
     """Greedy matching inside one image and class.
 
     ``ious[d][g]`` is the IOU of the d-th detection in score order with
-    ground truth g; ``gt_ignored[g]`` says whether g lies outside the area
-    range. Returns (is_tp, det_ignored) per detection. A detection prefers
-    the highest-IOU unmatched non-ignored ground truth; failing that it
-    may match an ignored one and is then ignored itself.
+    ground truth g in table order; ``gt_ignored[g]`` says whether g lies
+    outside the area range. Returns (is_tp, det_ignored) per detection.
+    Each detection takes the untaken ground truth with IOU >= ``thr`` that
+    is highest under the key (not ignored, IOU), the first one on a tie. A
+    detection that takes an ignored ground truth is ignored itself.
     """
     taken = [False] * len(gt_ignored)
     out = []
     for row in ious:
-        best_g = -1
-        best_iou = 0.0
-        for g, g_ign in enumerate(gt_ignored):
-            if taken[g]:
-                continue
-            if best_g >= 0 and not gt_ignored[best_g] and g_ign:
-                break  # already holding a real match; don't trade for ignored
-            v = row[g]
-            if v >= thr and (best_g < 0 or v > best_iou):
-                best_g, best_iou = g, v
+        best_g, best_key = -1, (False, -1.0)
+        for g, v in enumerate(row):
+            if v >= thr and not taken[g] and (key := (not gt_ignored[g], v)) > best_key:
+                best_g, best_key = g, key
         if best_g >= 0:
             taken[best_g] = True
-            out.append((not gt_ignored[best_g], gt_ignored[best_g]))
-        else:
-            out.append((False, False))
+        out.append((best_key[0], best_g >= 0 and not best_key[0]))  # best_key[0]: the match is in range
     return out
 
 
-def _ap_from_records(records: list[tuple[float, bool, bool, str, int]], n_gt: int) -> float:
-    """101-point interpolated AP from (score, tp, ignored, image_id, idx) rows."""
-    if n_gt == 0:
-        return float("nan")
-    records = sorted(records, key=lambda r: (-r[0], r[3], r[4]))
-    tp = np.array([r[1] for r in records if not r[2]], dtype=bool)
+def _ap(tp: np.ndarray, n_gt: int) -> float:
+    """101-point interpolated AP from the true-positive flags of the counted detections in rank order."""
     if not len(tp):
         return 0.0
     tps = np.cumsum(tp)
@@ -94,41 +86,30 @@ def _ap_from_records(records: list[tuple[float, bool, bool, str, int]], n_gt: in
     return float(np.append(envelope, 0.0)[idx].mean())
 
 
-def _area_ap(blocks: dict[int, list[tuple]], area: tuple[float, float]) -> list[float]:
+def _area_ap(classes: list[tuple], area: tuple[float, float]) -> list[float]:
     """Per-threshold AP averaged over classes for one area range, from the
-    (image, class) blocks that ``evaluate`` builds."""
+    per-class blocks that ``evaluate`` builds."""
     lo, hi = area
     aps_per_thr: list[list[float]] = [[] for _ in IOU_THRESHOLDS]
-    for per_image in blocks.values():
-        # ground truths outside the area range are ignored, and go last
-        ranged = []
-        n_gt = 0
-        for img, d, scores, d_areas, g_areas, ious in per_image:
-            g_ign = ~((lo <= g_areas) & (g_areas < hi))
-            order = np.argsort(g_ign, kind="stable")
-            n_gt += int(np.count_nonzero(~g_ign))
-            d_outside = ~((lo <= d_areas) & (d_areas < hi))
-            ranged.append((img, d, scores, d_outside.tolist(), g_ign[order].tolist(), ious[:, order].tolist()))
+    for rank, d_areas, g_areas, ious in classes:
+        g_ign = [(~((lo <= a) & (a < hi))).tolist() for a in g_areas]
+        n_gt = sum(ign.count(False) for ign in g_ign)
         if n_gt == 0:
             continue
-
+        outside = ~((lo <= d_areas) & (d_areas < hi))
         for t_i, thr in enumerate(IOU_THRESHOLDS):
-            records: list[tuple[float, bool, bool, str, int]] = []
-            for img, d, scores, d_outside, g_ign, ious in ranged:
-                for stable_i, s, out, (tp, ign) in zip(d, scores, d_outside, _match_image(g_ign, ious, thr)):
-                    if not tp and not ign and out:
-                        ign = True  # unmatched detection outside the range
-                    records.append((s, tp, ign, img, stable_i))
-            aps_per_thr[t_i].append(_ap_from_records(records, n_gt))
-
+            flags = [f for ign, block in zip(g_ign, ious) for f in _match_image(ign, block, thr)]
+            tp, ign = np.array(flags, dtype=bool).reshape(-1, 2).T
+            ign |= ~tp & outside  # an unmatched detection outside the range
+            aps_per_thr[t_i].append(_ap(tp[rank[~ign[rank]]], n_gt))
     return [float(np.mean(v)) if v else 0.0 for v in aps_per_thr]
 
 
 def evaluate(detections: dict[str, Detections], gts: dict[str, GroundTruths], mode: str) -> ApReport:
     """Full report: AP(0.5:0.95), AP50, AP75, and the three area splits,
     ranking each image's detections by their ``mode`` score; ``nms.checked_areas`` guards the box areas."""
-    # per (image, class) with a detection or a ground truth, for all area ranges and
-    # thresholds: the top detections in score order, and one IOU block against the ground truths
+    # per class with a ground truth, one block per image holding the class: the top detections' scores
+    # and areas in (-score, row) order, the ground truths' areas, and the IOU rows
     blocks: dict[int, list[tuple]] = {c: [] for c in sorted({c for t in gts.values() for c in t.class_id.tolist()})}
     for img in sorted(set(gts) | set(detections), key=str):
         dets, truths = detections.get(img, Detections()), gts.get(img, GroundTruths())
@@ -138,17 +119,19 @@ def evaluate(detections: dict[str, Detections], gts: dict[str, GroundTruths], mo
             g = np.flatnonzero(truths.class_id == c)
             d = np.flatnonzero(dets.class_id == c)
             d = d[np.lexsort((d, -scores[d]))][:MAX_DETECTIONS_PER_IMAGE]
-            blocks[c].append((img, d.tolist(), scores[d].tolist(), d_areas[d], g_areas[g],
-                              iou_matrix(dets.boxes[d], truths.boxes[g])))
+            blocks[c].append((scores[d], d_areas[d], g_areas[g], iou_matrix(dets.boxes[d], truths.boxes[g]).tolist()))
+    # the blocks come in image order, so a stable sort on -score ranks by (-score, image, row)
+    classes = [(np.argsort(-np.concatenate(scores), kind="stable"), np.concatenate(d_areas), g_areas, ious)
+               for scores, d_areas, g_areas, ious in (zip(*per_image) for per_image in blocks.values())]
 
-    all_t = _area_ap(blocks, AREA_RANGES["all"])
+    all_t = _area_ap(classes, AREA_RANGES["all"])
     return ApReport(
         ap=float(np.mean(all_t)),
         ap50=all_t[0],
         ap75=all_t[IOU_THRESHOLDS.index(0.75)],
-        ap_small=float(np.mean(_area_ap(blocks, AREA_RANGES["small"]))),
-        ap_medium=float(np.mean(_area_ap(blocks, AREA_RANGES["medium"]))),
-        ap_large=float(np.mean(_area_ap(blocks, AREA_RANGES["large"]))),
+        ap_small=float(np.mean(_area_ap(classes, AREA_RANGES["small"]))),
+        ap_medium=float(np.mean(_area_ap(classes, AREA_RANGES["medium"]))),
+        ap_large=float(np.mean(_area_ap(classes, AREA_RANGES["large"]))),
     )
 
 

@@ -242,7 +242,9 @@ def _smooth_l1_arr(x: np.ndarray):
     """Values and gradients of :func:`smooth_l1`."""
     ax = np.abs(x)
     inside = ax < 1.0
-    return np.where(inside, 0.5 * x * x, ax - 0.5), np.where(inside, x, np.copysign(1.0, x))
+    value = ax - 0.5
+    value[inside] = 0.5 * x[inside] * x[inside]  # squared only inside, where it cannot overflow
+    return value, np.where(inside, x, np.copysign(1.0, x))
 
 
 def _r_iou_arr(p_iou: np.ndarray, iou_tar: np.ndarray):

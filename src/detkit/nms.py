@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
@@ -46,6 +47,10 @@ BLOCK_ROWS = 96  # live candidates decided at a time
 PAIR_BUDGET = 4096  # candidate pairs compared at a time, which bounds the transient memory
 
 DETECTIONS_CSV_HEADER = ["image_id", "class_id", "x1", "y1", "x2", "y2", "p_cls", "p_iou"]
+# a number cell: ASCII digits, sign, point and exponent, or inf and nan for the finiteness check to name;
+# int() and float() alone would also read "1_0", " 2 " and "\u0663"
+_CSV_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)",
+                         re.IGNORECASE | re.ASCII)
 
 
 def checked_areas(boxes: np.ndarray, image_ids) -> np.ndarray:
@@ -269,6 +274,8 @@ def detections_from_csv(text: str) -> Detections:
     for row in rows:
         if len(row) != len(DETECTIONS_CSV_HEADER):
             raise ValueError(f"detections CSV row of {len(row)} fields, expected {len(DETECTIONS_CSV_HEADER)}: {row}")
+        if not all(map(_CSV_NUMBER.fullmatch, row[1:])):
+            raise ValueError(f"malformed number in detections CSV row {row}")
     values = np.array([[float(v) for v in row[2:]] for row in rows], dtype=np.float64).reshape(-1, 6)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():

@@ -13,6 +13,10 @@ Each is an independent, deliberately plain copy of a definition:
   bit for bit;
 - brute-force greedy NMS and brute-force AP over tiny instances, on
   per-object detection records rather than the library's table;
+- the COCO evaluator as it stood before it ranked each class once and
+  matched against ground truths in table order: each area range moves its
+  ignored ground truths last, and each threshold sorts Python records.
+  The library's ``evaluate`` must match it bit for bit;
 - the two-box score-flip scenario of the paper's IOU-guided NMS;
 - the CSV text of rows written one at a time by a plain ``csv.writer``,
   which the column-wise writer must match byte for byte.
@@ -28,12 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from detkit.anchors import POSITIVE_IOU_THRESHOLD, FeatureLevelSpec
-from detkit.evaluation import RECALL_POINTS
-from detkit.geometry import DEFAULT_VARIANCES, Box, IouValue, OffsetEncoding, _require_positive_extent, iou_value
+from detkit.evaluation import (AREA_RANGES, IOU_THRESHOLDS, MAX_DETECTIONS_PER_IMAGE, RECALL_GRID, RECALL_POINTS,
+                               ApReport)
+from detkit.geometry import (DEFAULT_VARIANCES, Box, IouValue, OffsetEncoding, _require_positive_extent, iou_matrix,
+                             iou_value)
 from detkit.harness.config import ScenarioConfig
 from detkit.harness.scenario import scenario_levels
 from detkit.losses import CEJI_IOU_GATE, PROB_EPS, BalanceL1Params, HeadOutputs, LossTerm
-from detkit.nms import DEFAULT_IOU_THRESHOLD, SCORE_FLOOR
+from detkit.nms import DEFAULT_IOU_THRESHOLD, SCORE_FLOOR, Detections, GroundTruths, checked_areas
 
 BRUTEFORCE_LIMIT = 12  # most boxes the brute-force oracles accept
 
@@ -485,6 +491,111 @@ def ap_bruteforce(detections: DetectionsByImage, gts: GroundTruthsByImage, class
         cands = [p for p, rec in points if rec >= r]
         total += max(cands) if cands else 0.0
     return total / RECALL_POINTS
+
+
+def _reference_match_image(gt_ignored: list[bool], ious: list[list[float]], thr: float) -> list[tuple[bool, bool]]:
+    """Greedy matching inside one image and class, ground truths ignored-last.
+
+    ``ious[d][g]`` is the IOU of the d-th detection in score order with
+    ground truth g; ``gt_ignored[g]`` says whether g lies outside the area
+    range. Returns (is_tp, det_ignored) per detection. A detection prefers
+    the highest-IOU unmatched non-ignored ground truth; failing that it
+    may match an ignored one and is then ignored itself.
+    """
+    taken = [False] * len(gt_ignored)
+    out = []
+    for row in ious:
+        best_g = -1
+        best_iou = 0.0
+        for g, g_ign in enumerate(gt_ignored):
+            if taken[g]:
+                continue
+            if best_g >= 0 and not gt_ignored[best_g] and g_ign:
+                break  # already holding a real match; don't trade for ignored
+            v = row[g]
+            if v >= thr and (best_g < 0 or v > best_iou):
+                best_g, best_iou = g, v
+        if best_g >= 0:
+            taken[best_g] = True
+            out.append((not gt_ignored[best_g], gt_ignored[best_g]))
+        else:
+            out.append((False, False))
+    return out
+
+
+def _reference_ap_from_records(records: list[tuple[float, bool, bool, str, int]], n_gt: int) -> float:
+    """101-point interpolated AP from (score, tp, ignored, image_id, idx) rows."""
+    if n_gt == 0:
+        return float("nan")
+    records = sorted(records, key=lambda r: (-r[0], r[3], r[4]))
+    tp = np.array([r[1] for r in records if not r[2]], dtype=bool)
+    if not len(tp):
+        return 0.0
+    tps = np.cumsum(tp)
+    recall = tps / n_gt
+    precision = tps / np.arange(1, len(tp) + 1)  # rows so far: tp + fp
+    # envelope: running max from the right; a recall beyond the last row reads 0
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    idx = np.searchsorted(recall, RECALL_GRID, side="left")
+    return float(np.append(envelope, 0.0)[idx].mean())
+
+
+def _reference_area_ap(blocks: dict[int, list[tuple]], area: tuple[float, float]) -> list[float]:
+    """Per-threshold AP averaged over classes for one area range."""
+    lo, hi = area
+    aps_per_thr: list[list[float]] = [[] for _ in IOU_THRESHOLDS]
+    for per_image in blocks.values():
+        # ground truths outside the area range are ignored, and go last
+        ranged = []
+        n_gt = 0
+        for img, d, scores, d_areas, g_areas, ious in per_image:
+            g_ign = ~((lo <= g_areas) & (g_areas < hi))
+            order = np.argsort(g_ign, kind="stable")
+            n_gt += int(np.count_nonzero(~g_ign))
+            d_outside = ~((lo <= d_areas) & (d_areas < hi))
+            ranged.append((img, d, scores, d_outside.tolist(), g_ign[order].tolist(), ious[:, order].tolist()))
+        if n_gt == 0:
+            continue
+
+        for t_i, thr in enumerate(IOU_THRESHOLDS):
+            records: list[tuple[float, bool, bool, str, int]] = []
+            for img, d, scores, d_outside, g_ign, ious in ranged:
+                matches = _reference_match_image(g_ign, ious, thr)
+                for stable_i, s, out, (tp, ign) in zip(d, scores, d_outside, matches):
+                    if not tp and not ign and out:
+                        ign = True  # unmatched detection outside the range
+                    records.append((s, tp, ign, img, stable_i))
+            aps_per_thr[t_i].append(_reference_ap_from_records(records, n_gt))
+
+    return [float(np.mean(v)) if v else 0.0 for v in aps_per_thr]
+
+
+def evaluate_reference(detections: dict[str, Detections], gts: dict[str, GroundTruths], mode: str) -> ApReport:
+    """The full report as the evaluator computed it: per area range, every
+    IOU block reordered so that ignored ground truths come last, and per
+    threshold, (score, tp, ignored, image, row) records sorted by
+    (-score, image, row)."""
+    blocks: dict[int, list[tuple]] = {c: [] for c in sorted({c for t in gts.values() for c in t.class_id.tolist()})}
+    for img in sorted(set(gts) | set(detections), key=str):
+        dets, truths = detections.get(img, Detections()), gts.get(img, GroundTruths())
+        scores = dets.score(mode)
+        d_areas, g_areas = (checked_areas(t.boxes, [img] * len(t.boxes)) for t in (dets, truths))
+        for c in (set(truths.class_id.tolist()) | set(dets.class_id.tolist())) & blocks.keys():
+            g = np.flatnonzero(truths.class_id == c)
+            d = np.flatnonzero(dets.class_id == c)
+            d = d[np.lexsort((d, -scores[d]))][:MAX_DETECTIONS_PER_IMAGE]
+            blocks[c].append((img, d.tolist(), scores[d].tolist(), d_areas[d], g_areas[g],
+                              iou_matrix(dets.boxes[d], truths.boxes[g])))
+
+    all_t = _reference_area_ap(blocks, AREA_RANGES["all"])
+    return ApReport(
+        ap=float(np.mean(all_t)),
+        ap50=all_t[0],
+        ap75=all_t[IOU_THRESHOLDS.index(0.75)],
+        ap_small=float(np.mean(_reference_area_ap(blocks, AREA_RANGES["small"]))),
+        ap_medium=float(np.mean(_reference_area_ap(blocks, AREA_RANGES["medium"]))),
+        ap_large=float(np.mean(_reference_area_ap(blocks, AREA_RANGES["large"]))),
+    )
 
 
 def csv_text(header: list[str], rows) -> str:

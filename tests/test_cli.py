@@ -242,6 +242,37 @@ class TestNonFiniteDetections:
         assert not (tmp_path / "nmsout").exists() and not (tmp_path / "report.json").exists()
 
 
+class TestMalformedDetectionNumber:
+    # int() and float() alone read "1_0" as 10, " 2 " as 2 and "\u0663" as 3, so nms wrote them back changed
+    @pytest.mark.parametrize("command", ["nms", "eval"])
+    @pytest.mark.parametrize(
+        "cells", [("1_0", "0.9"), (" 2 ", "0.9"), ("\u0663", "0.9"), ("1", "0.9 "), ("1", "0.2_5")],
+        ids=["underscore", "spaces", "arabic_digit", "trailing_space", "float_underscore"])
+    def test_exits_2_with_one_line_naming_the_row(self, tmp_path, capsys, command, cells):
+        class_id, p_iou = cells
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\nimg0,1,0,0,4,4,0.9,0.8\n"
+                        f"img7,{class_id},0,0,4,4,0.9,{p_iou}\n")
+        gts = tmp_path / "gts.json"
+        gts.write_text(json.dumps({"images": [{"image_id": "img0", "objects": []}]}))
+        argv = {
+            "nms": ["nms", "--detections", str(dets), "--out", str(tmp_path / "nmsout")],
+            "eval": ["eval", "--detections", str(dets), "--ground-truths", str(gts),
+                     "--out", str(tmp_path / "report.json")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "malformed number" in err and "img7" in err
+        assert not (tmp_path / "nmsout").exists() and not (tmp_path / "report.json").exists()
+
+    def test_plain_spellings_read(self, tmp_path):
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\nimg0,+3,-0.0,.5,1E-5,5.,1e0,0.125\n")
+        assert main(["nms", "--detections", str(dets), "--out", str(tmp_path / "nmsout")]) == 0
+        kept = (tmp_path / "nmsout" / "kept.csv").read_text().splitlines()
+        assert kept[1] == "img0,3,-0.0,0.5,1e-05,5.0,1.0,0.125"
+
+
 class TestNonFiniteGroundTruths:
     # next to a matched finite ground truth, a box at infinity lies outside
     # every area range and would be ignored, reporting AP = 1.0

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from detkit.evaluation import ApReport, evaluate, ground_truths_from_json, ground_truths_to_json
 from detkit.geometry import Box, iou_value
-from detkit.nms import Detections
+from detkit.nms import MODES, Detections
 
 from conftest import any_boxes, awkward_text, bits, gt_tables, records, tables
-from oracles import ap_bruteforce, score
+from oracles import ap_bruteforce, evaluate_reference, score
 
 # one small, one medium, one large object (areas 400, 3600, 14400)
 PERFECT_GTS = {
@@ -123,6 +123,106 @@ class TestEvaluate:
         want = ap_bruteforce({"0": oracle_rows}, gts, class_id=1, iou_threshold=0.5)
         assert evaluate({"0": dets}, gt_tables(gts), mode).ap50 == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx({"standard": 0.5, "iou_guided": 1.0}[mode], abs=1e-12)
+
+
+# sides whose products fall in every area range (64 to 16,900); corners on a
+# 4-pixel grid, so ground truths repeat and overlap and one detection clears
+# the threshold with several of them
+GRID_SIDES = (8.0, 24.0, 40.0, 64.0, 100.0, 130.0)
+grid_boxes = st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h), st.sampled_from((0.0, 4.0, 8.0)),
+                       st.sampled_from((0.0, 4.0, 8.0)), st.sampled_from(GRID_SIDES), st.sampled_from(GRID_SIDES))
+jitters = st.tuples(*[st.sampled_from((-4.0, -2.0, 0.0, 2.0, 4.0))] * 4)
+# few distinct scores, so they tie within and across images
+tied_probs = st.one_of(st.sampled_from((0.25, 0.5, 1.0)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def coco_instances(draw):
+    """Detections and ground truths per image, and a ranking mode. Images
+    may hold no rows, or appear on one side only; one class id lies beyond
+    64 bits; one image may hold a crowd of more than 100 detections of one
+    class, which the per-image cap cuts."""
+    classes = draw(st.lists(st.sampled_from((1, 2, 2**70)), min_size=1, max_size=3, unique=True))
+    images = draw(st.lists(st.sampled_from(("a", "b", "10", "9", "")), min_size=1, max_size=4, unique=True))
+    gts, dets = {}, {}
+    for img in images:
+        objs = draw(st.lists(st.tuples(grid_boxes, st.sampled_from(classes)), max_size=5))
+        rows = []  # box, class_id, p_cls, p_iou
+        for _ in range(draw(st.integers(0, 6))):
+            if objs and draw(st.booleans()):  # near a ground truth, maybe of another class
+                box, c = draw(st.sampled_from(objs))
+                dx1, dy1, dx2, dy2 = draw(jitters)
+                box = Box(box.x1 + dx1, box.y1 + dy1, box.x2 + dx2, box.y2 + dy2)
+            else:
+                box = draw(grid_boxes)
+            rows.append((box, draw(st.sampled_from(classes)), draw(tied_probs), draw(tied_probs)))
+        crowd = draw(st.sampled_from((0, 0, 101, 130)))
+        rows += [(Box(k % 5, k % 3, 40.0 + k % 7, 40.0), classes[0], (0.25, 0.5, 1.0)[k % 3], 1.0 - k / 200.0)
+                 for k in range(crowd)]
+        side = draw(st.sampled_from(("both", "gts", "dets")))
+        if side != "dets":
+            gts[img] = objs
+        if side != "gts":
+            dets[img] = Detections([img] * len(rows), [r[0].as_tuple() for r in rows], [r[1] for r in rows],
+                                   [r[2] for r in rows], [r[3] for r in rows])
+    return dets, gt_tables(gts), draw(st.sampled_from(MODES))
+
+
+class TestMatchesReference:
+    """``evaluate`` against the evaluator that reordered ground truths per
+    area range and sorted records per threshold, on all six fields."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(coco_instances())
+    def test_same_bits(self, instance):
+        dets, gts, mode = instance
+        assert bits(evaluate(dets, gts, mode)) == bits(evaluate_reference(dets, gts, mode))
+
+
+# One instance per clause of the matching rule. In each, the first detection
+# clears the threshold with two ground truths, and the second detection, of
+# lower score, reaches only one of them: which one the first takes decides AP.
+MATCHING_CASES = {
+    # IOU 0.8 with A and 0.625 with B; the second reaches only A (0.83 vs 0.42).
+    # Taking the lowest IOU would let both match, AP50 1.0.
+    "highest_iou": (
+        {"0": [(Box(0.0, 0.0, 10.0, 8.0), 1, 0.9), (Box(0.0, 0.0, 10.0, 12.0), 1, 0.8)]},
+        {"0": [(Box(0.0, 0.0, 10.0, 10.0), 1), (Box(0.0, 0.0, 10.0, 5.0), 1)]},
+        {"ap50": 51.0 / 101.0},
+    ),
+    # IOU 0.81 with a medium ground truth and 0.69 with a small one, and the
+    # detection is medium. Small range: it takes the small one up to the 0.65
+    # threshold (AP 1 at 4 of 10 thresholds). Medium range: it takes the
+    # medium one up to 0.8 (7 of 10). Preferring ignored ones gives 0.0 and 0.3.
+    "not_ignored_first": (
+        {"0": [(Box(0.0, 0.0, 36.0, 36.0), 1, 0.9)]},
+        {"0": [(Box(0.0, 0.0, 40.0, 40.0), 1), (Box(0.0, 0.0, 30.0, 30.0), 1)]},
+        {"ap_small": 0.4, "ap_medium": 0.7},
+    ),
+    # IOU 0.818 with both, bit for bit; the second reaches only the first
+    # (0.67 vs 0.43). Taking the last on the tie would let both match.
+    "first_on_tie": (
+        {"0": [(Box(1.0, 0.0, 11.0, 10.0), 1, 0.9), (Box(-2.0, 0.0, 8.0, 10.0), 1, 0.8)]},
+        {"0": [(Box(0.0, 0.0, 10.0, 10.0), 1), (Box(2.0, 0.0, 12.0, 10.0), 1)]},
+        {"ap50": 51.0 / 101.0},
+    ),
+}
+
+
+class TestMatchingRule:
+    @pytest.mark.parametrize("case", MATCHING_CASES)
+    def test_crafted_case(self, case):
+        dets, gts, want = MATCHING_CASES[case]
+        report = evaluate(tables(dets), gt_tables(gts), "standard")
+        assert {field: getattr(report, field) for field in want} == pytest.approx(want, abs=1e-12)
+        assert bits(report) == bits(evaluate_reference(tables(dets), gt_tables(gts), "standard"))
+        if "ap50" in want:
+            assert ap_bruteforce(dets, gts, class_id=1, iou_threshold=0.5) == pytest.approx(want["ap50"], abs=1e-12)
+
+    def test_tie_is_exact(self):
+        dets, gts, _ = MATCHING_CASES["first_on_tie"]
+        (d, _, _), _ = dets["0"]
+        assert iou_value(d, gts["0"][0][0]) == iou_value(d, gts["0"][1][0]) > 0.8
 
 
 class TestOracleGuards:

@@ -234,6 +234,15 @@ class TestBaselines:
         assert smooth_l1(2.0).value == 1.5
         assert smooth_l1(-2.0).grad["x"] == -1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_smooth_l1_of_a_huge_residual_warns_nothing(self):
+        # the loss is finite; only the square, which the outside rows never use, overflows
+        assert smooth_l1(1e200).value == 1e200
+        assert smooth_l1(-1.7976931348623157e308).grad["x"] == -1.0
+        value, grad = losses._smooth_l1_arr(np.array([[1e200, -1e300], [0.5, math.inf]]))
+        assert value.tolist() == [[1e200, 1e300], [0.125, math.inf]]
+        assert grad.tolist() == [[1.0, -1.0], [0.5, 1.0]]
+
     def test_l2(self):
         assert l2_iou_loss(0.8, 0.5).value == pytest.approx(0.045)
         assert l2_iou_loss(0.5, 0.5).value == 0.0

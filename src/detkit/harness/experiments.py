@@ -9,7 +9,7 @@ from ..evaluation import ApReport, evaluate
 from ..nms import MODES, Detections, greedy_nms
 from .config import NumericalError, ScenarioConfig
 from .scenario import Scenario, detections_from_heads, generate_scenario, true_iou
-from .toyfit import FitResult, fit_toy, init_toy_model
+from .toyfit import FitResult, fit_toy, init_toy_model, one_blas_thread
 
 HIGH_SCORE = 0.5
 LOW_IOU = 0.5
@@ -84,6 +84,7 @@ def run_ablation(cfg: ScenarioConfig) -> list[AblationRow]:
     return rows
 
 
+@one_blas_thread()
 def fit_detections(scenario: Scenario, fit: FitResult) -> dict[str, Detections]:
     """Decode the fitted model's heads on every image, keyed by image id in
     scenario order. A decode that overflows, a NaN probability, or a box

@@ -6,14 +6,31 @@ scores, and a predicted IOU. Probability heads are clamped linear ranges
 rather than softmax/sigmoid so the loss optimum is reachable at finite
 parameters; the clamp contributes a zero subgradient outside its open
 interval, which also freezes a model initialized exactly at the optimum.
+
+An epoch runs the forward per image, then one ``total_loss`` pass over
+all images stacked along a leading axis, then per image, in image order,
+the gradient matmuls and the loss sums, so every bit is the one a loop of
+per-image loss calls gives.
+
+The fit's products are small, (anchors, feature_dim) against a few rows,
+and run on one BLAS thread (``one_blas_thread``). A second OpenBLAS thread
+saves little of their time and spins between the calls, so it holds a
+second CPU for the whole fit, and an op stalls whenever another process
+takes that CPU. The thread count only splits the output between threads,
+so the bits are the same either way.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from ..anchors import MatchResult
 from ..losses import HeadOutputs, PROB_EPS, total_loss
 from .config import NumericalError, ScenarioConfig
 from .scenario import Scenario, iou_histogram, iou_tar_values
@@ -61,6 +78,37 @@ def init_toy_model(n_classes: int, feature_dim: int, seed: int) -> ToyModel:
     return ToyModel(w_off, w_cls, w_iou)
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    wheels bundle, or None where numpy has none (another BLAS, or a build
+    against a system library)."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy has loaded
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block's BLAS calls on one thread, then restore the count."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 @dataclass
 class FitResult:
     model: ToyModel
@@ -76,6 +124,7 @@ class FitResult:
         return self.trace[-1]["total"]
 
 
+@one_blas_thread()
 def fit_toy(model: ToyModel, scenario: Scenario, cfg: ScenarioConfig) -> FitResult:
     """Fixed-step descent for cfg.fit.epochs epochs; records the loss before
     every update and once after the last, plus IOU_tar histogram snapshots
@@ -88,21 +137,26 @@ def fit_toy(model: ToyModel, scenario: Scenario, cfg: ScenarioConfig) -> FitResu
     trace: list[dict[str, float]] = []
     snapshots: list[tuple[int, list[float], list[int]]] = []
 
+    # the images as one batch along a leading axis: one loss pass per epoch
+    match = MatchResult(*(np.stack([getattr(img.match, f) for img in scenario.images]) for f in ("gt_index", "best_iou")))
+    gts = [img.gts for img in scenario.images]
+
     def eval_epoch() -> tuple[dict[str, float], list[np.ndarray], list[HeadOutputs]]:
+        heads_list, raw_cls, raw_iou = zip(*(model.forward(img.features) for img in scenario.images))
+        heads = HeadOutputs(*(np.stack([getattr(h, f) for h in heads_list]) for f in ("offsets", "class_probs", "p_iou")))
+        tl = total_loss(match, heads, scenario.anchors, gts, cfg.losses)
+        d_cls = _projected(tl.d_class_probs, np.stack(raw_cls))
+        d_iou = _projected(tl.d_p_iou, np.stack(raw_iou))
         totals = {"total": 0.0, "cls": 0.0, "reg": 0.0, "iou": 0.0}
         grads = [np.zeros_like(model.w_off), np.zeros_like(model.w_cls), np.zeros_like(model.w_iou)]
-        heads_list = []
-        for img in scenario.images:
-            heads, raw_cls, raw_iou = model.forward(img.features)
-            heads_list.append(heads)
-            tl = total_loss(img.match, heads, scenario.anchors, img.gts, cfg.losses)
-            totals["total"] += tl.value / n_images
+        for i, img in enumerate(scenario.images):
+            totals["total"] += float(tl.value[i]) / n_images
             for key in ("cls", "reg", "iou"):
-                totals[key] += tl.terms[key] / n_images
-            grads[0] += (tl.d_offsets.T @ img.features) / n_images
-            grads[1] += (_projected(tl.d_class_probs, raw_cls).T @ img.features) / n_images
-            grads[2] += (_projected(tl.d_p_iou, raw_iou) @ img.features) / n_images
-        return totals, grads, heads_list
+                totals[key] += float(tl.terms[key][i]) / n_images
+            grads[0] += (tl.d_offsets[i].T @ img.features) / n_images
+            grads[1] += (d_cls[i].T @ img.features) / n_images
+            grads[2] += (d_iou[i] @ img.features) / n_images
+        return totals, grads, list(heads_list)
 
     for epoch in range(epochs + 1):
         try:

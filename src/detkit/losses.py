@@ -10,15 +10,17 @@ by the toy trainer.
 Each formula is written once, as an array kernel (``_*_arr``). The public
 per-term functions check their inputs, run the kernel on length-1 arrays
 and return a :class:`LossTerm`. ``total_loss`` runs the kernels over all
-anchors of an image and gives the same bits as composing the per-term
-functions anchor by anchor: exp, log and log1p go through ``math``
+anchors of a batch of images at once, one image being the batch of one,
+and gives each image the same bits as composing the per-term functions
+anchor by anchor on that image: exp, log and log1p go through ``math``
 element by element, because numpy's vectorized versions differ in the
 last bit on a few percent of inputs; the IOU gradient reaches the
 offsets through a batched ``np.matmul``, which rounds as the per-row
-vector-matrix product does; sums are added left to right in the
-per-anchor order; and hard negatives are ordered by a stable argsort on
--loss, which keeps ties in anchor order. Mining takes the log of each
-distinct background probability once.
+vector-matrix product does; each image's sums are added left to right in
+the per-anchor order; and each image's hard negatives are ordered by a
+stable lexsort on (image, -loss), which keeps ties in anchor order.
+Mining takes the log of each distinct background probability of the
+batch once.
 """
 
 from __future__ import annotations
@@ -182,7 +184,8 @@ class LossConfig:
 @dataclass
 class HeadOutputs:
     """Per-anchor predictions: offsets (N,4), class probabilities (N,K+1)
-    with background in column 0, and predicted IOU (N,)."""
+    with background in column 0, and predicted IOU (N,); a batch of images
+    stacks them along a leading axis."""
 
     offsets: np.ndarray
     class_probs: np.ndarray
@@ -191,12 +194,14 @@ class HeadOutputs:
 
 @dataclass
 class TotalLoss:
-    value: float
-    n_pos: int
-    terms: dict[str, float]
-    d_offsets: np.ndarray
-    d_class_probs: np.ndarray
-    d_p_iou: np.ndarray
+    """The loss of each image of a batch of k, and its gradients."""
+
+    value: np.ndarray  # (k,)
+    n_pos: np.ndarray  # (k,) int
+    terms: dict[str, np.ndarray]  # cls, reg, iou: (k,) each
+    d_offsets: np.ndarray  # (k, N, 4)
+    d_class_probs: np.ndarray  # (k, N, K+1)
+    d_p_iou: np.ndarray  # (k, N)
 
 
 # The array kernels: one formula each, shared by the per-term functions
@@ -213,12 +218,6 @@ def _log_once_per_value(p: np.ndarray) -> np.ndarray:
     """``math.log`` of each element, taken once per distinct bit pattern."""
     bits, inverse = np.unique(p.view(np.int64), return_inverse=True)
     return math_map(math.log, bits.view(np.float64))[inverse]
-
-
-def _sequential_sum(values: np.ndarray) -> float:
-    """0.0 + v0 + v1 + ..., left to right: np.sum adds pairwise, which
-    rounds differently."""
-    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
 
 
 def _balance_l1_arr(x: np.ndarray, params: BalanceL1Params = BalanceL1Params()):
@@ -292,8 +291,10 @@ def _chain(d_box: np.ndarray, jac: np.ndarray) -> np.ndarray:
 
 
 def _raise_first_failure(overflows, box, iou_tar, p_iou, cfg: LossConfig) -> None:
-    """Raise what the per-term functions raise for the first positive that fails them, in their per-anchor order:
-    OverflowError from exp, ValueError from a NaN box, a bad ceji target or a NaN r_iou prediction past the gate."""
+    """Raise what the per-term functions raise for the first positive that fails them, in image and then per-anchor
+    order: OverflowError from exp, ValueError from a NaN box, a bad ceji target or a NaN r_iou prediction past the
+    gate. A positive matched to a ground truth of zero width or height fails later, in the target encoding's log;
+    ``match_anchors`` makes no such match."""
     fails = np.stack((  # (kind, positive), kinds in the order the per-term functions check them
         overflows,
         ~((box[:, 2] >= box[:, 0]) & (box[:, 3] >= box[:, 1])),
@@ -307,14 +308,26 @@ def _raise_first_failure(overflows, box, iou_tar, p_iou, cfg: LossConfig) -> Non
                ValueError(f"invalid predicted IOU: {p_iou[i]!r}"))[int(np.argmax(fails[:, i]))]
 
 
+def _segment_sums(values: np.ndarray, segment: np.ndarray, k: int) -> np.ndarray:
+    """Per segment of ``k``: 0.0 + v0 + v1 + ... over its ``values`` in their order, left to right (np.sum adds
+    pairwise, which rounds differently). The segments' rows are zero-padded to one length; adding 0.0 keeps
+    every running sum's bits, as the sum starts at +0.0 and so is never -0.0."""
+    order = np.argsort(segment, kind="stable")
+    counts = np.bincount(segment, minlength=k)
+    table = np.zeros((k, 1 + counts.max(initial=0)))
+    table[segment[order], 1 + np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)] = values[order]
+    return np.cumsum(table, axis=1)[:, -1]
+
+
 def total_loss(
     match: MatchResult,
     preds: HeadOutputs,
     anchors: AnchorSet,
-    gts: GroundTruths,
+    gts: list[GroundTruths],
     cfg: LossConfig = LossConfig(),
 ) -> TotalLoss:
-    """Aggregate loss over one image, normalized by the positive count.
+    """Aggregate loss over each image of a batch, normalized by the image's
+    positive count.
 
     Classification uses the configured CE variant over positives plus
     hard-negative mining at ``NEG_POS_RATIO``:1 on the background
@@ -333,29 +346,44 @@ def total_loss(
     each sum added left to right (cls over the positives then the mined
     negatives, reg positive-major, iou over the gated positives). Mined
     negatives are taken in order of descending loss, ties by anchor index.
-    """
-    pos, neg = match.positive_indices, match.negative_indices
-    pos_gt = match.gt_index[pos]
-    pos_cls = gts.class_id[pos_gt]
-    gt_box = gts.boxes[pos_gt]
-    n_pos = len(pos)
-    d_off = np.zeros_like(preds.offsets)
-    d_cls = np.zeros_like(preds.class_probs)
-    d_piou = np.zeros_like(preds.p_iou)
-    reg_sum = iou_sum = 0.0
-    pos_cls_values = np.zeros(0)
 
-    if n_pos:
-        off = preds.offsets[pos]
-        p_iou = preds.p_iou[pos]
-        anchor_cwh = anchors.cwh[pos]
+    The k images of a batch take one pass. ``match`` and ``preds`` hold
+    them along a leading axis (``gt_index`` (k, N), ``offsets`` (k, N, 4)
+    and so on), ``gts`` is the list of their ground truths, and every field
+    of the result has that axis too. Each image's sums, mined count and
+    normalisation are its own, so each image's result is the image's
+    alone, bit for bit; one image is the batch of one. A batch raises the
+    error of its first failing positive in image order, which is what the
+    images one at a time raise first for matches from ``match_anchors``.
+    """
+    k, n = len(gts), len(anchors)
+    offsets = preds.offsets.reshape(k * n, 4)
+    class_probs = preds.class_probs.reshape(k * n, preds.class_probs.shape[-1])
+    p_iou_all = preds.p_iou.reshape(k * n)
+    pos, neg = match.positive_indices, match.negative_indices  # flat over the batch, image-major
+    pos_image, neg_image = pos // max(n, 1), neg // max(n, 1)
+    gt_start = np.cumsum([0] + [len(g.boxes) for g in gts])[:-1]
+    pos_gt = match.gt_index.reshape(k * n)[pos] + gt_start[pos_image]
+    pos_cls = np.concatenate([g.class_id for g in gts])[pos_gt]
+    gt_box = np.concatenate([g.boxes for g in gts])[pos_gt]
+    n_pos = np.bincount(pos_image, minlength=k)
+    d_off = np.zeros_like(offsets)
+    d_cls = np.zeros_like(class_probs)
+    d_piou = np.zeros_like(p_iou_all)
+    pos_cls_values = reg_values = iou_values = np.zeros(0)
+    gated = np.zeros(0, dtype=np.intp)
+
+    if len(pos):
+        off = offsets[pos]
+        p_iou = p_iou_all[pos]
+        anchor_cwh = anchors.cwh[pos % n]
         t_wh = off[:, 2:] * DEFAULT_VARIANCES[2:]
         overflows = ((t_wh > EXP_MAX) & (t_wh < math.inf)).any(axis=1)  # math.exp would raise
         with np.errstate(all="ignore"):  # failing rows, which raise below
             box, jac = decode_jacobian_rows(anchor_cwh, np.where(overflows[:, None], 0.0, off))
             iou_tar, d_iou_box = iou_rows(box, gt_box, box_areas(gt_box))
         _raise_first_failure(overflows, box, iou_tar, p_iou, cfg)
-        p_cls = preds.class_probs[pos, pos_cls]
+        p_cls = class_probs[pos, pos_cls]
 
         if cfg.cls == "ceji":
             pos_cls_values, d_p, d_t = _ceji_positive_arr(p_cls, iou_tar)
@@ -367,7 +395,6 @@ def total_loss(
 
         reg_fn = _balance_l1_arr if cfg.reg == "balance_l1" else _smooth_l1_arr
         reg_values, d_reg = reg_fn(off - encode_rows(anchor_cwh, gt_box))
-        reg_sum = _sequential_sum(reg_values.ravel())
         d_off[pos] += d_reg
 
         # IOU head, gated on regression quality; the measured target also
@@ -375,30 +402,40 @@ def total_loss(
         gated = np.flatnonzero(iou_tar >= CEJI_IOU_GATE)
         iou_fn = _r_iou_arr if cfg.iou == "r_iou" else _l2_iou_arr
         iou_values, d_p, d_t = iou_fn(p_iou[gated], iou_tar[gated])
-        iou_sum = _sequential_sum(iou_values)
         d_piou[pos[gated]] += d_p
         if not cfg.detach_iou:
             d_off[pos[gated]] += _chain(d_t[:, None] * d_iou_box[gated], jac[gated])
 
     # hard-negative mining on the background probability: most negatives
-    # share a few clamped probabilities, so each distinct one is logged once
-    p_bg = _clamp_prob(preds.class_probs[neg, 0])
+    # share a few clamped probabilities, so each distinct one is logged once.
+    # Each image's negatives in order of descending loss, ties in anchor
+    # order; an image without positives mines all of them in anchor order
+    p_bg = _clamp_prob(class_probs[neg, 0])
     neg_values = -_log_once_per_value(p_bg)
-    mined = np.arange(len(neg))
-    if n_pos:
-        n_mined = min(int(NEG_POS_RATIO * n_pos), len(neg))
-        mined = np.argsort(-neg_values, kind="stable")[:n_mined]  # ties keep anchor order
+    n_neg = np.bincount(neg_image, minlength=k)
+    n_mined = np.where(n_pos > 0, np.minimum((NEG_POS_RATIO * n_pos).astype(np.intp), n_neg), n_neg)
+    order = np.lexsort((np.where(n_pos[neg_image] > 0, -neg_values, 0.0), neg_image))
+    mined = np.concatenate([order[start:start + m] for start, m in zip(np.cumsum(n_neg) - n_neg, n_mined)])
     d_cls[neg[mined], 0] += -1.0 / p_bg[mined]
-    cls_sum = _sequential_sum(np.concatenate((pos_cls_values, neg_values[mined])))
+    # each image's three sums, one sum per (term, image): cls over the positives then the mined negatives,
+    # reg positive-major, iou over the gated positives
+    cls_sum, reg_sum, iou_sum = _segment_sums(
+        np.concatenate((pos_cls_values, neg_values[mined], reg_values.ravel(), iou_values)),
+        np.concatenate((pos_image, neg_image[mined], k + np.repeat(pos_image, 4), 2 * k + pos_image[gated])),
+        3 * k).reshape(3, k)
 
-    norm = float(n_pos) if n_pos else float(max(len(anchors), 1))
-    value = (cls_sum + reg_sum + iou_sum) / norm
+    norm = np.where(n_pos > 0, n_pos, max(n, 1)).astype(np.float64)
     inv = 1.0 / norm
+    # only the positives' and the mined negatives' rows are nonzero; 0.0 * inv is 0.0 on the others
+    touched, scale = np.concatenate((pos, neg[mined])), inv[np.concatenate((pos_image, neg_image[mined]))]
+    d_off[touched] *= scale[:, None]
+    d_cls[touched] *= scale[:, None]
+    d_piou[touched] *= scale
     return TotalLoss(
-        value=value,
+        value=(cls_sum + reg_sum + iou_sum) / norm,
         n_pos=n_pos,
         terms={"cls": cls_sum / norm, "reg": reg_sum / norm, "iou": iou_sum / norm},
-        d_offsets=d_off * inv,
-        d_class_probs=d_cls * inv,
-        d_p_iou=d_piou * inv,
+        d_offsets=d_off.reshape(k, n, 4),
+        d_class_probs=d_cls.reshape(k, n, class_probs.shape[1]),
+        d_p_iou=d_piou.reshape(k, n),
     )

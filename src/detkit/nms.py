@@ -12,16 +12,54 @@ image's ground truths are one ``GroundTruths`` table, synthesis to AP.
 ``greedy_nms`` orders the candidates by (-score, -area, index). It then
 takes each class separately and decides its live candidates in rank
 blocks of ``BLOCK_ROWS``. Within a block only the pairs whose x-intervals
-overlap are formed (an argsort and ``searchsorted`` on x1), and a Python
-pass in rank order keeps the block's survivors. The survivors then strike
-the later live rows whose x-intervals overlap theirs, ``PAIR_BUDGET``
-pairs at a time, so memory stays O(N + budget). The kept rows are the
-ones the scalar definition gives: a pair left out has ``iw <= 0``, IOU 0
-under ``iou_value``'s rule, and every other pair goes through
-``geometry.iou_terms``, ``iou_value`` step by step, with the
-higher-priority row first. Where fewer pairs overlap in y, the sweep runs
-along y instead; iw and ih trade places and inter = iw * ih keeps its
-bits. Classes are kept apart by bucketing, not by the common trick of
+overlap are formed (an argsort and ``searchsorted`` on x1), those that do
+not overlap in y are dropped, and a Python pass in rank order keeps the
+block's survivors. The survivors then strike the later live rows that a
+grid lets near them, ``PAIR_BUDGET`` pairs at a time, so memory stays
+O(N + budget). A class builds its grid the first time it needs a strike
+step, so a class decided in one block pays nothing. The grid puts the
+rows of positive width and height into cells by the float64 exponents of
+their width and height, and a cell's rows in centre-x order. A survivor
+reads only the cells whose own width and height extremes allow both
+ratios below, and in them only the centre-x range that its window
+reaches; ``_suppressing`` drops the pairs that do not overlap in y
+before their IOUs are computed.
+
+The kept rows are the ones the scalar definition gives. A pair left out
+of a block, or dropped for not overlapping in y, has ``iw <= 0`` or
+``ih <= 0``, IOU 0 under ``iou_value``'s rule, and every other pair that
+is formed goes through ``geometry.iou_terms``, ``iou_value`` step by
+step, with the higher-priority row first. The grid
+leaves out only pairs whose computed IOU cannot exceed the threshold t:
+
+- Exactly, inter <= min(w) * min(h) and union >= max(area) >=
+  max(w) * min(h), so IOU <= min(w) / max(w), and the same for heights.
+  IOU > t also means inter * (1 + t) > t * (area_a + area_b), where
+  inter <= iw * min(h) and area_a + area_b >= (w_a + w_b) * min(h); so
+  iw > t * (w_a + w_b) / (1 + t), and as iw <= (w_a + w_b) / 2 - |dcx|,
+  |dcx| < (1 - t) / (1 + t) * max(w).
+- The computed IOU and sizes are these quantities within a few ulps, so
+  the grid widens each bound: a ratio must exceed t - 2**-40, and a
+  centre distance lie within ((1 - t) / (1 + t) + 2**-40) * max(w) plus
+  2**-40 of the largest coordinate magnitude, which covers the rounding
+  of the centres. The grid's own products and halvings can also round by
+  half a subnormal step, where a relative slack vanishes (a side of 2
+  steps times 0.3 rounds to 1 step), so every size and window is widened
+  by 2**-1060 as well. The ratios are checked against each cell's own
+  extremes. A fixed distance in levels is not safe: at t = 0.5 a box a
+  few ulps under half as wide as another inside it computes an IOU above
+  0.5, because the union rounds down.
+- These relative bounds hold while the larger area is a normal number
+  far from underflow. Below that, a product's absolute rounding can beat
+  both ratios: a box of 9 subnormal steps of area and one 0.49 as wide
+  inside it compute an IOU of 5/9. So the bounds apply only where one of
+  the two rows lies in a cell whose areas are at least 2**-962; a
+  survivor and a row both in tiny cells are always compared.
+- A row of zero width or height has ``iw <= 0`` or ``ih <= 0`` against
+  any row, so it neither strikes nor is struck, and the grid leaves it
+  out.
+
+Classes are kept apart by bucketing, not by the common trick of
 offsetting each class's coordinates into a disjoint region: the offset
 changes the IOU's float bits and can flip a kept set at the threshold.
 """
@@ -51,6 +89,7 @@ DETECTIONS_CSV_HEADER = ["image_id", "class_id", "x1", "y1", "x2", "y2", "p_cls"
 # int() and float() alone would also read "1_0", " 2 " and "\u0663"
 _CSV_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)",
                          re.IGNORECASE | re.ASCII)
+_CSV_INTEGER = re.compile(r"[+-]?[0-9]+", re.ASCII)  # a class id cell
 
 
 def checked_areas(boxes: np.ndarray, image_ids) -> np.ndarray:
@@ -166,7 +205,9 @@ def greedy_nms(
     order = cand[np.lexsort((cand, -areas[cand], -scores[cand]))]
     order_classes = dets.class_id[order]
     kept = np.zeros(order.size, dtype=bool)  # by global rank
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a pair whose IOU is 0 may divide by zero or overflow, and a grid window past the largest double
+    # is inf, which keeps its order
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for c in set(order_classes.tolist()):
             ranks = np.flatnonzero(order_classes == c)
             # rows x1, y1, x2, y2, area of the class's candidates, in priority order
@@ -178,20 +219,15 @@ def greedy_nms(
 def _greedy_rows(rows: np.ndarray, iou_threshold: float) -> np.ndarray:
     """Positions kept by greedy suppression of one class's (5, M) rows
     (x1, y1, x2, y2, area), already in priority order, in the rank blocks
-    of the module docstring; the caller silences the division warnings of
-    the pairs whose IOU is 0."""
-    # one block forms only its own pairs, on either axis
-    if rows.shape[1] > BLOCK_ROWS and _sweep_pairs(rows[1], rows[3]) < _sweep_pairs(rows[0], rows[2]):
-        rows = rows[[1, 0, 3, 2, 4]]
-    x1, x2 = rows[0], rows[2]
+    of the module docstring; the caller silences the warnings of the pairs
+    whose IOU is 0 and of the grid's infinite windows."""
     live = np.ones(rows.shape[1], dtype=bool)  # neither struck nor decided
-    by_x = np.argsort(x1, kind="stable")  # the live rows by x1
+    grid = None
     kept = []
     start = 0
     while (block := np.flatnonzero(live[start:])[:BLOCK_ROWS] + start).size:
         start = block[-1] + 1
         live[block] = False
-        by_x = by_x[live[by_x]]
 
         # each pair of block positions once, lower first: a row with every
         # row after it in x order that starts before it ends
@@ -208,31 +244,104 @@ def _greedy_rows(rows: np.ndarray, iou_threshold: float) -> np.ndarray:
                 struck[j] = True
         survivors = block[~np.array(struck)]
         kept.append(survivors)
-        if not by_x.size:
-            break
 
-        # the survivors against the later live rows that start inside one,
-        # and those that one starts inside
-        sx = survivors[np.argsort(x1[survivors], kind="stable")]
-        later = x1[by_x]
-        lo = np.searchsorted(later, x1[sx])
-        for _, b in _suppressing(rows, iou_threshold, _pairs(sx, lo, np.searchsorted(later, x2[sx]) - lo, by_x)):
-            live[b] = False
-        # a survivor starts inside only rows that start before the last one
-        # does (the block's first row always survives)
-        before = by_x[:np.searchsorted(later, x1[sx[-1]])]
-        lo = np.searchsorted(x1[sx], x1[before], "right")
-        pairs = _pairs(before, lo, np.searchsorted(x1[sx], x2[before]) - lo, sx)
-        for _, b in _suppressing(rows, iou_threshold, ((s, r) for r, s in pairs)):
-            live[b] = False
+        # the survivors against the later live rows that the grid lets near
+        if live[start:].any():
+            grid = grid or _Grid(rows, iou_threshold)
+            for _, b in _suppressing(rows, iou_threshold, grid.pairs(survivors, live)):
+                live[b] = False
     return np.concatenate(kept or [block])
 
 
-def _sweep_pairs(lo, hi) -> int:
-    """How many pairs a sweep over the intervals [lo, hi) forms: those of
-    each row with every row starting inside it."""
-    lo_sorted = np.sort(lo)
-    return int(np.searchsorted(lo_sorted, hi).sum() - np.searchsorted(lo_sorted, lo).sum())
+class _Grid:
+    """One class's rows indexed for the strike step, as the module docstring
+    sets out: by (width level, height level) cell, then by centre-x rank.
+    Rows of zero width or height overlap nothing and are left out."""
+
+    def __init__(self, rows: np.ndarray, iou_threshold: float):
+        self.all_rows, self.thr = rows, iou_threshold
+        x1, y1, x2, y2, _ = rows
+        # the slack covering the rounding of the centres
+        self.x_slack = _SLACK * max(np.abs(x1).max(), np.abs(x2).max()) + _ABS_SLACK
+        # built a column at a time, so that few O(M) arrays are alive at once
+        members = np.flatnonzero((x2 > x1) & (y2 > y1))
+        w, h = x2[members] - x1[members], y2[members] - y1[members]
+        cells, cell = np.unique(_levels(w, h), return_inverse=True)
+        self.tiny = _tiny(cells)
+        self.extremes = []  # (min, max) of each cell's widths, then of its heights
+        for size in (w, h):
+            lo, hi = np.full(len(cells), np.inf), np.zeros(len(cells))
+            np.minimum.at(lo, cell, size)
+            np.maximum.at(hi, cell, size)
+            self.extremes += [lo, hi]
+        del w, h
+        # rows in (cell, centre-x rank) order, as one int64 key; rows of one centre-x share a rank
+        cx = _centres(x1, x2, members)
+        self.x_sorted = np.sort(cx)
+        self.stride = len(members) + 1  # of the cells in the row keys
+        cell *= self.stride
+        cell += np.searchsorted(self.x_sorted, cx)
+        del cx
+        order = np.argsort(cell)
+        self.rows, self.row_keys = members[order], cell[order]
+
+    def pairs(self, survivors: np.ndarray, live: np.ndarray):
+        """Chunks of index pairs (survivor, live row) that hold every pair
+        whose computed IOU can exceed the threshold. Rows no longer live
+        leave the index first; its keys stay sorted."""
+        keep = live[self.rows]
+        self.rows, self.row_keys = self.rows[keep], self.row_keys[keep]
+        x1, y1, x2, y2, _ = self.all_rows
+        survivors = survivors[(x2[survivors] > x1[survivors]) & (y2[survivors] > y1[survivors])]
+        step = max(1, PAIR_BUDGET // max(len(self.tiny), 1))
+        for first in range(0, len(survivors), step):
+            yield from _pairs(*self._ranges(survivors[first:first + step]), self.rows)
+
+    def _ranges(self, s: np.ndarray):
+        """For survivors ``s``, each cell that one must read: the survivor,
+        and the start and count in ``self.rows`` of the cell's rows inside
+        the survivor's centre-x window."""
+        w_lo, w_hi, h_lo, h_hi = self.extremes
+        x1, y1, x2, y2, _ = self.all_rows
+        w, h = x2[s] - x1[s], y2[s] - y1[s]
+        tiny = _tiny(_levels(w, h))
+        # a size v and a cell's [lo, hi] allow a ratio above t when v > t * lo and hi > t * v; the
+        # absolute slack covers t * v rounding by half a subnormal step
+        t, w, h = self.thr - _SLACK, w[:, None], h[:, None]
+        ratios_allow = ((w + _ABS_SLACK > t * w_lo) & (w_hi + _ABS_SLACK > t * w)
+                        & (h + _ABS_SLACK > t * h_lo) & (h_hi + _ABS_SLACK > t * h))
+        si, c = np.nonzero(ratios_allow | (tiny[:, None] & self.tiny))
+        # the centre-x windows; pairs of tiny cells are not bounded
+        rx = ((1.0 - self.thr) / (1.0 + self.thr) + _SLACK) * np.where(
+            tiny[si] & self.tiny[c], np.inf, np.maximum(w[si, 0], w_hi[c])) + self.x_slack
+        cx, key = _centres(x1, x2, s[si]), c * self.stride
+        start = np.searchsorted(self.row_keys, key + np.searchsorted(self.x_sorted, cx - rx))
+        return s[si], start, np.searchsorted(self.row_keys, key + np.searchsorted(self.x_sorted, cx + rx, "right")) - start
+
+
+_SLACK = 2.0**-40  # bounds widened by far more than the IOU's computed bits can move
+_ABS_SLACK = 2.0**-1060  # and by more than a product or halving rounds below the normal range
+_TINY_LEVELS = 1084  # cells whose two biased exponents sum below this hold areas below 2**-960
+
+
+def _centres(lo: np.ndarray, hi: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """0.5 * lo + 0.5 * hi of the rows ``idx``: halved first, it does not overflow as 0.5 * (lo + hi) can."""
+    out, half_hi = lo[idx], hi[idx]
+    out *= 0.5
+    half_hi *= 0.5
+    out += half_hi
+    return out
+
+
+def _levels(w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The cell of each (w, h): their biased float64 exponents as one key.
+    Any grouping is exact, since queries read each cell's own extremes."""
+    return (w.view(np.int64) >> 52 << 11) | (h.view(np.int64) >> 52)
+
+
+def _tiny(cells: np.ndarray) -> np.ndarray:
+    """Whether each cell's areas lie below 2**-960, where products can underflow."""
+    return (cells >> 11) + (cells & 2047) < _TINY_LEVELS
 
 
 def _pairs(owners, starts, counts, targets):
@@ -253,9 +362,12 @@ def _suppressing(rows, iou_threshold, pairs):
     """The index pairs (a, b) of each chunk of ``pairs`` whose IOU exceeds
     the threshold; ``a``, the higher-priority row, is ``iou_terms``' first
     operand."""
+    x1, y1, x2, y2, area = rows
     for a, b in pairs:
-        (*a_corners, a_area), (*b_corners, b_area) = ([column[a] for column in rows], [column[b] for column in rows])
-        _, _, inter, union, zero = iou_terms(a_corners, a_area, b_corners, b_area)
+        # a pair with no y-overlap has IOU 0
+        near = np.minimum(y2[a], y2[b]) > np.maximum(y1[a], y1[b])
+        a, b = a[near], b[near]
+        _, _, inter, union, zero = iou_terms((x1[a], y1[a], x2[a], y2[a]), area[a], (x1[b], y1[b], x2[b], y2[b]), area[b])
         hit = ~zero & (inter / union > iou_threshold)
         yield a[hit], b[hit]
 
@@ -274,7 +386,7 @@ def detections_from_csv(text: str) -> Detections:
     for row in rows:
         if len(row) != len(DETECTIONS_CSV_HEADER):
             raise ValueError(f"detections CSV row of {len(row)} fields, expected {len(DETECTIONS_CSV_HEADER)}: {row}")
-        if not all(map(_CSV_NUMBER.fullmatch, row[1:])):
+        if not (_CSV_INTEGER.fullmatch(row[1]) and all(map(_CSV_NUMBER.fullmatch, row[2:]))):
             raise ValueError(f"malformed number in detections CSV row {row}")
     values = np.array([[float(v) for v in row[2:]] for row in rows], dtype=np.float64).reshape(-1, 6)
     finite = np.isfinite(values).all(axis=1)

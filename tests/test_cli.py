@@ -243,11 +243,14 @@ class TestNonFiniteDetections:
 
 
 class TestMalformedDetectionNumber:
-    # int() and float() alone read "1_0" as 10, " 2 " as 2 and "\u0663" as 3, so nms wrote them back changed
+    # int() and float() alone read "1_0" as 10, " 2 " as 2 and "\u0663" as 3, so nms wrote them back changed;
+    # int() raised on a class id spelled as a float, with a message that did not name the row
     @pytest.mark.parametrize("command", ["nms", "eval"])
     @pytest.mark.parametrize(
-        "cells", [("1_0", "0.9"), (" 2 ", "0.9"), ("\u0663", "0.9"), ("1", "0.9 "), ("1", "0.2_5")],
-        ids=["underscore", "spaces", "arabic_digit", "trailing_space", "float_underscore"])
+        "cells", [("1_0", "0.9"), (" 2 ", "0.9"), ("\u0663", "0.9"), ("1", "0.9 "), ("1", "0.2_5"),
+                  ("1e3", "0.9"), ("1.5", "0.9"), ("2.0", "0.9"), ("inf", "0.9")],
+        ids=["underscore", "spaces", "arabic_digit", "trailing_space", "float_underscore",
+             "class_id_exponent", "class_id_fraction", "class_id_point_zero", "class_id_inf"])
     def test_exits_2_with_one_line_naming_the_row(self, tmp_path, capsys, command, cells):
         class_id, p_iou = cells
         dets = tmp_path / "dets.csv"
@@ -267,10 +270,11 @@ class TestMalformedDetectionNumber:
 
     def test_plain_spellings_read(self, tmp_path):
         dets = tmp_path / "dets.csv"
-        dets.write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\nimg0,+3,-0.0,.5,1E-5,5.,1e0,0.125\n")
+        dets.write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\nimg0,+3,-0.0,.5,1E-5,5.,1e0,0.125\n"
+                        "img1,-0,0,0,1,1,0.5,0.5\n")
         assert main(["nms", "--detections", str(dets), "--out", str(tmp_path / "nmsout")]) == 0
         kept = (tmp_path / "nmsout" / "kept.csv").read_text().splitlines()
-        assert kept[1] == "img0,3,-0.0,0.5,1e-05,5.0,1.0,0.125"
+        assert kept[1:] == ["img0,3,-0.0,0.5,1e-05,5.0,1.0,0.125", "img1,0,0.0,0.0,1.0,1.0,0.5,0.5"]
 
 
 class TestNonFiniteGroundTruths:

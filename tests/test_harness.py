@@ -28,6 +28,7 @@ from detkit.harness import (
     run_nms_ab,
 )
 from detkit.harness import config as config_module
+from detkit.harness import toyfit
 from detkit.harness.config import SCHEMA, SCHEMA_PATH, FitConfig, NmsConfig, NoiseConfig, _build, _check
 from detkit.harness.plots import histogram_svg, scatter_svg
 from detkit.harness.scenario import _sample_gt_boxes
@@ -416,6 +417,27 @@ class TestFit:
         model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, 0)
         with pytest.raises(NumericalError):
             fit_toy(model, scenario, cfg)
+
+    def test_products_run_on_one_blas_thread_and_the_count_returns(self, monkeypatch):
+        threads = toyfit._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        get, set_ = threads
+        forward, seen = ToyModel.forward, []
+        monkeypatch.setattr(ToyModel, "forward", lambda self, features: (seen.append(get()), forward(self, features))[1])
+        before = get()
+        set_(2)
+        try:
+            scenario = generate_scenario(SMALL)
+            fit_toy(init_toy_model(SMALL.n_classes, SMALL.fit.feature_dim, 0), scenario, SMALL)
+            assert get() == 2
+            diverging = replace(SMALL, fit=FitConfig(epochs=5, step=1e9, feature_dim=16))
+            with pytest.raises(NumericalError):
+                fit_toy(init_toy_model(SMALL.n_classes, 16, 0), generate_scenario(diverging), diverging)
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen and set(seen) == {1}
 
     def test_snapshot_schedule(self):
         cfg = replace(SMALL, fit=FitConfig(epochs=30, step=0.05, snapshots=4, feature_dim=16))

@@ -329,7 +329,7 @@ class TestTotalLoss:
             probs[a, 1] = 1.0
         for a in match.negative_indices:
             probs[a, 0] = 1.0
-        tl = total_loss(match, HeadOutputs(offsets, probs, p_iou), anchors, gts)
+        tl = image_loss(match, HeadOutputs(offsets, probs, p_iou), anchors, gts)
         assert tl.value == 0.0
         assert np.all(tl.d_offsets == 0.0)
         assert np.all(tl.d_p_iou == 0.0)
@@ -351,7 +351,7 @@ class TestTotalLoss:
         offsets[:, 0] = 1.0  # t_cx residual of exactly 1
         probs = np.full((n, 2), 0.8)
         p_iou = np.full(n, 0.6)
-        tl = total_loss(match, HeadOutputs(offsets, probs, p_iou), anchors, gts)
+        tl = image_loss(match, HeadOutputs(offsets, probs, p_iou), anchors, gts)
 
         iou_tar = iou(decode(anchor_box(anchors, 0), OffsetEncoding(1.0, 0.0, 0.0, 0.0)), gt).value
         per_anchor = (
@@ -369,7 +369,7 @@ class TestTotalLoss:
         match = match_anchors(anchors, [])
         n = len(anchors)
         probs = np.full((n, 2), 0.5)
-        tl = total_loss(match, HeadOutputs(np.zeros((n, 4)), probs, np.ones(n)), anchors, GroundTruths())
+        tl = image_loss(match, HeadOutputs(np.zeros((n, 4)), probs, np.ones(n)), anchors, GroundTruths())
         assert tl.n_pos == 0
         assert tl.terms["reg"] == 0.0 and tl.terms["iou"] == 0.0
         assert tl.value == pytest.approx(math.log(2.0), abs=1e-12)  # mean CE over all anchors
@@ -381,7 +381,7 @@ class TestTotalLoss:
         pos = match.positive_indices.tolist()
         mined_budget = min(3 * len(pos), len(neg))
         heads.class_probs[neg[0], 0] = 0.01
-        tl = total_loss(match, heads, anchors, gts)
+        tl = image_loss(match, heads, anchors, gts)
         touched = [a for a in neg if tl.d_class_probs[a, 0] != 0.0]
         assert len(touched) == mined_budget
         assert neg[0] in touched
@@ -391,8 +391,8 @@ class TestTotalLoss:
         # over-predict the IOU so the CEJI and R_IOU target chains do not
         # cancel (-1/t vs +1/t) and the detachment is observable
         heads.p_iou[:] = 0.99
-        full = total_loss(match, heads, anchors, gts, LossConfig())
-        detached = total_loss(match, heads, anchors, gts, LossConfig(detach_iou=True))
+        full = image_loss(match, heads, anchors, gts, LossConfig())
+        detached = image_loss(match, heads, anchors, gts, LossConfig(detach_iou=True))
         assert detached.value == full.value
         assert not np.allclose(detached.d_offsets, full.d_offsets)
         # probability-head gradients are untouched by the detachment
@@ -405,11 +405,11 @@ class TestTotalLoss:
     ])
     def test_gradient_matches_finite_differences(self, cfg):
         match, heads, anchors, gts = _five_anchor_instance(seed=4)
-        base = total_loss(match, heads, anchors, gts, cfg)
+        base = image_loss(match, heads, anchors, gts, cfg)
         step = 1e-6
 
         def loss_of(heads2):
-            return total_loss(match, heads2, anchors, gts, cfg).value
+            return image_loss(match, heads2, anchors, gts, cfg).value
 
         rng = np.random.default_rng(9)
         for _ in range(60):
@@ -571,6 +571,40 @@ def assert_same_loss(got: TotalLoss, want: TotalLoss):
         assert g.tobytes() == w.tobytes(), (name, np.argwhere(g != w)[:5])
 
 
+def image_results(batch: TotalLoss) -> list[TotalLoss]:
+    """A batch's result as one result per image."""
+    return [
+        TotalLoss(batch.value[i], batch.n_pos[i], {key: v[i] for key, v in batch.terms.items()},
+                  batch.d_offsets[i], batch.d_class_probs[i], batch.d_p_iou[i])
+        for i in range(len(batch.value))
+    ]
+
+
+def scalar_loop_by_image(match, heads, anchors, gts, cfg=LossConfig()) -> list[TotalLoss]:
+    """``total_loss_scalar`` on each image of a batch alone."""
+    return [
+        total_loss_scalar(MatchResult(match.gt_index[i], match.best_iou[i]),
+                          HeadOutputs(heads.offsets[i], heads.class_probs[i], heads.p_iou[i]), anchors, image_gts, cfg)
+        for i, image_gts in enumerate(gts)
+    ]
+
+
+def stack_images(instances):
+    """One batch of single-image instances that share their anchors: (match, heads, anchors, gts)."""
+    matches, heads, anchors, gts = zip(*instances)
+    return (
+        MatchResult(np.stack([m.gt_index for m in matches]), np.stack([m.best_iou for m in matches])),
+        HeadOutputs(*(np.stack([getattr(h, f) for h in heads]) for f in ("offsets", "class_probs", "p_iou"))),
+        anchors[0],
+        list(gts),
+    )
+
+
+def image_loss(match, heads, anchors, gts, cfg=LossConfig()) -> TotalLoss:
+    """``total_loss`` on one image, the batch of one, as that image's result."""
+    return image_results(total_loss(*stack_images([(match, heads, anchors, gts)]), cfg))[0]
+
+
 ALL_LOSS_CONFIGS = [
     LossConfig(cls=c, iou=i, reg=r, detach_iou=d)
     for c, i, r, d in itertools.product(("ceji", "ce"), ("r_iou", "l2"), ("balance_l1", "smooth_l1"), (False, True))
@@ -592,8 +626,9 @@ class TestTotalLossMatchesScalarLoop:
 
         def checked(*args):
             got = total_loss(*args)
-            assert_same_loss(got, total_loss_scalar(*args))
-            calls.append(got.n_pos)
+            for image, want in zip(image_results(got), scalar_loop_by_image(*args)):
+                assert_same_loss(image, want)
+                calls.append(image.n_pos)
             return got
 
         monkeypatch.setattr(toyfit, "total_loss", checked)
@@ -609,8 +644,9 @@ class TestTotalLossMatchesScalarLoop:
 
         def checked(*args):
             got = total_loss(*args)
-            assert_same_loss(got, total_loss_scalar(*args))
-            calls.append(got)
+            for image, want in zip(image_results(got), scalar_loop_by_image(*args)):
+                assert_same_loss(image, want)
+                calls.append(image)
             return got
 
         monkeypatch.setattr(toyfit, "total_loss", checked)
@@ -622,7 +658,7 @@ class TestTotalLossMatchesScalarLoop:
     def test_edge_cases(self, data):
         inst = data.draw(_loss_instances())
         cfg = data.draw(st.sampled_from(ALL_LOSS_CONFIGS))
-        assert_same_loss(total_loss(*inst, cfg), total_loss_scalar(*inst, cfg))
+        assert_same_loss(image_loss(*inst, cfg), total_loss_scalar(*inst, cfg))
 
     def test_edge_case_kinds_are_reached(self):
         # the hypothesis cases above must include each boundary they are
@@ -660,7 +696,7 @@ class TestTotalLossMatchesScalarLoop:
                 assert bg[n_mined - 1] == bg[n_mined]  # the mining cut falls inside a tie
             for cfg in ALL_LOSS_CONFIGS:
                 assert_same_loss(
-                    total_loss(match, heads, anchors, gts, cfg),
+                    image_loss(match, heads, anchors, gts, cfg),
                     total_loss_scalar(match, heads, anchors, gts, cfg),
                 )
 
@@ -668,15 +704,7 @@ class TestTotalLossMatchesScalarLoop:
     @given(st.data())
     def test_non_finite_inputs_raise_like_the_scalar_loop(self, data):
         match, heads, anchors, gts = data.draw(_loss_instances(min_gts=1))
-        pos = match.positive_indices.tolist()
-        for _ in range(data.draw(st.integers(1, 4))):
-            a = data.draw(st.sampled_from(pos))
-            k = data.draw(st.integers(0, 3))
-            # 3548.91356446692 * 0.2 is the first product past the largest double whose exp is finite
-            offsets = [math.nan, math.inf, -math.inf, 4e3, -4e3, 1e308, 3548.9135644669195, 3548.91356446692]
-            heads.offsets[a, k] = data.draw(st.sampled_from(offsets))
-        if data.draw(st.booleans()):
-            heads.p_iou[data.draw(st.sampled_from(pos))] = math.nan
+        _spoil(data, match, heads)
         cfg = data.draw(st.sampled_from(ALL_LOSS_CONFIGS))
         args = (match, heads, anchors, gts, cfg)
         with np.errstate(all="ignore"):
@@ -684,10 +712,10 @@ class TestTotalLossMatchesScalarLoop:
                 want = total_loss_scalar(*args)
             except (OverflowError, ValueError) as exc:
                 with pytest.raises(type(exc)) as got:
-                    total_loss(*args)
+                    image_loss(*args)
                 assert str(got.value) == str(exc)
                 return
-            got = total_loss(*args)
+            got = image_loss(*args)
         assert_same_loss(got, want)
 
     def test_array_kernels_match_scalar_twins(self):
@@ -756,12 +784,61 @@ class TestTotalLossMatchesScalarLoop:
         # the same match against moved ground truths gives the scalar loop's
         # result for those ground truths
         match, heads, anchors, gts = _five_anchor_instance(seed=2)
-        total_loss(match, heads, anchors, gts)
+        image_loss(match, heads, anchors, gts)
         moved = GroundTruths(gts.boxes + [(0.5, 0.0, 0.5, 0.0), (0.0, 0.0, 0.0, 0.0)], [2, 1])
         assert_same_loss(
-            total_loss(match, heads, anchors, moved),
+            image_loss(match, heads, anchors, moved),
             total_loss_scalar(match, heads, anchors, moved),
         )
+
+
+def _spoil(data, match, heads) -> None:
+    """Non-finite or overflowing offsets on 1-4 positives, and maybe a NaN ``p_iou`` on one."""
+    pos = match.positive_indices.tolist()
+    for _ in range(data.draw(st.integers(1, 4))):
+        a = data.draw(st.sampled_from(pos))
+        k = data.draw(st.integers(0, 3))
+        # 3548.91356446692 * 0.2 is the first product past the largest double whose exp is finite
+        offsets = [math.nan, math.inf, -math.inf, 4e3, -4e3, 1e308, 3548.9135644669195, 3548.91356446692]
+        heads.offsets[a, k] = data.draw(st.sampled_from(offsets))
+    if data.draw(st.booleans()):
+        heads.p_iou[data.draw(st.sampled_from(pos))] = math.nan
+
+
+class TestBatch:
+    """A batch of images in one pass: each image's result is the image's
+    alone, and a failing batch raises what the first failing image raises."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_images_alone_and_first_failure(self, data):
+        layout = data.draw(st.sampled_from(("pyramid", "one_cell")))
+        instances = [data.draw(_loss_instances(layout=layout)) for _ in range(data.draw(st.integers(1, 4)))]
+        # spoiled images anywhere in the batch, on their positives
+        for match, heads, _, _ in instances:
+            if len(match.positive_indices) and data.draw(st.booleans()):
+                _spoil(data, match, heads)
+        cfg = data.draw(st.sampled_from(ALL_LOSS_CONFIGS))
+        batch = stack_images(instances)
+        with np.errstate(all="ignore"):
+            first_failure, wants = None, []
+            for match, heads, anchors, gts in instances:
+                try:
+                    wants.append(total_loss_scalar(match, heads, anchors, gts, cfg))
+                except (OverflowError, ValueError) as exc:
+                    first_failure = exc
+                    break
+            if first_failure is not None:
+                with pytest.raises(type(first_failure)) as got:
+                    total_loss(*batch, cfg)
+                assert str(got.value) == str(first_failure)
+                return
+            got = total_loss(*batch, cfg)
+            alone = [image_loss(*inst, cfg) for inst in instances]
+        assert len(got.value) == len(instances)
+        for image, image_alone, want in zip(image_results(got), alone, wants):
+            assert_same_loss(image, want)
+            assert_same_loss(image_alone, want)
 
 
 def _measured_iou(anchors, heads, gts, match, a) -> float:
@@ -827,8 +904,8 @@ def _loss_instance(seed, layout="pyramid", n_gts=2, offsets="random", p_iou="ran
 
 
 @st.composite
-def _loss_instances(draw, min_gts=0):
-    layout = draw(st.sampled_from(("pyramid", "pyramid", "one_cell")))
+def _loss_instances(draw, min_gts=0, layout=None):
+    layout = layout or draw(st.sampled_from(("pyramid", "pyramid", "one_cell")))
     return _loss_instance(
         seed=draw(st.integers(0, 2**32 - 1)),
         layout=layout,
@@ -857,7 +934,7 @@ def _mining_instance(bg, n_pos=5, seed=5):
 
 def _assert_mines_as_scalar_loop(inst):
     for cfg in (LossConfig(), LossConfig(cls="ce", iou="l2")):
-        assert_same_loss(total_loss(*inst, cfg), total_loss_scalar(*inst, cfg))
+        assert_same_loss(image_loss(*inst, cfg), total_loss_scalar(*inst, cfg))
 
 
 class TestMining:
@@ -901,7 +978,7 @@ class TestMining:
         rng = np.random.default_rng(3)
         inst = _mining_instance(rng.uniform(0.0, 1.0, 84), n_pos=0)
         _assert_mines_as_scalar_loop(inst)
-        got = total_loss(*inst)
+        got = image_loss(*inst)
         assert (got.d_class_probs[:, 0] < 0.0).all()
 
     def test_logs_once_per_distinct_probability(self, monkeypatch):
@@ -918,9 +995,10 @@ class TestMining:
             return math_map(fn, x)
 
         def checked(match, heads, *rest):
+            # one call per epoch mines over the negatives of all its images
             logged.clear()
             got = total_loss(match, heads, *rest)
-            p = np.clip(heads.class_probs[match.negative_indices, 0], PROB_EPS, 1.0)
+            p = np.clip(heads.class_probs[..., 0].ravel()[match.negative_indices], PROB_EPS, 1.0)
             assert logged[-1] == len(np.unique(p.view(np.int64)))
             sizes.append((logged[-1], len(p)))
             return got
@@ -928,5 +1006,5 @@ class TestMining:
         monkeypatch.setattr(losses, "math_map", counted)
         monkeypatch.setattr(toyfit, "total_loss", checked)
         fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), generate_scenario(cfg), cfg)
-        assert len(sizes) == cfg.n_images * 3
-        assert all(n == 1 < n_neg for n, n_neg in sizes[cfg.n_images:])
+        assert len(sizes) == 3
+        assert all(n == 1 < n_neg for n, n_neg in sizes[1:])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detkit import nms
-from detkit.geometry import Box, iou_value
+from detkit.geometry import Box, iou_terms, iou_value
 from detkit.harness import (
     ScenarioConfig, detections_from_heads, fit_detections, fit_toy, generate_scenario, init_toy_model,
 )
@@ -422,6 +423,126 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2**20
+
+
+class TestCrossingBars:
+    def test_few_ious_computed(self, monkeypatch):
+        # every pair of crossing bars overlaps in x or y and most in both, so
+        # a sweep along either axis forms most of the 1,999,000 pairs; only a
+        # vertical and a horizontal bar can overlap in both, at an IOU far
+        # below the threshold, and the width and height ratios rule them out
+        n = 2_000
+        rng = np.random.default_rng(0)
+        dets = Detections(["img"] * n, shape_boxes("crossing", n, rng), [1] * n, rng.uniform(0.1, 1.0, n), np.ones(n))
+        computed = []
+
+        def counted(a, a_area, b, b_area):
+            computed.append(len(a_area))
+            return iou_terms(a, a_area, b, b_area)
+
+        monkeypatch.setattr(nms, "iou_terms", counted)
+        assert len(greedy_nms(dets)) == n
+        assert sum(computed) < 150_000
+
+
+def extreme_boxes(rng, n):
+    """Clusters of near-copies around boxes at every magnitude: centres up to
+    +-1e300, sides down to 1e-300 (subnormal areas, and sides lost next to a
+    huge centre), zero-area rows, and areas at ``checked_areas``' bound."""
+    top = np.finfo(np.float64).max / 2
+    out = []
+    while len(out) < n:
+        centre = rng.choice((0.0, 1e-300, 1.0, 1e150, 1e300)) * rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.0, 2)
+        side = 10.0 ** rng.uniform(-300, 150, 2)
+        kind = rng.integers(0, 4)
+        if kind == 1:
+            side[rng.integers(0, 2)] = 0.0  # zero area
+        elif kind == 2:  # the area at the bound, and just under it
+            side = np.array([2.0**512, (2.0 - 2.0**-52) * 2.0**510]) * rng.choice((1.0, 1.0 - 2.0**-52))
+            centre = np.zeros(2)
+        for _ in range(int(rng.integers(1, 6))):
+            s = side * rng.choice((1.0, 0.5, 0.75, 1.0 + 2.0**-50, 2.0), 2)
+            c = centre + side * rng.choice((0.0, 0.125, 0.25, -0.5, 1e-20), 2)
+            x1, y1, x2, y2 = np.concatenate((c - 0.5 * s, c + 0.5 * s)).tolist()
+            if all(map(math.isfinite, (x1, y1, x2, y2))) and x2 >= x1 and y2 >= y1 and (x2 - x1) * (y2 - y1) <= top:
+                out.append((x1, y1, x2, y2))
+    return out[:n]
+
+
+class TestExtremeInputs:
+    """The grid's bounds against the scalar loop where floats round hardest;
+    any RuntimeWarning is an error."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("thr", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scalar_loop(self, seed, thr):
+        rng = np.random.default_rng(seed)
+        boxes = extreme_boxes(rng, 400)
+        dets = [Detection(Box(*box), int(rng.integers(1, 3)), float(rng.choice(TIE_SCORES)), 1.0) for box in boxes]
+        for mode in ("standard", "iou_guided"):
+            assert_same_objects(kept_records(dets, thr, mode), greedy_nms_scalar(dets, thr, mode))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_areas_round_past_the_ratio_bound(self):
+        # a box of 9 subnormal steps of area and one 0.49 as wide inside it:
+        # their computed IOU is 5/9, above 0.5, though the width ratio is not;
+        # the narrow boxes come after a full block of the wide ones
+        w = math.sqrt(9.4) * 2.0**-537
+        wide = [Box(10 * i * w, 0.0, 10 * i * w + w, w) for i in range(2 * nms.BLOCK_ROWS)]
+        narrow = [Box(b.x1, 0.0, b.x1 + 0.49 * w, w) for b in wide]
+        assert iou_value(wide[0], narrow[0]) > 0.5 > narrow[0].w / wide[0].w
+        dets = [Detection(b, 1, 0.9, 1.0) for b in wide] + [Detection(b, 1, 0.5, 1.0) for b in narrow]
+        kept = kept_records(dets)
+        assert_same_objects(kept, greedy_nms_scalar(dets))
+        assert len(kept) == len(wide)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("thr, wide_steps, narrow_steps, height",
+                             [(0.3, 2, 1, 0.75), (0.6, 3, 2, 0.96875), (0.7, 7, 5, 0.984375)])
+    @pytest.mark.parametrize("narrow_first", [False, True])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_subnormal_sides_round_past_the_ratio_test(self, thr, wide_steps, narrow_steps, height, narrow_first,
+                                                       transpose):
+        # widths of a few subnormal steps, heights near 2**1000, so the areas
+        # are normal: thr times the wide side rounds to the narrow side,
+        # though their ratio and their computed IOU exceed thr; each narrow
+        # box lies inside a wide one, in a cell of its own, after a full block
+        # of the other kind (or the same with x and y swapped)
+        step = 2.0**-1074
+        wide = [(20 * i * step, 0.0, (20 * i + wide_steps) * step, 2.0**1000) for i in range(2 * nms.BLOCK_ROWS)]
+        narrow = [(x1, 0.0, x1 + narrow_steps * step, height * 2.0**1000) for x1, *_ in wide]
+        assert iou_value(Box(*wide[0]), Box(*narrow[0])) > thr and thr * Box(*wide[0]).w == Box(*narrow[0]).w
+        first, second = (narrow, wide) if narrow_first else (wide, narrow)
+        boxes = [Box(*(np.array(b)[[1, 0, 3, 2]] if transpose else b)) for b in first + second]
+        dets = [Detection(b, 1, 0.9 if i < len(first) else 0.5, 1.0) for i, b in enumerate(boxes)]
+        kept = kept_records(dets, thr)
+        assert_same_objects(kept, greedy_nms_scalar(dets, thr))
+        assert len(kept) == len(first)
+
+    def test_width_ratio_just_under_the_threshold(self):
+        # a box and one a few ulps under half as wide inside it: the union
+        # rounds down, so the computed IOU exceeds 0.5 though the ratio does not
+        rng = np.random.default_rng(1)
+        wide, narrow = [], []
+        while len(wide) < 2 * nms.BLOCK_ROWS:
+            y, a, b = 10.0 * len(wide), float(rng.uniform(1, 2)), float(rng.uniform(1, 2))
+            w, n = Box(0.0, y, a, y + b), Box(0.0, y, math.nextafter(a / 2, 0.0), y + b)
+            if iou_value(w, n) > 0.5:
+                wide.append(w)
+                narrow.append(n)
+        assert all(n.w / w.w < 0.5 < iou_value(w, n) for w, n in zip(wide, narrow))
+        dets = [Detection(b, 1, 0.9, 1.0) for b in wide] + [Detection(b, 1, 0.5, 1.0) for b in narrow]
+        kept = kept_records(dets)
+        assert_same_objects(kept, greedy_nms_scalar(dets))
+        assert len(kept) == len(wide)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_some_rows_suppressed(self):
+        # the instances above are not all kept or all struck
+        rng = np.random.default_rng(0)
+        dets = [Detection(Box(*box), 1, 0.5, 1.0) for box in extreme_boxes(rng, 400)]
+        assert 0 < len(kept_records(dets, 0.5)) < len(dets)
 
 
 class TestCsv:

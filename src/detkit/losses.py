@@ -32,7 +32,7 @@ import numpy as np
 
 from .anchors import AnchorSet, MatchResult
 from .geometry import (
-    DEFAULT_VARIANCES, box_areas, decode_jacobian_rows, encode_rows, extent_error, iou_rows, math_map,
+    DEFAULT_VARIANCES, Box, box_areas, decode_jacobian_rows, encode_rows, extent_error, iou_rows, math_map,
 )
 from .nms import GroundTruths
 
@@ -290,21 +290,22 @@ def _chain(d_box: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return np.matmul(d_box[:, None, :], jac)[:, 0, :]
 
 
-def _raise_first_failure(overflows, box, iou_tar, p_iou, cfg: LossConfig) -> None:
+def _raise_first_failure(overflows, box, iou_tar, gt_box, p_iou, cfg: LossConfig) -> None:
     """Raise what the per-term functions raise for the first positive that fails them, in image and then per-anchor
-    order: OverflowError from exp, ValueError from a NaN box, a bad ceji target or a NaN r_iou prediction past the
-    gate. A positive matched to a ground truth of zero width or height fails later, in the target encoding's log;
-    ``match_anchors`` makes no such match."""
+    order: OverflowError from exp, ValueError from a NaN box, a bad ceji target, a matched ground truth of zero
+    width or height, which the target encoding refuses, or a NaN r_iou prediction past the gate."""
     fails = np.stack((  # (kind, positive), kinds in the order the per-term functions check them
         overflows,
         ~((box[:, 2] >= box[:, 0]) & (box[:, 3] >= box[:, 1])),
         ~((iou_tar >= 0.0) & (iou_tar <= 1.0)) & (cfg.cls == "ceji"),
+        (gt_box[:, 2] - gt_box[:, 0] <= 0.0) | (gt_box[:, 3] - gt_box[:, 1] <= 0.0),
         (iou_tar >= CEJI_IOU_GATE) & np.isnan(p_iou) & (cfg.iou == "r_iou"),
     ))
     if fails.any():
         i = int(np.argmax(fails.any(axis=0)))
         raise (OverflowError("math range error"), extent_error(box[i]),
                ValueError(f"target IOU outside [0, 1]: {float(iou_tar[i])!r}"),
+               ValueError(f"encoded box must have strictly positive width and height: {Box(*gt_box[i].tolist())}"),
                ValueError(f"invalid predicted IOU: {p_iou[i]!r}"))[int(np.argmax(fails[:, i]))]
 
 
@@ -382,7 +383,7 @@ def total_loss(
         with np.errstate(all="ignore"):  # failing rows, which raise below
             box, jac = decode_jacobian_rows(anchor_cwh, np.where(overflows[:, None], 0.0, off))
             iou_tar, d_iou_box = iou_rows(box, gt_box, box_areas(gt_box))
-        _raise_first_failure(overflows, box, iou_tar, p_iou, cfg)
+        _raise_first_failure(overflows, box, iou_tar, gt_box, p_iou, cfg)
         p_cls = class_probs[pos, pos_cls]
 
         if cfg.cls == "ceji":

@@ -9,20 +9,22 @@ front.
 Every stage from decoding to the CSV files reads and writes one table,
 ``Detections``: a column per CSV field, one row per (box, class); each
 image's ground truths are one ``GroundTruths`` table, synthesis to AP.
-``greedy_nms`` orders the candidates by (-score, -area, index). It then
-takes each class separately and decides its live candidates in rank
-blocks of ``BLOCK_ROWS``. Within a block only the pairs whose x-intervals
-overlap are formed (an argsort and ``searchsorted`` on x1), those that do
-not overlap in y are dropped, and a Python pass in rank order keeps the
-block's survivors. The survivors then strike the later live rows that a
-grid lets near them, ``PAIR_BUDGET`` pairs at a time, so memory stays
-O(N + budget). A class builds its grid the first time it needs a strike
-step, so a class decided in one block pays nothing. The grid puts the
-rows of positive width and height into cells by the float64 exponents of
+``greedy_nms`` orders the candidates by (-score, -area, index) and gives
+each a dense class rank. It then decides every class in one sweep of rank
+blocks: a block is the next ``BLOCK_ROWS`` live candidates in rank order,
+of any class. Within a block only the pairs of one class whose
+x-intervals overlap are formed (an argsort and ``searchsorted`` on one
+integer key of class rank and x rank), those that do not overlap in y are
+dropped, and a Python pass in rank order keeps the block's survivors. The
+survivors then strike the later live rows of their class that a grid lets
+near them, ``PAIR_BUDGET`` pairs at a time, so memory stays
+O(N + budget). The grid is built the first time a strike step is needed,
+so a call decided in one block pays nothing. It puts the rows of positive
+width and height into cells by their class and the float64 exponents of
 their width and height, and a cell's rows in centre-x order. A survivor
-reads only the cells whose own width and height extremes allow both
-ratios below, and in them only the centre-x range that its window
-reaches; ``_suppressing`` drops the pairs that do not overlap in y
+reads only the cells of its class whose own width and height extremes
+allow both ratios below, and in them only the centre-x range that its
+window reaches; ``_suppressing`` drops the pairs that do not overlap in y
 before their IOUs are computed.
 
 The kept rows are the ones the scalar definition gives. A pair left out
@@ -59,9 +61,12 @@ leaves out only pairs whose computed IOU cannot exceed the threshold t:
   any row, so it neither strikes nor is struck, and the grid leaves it
   out.
 
-Classes are kept apart by bucketing, not by the common trick of
-offsetting each class's coordinates into a disjoint region: the offset
-changes the IOU's float bits and can flip a kept set at the threshold.
+No decision reads a row of another class, so the kept set is the one
+that suppressing each class on its own gives, however the blocks mix the
+classes. Classes are kept apart by their rank in the integer keys, not by
+the common trick of offsetting each class's coordinates into a disjoint
+region: the offset changes the IOU's float bits and can flip a kept set
+at the threshold.
 """
 
 from __future__ import annotations
@@ -203,24 +208,20 @@ def greedy_nms(
 
     cand = np.flatnonzero(scores >= score_floor)
     order = cand[np.lexsort((cand, -areas[cand], -scores[cand]))]
-    order_classes = dets.class_id[order]
-    kept = np.zeros(order.size, dtype=bool)  # by global rank
+    # rows x1, y1, x2, y2, area of the candidates in priority order, and each one's dense class rank
+    rows = np.vstack((dets.boxes[order].T, areas[order]))
+    classes = np.unique(dets.class_id[order], return_inverse=True)[1]
     # a pair whose IOU is 0 may divide by zero or overflow, and a grid window past the largest double
     # is inf, which keeps its order
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for c in set(order_classes.tolist()):
-            ranks = np.flatnonzero(order_classes == c)
-            # rows x1, y1, x2, y2, area of the class's candidates, in priority order
-            rows = np.vstack((dets.boxes[order[ranks]].T, areas[order[ranks]]))
-            kept[ranks[_greedy_rows(rows, iou_threshold)]] = True
-    return dets.take(order[kept])
+        return dets.take(order[_greedy_rows(rows, classes, iou_threshold)])
 
 
-def _greedy_rows(rows: np.ndarray, iou_threshold: float) -> np.ndarray:
-    """Positions kept by greedy suppression of one class's (5, M) rows
-    (x1, y1, x2, y2, area), already in priority order, in the rank blocks
-    of the module docstring; the caller silences the warnings of the pairs
-    whose IOU is 0 and of the grid's infinite windows."""
+def _greedy_rows(rows: np.ndarray, classes: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Positions kept by greedy suppression of the (5, M) rows (x1, y1,
+    x2, y2, area), already in priority order, with their dense class ranks,
+    in the rank blocks of the module docstring; the caller silences the
+    warnings of the pairs whose IOU is 0 and of the grid's infinite windows."""
     live = np.ones(rows.shape[1], dtype=bool)  # neither struck nor decided
     grid = None
     kept = []
@@ -229,12 +230,14 @@ def _greedy_rows(rows: np.ndarray, iou_threshold: float) -> np.ndarray:
         start = block[-1] + 1
         live[block] = False
 
-        # each pair of block positions once, lower first: a row with every
-        # row after it in x order that starts before it ends
+        # each pair of block positions of one class once, lower first: a row with every row after
+        # it in (class, x1) order that is of its class and starts before it ends. As the count of
+        # x1 values below it, each x1 and x2 compares as it does, and one integer key holds the class
         block_rows = rows[:, block]
-        bx = np.argsort(block_rows[0], kind="stable")
+        x1, x2 = np.searchsorted(np.sort(block_rows[0]), block_rows[[0, 2]]) + classes[block] * (block.size + 1)
+        bx = np.argsort(x1, kind="stable")
         after = np.arange(1, bx.size + 1)
-        pairs = _pairs(bx, after, np.searchsorted(block_rows[0][bx], block_rows[2][bx]) - after, bx)
+        pairs = _pairs(bx, after, np.searchsorted(x1[bx], x2[bx]) - after, bx)
         hits = _suppressing(block_rows, iou_threshold, ((np.minimum(p, q), np.maximum(p, q)) for p, q in pairs))
         a, b = (np.concatenate(column) for column in zip(*hits, (block[:0], block[:0])))
         order = np.argsort(a, kind="stable")
@@ -247,27 +250,29 @@ def _greedy_rows(rows: np.ndarray, iou_threshold: float) -> np.ndarray:
 
         # the survivors against the later live rows that the grid lets near
         if live[start:].any():
-            grid = grid or _Grid(rows, iou_threshold)
+            grid = grid or _Grid(rows, classes, iou_threshold)
             for _, b in _suppressing(rows, iou_threshold, grid.pairs(survivors, live)):
                 live[b] = False
     return np.concatenate(kept or [block])
 
 
 class _Grid:
-    """One class's rows indexed for the strike step, as the module docstring
-    sets out: by (width level, height level) cell, then by centre-x rank.
+    """The rows indexed for the strike step, as the module docstring sets
+    out: by (class, width level, height level) cell, then by centre-x rank.
     Rows of zero width or height overlap nothing and are left out."""
 
-    def __init__(self, rows: np.ndarray, iou_threshold: float):
-        self.all_rows, self.thr = rows, iou_threshold
+    def __init__(self, rows: np.ndarray, classes: np.ndarray, iou_threshold: float):
+        self.all_rows, self.classes, self.thr = rows, classes, iou_threshold
         x1, y1, x2, y2, _ = rows
         # the slack covering the rounding of the centres
         self.x_slack = _SLACK * max(np.abs(x1).max(), np.abs(x2).max()) + _ABS_SLACK
         # built a column at a time, so that few O(M) arrays are alive at once
         members = np.flatnonzero((x2 > x1) & (y2 > y1))
         w, h = x2[members] - x1[members], y2[members] - y1[members]
-        cells, cell = np.unique(_levels(w, h), return_inverse=True)
+        cells, cell = np.unique(classes[members] << _CLASS_SHIFT | _levels(w, h), return_inverse=True)
         self.tiny = _tiny(cells)
+        # the cells of class k are cells[class_cells[k]:class_cells[k + 1]]
+        self.class_cells = np.searchsorted(cells >> _CLASS_SHIFT, np.arange(classes.max(initial=-1) + 2))
         self.extremes = []  # (min, max) of each cell's widths, then of its heights
         for size in (w, h):
             lo, hi = np.full(len(cells), np.inf), np.zeros(len(cells))
@@ -293,35 +298,40 @@ class _Grid:
         self.rows, self.row_keys = self.rows[keep], self.row_keys[keep]
         x1, y1, x2, y2, _ = self.all_rows
         survivors = survivors[(x2[survivors] > x1[survivors]) & (y2[survivors] > y1[survivors])]
-        step = max(1, PAIR_BUDGET // max(len(self.tiny), 1))
-        for first in range(0, len(survivors), step):
-            yield from _pairs(*self._ranges(survivors[first:first + step]), self.rows)
+        # each survivor with each cell of its class, PAIR_BUDGET at a time
+        first = self.class_cells[self.classes[survivors]]
+        for s, c in _pairs(survivors, first, self.class_cells[self.classes[survivors] + 1] - first,
+                           np.arange(len(self.tiny))):
+            yield from _pairs(*self._ranges(s, c), self.rows)
 
-    def _ranges(self, s: np.ndarray):
-        """For survivors ``s``, each cell that one must read: the survivor,
-        and the start and count in ``self.rows`` of the cell's rows inside
-        the survivor's centre-x window."""
+    def _ranges(self, s: np.ndarray, c: np.ndarray):
+        """Of the survivors ``s`` and cells ``c`` of their class, the pairs
+        in which the survivor must read the cell: the survivor, and the
+        start and count in ``self.rows`` of the cell's rows inside the
+        survivor's centre-x window."""
         w_lo, w_hi, h_lo, h_hi = self.extremes
         x1, y1, x2, y2, _ = self.all_rows
         w, h = x2[s] - x1[s], y2[s] - y1[s]
-        tiny = _tiny(_levels(w, h))
+        tiny = _tiny(_levels(w, h)) & self.tiny[c]
         # a size v and a cell's [lo, hi] allow a ratio above t when v > t * lo and hi > t * v; the
         # absolute slack covers t * v rounding by half a subnormal step
-        t, w, h = self.thr - _SLACK, w[:, None], h[:, None]
-        ratios_allow = ((w + _ABS_SLACK > t * w_lo) & (w_hi + _ABS_SLACK > t * w)
-                        & (h + _ABS_SLACK > t * h_lo) & (h_hi + _ABS_SLACK > t * h))
-        si, c = np.nonzero(ratios_allow | (tiny[:, None] & self.tiny))
+        t = self.thr - _SLACK
+        read = tiny | ((w + _ABS_SLACK > t * w_lo[c]) & (w_hi[c] + _ABS_SLACK > t * w)
+                       & (h + _ABS_SLACK > t * h_lo[c]) & (h_hi[c] + _ABS_SLACK > t * h))
+        s, c, w, tiny = s[read], c[read], w[read], tiny[read]
         # the centre-x windows; pairs of tiny cells are not bounded
-        rx = ((1.0 - self.thr) / (1.0 + self.thr) + _SLACK) * np.where(
-            tiny[si] & self.tiny[c], np.inf, np.maximum(w[si, 0], w_hi[c])) + self.x_slack
-        cx, key = _centres(x1, x2, s[si]), c * self.stride
-        start = np.searchsorted(self.row_keys, key + np.searchsorted(self.x_sorted, cx - rx))
-        return s[si], start, np.searchsorted(self.row_keys, key + np.searchsorted(self.x_sorted, cx + rx, "right")) - start
+        rx = ((1.0 - self.thr) / (1.0 + self.thr) + _SLACK) * np.where(tiny, np.inf, np.maximum(w, w_hi[c]))
+        rx += self.x_slack
+        cx, key = _centres(x1, x2, s), c * self.stride
+        ranks = np.searchsorted(self.x_sorted, cx - rx), np.searchsorted(self.x_sorted, cx + rx, "right")
+        start, end = np.searchsorted(self.row_keys, key + ranks)  # the first row at or past each end
+        return s, start, end - start
 
 
 _SLACK = 2.0**-40  # bounds widened by far more than the IOU's computed bits can move
 _ABS_SLACK = 2.0**-1060  # and by more than a product or halving rounds below the normal range
 _TINY_LEVELS = 1084  # cells whose two biased exponents sum below this hold areas below 2**-960
+_CLASS_SHIFT = 22  # a cell key holds the class rank above the two 11-bit exponents
 
 
 def _centres(lo: np.ndarray, hi: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -341,7 +351,7 @@ def _levels(w: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def _tiny(cells: np.ndarray) -> np.ndarray:
     """Whether each cell's areas lie below 2**-960, where products can underflow."""
-    return (cells >> 11) + (cells & 2047) < _TINY_LEVELS
+    return (cells >> 11 & 2047) + (cells & 2047) < _TINY_LEVELS
 
 
 def _pairs(owners, starts, counts, targets):

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from detkit.evaluation import ApReport, evaluate, ground_truths_from_json, ground_truths_to_json
 from detkit.geometry import Box, iou_value
-from detkit.nms import MODES, Detections
+from detkit.nms import MODES, Detections, GroundTruths
 
 from conftest import any_boxes, awkward_text, bits, gt_tables, records, tables
 from oracles import ap_bruteforce, evaluate_reference, score
@@ -177,6 +179,118 @@ class TestMatchesReference:
     def test_same_bits(self, instance):
         dets, gts, mode = instance
         assert bits(evaluate(dets, gts, mode)) == bits(evaluate_reference(dets, gts, mode))
+
+
+@st.composite
+def many_class_instances(draw):
+    """Detections and ground truths of up to 10 classes, so that a mean over
+    classes can take numpy's 8-way pairwise sum, and up to 12 ground truths
+    per image and class, which detections near them contend for."""
+    n_classes = draw(st.sampled_from((1, 3, 9, 10)))
+    classes = draw(st.lists(st.integers(-3, 12), min_size=n_classes, max_size=n_classes, unique=True))
+    gts, dets = {}, {}
+    for img in draw(st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=3, unique=True)):
+        objs, rows = [], []
+        for c in classes:
+            size = draw(st.sampled_from((0, 1, 1, 3, 12)))
+            objs += [(box, c) for box in draw(st.lists(grid_boxes, min_size=size, max_size=size))]
+        for _ in range(draw(st.integers(0, 3 * len(objs) + 2))):
+            if objs and draw(st.booleans()):  # near a ground truth, of its class or another
+                box, c = draw(st.sampled_from(objs))
+                dx1, dy1, dx2, dy2 = draw(jitters)
+                box = Box(box.x1 + dx1, box.y1 + dy1, box.x2 + dx2, box.y2 + dy2)
+                c = draw(st.sampled_from((c, c, draw(st.sampled_from(classes)))))
+            else:
+                box, c = draw(grid_boxes), draw(st.sampled_from(classes))
+            rows.append((box, c, draw(tied_probs), draw(tied_probs)))
+        gts[img] = objs
+        dets[img] = Detections([img] * len(rows), [r[0].as_tuple() for r in rows], [r[1] for r in rows],
+                               [r[2] for r in rows], [r[3] for r in rows])
+    return dets, gt_tables(gts), draw(st.sampled_from(MODES))
+
+
+class TestManyClassesMatchReference:
+    """``evaluate`` against the reference on instances of many classes and
+    crowded ground truths, on all six fields."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(many_class_instances())
+    def test_same_bits(self, instance):
+        dets, gts, mode = instance
+        assert bits(evaluate(dets, gts, mode)) == bits(evaluate_reference(dets, gts, mode))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pairs_far_apart_overflow_silently(self):
+        # the IOU matrix of an image pairs every detection with every ground truth, of any class;
+        # 1.4e308 apart, the overlap width overflows to -inf, and the IOU is 0 without a warning
+        far, near = Box(-1.5e308, 0.0, -1.4e308, 1.0), Box(1.4e308, 0.0, 1.5e308, 1.0)
+        gts = {"0": [(far, 1), (near, 2)]}
+        dets = {"0": [(near, 2, 0.9)]}
+        report = evaluate(tables(dets), gt_tables(gts), "standard")
+        assert report.ap50 == 0.5
+        assert bits(report) == bits(evaluate_reference(tables(dets), gt_tables(gts), "standard"))
+
+    def test_range_without_counted_detection_at_high_thresholds(self):
+        # a small ground truth S, a medium one M and one medium detection D with IOU 0.75 against S
+        # and 0.9 against M. Small range: D takes S up to the 0.75 threshold; above it D can take
+        # only the ignored M, or nothing and lies outside the range, so no detection counts at 0.8
+        # to 0.95 while S does. Medium range: D takes M up to 0.9, and at 0.95 counts unmatched
+        gts = {"0": [(Box(0.0, 0.0, 30.0, 30.0), 1), (Box(0.0, 0.0, 30.0, 36.0), 1)]}
+        dets = {"0": [(Box(0.0, 0.0, 30.0, 40.0), 1, 0.9)]}
+        report = evaluate(tables(dets), gt_tables(gts), "standard")
+        assert (report.ap_small, report.ap_medium) == (pytest.approx(0.6, abs=1e-12), pytest.approx(0.9, abs=1e-12))
+        assert bits(report) == bits(evaluate_reference(tables(dets), gt_tables(gts), "standard"))
+
+
+def skewed_instance():
+    """40 images of 60 classes: class 0 has 100 detections per image, the
+    others one, and image 0 holds 1,500 ground truths of class 0 where the
+    others hold one per class. Each detection lies near a ground truth of its
+    class."""
+    rng = np.random.default_rng(0)
+    dets, gts = {}, {}
+    for i in range(40):
+        n_big = 1_500 if i == 0 else 1
+        g_cls = np.r_[np.zeros(n_big, np.int64), np.arange(1, 60)]
+        lo = rng.uniform(0, 400, (g_cls.size, 2))
+        g_boxes = np.hstack((lo, lo + rng.uniform(5, 150, (g_cls.size, 2))))
+        d_cls = np.r_[np.zeros(100, np.int64), np.arange(1, 60)]
+        near = np.where(d_cls == 0, rng.integers(0, n_big, d_cls.size), n_big + d_cls - 1)
+        d_boxes = g_boxes[near] + rng.uniform(-3, 3, (d_cls.size, 4))
+        d_boxes[:, 2:] = np.maximum(d_boxes[:, 2:], d_boxes[:, :2] + 1)
+        img = str(i)
+        gts[img] = GroundTruths(g_boxes, g_cls)
+        dets[img] = Detections([img] * d_cls.size, d_boxes, d_cls, rng.uniform(0, 1, d_cls.size),
+                               rng.uniform(0, 1, d_cls.size))
+    return dets, gts
+
+
+class TestMemory:
+    """Matching holds the pairs that can match, and scoring one class at a
+    time, so memory follows the detections and the fullest image rather than
+    the classes times the largest class or the images times the fullest
+    image: padded that way, this instance needs over 1 GiB."""
+
+    def test_peak_on_skewed_instance(self):
+        dets, gts = skewed_instance()
+        tracemalloc.start()
+        try:
+            report = evaluate(dets, gts, "standard")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+        assert 0.9 < report.ap50 <= 1.0
+
+
+def test_area_error_names_the_first_image():
+    # image a's detection and image b's ground truth both overflow their area; the images are
+    # checked in order, each one's detections and then its ground truths
+    big, ok = [0.0, 0.0, 1.5e154, 1.5e154], [0.0, 0.0, 10.0, 10.0]
+    dets = {"a": Detections(["a"], [big], [1], [0.5], [0.5])}
+    gts = {"a": GroundTruths([ok], [1]), "b": GroundTruths([big], [1])}
+    with pytest.raises(ValueError, match="in image 'a'"):
+        evaluate(dets, gts, "standard")
 
 
 # One instance per clause of the matching rule. In each, the first detection

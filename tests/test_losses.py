@@ -840,6 +840,26 @@ class TestBatch:
             assert_same_loss(image, want)
             assert_same_loss(image_alone, want)
 
+    def test_zero_width_match_raises_before_a_later_overflow(self):
+        # the first image matches a positive to a ground truth of zero width, which encode refuses; the
+        # second overflows exp. A loop of images raises the first image's error, and so must the batch
+        match, heads, anchors, gts = _five_anchor_instance()
+        g = int(match.gt_index[match.positive_indices[0]])
+        boxes = gts.boxes.copy()
+        boxes[g, 2] = boxes[g, 0]
+        first = match, heads, anchors, GroundTruths(boxes, gts.class_id)
+        second = _five_anchor_instance(seed=1)
+        second[1].offsets[second[0].positive_indices[0], 2] = 4e3
+        for cfg in ALL_LOSS_CONFIGS:
+            with pytest.raises(ValueError) as want:
+                total_loss_scalar(*first, cfg)
+            with pytest.raises(OverflowError):
+                total_loss_scalar(*second, cfg)
+            with pytest.raises(ValueError) as got:
+                total_loss(*stack_images([first, second]), cfg)
+            assert str(got.value) == str(want.value)
+            assert str(want.value).startswith("encoded box must have strictly positive width and height: Box(")
+
 
 def _measured_iou(anchors, heads, gts, match, a) -> float:
     box = decode(anchor_box(anchors, a), OffsetEncoding(*heads.offsets[a]))

@@ -14,7 +14,7 @@ from detkit.nms import DETECTIONS_CSV_HEADER, Detections, GroundTruths, detectio
 
 from conftest import any_boxes, awkward_text, bits, kept_records, records, table
 import oracles
-from oracles import Detection, nms_bruteforce, priority_order
+from oracles import Detection, nms_bruteforce, priority_order, score
 
 # any probability, -0.0 and subnormals included
 probability = st.one_of(st.sampled_from((-0.0, 5e-324)), st.floats(min_value=0.0, max_value=1.0))
@@ -404,6 +404,65 @@ class TestScalarEquivalenceInSmallBlocks(TestScalarEquivalence):
 @pytest.mark.usefixtures("small_blocks")
 @pytest.mark.parametrize("small_blocks", [(1, 1), (2, 1), (3, 1)], ids=block_ids, indirect=True)
 class TestOracleInSmallBlocks(TestOracle):
+    pass
+
+
+# class id sets: one class; two classes, one of them negative; and ids beyond 64 bits beside 0 and -1
+CLASS_SETS = ((7,), (-3, 5), (2**70, 0, -1))
+
+
+@st.composite
+def interleaved_classes(draw, min_rows=0, max_rows=400):
+    """Detection records on a small integer grid whose classes alternate
+    along the rank order: each row's class is drawn at random from one of
+    ``CLASS_SETS``, and the scores tie across classes."""
+    classes = draw(st.sampled_from(CLASS_SETS))
+    n = draw(st.integers(min_rows, max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = draw(st.integers(2, 20))
+    x1, y1 = rng.integers(0, side, (2, n))
+    w, h = rng.integers(0, 9, (2, n))
+    return [Detection(Box(float(x1[i]), float(y1[i]), float(x1[i] + w[i]), float(y1[i] + h[i])),
+                      classes[int(rng.integers(0, len(classes)))], float(rng.choice(TIE_SCORES)),
+                      float(rng.choice([0.5, 1.0])))
+            for i in range(n)]
+
+
+class TestClassSweep:
+    """One sweep decides every class: blocks mix the classes in rank order,
+    and the kept rows are the scalar loop's, class by class."""
+
+    @given(interleaved_classes(min_rows=100), st.sampled_from(EXACT_THRESHOLDS), st.sampled_from(nms.MODES))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_loop(self, dets, thr, mode):
+        assert_same_objects(kept_records(dets, thr, mode), greedy_nms_scalar(dets, thr, mode))
+
+    @given(interleaved_classes(min_rows=100, max_rows=300), st.sampled_from(EXACT_THRESHOLDS),
+           st.sampled_from(nms.MODES))
+    @settings(max_examples=40, deadline=None)
+    def test_identical_boxes_alternating_classes(self, dets, thr, mode):
+        # every box the same: each class keeps its first row in rank order, and no other
+        dets = [Detection(Box(0.0, 0.0, 4.0, 4.0), d.class_id, d.p_cls, d.p_iou) for d in dets]
+        want = greedy_nms_scalar(dets, thr, mode)
+        assert_same_objects(kept_records(dets, thr, mode), want)
+        assert len(want) == len({d.class_id for d in dets if score(d, mode) >= nms.SCORE_FLOOR})
+
+    @given(interleaved_classes(max_rows=oracles.BRUTEFORCE_LIMIT), st.sampled_from((0.3, 0.5, 0.7)),
+           st.sampled_from(nms.MODES))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_bruteforce(self, dets, thr, mode):
+        assert kept_records(dets, thr, mode) == nms_bruteforce(dets, thr, mode)
+
+    def test_class_ids_beyond_64_bits_keep_their_type(self):
+        boxes = [(0.0, 0.0, 4.0, 4.0)] * 4
+        dets = Detections(["a"] * 4, boxes, [2**70, -1, 2**70, -1], [0.9, 0.8, 0.7, 0.6], [1.0] * 4)
+        kept = greedy_nms(dets)
+        assert kept.class_id.dtype == object and kept.class_id.tolist() == [2**70, -1]
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("small_blocks", [(2, 5), (3, 7)], ids=block_ids, indirect=True)
+class TestClassSweepInSmallBlocks(TestClassSweep):
     pass
 
 

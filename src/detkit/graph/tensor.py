@@ -1,9 +1,11 @@
 """Dense NCHW tensors with strided/dilated convolution, bilinear resize,
 and adaptive average pooling.
 
-Convolution lowers to im2col plus one BLAS matrix product per image;
-plain 1x1 convs (stride 1, no padding) skip im2col and read the input
-directly, without a copy.
+Convolution lowers to im2col one image and one block of output rows at
+a time, with one BLAS matrix product per block, so its column workspace
+is bounded by ``COLS_BUDGET`` whatever the batch and map size; plain 1x1
+convs (stride 1, no padding) skip im2col and read the input directly,
+without a copy.
 
 Conventions are pinned for bit-reproducibility: convolution is
 cross-correlation with the usual floor output formula; bilinear resize
@@ -98,6 +100,10 @@ class ConvParams:
         return cls(LayerSpec(1, in_channels=channels, out_channels=channels), w, np.zeros(channels))
 
 
+# Largest im2col block of conv2d, in float64 elements (8 MiB)
+COLS_BUDGET = 2**20
+
+
 def conv_output_size(size: int, kernel: int, stride: int, dilation: int, padding: int) -> int:
     return (size + 2 * padding - dilation * (kernel - 1) - 1) // stride + 1
 
@@ -105,10 +111,12 @@ def conv_output_size(size: int, kernel: int, stride: int, dilation: int, padding
 def conv2d(x: TensorNCHW, p: ConvParams) -> TensorNCHW:
     """Strided, dilated 2-D cross-correlation (im2col over numpy matmul).
 
-    The (out, c*k*k) weight matrix multiplies each image's (c*k*k, pixels)
-    column matrix on BLAS. For a plain 1x1 conv (stride 1, no padding) the
+    The (out, c*k*k) weight matrix multiplies (c*k*k, pixels) column
+    matrices on BLAS. For a plain 1x1 conv (stride 1, no padding) the
     input reshaped to (n, c, h*w) already is that matrix, so no columns
-    are built.
+    are built. Every other conv pads one image at a time and builds its
+    columns for as many output rows as fit in ``COLS_BUDGET`` elements
+    (at least one row) in one buffer reused from block to block.
     """
     spec = p.spec
     if x.c != spec.in_channels:
@@ -119,21 +127,31 @@ def conv2d(x: TensorNCHW, p: ConvParams) -> TensorNCHW:
     if ho < 1 or wo < 1:
         raise ValueError(f"conv reduces {x.h}x{x.w} below 1x1")
 
-    n, c = x.n, x.c
+    n, c, cout = x.n, x.c, spec.out_channels
+    w2d = p.weight.reshape(cout, c * k * k)
     if k == 1 and s == 1 and pad == 0:
-        cols = x.data.reshape(n, c, ho * wo)
-    else:
-        padded = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        cols = np.empty((n, c, k, k, ho, wo))
-        for i in range(k):
-            for j in range(k):
-                ri, cj = i * d, j * d
-                cols[:, :, i, j] = padded[:, :, ri : ri + s * ho : s, cj : cj + s * wo : s]
-        cols = cols.reshape(n, c * k * k, ho * wo)
-    w2d = p.weight.reshape(spec.out_channels, c * k * k)
-    out = np.matmul(w2d, cols)
-    out += p.bias[None, :, None]
-    return TensorNCHW(out.reshape(n, spec.out_channels, ho, wo))
+        out = np.matmul(w2d, x.data.reshape(n, c, ho * wo))
+        out += p.bias[None, :, None]
+        return TensorNCHW(out.reshape(n, cout, ho, wo))
+
+    out = np.empty((n, cout, ho * wo))
+    block = min(ho, max(1, COLS_BUDGET // (c * k * k * wo)))
+    buffer = np.empty(c * k * k * block * wo)
+    padded = None
+    for b in range(n):
+        del padded  # the last image's padded copy goes before the next one is made
+        padded = np.pad(x.data[b], ((0, 0), (pad, pad), (pad, pad)))
+        for r0 in range(0, ho, block):
+            rows = min(block, ho - r0)
+            cols = buffer[: c * k * k * rows * wo].reshape(c, k, k, rows, wo)
+            for i in range(k):
+                for j in range(k):
+                    ri, cj = i * d + s * r0, j * d
+                    cols[:, i, j] = padded[:, ri : ri + s * rows : s, cj : cj + s * wo : s]
+            dest = out[b, :, r0 * wo : (r0 + rows) * wo]
+            np.matmul(w2d, cols.reshape(c * k * k, rows * wo), out=dest)
+            dest += p.bias[:, None]
+    return TensorNCHW(out.reshape(n, cout, ho, wo))
 
 
 def bilinear_resize(x: TensorNCHW, out_h: int, out_w: int) -> TensorNCHW:

@@ -86,7 +86,7 @@ from .geometry import box_areas, iou_terms
 MODES = ("standard", "iou_guided")
 DEFAULT_IOU_THRESHOLD = 0.5
 SCORE_FLOOR = 0.01
-BLOCK_ROWS = 96  # live candidates decided at a time
+BLOCK_ROWS = 192  # live candidates decided at a time; each block pays one strike step over the grid
 PAIR_BUDGET = 4096  # candidate pairs compared at a time, which bounds the transient memory
 
 DETECTIONS_CSV_HEADER = ["image_id", "class_id", "x1", "y1", "x2", "y2", "p_cls", "p_iou"]

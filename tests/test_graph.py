@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from detkit.graph import (
     save_tensor,
     two_way_fpn_forward,
 )
+from detkit.graph import tensor
 from detkit.graph.tensor import conv_output_size
 from detkit.rfcalc import INITIAL_STATE, LayerSpec, RFState, propagate
 
@@ -125,6 +128,43 @@ class TestConv2d:
         p = ConvParams(spec, rng.normal(size=(2, 2, 3, 3)), rng.normal(size=2))
         x = TensorNCHW(rng.normal(size=(1, 2, 5, 5)))
         np.testing.assert_allclose(conv2d(x, p).data, conv2d_bruteforce(x, p), atol=1e-10)
+
+
+@pytest.fixture(scope="class")
+def small_cols(request):
+    """``conv2d`` with im2col blocks of at most ``request.param`` elements:
+    1 builds one output row at a time (one row already exceeds it), and
+    1,000 splits most of the oracle cases' rows into blocks of unequal
+    size: 8 rows as 5 + 3, 7 as 4 + 3 or 5 + 2, 13 as six of 2 and one."""
+    saved = tensor.COLS_BUDGET
+    tensor.COLS_BUDGET = request.param
+    yield
+    tensor.COLS_BUDGET = saved
+
+
+@pytest.mark.usefixtures("small_cols")
+@pytest.mark.parametrize("small_cols", [1, 1000], ids=lambda budget: f"budget{budget}", indirect=True)
+class TestConv2dInSmallBlocks(TestConv2d):
+    pass
+
+
+class TestConvMemory:
+    def test_workspace_bounded_by_budget(self):
+        """Batch 4, 256 -> 512 channels, 3x3 at 40x40: one im2col matrix for
+        the whole batch would be 113 MiB. The columns are built one image
+        and one block of rows at a time, so the peak is the output, one
+        padded image and one block of ``COLS_BUDGET`` elements."""
+        rng = np.random.default_rng(0)
+        p = ConvParams.seeded(LayerSpec(3, 1, 1, 1, in_channels=256, out_channels=512), 0)
+        x = TensorNCHW(rng.uniform(-1.0, 1.0, (4, 256, 40, 40)))
+        output, padded_image = 4 * 512 * 40 * 40 * 8, 256 * 42 * 42 * 8
+        tracemalloc.start()
+        try:
+            conv2d(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < output + padded_image + tensor.COLS_BUDGET * 8 + 2 * 2**20
 
 
 class TestResampling:

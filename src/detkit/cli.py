@@ -18,6 +18,7 @@ from .fileio import write_csv, write_json, atomic_write_text
 from .harness import (
     ConfigError,
     NumericalError,
+    ap_after_nms,
     detections_from_heads,
     fit_detections,
     fit_toy,
@@ -28,7 +29,6 @@ from .harness import (
     load_config,
     run_ablation,
     run_nms_ab,
-    nms_and_ap,
 )
 from .harness.plots import histogram_svg, scatter_svg
 
@@ -84,7 +84,7 @@ def cmd_fit(args) -> int:
 
     atomic_write_text(out / "detections_final.csv", nms.detections_to_csv(nms.Detections.concat(decoded.values())))
 
-    _, report = nms_and_ap(scenario, decoded, cfg.nms.mode)
+    report = ap_after_nms(scenario, decoded, cfg.nms.mode)
     write_json(
         out / "fit_report.json",
         {

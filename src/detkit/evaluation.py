@@ -229,10 +229,16 @@ def ground_truths_from_json(text: str) -> dict[str, GroundTruths]:
                                              and all(isinstance(o, dict) for o in e["objects"]) for e in images)):
         raise ValueError('ground-truth document must be {"images": [{"image_id", "objects": [{"box", "class_id"}]}]}')
     out: dict[str, GroundTruths] = {}
-    for entry in images:
+    for n, entry in enumerate(images):
+        if "image_id" not in entry:
+            raise ValueError(f"ground-truth image entry {n} has no 'image_id'")
         img = str(entry["image_id"])
         if img in out:
             raise ValueError(f"duplicate image entry {img!r} in ground-truth document")
+        for k, obj in enumerate(entry["objects"]):
+            for key in ("box", "class_id"):
+                if key not in obj:
+                    raise ValueError(f"ground-truth object {k} in image {img!r} has no {key!r}")
         boxes, class_ids = [o["box"] for o in entry["objects"]], [o["class_id"] for o in entry["objects"]]
         for coords in boxes:
             if not isinstance(coords, list) or len(coords) != 4:

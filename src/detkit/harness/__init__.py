@@ -20,7 +20,7 @@ from .scenario import (
     true_iou,
 )
 from .toyfit import FitResult, ToyModel, fit_toy, init_toy_model
-from .experiments import AbReport, AblationRow, ModeResult, fit_detections, nms_and_ap, run_ablation, run_nms_ab
+from .experiments import AbReport, AblationRow, ModeResult, ap_after_nms, fit_detections, run_ablation, run_nms_ab
 
 __all__ = [
     "ScenarioConfig",
@@ -45,7 +45,7 @@ __all__ = [
     "run_nms_ab",
     "run_ablation",
     "fit_detections",
-    "nms_and_ap",
+    "ap_after_nms",
     "AbReport",
     "ModeResult",
     "AblationRow",

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..evaluation import ApReport, evaluate
-from ..nms import MODES, Detections, greedy_nms
+from ..evaluation import MAX_DETECTIONS_PER_IMAGE, ApReport, evaluate
+from ..nms import MODES, Detections, GroundTruths, greedy_nms
 from .config import NumericalError, ScenarioConfig
 from .scenario import Scenario, detections_from_heads, generate_scenario, true_iou
 from .toyfit import FitResult, fit_toy, init_toy_model, one_blas_thread
@@ -44,7 +44,9 @@ def run_nms_ab(scenario: Scenario) -> AbReport:
     }
     modes: dict[str, ModeResult] = {}
     for mode in MODES:
-        kept, report = nms_and_ap(scenario, decoded, mode)
+        # every kept row goes into the scatter and the counts, so this NMS is not capped
+        kept = _per_image_nms(scenario, decoded, mode)
+        report = evaluate(kept, _ground_truths(scenario), mode)
         scatter = []
         for img in scenario.images:
             dets = kept[img.image_id]
@@ -79,7 +81,7 @@ def run_ablation(cfg: ScenarioConfig) -> list[AblationRow]:
         run_cfg = replace(cfg, losses=replace(cfg.losses, cls=cls_loss, iou=iou_loss))
         model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed)
         fit = fit_toy(model, scenario, run_cfg)
-        _, report = nms_and_ap(scenario, fit_detections(scenario, fit), cfg.nms.mode)
+        report = ap_after_nms(scenario, fit_detections(scenario, fit), cfg.nms.mode)
         rows.append(AblationRow(cls_loss, iou_loss, cfg.losses.reg, fit.initial_loss, fit.final_loss, report))
     return rows
 
@@ -99,12 +101,22 @@ def fit_detections(scenario: Scenario, fit: FitResult) -> dict[str, Detections]:
         raise NumericalError(f"fitted model decodes invalid detections: {exc}") from exc
 
 
-def nms_and_ap(scenario: Scenario, decoded: dict[str, Detections], mode: str) -> tuple[dict[str, Detections], ApReport]:
-    """Per-image NMS under ``mode`` at the config's threshold and floor, and
-    the AP of the kept detections against the scenario's ground truths."""
+def ap_after_nms(scenario: Scenario, decoded: dict[str, Detections], mode: str) -> ApReport:
+    """The AP, against the scenario's ground truths, of per-image NMS under
+    ``mode`` at the config's threshold and floor. Each class of an image
+    keeps only the ``MAX_DETECTIONS_PER_IMAGE`` rows that ``evaluate`` reads,
+    which leaves the AP unchanged to the bit (``detkit.nms``)."""
+    return evaluate(_per_image_nms(scenario, decoded, mode, MAX_DETECTIONS_PER_IMAGE), _ground_truths(scenario), mode)
+
+
+def _per_image_nms(scenario: Scenario, decoded: dict[str, Detections], mode: str,
+                   max_per_class: int | None = None) -> dict[str, Detections]:
     nms_cfg = scenario.cfg.nms
-    kept = {
-        img_id: greedy_nms(dets, nms_cfg.iou_threshold, mode, nms_cfg.score_floor)
+    return {
+        img_id: greedy_nms(dets, nms_cfg.iou_threshold, mode, nms_cfg.score_floor, max_per_class)
         for img_id, dets in decoded.items()
     }
-    return kept, evaluate(kept, {img.image_id: img.gts for img in scenario.images}, mode)
+
+
+def _ground_truths(scenario: Scenario) -> dict[str, GroundTruths]:
+    return {img.image_id: img.gts for img in scenario.images}

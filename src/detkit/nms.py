@@ -67,6 +67,19 @@ classes. Classes are kept apart by their rank in the integer keys, not by
 the common trick of offsetting each class's coordinates into a disjoint
 region: the offset changes the IOU's float bits and can flip a kept set
 at the threshold.
+
+``max_per_class`` = k caps each class of a call at k kept rows. The sweep
+counts each class's survivors; in the block where a class reaches k, its
+survivors past the k-th are dropped and its later rows leave the live
+set, so no later block or strike step reads them, and the sweep ends once
+no row is live. The cap is exact: greedy suppression is decided in rank
+order, so a class's first k survivors depend only on the rows ranked
+before its k-th, and the capped call returns the first k rows of each
+class of the uncapped one, in the same order. ``evaluate`` ranks an
+image's rows of a class by (-score, row) and reads the first
+``MAX_DETECTIONS_PER_IMAGE``; the kept order (-score, -area, index)
+refines that rank, so NMS on one image capped at that many per class
+leaves its AP unchanged to the bit.
 """
 
 from __future__ import annotations
@@ -199,10 +212,15 @@ def greedy_nms(
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
     mode: str = "standard",
     score_floor: float = SCORE_FLOOR,
+    max_per_class: int | None = None,
 ) -> Detections:
-    """Per-class greedy suppression; kept rows return in priority order."""
+    """Per-class greedy suppression; kept rows return in priority order.
+    With ``max_per_class``, each class keeps only its first that many
+    survivors, the rows the uncapped call keeps first (module docstring)."""
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError("iou_threshold must lie in (0, 1)")
+    if max_per_class is not None and max_per_class < 1:
+        raise ValueError("max_per_class must be at least 1")
     scores = dets.score(mode)
     areas = checked_areas(dets.boxes, dets.image_id)
 
@@ -214,15 +232,18 @@ def greedy_nms(
     # a pair whose IOU is 0 may divide by zero or overflow, and a grid window past the largest double
     # is inf, which keeps its order
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return dets.take(order[_greedy_rows(rows, classes, iou_threshold)])
+        return dets.take(order[_greedy_rows(rows, classes, iou_threshold, max_per_class)])
 
 
-def _greedy_rows(rows: np.ndarray, classes: np.ndarray, iou_threshold: float) -> np.ndarray:
+def _greedy_rows(rows: np.ndarray, classes: np.ndarray, iou_threshold: float, cap: int | None) -> np.ndarray:
     """Positions kept by greedy suppression of the (5, M) rows (x1, y1,
     x2, y2, area), already in priority order, with their dense class ranks,
-    in the rank blocks of the module docstring; the caller silences the
-    warnings of the pairs whose IOU is 0 and of the grid's infinite windows."""
+    in the rank blocks of the module docstring, at most ``cap`` of a class
+    if it is set; the caller silences the warnings of the pairs whose IOU
+    is 0 and of the grid's infinite windows."""
     live = np.ones(rows.shape[1], dtype=bool)  # neither struck nor decided
+    if cap is not None:
+        room = np.full(classes.max(initial=-1) + 1, min(cap, classes.size))  # survivors a class may still keep
     grid = None
     kept = []
     start = 0
@@ -246,6 +267,16 @@ def _greedy_rows(rows: np.ndarray, classes: np.ndarray, iou_threshold: float) ->
             if not struck[i]:
                 struck[j] = True
         survivors = block[~np.array(struck)]
+        if cap is not None:
+            # a survivor past its class's room is dropped, and a class without room leaves the sweep
+            c = classes[survivors]
+            by_class = np.argsort(c, kind="stable")
+            nth = np.empty_like(by_class)
+            nth[by_class] = np.arange(c.size) - np.searchsorted(c[by_class], c[by_class])
+            survivors = survivors[nth < room[c]]
+            room -= np.bincount(classes[survivors], minlength=room.size)
+            if not room[c].all():
+                live[start:] &= room[classes[start:]] > 0
         kept.append(survivors)
 
         # the survivors against the later live rows that the grid lets near

@@ -372,6 +372,32 @@ class TestMalformedGroundTruthDocument:
         assert not (tmp_path / "report.json").exists()
 
 
+class TestMissingGroundTruthKey:
+    # a missing key raised KeyError, and eval printed only the key's name
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ('{"images": [{"objects": []}]}', "ground-truth image entry 0 has no 'image_id'"),
+            ('{"images": [{"image_id": "img0", "objects": [{"class_id": 1}]}]}',
+             "ground-truth object 0 in image 'img0' has no 'box'"),
+            ('{"images": [{"image_id": "img0", "objects": [{"box": [0, 0, 4, 4]}]}]}',
+             "ground-truth object 0 in image 'img0' has no 'class_id'"),
+        ],
+        ids=["image_id", "box", "class_id"],
+    )
+    def test_eval_exits_2_naming_the_key(self, tmp_path, capsys, doc, message):
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\nimg0,1,0,0,4,4,0.9,0.8\n")
+        gts = tmp_path / "gts.json"
+        gts.write_text(doc)
+        argv = ["eval", "--detections", str(dets), "--ground-truths", str(gts),
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [f"config error: {message}"]
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestOverflowingArea:
     # finite corners whose area overflows to inf: such a box lay outside every
     # area range and was ignored, so eval reported AP 1.000 instead of 0.505

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detkit.evaluation import ApReport, evaluate, ground_truths_from_json, ground_truths_to_json
+from detkit.evaluation import (
+    MAX_DETECTIONS_PER_IMAGE, ApReport, evaluate, ground_truths_from_json, ground_truths_to_json,
+)
 from detkit.geometry import Box, iou_value
-from detkit.nms import MODES, Detections, GroundTruths
+from detkit.nms import MODES, Detections, GroundTruths, greedy_nms
 
 from conftest import any_boxes, awkward_text, bits, gt_tables, records, tables
 from oracles import ap_bruteforce, evaluate_reference, score
@@ -351,6 +353,35 @@ class TestOracleGuards:
         dets = {"0": [(Box(0, 0, 5, 5), 1, 0.5), (Box(1, 1, 6, 6), 1, 0.5)]}
         with pytest.raises(ValueError):
             ap_bruteforce(dets, gts, 1, 0.5)
+
+
+class TestCappedNms:
+    """NMS capped at ``MAX_DETECTIONS_PER_IMAGE`` rows per class keeps the
+    rows ``evaluate`` reads: the kept order (-score, -area, index) refines
+    its rank (-score, row)."""
+
+    @staticmethod
+    def tie_at_the_cap():
+        """One class of 115 disjoint boxes: 95 at score 0.9, then 20 tied at
+        0.5 whose areas grow with the row, so the area order inside the tie
+        is the reverse of the row order. Ground truths sit on the 5 largest
+        of the tied boxes, the ones the 100th place reaches in kept order."""
+        top = [(20.0 * i, 0.0, 20.0 * i + 10.0, 10.0) for i in range(95)]
+        tied = [(20.0 * j, 100.0, 20.0 * j + 1.0 + j, 110.0) for j in range(20)]
+        dets = Detections(["0"] * 115, top + tied, [1] * 115, [0.9] * 95 + [0.5] * 20, [1.0] * 115)
+        return dets, {"0": GroundTruths(tied[15:], [1] * 5)}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tie_at_the_cap_keeps_every_bit(self, mode):
+        dets, gts = self.tie_at_the_cap()
+        full = greedy_nms(dets, mode=mode)
+        capped = greedy_nms(dets, mode=mode, max_per_class=MAX_DETECTIONS_PER_IMAGE)
+        assert len(full) == 115 and len(capped) == MAX_DETECTIONS_PER_IMAGE
+        report = evaluate({"0": capped}, gts, mode)
+        assert bits(report) == bits(evaluate({"0": full}, gts, mode))
+        assert report.ap50 > 0.0  # each tied box in the top 100 takes its ground truth
+        # the first 100 rows by (-score, row) of the input leave the tie's largest boxes out
+        assert evaluate({"0": dets.take(np.arange(MAX_DETECTIONS_PER_IMAGE))}, gts, mode).ap50 == 0.0
 
 
 class TestGroundTruthJson:

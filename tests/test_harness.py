@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,8 +18,10 @@ from detkit.harness import (
     SceneImage,
     ScenarioConfig,
     ToyModel,
+    ap_after_nms,
     config_from_json,
     detections_from_heads,
+    fit_detections,
     fit_toy,
     generate_scenario,
     init_toy_model,
@@ -28,15 +31,17 @@ from detkit.harness import (
     run_nms_ab,
 )
 from detkit.harness import config as config_module
+from detkit.harness import experiments
 from detkit.harness import toyfit
 from detkit.harness.config import SCHEMA, SCHEMA_PATH, FitConfig, NmsConfig, NoiseConfig, _build, _check
 from detkit.harness.plots import histogram_svg, scatter_svg
 from detkit.harness.scenario import _sample_gt_boxes
 from detkit.losses import CLS_LOSSES, IOU_LOSSES, REG_LOSSES, HeadOutputs, LossConfig
-from detkit.nms import MODES, GroundTruths
+from detkit.evaluation import MAX_DETECTIONS_PER_IMAGE, evaluate
+from detkit.nms import MODES, GroundTruths, greedy_nms
 
 import oracles
-from conftest import anchor_box, kept_records, outcome
+from conftest import anchor_box, bits, kept_records, outcome
 from oracles import score_flip_pair
 
 
@@ -479,6 +484,34 @@ class TestNmsAb:
         rep = run_nms_ab(scenario)
         for res in rep.modes.values():
             assert len(res.scatter) == res.kept_count
+
+
+class TestApAfterNms:
+    """The fit path's NMS keeps only the rows per (image, class) that
+    ``evaluate`` reads, and the AP is the uncapped one to the bit."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        scenario = generate_scenario(SMALL)
+        fit = fit_toy(init_toy_model(SMALL.n_classes, SMALL.fit.feature_dim, 0), scenario, SMALL)
+        return scenario, fit_detections(scenario, fit)
+
+    @pytest.mark.parametrize("iou_threshold", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ap_is_the_uncapped_one(self, fitted, mode, iou_threshold):
+        scenario, decoded = fitted
+        scenario = replace(scenario, cfg=replace(SMALL, nms=replace(SMALL.nms, iou_threshold=iou_threshold)))
+        full = {img: greedy_nms(dets, iou_threshold, mode, SMALL.nms.score_floor) for img, dets in decoded.items()}
+        want = evaluate(full, {img.image_id: img.gts for img in scenario.images}, mode)
+        assert bits(ap_after_nms(scenario, decoded, mode)) == bits(want)
+
+    def test_keeps_at_most_the_rows_evaluate_reads(self, fitted, monkeypatch):
+        scenario, decoded = fitted
+        seen = []
+        monkeypatch.setattr(experiments, "evaluate", lambda kept, gts, mode: seen.append(kept))
+        ap_after_nms(scenario, decoded, SMALL.nms.mode)
+        # the uncapped NMS keeps over 470 rows of each class of each image here
+        assert {max(Counter(kept.class_id.tolist()).values()) for kept in seen[0].values()} == {MAX_DETECTIONS_PER_IMAGE}
 
 
 class TestAblation:

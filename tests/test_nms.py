@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -463,6 +464,45 @@ class TestClassSweep:
 @pytest.mark.usefixtures("small_blocks")
 @pytest.mark.parametrize("small_blocks", [(2, 5), (3, 7)], ids=block_ids, indirect=True)
 class TestClassSweepInSmallBlocks(TestClassSweep):
+    pass
+
+
+def first_of_each_class(kept: Detections, k: int) -> Detections:
+    """The rows of ``kept`` that are among the first ``k`` of their class, in row order."""
+    seen, rows = Counter(), []
+    for i, c in enumerate(kept.class_id.tolist()):
+        seen[c] += 1
+        if seen[c] <= k:
+            rows.append(i)
+    return kept.take(np.array(rows, dtype=np.int64))
+
+
+class TestClassCap:
+    """``max_per_class`` = k keeps the first k rows of each class of the
+    uncapped result, column for column and in the same order."""
+
+    @given(st.one_of(interleaved_classes(max_rows=600), tie_heavy_detections()), st.sampled_from(EXACT_THRESHOLDS),
+           st.sampled_from(nms.MODES), st.sampled_from((1, 2, 7, 100)))
+    @settings(max_examples=80, deadline=None)
+    def test_first_rows_of_each_class(self, dets, thr, mode, k):
+        t = table(dets)
+        want = first_of_each_class(greedy_nms(t, thr, mode), k)
+        assert bits(greedy_nms(t, thr, mode, max_per_class=k)) == bits(want)
+
+    def test_cap_past_every_row_changes_nothing(self):
+        dets = [det(i, 0, i + 1, 1, cls=c) for i in range(6) for c in (2**70, -1)]
+        assert bits(greedy_nms(table(dets), max_per_class=2**70)) == bits(greedy_nms(table(dets)))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cap_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="max_per_class"):
+            greedy_nms(table([det(0, 0, 1, 1)]), max_per_class=k)
+
+
+# blocks of 2 and 3 rows put a class's k-th survivor in the middle of a block
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("small_blocks", [(2, 5), (3, 7)], ids=block_ids, indirect=True)
+class TestClassCapInSmallBlocks(TestClassCap):
     pass
 
 

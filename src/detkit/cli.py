@@ -59,7 +59,7 @@ def cmd_gen(args) -> int:
     rows = nms.Detections.concat(
         detections_from_heads(scenario.anchors, img.heads, cfg.nms.score_floor, img.image_id) for img in scenario.images
     )
-    atomic_write_text(out / "detections.csv", nms.detections_to_csv(rows))
+    nms.write_detections_csv(out / "detections.csv", rows)
 
     edges, counts = iou_histogram(iou_tar_values(scenario))
     _write_hist_csv(out / "iou_tar_hist.csv", edges, counts)
@@ -82,7 +82,7 @@ def cmd_fit(args) -> int:
     for epoch, edges, counts in result.snapshots:
         _write_hist_csv(out / f"iou_tar_hist_epoch{epoch:04d}.csv", edges, counts)
 
-    atomic_write_text(out / "detections_final.csv", nms.detections_to_csv(nms.Detections.concat(decoded.values())))
+    nms.write_detections_csv(out / "detections_final.csv", nms.Detections.concat(decoded.values()))
 
     report = ap_after_nms(scenario, decoded, cfg.nms.mode)
     write_json(
@@ -108,7 +108,7 @@ def cmd_nms(args) -> int:
     summary = {"mode": args.mode, "iou_threshold": args.iou_threshold, "images": images, "total_kept": len(kept_rows)}
 
     out = Path(args.out)
-    atomic_write_text(out / "kept.csv", nms.detections_to_csv(kept_rows))
+    nms.write_detections_csv(out / "kept.csv", kept_rows)
     write_json(out / "nms_summary.json", summary)
     print(f"kept {len(kept_rows)} of {len(dets)} detections; wrote {out}")
     return EXIT_OK
@@ -117,7 +117,12 @@ def cmd_nms(args) -> int:
 def cmd_eval(args) -> int:
     dets = nms.detections_from_csv(Path(args.detections).read_text())
     gts = evaluation.ground_truths_from_json(Path(args.ground_truths).read_text())
-    report = evaluation.evaluate(dets.by_image(), gts, args.mode)
+    by_image = dets.by_image()
+    # evaluate would score such rows as false positives of an image with no objects
+    missing = [image_id for image_id in by_image if image_id not in gts]
+    if missing:
+        raise ValueError(f"detections name image {missing[0]!r}, which the ground-truth document lacks")
+    report = evaluation.evaluate(by_image, gts, args.mode)
     write_json(args.out, report.as_dict())
     print(f"ap={report.ap:.6f} ap50={report.ap50:.6f} ap75={report.ap75:.6f}; wrote {args.out}")
     return EXIT_OK

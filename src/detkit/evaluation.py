@@ -232,7 +232,9 @@ def ground_truths_from_json(text: str) -> dict[str, GroundTruths]:
     for n, entry in enumerate(images):
         if "image_id" not in entry:
             raise ValueError(f"ground-truth image entry {n} has no 'image_id'")
-        img = str(entry["image_id"])
+        img = entry["image_id"]
+        if not isinstance(img, str):
+            raise ValueError(f"ground-truth image entry {n} has image_id {img!r}, which is not a string")
         if img in out:
             raise ValueError(f"duplicate image entry {img!r} in ground-truth document")
         for k, obj in enumerate(entry["objects"]):

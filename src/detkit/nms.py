@@ -93,7 +93,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fileio import csv_text
+from .fileio import csv_text, write_csv
 from .geometry import box_areas, iou_terms
 
 MODES = ("standard", "iou_guided")
@@ -413,9 +413,18 @@ def _suppressing(rows, iou_threshold, pairs):
         yield a[hit], b[hit]
 
 
+def _csv_columns(rows: Detections) -> tuple:
+    return rows.image_id, rows.class_id, *rows.boxes.T, rows.p_cls, rows.p_iou
+
+
 def detections_to_csv(rows: Detections) -> str:
     """Serialize a detections table under the pinned schema."""
-    return csv_text(DETECTIONS_CSV_HEADER, (rows.image_id, rows.class_id, *rows.boxes.T, rows.p_cls, rows.p_iou))
+    return csv_text(DETECTIONS_CSV_HEADER, _csv_columns(rows))
+
+
+def write_detections_csv(path, rows: Detections) -> None:
+    """Write ``detections_to_csv(rows)`` to ``path`` one chunk of rows at a time."""
+    write_csv(path, DETECTIONS_CSV_HEADER, _csv_columns(rows))
 
 
 def detections_from_csv(text: str) -> Detections:

@@ -398,6 +398,44 @@ class TestMissingGroundTruthKey:
         assert not (tmp_path / "report.json").exists()
 
 
+class TestNonStringImageId:
+    # json values other than strings passed through str(): image_id null read
+    # as the image "None", so a detection on image None scored AP 1.0
+    @pytest.mark.parametrize("image_id,csv_id", [("null", "None"), ("[1]", "[1]"), ("3", "3")],
+                             ids=["null", "list", "int"])
+    def test_eval_exits_2_naming_the_entry(self, tmp_path, capsys, image_id, csv_id):
+        dets = tmp_path / "dets.csv"
+        dets.write_text(f"image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\n\"{csv_id}\",1,0,0,4,4,0.9,0.8\n")
+        gts = tmp_path / "gts.json"
+        gts.write_text('{"images": [{"image_id": %s, "objects": [{"box": [0, 0, 4, 4], "class_id": 1}]}]}' % image_id)
+        argv = ["eval", "--detections", str(dets), "--ground-truths", str(gts),
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            f"config error: ground-truth image entry 0 has image_id {json.loads(image_id)!r}, which is not a string"]
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestImageWithoutGroundTruths:
+    # detections on an image the document lacks were scored as false
+    # positives of an image with no objects: AP 0.000 and exit 0
+    @pytest.mark.parametrize("other", ["img0", "img9"])
+    def test_eval_exits_2_naming_the_image(self, tmp_path, capsys, other):
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\n"
+                        f"{other},1,0,0,4,4,0.9,0.8\nimg7,1,0,0,4,4,0.9,0.8\n")
+        gts = tmp_path / "gts.json"
+        gts.write_text('{"images": [{"image_id": "img0", "objects": [{"box": [0, 0, 4, 4], "class_id": 1}]}]}')
+        argv = ["eval", "--detections", str(dets), "--ground-truths", str(gts),
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "config error: detections name image 'img7', which the ground-truth document lacks"]
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestOverflowingArea:
     # finite corners whose area overflows to inf: such a box lay outside every
     # area range and was ignored, so eval reported AP 1.000 instead of 0.505

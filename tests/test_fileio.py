@@ -1,5 +1,6 @@
-"""``fileio.csv_text``, the one CSV writer, formats column by column; its
-bytes must be those of a plain ``csv.writer`` writing row by row."""
+"""``fileio.csv_chunks``, the one CSV writer, formats column by column; its
+bytes must be those of a plain ``csv.writer`` writing row by row, whether
+joined by ``csv_text`` or streamed to a file by ``write_csv``."""
 
 import math
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import awkward_text
 from detkit import fileio
-from detkit.fileio import csv_text
+from detkit.fileio import atomic_write_text, csv_text, write_csv
 
 # strings the writer must quote, double or leave alone; "" is quoted only as a lone field
 awkward_str = st.one_of(st.sampled_from((",", '"', "\n", "\r", "\r\n", '""', "", " ", " a b ")), awkward_text)
@@ -92,3 +93,41 @@ def test_strided_columns(chunk_rows):
         got = csv_text(list("abcd"), boxes.T)
     assert not boxes.T[0].flags.contiguous
     assert got == oracles.csv_text(list("abcd"), boxes.tolist())
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, fileio.CSV_CHUNK_ROWS])
+def test_streamed_file_matches_text(tmp_path, chunk_rows):
+    # several chunks, and rows the writer itself must spell ("\r", a lone
+    # "") only in a later chunk, after chunks of plain joined lines
+    n = 3 * chunk_rows + 1
+    words = ["a", "b,c", 'd"e'] * n
+    strings = words[:n - 2] + ["\r", ""]
+    values = np.arange(n, dtype=np.float64) / 3.0
+    for columns in ([strings, values, list(range(n))], [strings]):
+        header = [f"c{i}" for i in range(len(columns))]
+        with mock.patch.object(fileio, "CSV_CHUNK_ROWS", chunk_rows):
+            text = csv_text(header, columns)
+            write_csv(tmp_path / "t.csv", header, columns)
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        assert text == oracles.csv_text(header, rows)
+        assert (tmp_path / "t.csv").read_bytes() == text.encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("unprintable cell")
+
+
+@pytest.mark.parametrize("existing", [None, "old text\n"])
+def test_failure_mid_stream_leaves_no_file(tmp_path, existing):
+    # the bad cell sits in the third chunk, after the header and two chunks went to the temp file
+    target = tmp_path / "t.csv"
+    if existing is not None:
+        atomic_write_text(target, existing)
+    column = ["a", 1, 2.5, None, "b", _Unprintable()]
+    with mock.patch.object(fileio, "CSV_CHUNK_ROWS", 2), pytest.raises(RuntimeError, match="unprintable cell"):
+        write_csv(target, ["h", "i"], [column, range(len(column))])
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["t.csv"])
+    if existing is not None:
+        assert target.read_text() == existing

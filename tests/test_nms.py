@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detkit import nms
+from detkit import fileio, nms
 from detkit.geometry import Box, iou_terms, iou_value
 from detkit.harness import (
     ScenarioConfig, detections_from_heads, fit_detections, fit_toy, generate_scenario, init_toy_model,
 )
-from detkit.nms import DETECTIONS_CSV_HEADER, Detections, GroundTruths, detections_from_csv, detections_to_csv, greedy_nms
+from detkit.nms import (
+    DETECTIONS_CSV_HEADER, Detections, GroundTruths, detections_from_csv, detections_to_csv, greedy_nms,
+    write_detections_csv,
+)
 
 from conftest import any_boxes, awkward_text, bits, kept_records, records, table
 import oracles
@@ -691,6 +694,33 @@ class TestCsv:
         finally:
             tracemalloc.stop()
         assert peak < 7 * 2**20
+
+    def test_streamed_file_matches_text(self, tmp_path):
+        rows = self.random_table(2 * fileio.CSV_CHUNK_ROWS + 5)
+        write_detections_csv(tmp_path / "d.csv", rows)
+        assert (tmp_path / "d.csv").read_bytes() == detections_to_csv(rows).encode()
+
+    def test_streamed_write_peak_set_by_chunk_rows(self, tmp_path):
+        """A 100,000-row table is a file of about 12 MB, and its text as one
+        string held twice that; streamed, the writer holds one chunk's
+        fields and lines, about 1.6 KiB a row."""
+        rows = self.random_table(100_000)
+        bound = fileio.CSV_CHUNK_ROWS * 2048 + 2**19
+        tracemalloc.start()
+        try:
+            write_detections_csv(tmp_path / "d.csv", rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "d.csv").stat().st_size > 4 * bound
+        assert peak < bound
+
+    @staticmethod
+    def random_table(n: int) -> Detections:
+        rng = np.random.default_rng(0)
+        xy = rng.uniform(0.0, 300.0, (n, 2))
+        return Detections([f"img{i % 4:04d}" for i in range(n)], np.hstack([xy, xy + rng.uniform(1.0, 50.0, (n, 2))]),
+                          rng.integers(1, 4, n), rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
 
     def test_header_validated(self):
         with pytest.raises(ValueError):

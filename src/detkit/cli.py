@@ -29,6 +29,7 @@ from .harness import (
     load_config,
     run_ablation,
     run_nms_ab,
+    scenario_features,
 )
 from .harness.plots import histogram_svg, scatter_svg
 
@@ -70,9 +71,10 @@ def cmd_gen(args) -> int:
 def cmd_fit(args) -> int:
     cfg, out = _load(args)
     scenario = generate_scenario(cfg)
+    features = scenario_features(scenario)
     model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed)
-    result = fit_toy(model, scenario, cfg)
-    decoded = fit_detections(scenario, result)
+    result = fit_toy(model, scenario, features, cfg)
+    decoded = fit_detections(scenario, features, result)
 
     write_csv(
         out / "loss_trace.csv",
@@ -96,6 +98,9 @@ def cmd_fit(args) -> int:
         },
     )
     print(f"fit: loss {result.initial_loss:.6f} -> {result.final_loss:.6f}, ap {report.ap:.4f}; wrote {out}")
+    if result.final_loss > result.initial_loss:
+        print(f"warning: the fit diverged: final loss {result.final_loss:.6f} exceeds initial loss "
+              f"{result.initial_loss:.6f}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ from .scenario import (
     generate_scenario,
     iou_histogram,
     iou_tar_values,
+    scenario_features,
     true_iou,
 )
 from .toyfit import FitResult, ToyModel, fit_toy, init_toy_model
@@ -34,6 +35,7 @@ __all__ = [
     "Scenario",
     "SceneImage",
     "generate_scenario",
+    "scenario_features",
     "detections_from_heads",
     "iou_tar_values",
     "iou_histogram",

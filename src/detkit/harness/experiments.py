@@ -5,11 +5,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from ..evaluation import MAX_DETECTIONS_PER_IMAGE, ApReport, evaluate
 from ..nms import MODES, Detections, GroundTruths, greedy_nms
 from .config import NumericalError, ScenarioConfig
-from .scenario import Scenario, detections_from_heads, generate_scenario, true_iou
-from .toyfit import FitResult, fit_toy, init_toy_model, one_blas_thread
+from .scenario import Scenario, detections_from_heads, generate_scenario, scenario_features, true_iou
+from .toyfit import FitResult, fit_toy, image_heads, init_toy_model, one_blas_thread
 
 HIGH_SCORE = 0.5
 LOW_IOU = 0.5
@@ -76,26 +78,29 @@ def run_ablation(cfg: ScenarioConfig) -> list[AblationRow]:
     resulting AP side by side. The ordering of the results is an
     experimental outcome, not a premise."""
     scenario = generate_scenario(cfg)
+    features = scenario_features(scenario)
     rows = []
     for cls_loss, iou_loss in ABLATION_COMBOS:
         run_cfg = replace(cfg, losses=replace(cfg.losses, cls=cls_loss, iou=iou_loss))
         model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed)
-        fit = fit_toy(model, scenario, run_cfg)
-        report = ap_after_nms(scenario, fit_detections(scenario, fit), cfg.nms.mode)
+        fit = fit_toy(model, scenario, features, run_cfg)
+        report = ap_after_nms(scenario, fit_detections(scenario, features, fit), cfg.nms.mode)
         rows.append(AblationRow(cls_loss, iou_loss, cfg.losses.reg, fit.initial_loss, fit.final_loss, report))
     return rows
 
 
 @one_blas_thread()
-def fit_detections(scenario: Scenario, fit: FitResult) -> dict[str, Detections]:
-    """Decode the fitted model's heads on every image, keyed by image id in
+def fit_detections(scenario: Scenario, features: np.ndarray, fit: FitResult) -> dict[str, Detections]:
+    """Decode the fitted model's heads on every image of the (images,
+    anchors, feature_dim) block ``features``, keyed by image id in
     scenario order. A decode that overflows, a NaN probability, or a box
     that is NaN or of negative extent raises NumericalError."""
     floor = scenario.cfg.nms.score_floor
     try:
+        heads = image_heads(fit.model.forward(features)[0])
         return {
-            img.image_id: detections_from_heads(scenario.anchors, fit.model.forward(img.features)[0], floor, img.image_id)
-            for img in scenario.images
+            img.image_id: detections_from_heads(scenario.anchors, img_heads, floor, img.image_id)
+            for img, img_heads in zip(scenario.images, heads)
         }
     except (OverflowError, ValueError) as exc:
         raise NumericalError(f"fitted model decodes invalid detections: {exc}") from exc

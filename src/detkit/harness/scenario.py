@@ -1,6 +1,11 @@
 """Synthetic scene generation: ground truths, anchor features, and noisy
 head outputs, all determined by the config seed.
 
+Only a fit reads the features, so synthesis keeps none: it saves the
+generator state before each image's block and steps past it with
+``standard_normal``, the sampler of ``normal(0, 1)``, so every later draw
+is unmoved. ``scenario_features`` replays the states bit for bit.
+
 The noise model plants the classification/localization inconsistency the
 IOU-guided score is designed for: confidence is drawn independently of
 box quality, and a configurable fraction of positives become
@@ -35,7 +40,6 @@ class SceneImage:
     image_id: str
     gts: GroundTruths
     match: MatchResult
-    features: np.ndarray  # (n_anchors, feature_dim), column 0 is constant 1
     heads: HeadOutputs
 
 
@@ -44,6 +48,7 @@ class Scenario:
     cfg: ScenarioConfig
     anchors: AnchorSet
     images: list[SceneImage]
+    feature_states: list[dict]  # per image, the generator state before its feature block
 
 
 def scenario_levels(cfg: ScenarioConfig):
@@ -82,14 +87,14 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
 
     noise = cfg.noise
     images: list[SceneImage] = []
+    feature_states: list[dict] = []
+    skipped = np.empty((n, cfg.fit.feature_dim))
     for img_i in range(cfg.n_images):
         count = int(rng.integers(cfg.object_count[0], cfg.object_count[1] + 1))
         gts = GroundTruths(_sample_gt_boxes(rng, cfg, count), rng.integers(1, cfg.n_classes + 1, count))
         match = match_anchors(anchors, gts.boxes)
-        # unit-scale features: |f|^2 ~ 2 regardless of width, so the fit
-        # step is width-independent and cross-anchor interference ~ 1/sqrt(F)
-        features = rng.normal(0.0, 1.0, (n, cfg.fit.feature_dim)) / np.sqrt(cfg.fit.feature_dim)
-        features[:, 0] = 1.0  # bias column
+        feature_states.append(rng.bit_generator.state)
+        rng.standard_normal(out=skipped)  # the draws of the features, see scenario_features
 
         offsets = np.zeros((n, 4))
         probs = np.zeros((n, cfg.n_classes + 1))
@@ -120,8 +125,24 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
             raise NumericalError(f"image {img_i}: a noisy offset overflows its decoded box ({exc})") from exc
         p_iou[pos] = np.clip(true + noise.p_iou_sigma * p_iou_noise[pos], PROB_EPS, 1.0)
 
-        images.append(SceneImage(str(img_i), gts, match, features, HeadOutputs(offsets, probs, p_iou)))
-    return Scenario(cfg, anchors, images)
+        images.append(SceneImage(str(img_i), gts, match, HeadOutputs(offsets, probs, p_iou)))
+    return Scenario(cfg, anchors, images, feature_states)
+
+
+def scenario_features(scenario: Scenario) -> np.ndarray:
+    """The fit's anchor features, (images, anchors, feature_dim), column 0
+    constant 1: each image's block replayed from its saved generator state."""
+    n, dim = len(scenario.anchors), scenario.cfg.fit.feature_dim
+    features = np.empty((len(scenario.feature_states), n, dim))
+    rng = np.random.default_rng()
+    for block, state in zip(features, scenario.feature_states):
+        rng.bit_generator.state = state
+        block[...] = rng.normal(0.0, 1.0, (n, dim))
+    # unit-scale features: |f|^2 ~ 2 regardless of width, so the fit
+    # step is width-independent and cross-anchor interference ~ 1/sqrt(F)
+    features /= np.sqrt(dim)
+    features[..., 0] = 1.0  # bias column
+    return features
 
 
 def _measured_ious(

@@ -1,16 +1,19 @@
 """Full-batch gradient descent of linear per-anchor heads under the
 configured loss stack.
 
-The heads map shared synthetic anchor features to offsets, per-class
+The heads map the synthetic anchor features, one (images, anchors,
+feature_dim) block from ``scenario_features``, to offsets, per-class
 scores, and a predicted IOU. Probability heads are clamped linear ranges
 rather than softmax/sigmoid so the loss optimum is reachable at finite
 parameters; the clamp contributes a zero subgradient outside its open
 interval, which also freezes a model initialized exactly at the optimum.
 
-An epoch runs the forward per image, then one ``total_loss`` pass over
-all images stacked along a leading axis, then per image, in image order,
-the gradient matmuls and the loss sums, so every bit is the one a loop of
-per-image loss calls gives.
+An epoch runs one forward over the block, two products (the offset and
+class heads stacked, then the IOU head) whose every element is the dot
+product a per-image, per-head product gives. Then one ``total_loss``
+pass over all images, then per image, in image order, the gradient
+matmuls and the loss sums, so every bit is the one a loop of per-image
+loss calls gives. Stacked gradient products would round differently.
 
 The fit's products are small, (anchors, feature_dim) against a few rows,
 and run on one BLAS thread (``one_blas_thread``). A second OpenBLAS thread
@@ -43,16 +46,25 @@ class ToyModel:
     w_iou: np.ndarray  # (feature_dim,)
 
     def forward(self, features: np.ndarray) -> tuple[HeadOutputs, np.ndarray, np.ndarray]:
-        """Head outputs plus the raw (pre-clamp) probability-head scores."""
-        offsets = features @ self.w_off.T
-        raw_cls = features @ self.w_cls.T
-        raw_iou = features @ self.w_iou
+        """Head outputs plus the raw (pre-clamp) probability-head scores of
+        a (..., anchors, feature_dim) block, each with the block's leading
+        axes."""
+        lead = features.shape[:-1]
+        flat = features.reshape(-1, features.shape[-1])
+        stacked = (flat @ np.concatenate((self.w_off, self.w_cls)).T).reshape(*lead, -1)
+        offsets, raw_cls = stacked[..., :4], stacked[..., 4:]
+        raw_iou = (flat @ self.w_iou).reshape(lead)
         heads = HeadOutputs(
             offsets=offsets,
             class_probs=np.clip(raw_cls, PROB_EPS, 1.0),
             p_iou=np.clip(raw_iou, PROB_EPS, 1.0),
         )
         return heads, raw_cls, raw_iou
+
+
+def image_heads(heads: HeadOutputs) -> list[HeadOutputs]:
+    """Each image's head outputs, as views of a batch's."""
+    return [HeadOutputs(*fields) for fields in zip(heads.offsets, heads.class_probs, heads.p_iou)]
 
 
 def _projected(grad: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -125,8 +137,9 @@ class FitResult:
 
 
 @one_blas_thread()
-def fit_toy(model: ToyModel, scenario: Scenario, cfg: ScenarioConfig) -> FitResult:
-    """Fixed-step descent for cfg.fit.epochs epochs; records the loss before
+def fit_toy(model: ToyModel, scenario: Scenario, features: np.ndarray, cfg: ScenarioConfig) -> FitResult:
+    """Fixed-step descent for cfg.fit.epochs epochs on the (images,
+    anchors, feature_dim) block ``features``; records the loss before
     every update and once after the last, plus IOU_tar histogram snapshots
     at evenly spaced stages. A non-finite loss aborts with a diagnostic.
     """
@@ -141,26 +154,25 @@ def fit_toy(model: ToyModel, scenario: Scenario, cfg: ScenarioConfig) -> FitResu
     match = MatchResult(*(np.stack([getattr(img.match, f) for img in scenario.images]) for f in ("gt_index", "best_iou")))
     gts = [img.gts for img in scenario.images]
 
-    def eval_epoch() -> tuple[dict[str, float], list[np.ndarray], list[HeadOutputs]]:
-        heads_list, raw_cls, raw_iou = zip(*(model.forward(img.features) for img in scenario.images))
-        heads = HeadOutputs(*(np.stack([getattr(h, f) for h in heads_list]) for f in ("offsets", "class_probs", "p_iou")))
+    def eval_epoch() -> tuple[dict[str, float], list[np.ndarray], HeadOutputs]:
+        heads, raw_cls, raw_iou = model.forward(features)
         tl = total_loss(match, heads, scenario.anchors, gts, cfg.losses)
-        d_cls = _projected(tl.d_class_probs, np.stack(raw_cls))
-        d_iou = _projected(tl.d_p_iou, np.stack(raw_iou))
+        d_cls = _projected(tl.d_class_probs, raw_cls)
+        d_iou = _projected(tl.d_p_iou, raw_iou)
         totals = {"total": 0.0, "cls": 0.0, "reg": 0.0, "iou": 0.0}
         grads = [np.zeros_like(model.w_off), np.zeros_like(model.w_cls), np.zeros_like(model.w_iou)]
-        for i, img in enumerate(scenario.images):
+        for i, image_features in enumerate(features):
             totals["total"] += float(tl.value[i]) / n_images
             for key in ("cls", "reg", "iou"):
                 totals[key] += float(tl.terms[key][i]) / n_images
-            grads[0] += (tl.d_offsets[i].T @ img.features) / n_images
-            grads[1] += (d_cls[i].T @ img.features) / n_images
-            grads[2] += (d_iou[i] @ img.features) / n_images
-        return totals, grads, list(heads_list)
+            grads[0] += (tl.d_offsets[i].T @ image_features) / n_images
+            grads[1] += (d_cls[i].T @ image_features) / n_images
+            grads[2] += (d_iou[i] @ image_features) / n_images
+        return totals, grads, heads
 
     for epoch in range(epochs + 1):
         try:
-            totals, grads, heads_list = eval_epoch()
+            totals, grads, heads = eval_epoch()
         except (OverflowError, ValueError) as exc:
             # diverging offsets produce degenerate geometry (exp overflow)
             raise NumericalError(f"loss diverged at epoch {epoch}: {exc}") from exc
@@ -168,7 +180,7 @@ def fit_toy(model: ToyModel, scenario: Scenario, cfg: ScenarioConfig) -> FitResu
             raise NumericalError(f"loss diverged at epoch {epoch}: {totals['total']}")
         trace.append(totals)
         if epoch in snapshot_epochs:
-            edges, counts = iou_histogram(iou_tar_values(scenario, heads_list))
+            edges, counts = iou_histogram(iou_tar_values(scenario, image_heads(heads)))
             snapshots.append((epoch, edges, counts))
         if epoch == epochs:
             break

@@ -35,6 +35,7 @@ from detkit.harness import (
     generate_scenario,
     init_toy_model,
     run_nms_ab,
+    scenario_features,
 )
 from detkit.harness.config import FitConfig
 from detkit.losses import BalanceL1Params, balance_l1, ceji_loss, r_iou_loss
@@ -260,7 +261,7 @@ def test_criterion_8_toy_training(tmp_path):
         cfg = replace(ACCEPT_CFG, seed=seed)
         scenario = generate_scenario(cfg)
         model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, seed)
-        result = fit_toy(model, scenario, cfg)
+        result = fit_toy(model, scenario, scenario_features(scenario), cfg)
         assert result.final_loss < result.initial_loss, f"seed {seed} did not reduce"
         reduced += 1
 

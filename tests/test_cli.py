@@ -635,6 +635,27 @@ class TestDivergingFit:
         assert not (tmp_path / "out").exists()
 
 
+class TestRisingLoss:
+    # at seed 0 this step takes the loss from 8.578 to 5,551.1 and the AP to
+    # 0, and the run exited 0 without a word; it still exits 0 and writes
+    # the same files, and says so on stderr
+    def test_warns_with_one_line_and_exits_0(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"fit": {"step": 1000}}))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"fit: loss 8.578325 -> 5551.095356, ap 0.0000; wrote {out}\n"
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "final loss 5551.095356 exceeds initial loss 8.578325" in err[0]
+        report = json.loads((out / "fit_report.json").read_text())
+        assert report["final_loss"] > report["initial_loss"]
+
+    def test_falling_loss_prints_nothing_on_stderr(self, tmp_path, capsys):
+        assert main(["fit", "--config", str(write_config(tmp_path))]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestFittedDecode:
     # the fitted heads are decoded outside fit_toy's guard: an overflowing
     # exp ended in a traceback, a NaN box exited 2 as a config error, and a
@@ -646,8 +667,8 @@ class TestFittedDecode:
         ("w_iou", 0, math.nan, "p_iou=nan"),
     ], ids=["overflow", "nan_box", "nan_class", "nan_iou"])
     def test_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, head, index, weight, message):
-        def fit_then_break(model, scenario, cfg):
-            fit = fit_toy(model, scenario, cfg)
+        def fit_then_break(model, scenario, features, cfg):
+            fit = fit_toy(model, scenario, features, cfg)
             getattr(fit.model, head)[index] = weight  # feature 0 is 1 on every anchor
             return fit
 

@@ -1,6 +1,8 @@
+import contextlib
 import json
 import math
 import re
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -29,6 +31,7 @@ from detkit.harness import (
     iou_tar_values,
     run_ablation,
     run_nms_ab,
+    scenario_features,
 )
 from detkit.harness import config as config_module
 from detkit.harness import experiments
@@ -36,7 +39,7 @@ from detkit.harness import toyfit
 from detkit.harness.config import SCHEMA, SCHEMA_PATH, FitConfig, NmsConfig, NoiseConfig, _build, _check
 from detkit.harness.plots import histogram_svg, scatter_svg
 from detkit.harness.scenario import _sample_gt_boxes
-from detkit.losses import CLS_LOSSES, IOU_LOSSES, REG_LOSSES, HeadOutputs, LossConfig
+from detkit.losses import CLS_LOSSES, IOU_LOSSES, PROB_EPS, REG_LOSSES, HeadOutputs, LossConfig
 from detkit.evaluation import MAX_DETECTIONS_PER_IMAGE, evaluate
 from detkit.nms import MODES, GroundTruths, greedy_nms
 
@@ -247,7 +250,7 @@ class TestScenario:
             assert ia.gts.boxes.tobytes() == ib.gts.boxes.tobytes()
             assert ia.gts.class_id.tolist() == ib.gts.class_id.tolist()
             np.testing.assert_array_equal(ia.heads.offsets, ib.heads.offsets)
-            np.testing.assert_array_equal(ia.features, ib.features)
+        np.testing.assert_array_equal(scenario_features(a), scenario_features(b))
 
     def test_different_seeds_differ(self):
         a = generate_scenario(SMALL)
@@ -340,9 +343,35 @@ class TestScenario:
             assert img.gts.boxes.tolist() == [list(b.as_tuple()) for b in gts]
             assert img.gts.class_id.tolist() == gt_classes
             assert img.match.gt_index.tolist() == gt_index
-            assert img.features.tobytes() == features.tobytes()
             for name in ("offsets", "class_probs", "p_iou"):
                 assert getattr(img.heads, name).tobytes() == getattr(heads, name).tobytes(), name
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"n_classes": 5, "grids": (12, 6, 3)}], ids=["default", "5-class-3-level"]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_features_replay_the_per_anchor_loop(self, overrides, seed):
+        # the features replayed from the saved states are the ones the scene
+        # stream draws in place, bit for bit
+        s = generate_scenario(replace(ScenarioConfig(seed=seed), **overrides))
+        want = oracles.scenario_images(s.cfg)
+        got = scenario_features(s)
+        assert len(got) == len(want)
+        for img_features, (_, _, _, features, _) in zip(got, want):
+            assert img_features.tobytes() == features.tobytes()
+
+    def test_synthesis_holds_no_feature_block(self):
+        # report and gen never read the features: the scenario keeps the
+        # generator states, not a (anchors, feature_dim) block per image; a
+        # first run fills the caches that a fresh process fills once
+        generate_scenario(ScenarioConfig(seed=1))
+        tracemalloc.start()
+        try:
+            s = generate_scenario(ScenarioConfig())
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < len(s.anchors) * s.cfg.fit.feature_dim * 8
 
     @pytest.mark.parametrize(
         "overrides", [{}, {"n_classes": 5, "grids": (10, 5, 3), "image_size": 96.0}], ids=["default", "5-class"]
@@ -375,9 +404,9 @@ def _frozen_optimum():
     gt = anchor_box(anchors, 0)
     gts = GroundTruths([gt.as_tuple()], [1])
     match = match_anchors(anchors, gts.boxes)
-    features = np.eye(n)
+    features = np.eye(n)[None]
     heads = HeadOutputs(np.zeros((n, 4)), np.zeros((n, 2)), np.zeros(n))
-    image = SceneImage("0", gts, match, features, heads)
+    image = SceneImage("0", gts, match, heads)
     cfg = replace(
         SMALL,
         n_classes=1,
@@ -386,7 +415,7 @@ def _frozen_optimum():
         n_images=1,
         fit=FitConfig(epochs=5, step=0.1, feature_dim=n),
     )
-    scenario = Scenario(cfg, anchors, [image])
+    scenario = Scenario(cfg, anchors, [image], [])
 
     model = ToyModel(
         w_off=np.zeros((4, n)),
@@ -397,14 +426,14 @@ def _frozen_optimum():
     for a in match.positive_indices:
         model.w_cls[1, a] = 1.0
         model.w_iou[a] = 1.0
-    return scenario, model, cfg
+    return scenario, model, cfg, features
 
 
 class TestFit:
     def test_loss_trace_constant_zero_at_optimum(self):
-        scenario, model, cfg = _frozen_optimum()
+        scenario, model, cfg, features = _frozen_optimum()
         before = model.w_cls.copy()
-        result = fit_toy(model, scenario, cfg)
+        result = fit_toy(model, scenario, features, cfg)
         assert [t["total"] for t in result.trace] == [0.0] * (cfg.fit.epochs + 1)
         np.testing.assert_array_equal(model.w_cls, before)
 
@@ -413,7 +442,7 @@ class TestFit:
             cfg = replace(SMALL, seed=seed)
             scenario = generate_scenario(cfg)
             model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, seed)
-            result = fit_toy(model, scenario, cfg)
+            result = fit_toy(model, scenario, scenario_features(scenario), cfg)
             assert result.final_loss < result.initial_loss
 
     def test_divergence_aborts_with_diagnostic(self):
@@ -421,7 +450,7 @@ class TestFit:
         scenario = generate_scenario(cfg)
         model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, 0)
         with pytest.raises(NumericalError):
-            fit_toy(model, scenario, cfg)
+            fit_toy(model, scenario, scenario_features(scenario), cfg)
 
     def test_products_run_on_one_blas_thread_and_the_count_returns(self, monkeypatch):
         threads = toyfit._openblas_threads()
@@ -434,11 +463,12 @@ class TestFit:
         set_(2)
         try:
             scenario = generate_scenario(SMALL)
-            fit_toy(init_toy_model(SMALL.n_classes, SMALL.fit.feature_dim, 0), scenario, SMALL)
+            fit_toy(init_toy_model(SMALL.n_classes, SMALL.fit.feature_dim, 0), scenario, scenario_features(scenario), SMALL)
             assert get() == 2
             diverging = replace(SMALL, fit=FitConfig(epochs=5, step=1e9, feature_dim=16))
+            scenario = generate_scenario(diverging)
             with pytest.raises(NumericalError):
-                fit_toy(init_toy_model(SMALL.n_classes, 16, 0), generate_scenario(diverging), diverging)
+                fit_toy(init_toy_model(SMALL.n_classes, 16, 0), scenario, scenario_features(scenario), diverging)
             assert get() == 2
         finally:
             set_(before)
@@ -448,10 +478,37 @@ class TestFit:
         cfg = replace(SMALL, fit=FitConfig(epochs=30, step=0.05, snapshots=4, feature_dim=16))
         scenario = generate_scenario(cfg)
         model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, 0)
-        result = fit_toy(model, scenario, cfg)
+        result = fit_toy(model, scenario, scenario_features(scenario), cfg)
         assert [e for e, _, _ in result.snapshots] == [0, 10, 20, 30]
         for _, edges, counts in result.snapshots:
             assert sum(counts) == len(iou_tar_values(scenario))
+
+
+class TestBatchedForward:
+    """One stacked product over all images gives the bits of per-image,
+    per-head products: each output element is the same dot product over
+    the feature axis."""
+
+    @pytest.mark.parametrize("threads", [contextlib.nullcontext, toyfit.one_blas_thread], ids=["default", "one"])
+    def test_bits_of_per_image_per_head_products(self, threads):
+        cfg = ScenarioConfig()
+        block = scenario_features(generate_scenario(cfg))
+        k, dim = cfg.n_classes + 1, cfg.fit.feature_dim
+        models = [init_toy_model(cfg.n_classes, dim, cfg.seed)]
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            models.append(ToyModel(rng.normal(0.0, scale, (4, dim)), rng.normal(0.0, scale, (k, dim)),
+                                   rng.normal(0.0, scale, dim)))
+        with threads():
+            for model in models:
+                heads, raw_cls, raw_iou = model.forward(block)
+                for i, features in enumerate(block):
+                    assert heads.offsets[i].tobytes() == (features @ model.w_off.T).tobytes()
+                    assert raw_cls[i].tobytes() == (features @ model.w_cls.T).tobytes()
+                    assert raw_iou[i].tobytes() == (features @ model.w_iou).tobytes()
+                    assert heads.class_probs[i].tobytes() == np.clip(raw_cls[i], PROB_EPS, 1.0).tobytes()
+                    assert heads.p_iou[i].tobytes() == np.clip(raw_iou[i], PROB_EPS, 1.0).tobytes()
 
 
 class TestNmsAb:
@@ -493,8 +550,9 @@ class TestApAfterNms:
     @pytest.fixture(scope="class")
     def fitted(self):
         scenario = generate_scenario(SMALL)
-        fit = fit_toy(init_toy_model(SMALL.n_classes, SMALL.fit.feature_dim, 0), scenario, SMALL)
-        return scenario, fit_detections(scenario, fit)
+        features = scenario_features(scenario)
+        fit = fit_toy(init_toy_model(SMALL.n_classes, SMALL.fit.feature_dim, 0), scenario, features, SMALL)
+        return scenario, fit_detections(scenario, features, fit)
 
     @pytest.mark.parametrize("iou_threshold", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("mode", MODES)

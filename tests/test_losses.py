@@ -15,7 +15,7 @@ from detkit.geometry import (
     iou,
     iou_rows,
 )
-from detkit.harness import FitConfig, ScenarioConfig, fit_toy, generate_scenario, init_toy_model
+from detkit.harness import FitConfig, ScenarioConfig, fit_toy, generate_scenario, init_toy_model, scenario_features
 from detkit.harness import toyfit
 from detkit import losses
 from detkit.nms import GroundTruths
@@ -633,7 +633,7 @@ class TestTotalLossMatchesScalarLoop:
 
         monkeypatch.setattr(toyfit, "total_loss", checked)
         scenario = generate_scenario(cfg)
-        fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), scenario, cfg)
+        fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), scenario, scenario_features(scenario), cfg)
         assert len(calls) == cfg.n_images * (cfg.fit.epochs + 1)
         assert min(calls) > 0
 
@@ -650,7 +650,8 @@ class TestTotalLossMatchesScalarLoop:
             return got
 
         monkeypatch.setattr(toyfit, "total_loss", checked)
-        fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), generate_scenario(cfg), cfg)
+        scenario = generate_scenario(cfg)
+        fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), scenario, scenario_features(scenario), cfg)
         assert len(calls) == cfg.n_images * 3
 
     @settings(max_examples=300, deadline=None)
@@ -1025,6 +1026,7 @@ class TestMining:
 
         monkeypatch.setattr(losses, "math_map", counted)
         monkeypatch.setattr(toyfit, "total_loss", checked)
-        fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), generate_scenario(cfg), cfg)
+        scenario = generate_scenario(cfg)
+        fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), scenario, scenario_features(scenario), cfg)
         assert len(sizes) == 3
         assert all(n == 1 < n_neg for n, n_neg in sizes[1:])

@@ -13,7 +13,7 @@ import argparse
 from dataclasses import replace
 
 from detkit.fileio import write_csv
-from detkit.harness import ScenarioConfig, run_ablation
+from detkit.harness import ScenarioConfig, generate_scenario, run_ablation
 from detkit.harness.config import FitConfig
 
 
@@ -32,7 +32,7 @@ def main() -> None:
             seed=seed,
             fit=FitConfig(epochs=args.epochs, step=args.step),
         )
-        for r in run_ablation(cfg):
+        for r in run_ablation(generate_scenario(cfg)):
             rows.append(
                 (seed, f"{r.iou_loss}+{r.cls_loss}", r.initial_loss, r.final_loss,
                  r.report.ap, r.report.ap50, r.report.ap75)

@@ -72,7 +72,8 @@ class AnchorSet:
     """Generated default boxes as (N, 4) corner rows, with (level, cell,
     template) provenance as (N,) int arrays. ``cwh`` holds the rows
     (cx, cy, w, h), the anchor form of ``geometry.decode_jacobian_rows``,
-    computed once as ``Box.cx`` .. ``Box.h`` are."""
+    computed once from the corners as 0.5 * (x1 + x2), 0.5 * (y1 + y2),
+    x2 - x1 and y2 - y1."""
 
     boxes: np.ndarray
     level_index: np.ndarray
@@ -99,8 +100,9 @@ def generate_default_boxes(input_size: float, levels: list[FeatureLevelSpec], cl
     Per cell, one box per aspect ratio at scale s_k * input_size plus one
     extra square box at scale sqrt(s_k * s_{k+1}) * input_size. Output
     order is level-major, then row-major cells, then templates, and is
-    deterministic. Corners follow ``Box.from_center`` and ``Box.clipped``
-    operation by operation.
+    deterministic. Corners are (cx -/+ 0.5 * w, cy -/+ 0.5 * h), each then
+    clipped to [0, input_size], operation by operation as the per-cell
+    loop of the test oracle builds them.
     """
     if not levels:
         raise ValueError("level list must be non-empty")

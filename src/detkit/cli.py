@@ -105,6 +105,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_nms(args) -> int:
+    nms.check_iou_threshold(args.iou_threshold)  # the loop below checks it only on an image with rows
     dets = nms.detections_from_csv(Path(args.detections).read_text())
     by_image = dets.by_image()
     kept = {image_id: nms.greedy_nms(rows, args.iou_threshold, args.mode) for image_id, rows in by_image.items()}
@@ -182,7 +183,7 @@ def cmd_report(args) -> int:
             (r.cls_loss, r.iou_loss, r.reg_loss, r.initial_loss, r.final_loss,
              r.report.ap, r.report.ap50, r.report.ap75,
              r.report.ap_small, r.report.ap_medium, r.report.ap_large)
-            for r in run_ablation(cfg)
+            for r in run_ablation(scenario)
         ]
         write_csv(
             out / "ablation.csv",

@@ -9,8 +9,8 @@ import numpy as np
 
 from ..evaluation import MAX_DETECTIONS_PER_IMAGE, ApReport, evaluate
 from ..nms import MODES, Detections, GroundTruths, greedy_nms
-from .config import NumericalError, ScenarioConfig
-from .scenario import Scenario, detections_from_heads, generate_scenario, scenario_features, true_iou
+from .config import NumericalError
+from .scenario import Scenario, detections_from_heads, scenario_features, true_iou
 from .toyfit import FitResult, fit_toy, image_heads, init_toy_model, one_blas_thread
 
 HIGH_SCORE = 0.5
@@ -72,12 +72,12 @@ class AblationRow:
     report: ApReport
 
 
-def run_ablation(cfg: ScenarioConfig) -> list[AblationRow]:
-    """Fit the toy model once per loss setting on one scenario (generation
-    reads no loss field) from identical initial weights, and report the
-    resulting AP side by side. The ordering of the results is an
-    experimental outcome, not a premise."""
-    scenario = generate_scenario(cfg)
+def run_ablation(scenario: Scenario) -> list[AblationRow]:
+    """Fit the toy model once per loss setting on ``scenario`` (generation
+    reads no loss field), under its config, from identical initial weights,
+    and report the resulting AP side by side. The ordering of the results is
+    an experimental outcome, not a premise."""
+    cfg = scenario.cfg
     features = scenario_features(scenario)
     rows = []
     for cls_loss, iou_loss in ABLATION_COMBOS:

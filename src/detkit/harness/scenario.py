@@ -69,7 +69,7 @@ def _sample_gt_boxes(rng: np.random.Generator, cfg: ScenarioConfig, count: int) 
             h = rng.uniform(lo, hi) * size
             cx = rng.uniform(w / 2, size - w / 2)
             cy = rng.uniform(h / 2, size - h / 2)
-            cand = [cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h]  # as Box.from_center
+            cand = [cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h]
             overlap = iou_matrix([cand], boxes).max(initial=0.0)
             if overlap < best_overlap:
                 best, best_overlap = cand, overlap
@@ -149,9 +149,9 @@ def _measured_ious(
     anchors: AnchorSet, match: MatchResult, gts: GroundTruths, offsets: np.ndarray, pos: np.ndarray
 ) -> np.ndarray:
     """IOU of each positive anchor's decoded box against its ground truth,
-    as ``iou_value`` gives it; the positives ``pos`` of ``match`` are
+    by ``geometry.iou_rows``; the positives ``pos`` of ``match`` are
     decoded in one pass. A decoded box of negative extent (or NaN) raises
-    the ValueError ``Box`` raises."""
+    ``geometry.extent_error``."""
     boxes, _ = decode_jacobian_rows(anchors.cwh[pos], offsets[pos])
     valid = (boxes[:, 2] >= boxes[:, 0]) & (boxes[:, 3] >= boxes[:, 1])
     if not valid.all():

@@ -7,20 +7,18 @@ measured IOU back into the regression outputs. Plain CE, 0.5*(p-t)^2 and
 smooth-l1 baselines are included for ablations, plus the aggregate used
 by the toy trainer.
 
-Each formula is written once, as an array kernel (``_*_arr``). The public
-per-term functions check their inputs, run the kernel on length-1 arrays
-and return a :class:`LossTerm`. ``total_loss`` runs the kernels over all
-anchors of a batch of images at once, one image being the batch of one,
-and gives each image the same bits as composing the per-term functions
-anchor by anchor on that image: exp, log and log1p go through ``math``
-element by element, because numpy's vectorized versions differ in the
-last bit on a few percent of inputs; the IOU gradient reaches the
-offsets through a batched ``np.matmul``, which rounds as the per-row
-vector-matrix product does; each image's sums are added left to right in
-the per-anchor order; and each image's hard negatives are ordered by a
-stable lexsort on (image, -loss), which keeps ties in anchor order.
-Mining takes the log of each distinct background probability of the
-batch once.
+Each formula is written once, as an array kernel (``_*_arr``).
+``total_loss`` runs the kernels over all anchors of a batch of images at
+once, one image being the batch of one, and gives each image the same
+bits as composing the per-term losses anchor by anchor on that image:
+exp, log and log1p go through ``math`` element by element, because
+numpy's vectorized versions differ in the last bit on a few percent of
+inputs; the IOU gradient reaches the offsets through a batched
+``np.matmul``, which rounds as the per-row vector-matrix product does;
+each image's sums are added left to right in the per-anchor order; and
+each image's hard negatives are ordered by a stable lexsort on (image,
+-loss), which keeps ties in anchor order. Mining takes the log of each
+distinct background probability of the batch once.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 
 from .anchors import AnchorSet, MatchResult
 from .geometry import (
-    DEFAULT_VARIANCES, Box, box_areas, decode_jacobian_rows, encode_rows, extent_error, iou_rows, math_map,
+    DEFAULT_VARIANCES, box_areas, box_text, decode_jacobian_rows, encode_rows, extent_error, iou_rows, math_map,
 )
 from .nms import GroundTruths
 
@@ -64,97 +62,6 @@ class BalanceL1Params:
     def C(self) -> float:
         b = self.b
         return (self.alpha / b) * (b + 1.0) * math.log(b + 1.0) - self.alpha - self.gamma
-
-
-@dataclass(frozen=True)
-class LossTerm:
-    """A loss value with named partial derivatives."""
-
-    value: float
-    grad: dict[str, float]
-
-
-def _on_one(kernel, *scalars) -> list[float]:
-    """``kernel`` run on length-1 float64 arrays: element 0 of each output."""
-    return [float(out[0]) for out in kernel(*(np.array([v], dtype=np.float64) for v in scalars))]
-
-
-def balance_l1(x: float, params: BalanceL1Params = BalanceL1Params()) -> LossTerm:
-    """Piecewise regression loss: logarithmic gradient inside |x| < 1,
-    constant gradient gamma outside."""
-    value, grad = _on_one(lambda arr: _balance_l1_arr(arr, params), x)
-    return LossTerm(value, {"x": grad})
-
-
-def smooth_l1(x: float) -> LossTerm:
-    """Huber-style baseline used by the original SSD regression head."""
-    value, grad = _on_one(_smooth_l1_arr, x)
-    return LossTerm(value, {"x": grad})
-
-
-def r_iou_loss(p_iou: float, iou_tar: float) -> LossTerm:
-    """Log-ratio loss between predicted and target IOU.
-
-    Equals |ln(p) - ln(t)|: zero iff p == t, symmetric in its arguments,
-    with gradient -1/p below the target and +1/p above (0 at equality).
-    The prediction is clamped to [PROB_EPS, 1] first; a NaN prediction
-    (or a target outside (0, 1]) is an error.
-    """
-    if math.isnan(p_iou):
-        raise ValueError(f"invalid predicted IOU: {p_iou!r}")
-    if not 0.0 < iou_tar <= 1.0:
-        raise ValueError(f"invalid target IOU: {iou_tar!r}")
-    value, d_p, d_t = _on_one(_r_iou_arr, p_iou, iou_tar)
-    return LossTerm(value, {"p_iou": d_p, "iou_tar": d_t})
-
-
-def l2_iou_loss(p_iou: float, iou_tar: float) -> LossTerm:
-    """Ablation baseline: 0.5 * (p - t)^2."""
-    if not 0.0 < iou_tar <= 1.0:
-        raise ValueError(f"invalid target IOU: {iou_tar!r}")
-    value, d_p, d_t = _on_one(_l2_iou_arr, p_iou, iou_tar)
-    return LossTerm(value, {"p_iou": d_p, "iou_tar": d_t})
-
-
-def cross_entropy(p_cls: float) -> LossTerm:
-    """-ln(p) on the assigned class probability, clamped at PROB_EPS."""
-    value, grad = _on_one(_cross_entropy_arr, p_cls)
-    return LossTerm(value, {"p_cls": grad})
-
-
-def ceji_loss(
-    p_cls: float,
-    iou_tar,
-    is_positive: bool,
-    detach_iou: bool = False,
-) -> LossTerm:
-    """Cross-entropy joint with the measured IOU.
-
-    Positives with iou_tar >= 0.5 contribute -ln(p_cls * iou_tar); the
-    gradient flows into p_cls and, unless ``detach_iou`` is set, through
-    the IOU into the four coordinates of the regressed box (keys
-    "x1".."y2", chained from ``iou_tar.grad_a``). Positives below the
-    gate are ignored. Negatives contribute -ln(p_cls) on the background
-    probability.
-
-    ``iou_tar`` may be an :class:`~detkit.geometry.IouValue` (gradient
-    carried) or a plain float (treated as detached).
-    """
-    t = iou_tar.value if hasattr(iou_tar, "value") else float(iou_tar)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"target IOU outside [0, 1]: {t!r}")
-
-    box_keys = ("x1", "y1", "x2", "y2")
-    grad = dict.fromkeys(("p_cls", "iou_tar") + box_keys, 0.0)
-    if not is_positive:
-        value, grad["p_cls"] = _on_one(_cross_entropy_arr, p_cls)
-        return LossTerm(value, grad)
-
-    value, grad["p_cls"], grad["iou_tar"] = _on_one(_ceji_positive_arr, p_cls, t)
-    if t >= CEJI_IOU_GATE and not detach_iou and hasattr(iou_tar, "grad_a"):
-        for key, d in zip(box_keys, iou_tar.grad_a):
-            grad[key] = grad["iou_tar"] * d
-    return LossTerm(value, grad)
 
 
 CLS_LOSSES = ("ceji", "ce")
@@ -204,8 +111,7 @@ class TotalLoss:
     d_p_iou: np.ndarray  # (k, N)
 
 
-# The array kernels: one formula each, shared by the per-term functions
-# above and total_loss.
+# The array kernels: one formula each, run by total_loss.
 
 
 def _clamp_prob(p: np.ndarray) -> np.ndarray:
@@ -221,7 +127,7 @@ def _log_once_per_value(p: np.ndarray) -> np.ndarray:
 
 
 def _balance_l1_arr(x: np.ndarray, params: BalanceL1Params = BalanceL1Params()):
-    """Values and gradients of :func:`balance_l1`."""
+    """Values and gradients of balance-l1: logarithmic gradient inside |x| < 1, constant gamma outside."""
     a, g, b = params.alpha, params.gamma, params.b
     ax = np.abs(x)
     sign = np.where(x == 0.0, 0.0, np.copysign(1.0, x))
@@ -238,7 +144,7 @@ def _balance_l1_arr(x: np.ndarray, params: BalanceL1Params = BalanceL1Params()):
 
 
 def _smooth_l1_arr(x: np.ndarray):
-    """Values and gradients of :func:`smooth_l1`."""
+    """Values and gradients of smooth-l1, the Huber-style baseline of the original SSD regression head."""
     ax = np.abs(x)
     inside = ax < 1.0
     value = ax - 0.5
@@ -247,7 +153,7 @@ def _smooth_l1_arr(x: np.ndarray):
 
 
 def _r_iou_arr(p_iou: np.ndarray, iou_tar: np.ndarray):
-    """Values and d/d(p_iou), d/d(iou_tar) of :func:`r_iou_loss`."""
+    """Values and d/d(p_iou), d/d(iou_tar) of |ln(p) - ln(t)|, p clamped to [PROB_EPS, 1]."""
     p, t = _clamp_prob(p_iou), iou_tar
     value, d_p, d_t = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
     below, above = p < t, p > t
@@ -261,20 +167,20 @@ def _r_iou_arr(p_iou: np.ndarray, iou_tar: np.ndarray):
 
 
 def _l2_iou_arr(p_iou: np.ndarray, iou_tar: np.ndarray):
-    """Values and d/d(p_iou), d/d(iou_tar) of :func:`l2_iou_loss`."""
+    """Values and d/d(p_iou), d/d(iou_tar) of the ablation baseline 0.5 * (p - t)^2."""
     d = _clamp_prob(p_iou) - iou_tar
     return 0.5 * d * d, d, -d
 
 
 def _cross_entropy_arr(p_cls: np.ndarray):
-    """Values and gradients of :func:`cross_entropy`."""
+    """Values and gradients of -ln(p), p clamped at PROB_EPS."""
     p = _clamp_prob(p_cls)
     return -math_map(math.log, p), -1.0 / p
 
 
 def _ceji_positive_arr(p_cls: np.ndarray, iou_tar: np.ndarray):
-    """Values and d/d(p_cls), d/d(iou_tar) of :func:`ceji_loss` on positives;
-    all three are zero below the gate."""
+    """Values and d/d(p_cls), d/d(iou_tar) of CEJI's positive branch -ln(p_cls * iou_tar); all three are zero
+    below the gate."""
     p, t = _clamp_prob(p_cls), iou_tar
     value, d_p, d_t = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
     active = t >= CEJI_IOU_GATE
@@ -291,10 +197,11 @@ def _chain(d_box: np.ndarray, jac: np.ndarray) -> np.ndarray:
 
 
 def _raise_first_failure(overflows, box, iou_tar, gt_box, p_iou, cfg: LossConfig) -> None:
-    """Raise what the per-term functions raise for the first positive that fails them, in image and then per-anchor
-    order: OverflowError from exp, ValueError from a NaN box, a bad ceji target, a matched ground truth of zero
-    width or height, which the target encoding refuses, or a NaN r_iou prediction past the gate."""
-    fails = np.stack((  # (kind, positive), kinds in the order the per-term functions check them
+    """Raise what the per-anchor composition of the loss terms raises for the first positive that fails them, in
+    image and then per-anchor order: OverflowError from exp, ValueError from a NaN box, a bad ceji target, a
+    matched ground truth of zero width or height, which the target encoding refuses, or a NaN r_iou prediction
+    past the gate."""
+    fails = np.stack((  # (kind, positive), kinds in the order the per-anchor composition checks them
         overflows,
         ~((box[:, 2] >= box[:, 0]) & (box[:, 3] >= box[:, 1])),
         ~((iou_tar >= 0.0) & (iou_tar <= 1.0)) & (cfg.cls == "ceji"),
@@ -305,7 +212,7 @@ def _raise_first_failure(overflows, box, iou_tar, gt_box, p_iou, cfg: LossConfig
         i = int(np.argmax(fails.any(axis=0)))
         raise (OverflowError("math range error"), extent_error(box[i]),
                ValueError(f"target IOU outside [0, 1]: {float(iou_tar[i])!r}"),
-               ValueError(f"encoded box must have strictly positive width and height: {Box(*gt_box[i].tolist())}"),
+               ValueError(f"encoded box must have strictly positive width and height: {box_text(gt_box[i])}"),
                ValueError(f"invalid predicted IOU: {p_iou[i]!r}"))[int(np.argmax(fails[:, i]))]
 
 
@@ -342,9 +249,9 @@ def total_loss(
     regression and IOU terms vanish and the classification term (all
     negatives) is normalized by the anchor count instead.
 
-    Bit for bit this is the per-anchor composition of the per-term loss
-    functions: one array pass over the positives and the negatives, with
-    each sum added left to right (cls over the positives then the mined
+    Bit for bit this is the per-anchor composition of the loss terms: one
+    array pass over the positives and the negatives, with each sum added
+    left to right (cls over the positives then the mined
     negatives, reg positive-major, iou over the gated positives). Mined
     negatives are taken in order of descending loss, ties by anchor index.
 

@@ -27,11 +27,12 @@ allow both ratios below, and in them only the centre-x range that its
 window reaches; ``_suppressing`` drops the pairs that do not overlap in y
 before their IOUs are computed.
 
-The kept rows are the ones the scalar definition gives. A pair left out
+The kept rows are the ones the scalar definition gives (``iou_value`` in
+``tests/oracles.py``, which the brute-force oracle runs). A pair left out
 of a block, or dropped for not overlapping in y, has ``iw <= 0`` or
-``ih <= 0``, IOU 0 under ``iou_value``'s rule, and every other pair that
-is formed goes through ``geometry.iou_terms``, ``iou_value`` step by
-step, with the higher-priority row first. The grid
+``ih <= 0``, IOU 0 under the IOU rule, and every other pair that is
+formed goes through ``geometry.iou_terms``, the rule step by step, with
+the higher-priority row first. The grid
 leaves out only pairs whose computed IOU cannot exceed the threshold t:
 
 - Exactly, inter <= min(w) * min(h) and union >= max(area) >=
@@ -207,6 +208,12 @@ class GroundTruths:
             raise ValueError(f"ground truth {i}: non-finite corner or negative extent in {self.boxes[i].tolist()}")
 
 
+def check_iou_threshold(iou_threshold: float) -> None:
+    """The rule on an NMS IOU threshold: it lies in (0, 1), which NaN does not."""
+    if not (0.0 < iou_threshold < 1.0):
+        raise ValueError("iou_threshold must lie in (0, 1)")
+
+
 def greedy_nms(
     dets: Detections,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
@@ -217,8 +224,7 @@ def greedy_nms(
     """Per-class greedy suppression; kept rows return in priority order.
     With ``max_per_class``, each class keeps only its first that many
     survivors, the rows the uncapped call keeps first (module docstring)."""
-    if not (0.0 < iou_threshold < 1.0):
-        raise ValueError("iou_threshold must lie in (0, 1)")
+    check_iou_threshold(iou_threshold)
     if max_per_class is not None and max_per_class < 1:
         raise ValueError("max_per_class must be at least 1")
     scores = dets.score(mode)

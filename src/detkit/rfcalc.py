@@ -177,10 +177,17 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_str(value, what: str) -> str:
+    # str() would read null as "None" and [1] as "[1]"
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def chain_from_json(text: str) -> tuple[RFState, list[LayerSpec]]:
     """Parse a layer-chain document: {"initial": {"receptive_field", "jump"},
     "layers": [{"kernel", ...}]}; initial defaults to (1, 1). Every
-    numeric field must be a JSON integer."""
+    numeric field must be a JSON integer, and a name a JSON string."""
     doc = json.loads(text)
     if not (isinstance(doc, dict) and isinstance(doc.get("initial", {}), dict) and isinstance(doc.get("layers"), list)
             and all(isinstance(spec, dict) for spec in doc["layers"])):
@@ -195,8 +202,8 @@ def chain_from_json(text: str) -> tuple[RFState, list[LayerSpec]]:
         LayerSpec(
             kernel=_json_int(spec["kernel"], f"layer {i} kernel"),
             **{key: _json_int(spec.get(key, default), f"layer {i} {key}") for key, default in defaults.items()},
-            name=str(spec.get("name", f"layer{i}")),
-            kind=str(spec.get("kind", "conv")),
+            name=_json_str(spec.get("name", f"layer{i}"), f"layer {i} name"),
+            kind=spec.get("kind", "conv"),
         )
         for i, spec in enumerate(doc["layers"])
     ]

@@ -7,9 +7,8 @@ import dataclasses
 import numpy as np
 from hypothesis import strategies as st
 
-from detkit.geometry import Box
 from detkit.nms import Detections, GroundTruths, greedy_nms
-from oracles import Detection
+from oracles import Box, Detection
 
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 extent = st.floats(min_value=0.5, max_value=40.0, allow_nan=False, allow_infinity=False)

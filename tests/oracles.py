@@ -2,11 +2,18 @@
 
 Each is an independent, deliberately plain copy of a definition:
 
+- the scalar types the tests build boxes and loss values with: ``Box``
+  (corner form, with centre-form accessors), ``IouValue``,
+  ``OffsetEncoding`` and ``LossTerm``, plus ``iou_value``, the scalar
+  statement of the IOU rule that ``geometry.iou_terms`` applies to
+  arrays. They call no library kernel; ``Box`` raises the library's
+  ``extent_error``, so a scalar box and a decoded row fail with one
+  message;
 - the scalar loss terms and the scalar IOU, encode and decode, one Python
   float operation at a time, as they stood before the library computed
-  them through its array kernels. The kernels and the public wrappers
-  around them must match these bit for bit, exceptions and messages
-  included;
+  them through its array kernels. The kernels, and the one-row wrappers
+  around them in ``scalar_api``, must match these bit for bit, exceptions
+  and messages included;
 - default-box tiling, anchor matching, ground-truth sampling and scenario
   head synthesis as the per-cell, per-anchor and per-box loops they were
   before the library built them as arrays; the arrays must match these
@@ -34,11 +41,10 @@ import numpy as np
 from detkit.anchors import POSITIVE_IOU_THRESHOLD, FeatureLevelSpec
 from detkit.evaluation import (AREA_RANGES, IOU_THRESHOLDS, MAX_DETECTIONS_PER_IMAGE, RECALL_GRID, RECALL_POINTS,
                                ApReport)
-from detkit.geometry import (DEFAULT_VARIANCES, Box, IouValue, OffsetEncoding, _require_positive_extent, iou_matrix,
-                             iou_value)
+from detkit.geometry import DEFAULT_VARIANCES, extent_error, iou_matrix
 from detkit.harness.config import ScenarioConfig
 from detkit.harness.scenario import scenario_levels
-from detkit.losses import CEJI_IOU_GATE, PROB_EPS, BalanceL1Params, HeadOutputs, LossTerm
+from detkit.losses import CEJI_IOU_GATE, PROB_EPS, BalanceL1Params, HeadOutputs
 from detkit.nms import DEFAULT_IOU_THRESHOLD, SCORE_FLOOR, Detections, GroundTruths, checked_areas
 
 BRUTEFORCE_LIMIT = 12  # most boxes the brute-force oracles accept
@@ -46,6 +52,111 @@ BRUTEFORCE_LIMIT = 12  # most boxes the brute-force oracles accept
 
 # ---------------------------------------------------------------------------
 # geometry
+
+
+@dataclass(frozen=True)
+class Box:
+    """Axis-aligned rectangle in corner form. Zero area is allowed,
+    negative extent is not."""
+
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+    def __post_init__(self):
+        if not (self.x2 >= self.x1 and self.y2 >= self.y1):
+            raise extent_error(self.as_tuple())
+
+    @property
+    def cx(self) -> float:
+        return 0.5 * (self.x1 + self.x2)
+
+    @property
+    def cy(self) -> float:
+        return 0.5 * (self.y1 + self.y2)
+
+    @property
+    def w(self) -> float:
+        return self.x2 - self.x1
+
+    @property
+    def h(self) -> float:
+        return self.y2 - self.y1
+
+    @property
+    def area(self) -> float:
+        return self.w * self.h
+
+    @classmethod
+    def from_center(cls, cx: float, cy: float, w: float, h: float) -> "Box":
+        return cls(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+
+    def translated(self, tx: float, ty: float) -> "Box":
+        return Box(self.x1 + tx, self.y1 + ty, self.x2 + tx, self.y2 + ty)
+
+    def scaled(self, s: float) -> "Box":
+        return Box(self.x1 * s, self.y1 * s, self.x2 * s, self.y2 * s)
+
+    def clipped(self, width: float, height: float) -> "Box":
+        return Box(
+            min(max(self.x1, 0.0), width),
+            min(max(self.y1, 0.0), height),
+            min(max(self.x2, 0.0), width),
+            min(max(self.y2, 0.0), height),
+        )
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.x1, self.y1, self.x2, self.y2)
+
+
+@dataclass(frozen=True)
+class IouValue:
+    """Intersection-over-union plus its 8 partial derivatives.
+
+    ``grad_a``/``grad_b`` hold d(iou)/d(x1, y1, x2, y2) of each input box.
+    Subgradient conventions: at touching edges (zero-width overlap) the
+    gradient is 0, matching the zero branch of max(0, .); when an
+    intersection edge is defined by coincident coordinates of both boxes,
+    the derivative is split evenly between them, which makes identical
+    boxes a stationary point.
+    """
+
+    value: float
+    grad_a: tuple[float, float, float, float]
+    grad_b: tuple[float, float, float, float]
+
+
+def iou_value(a: Box, b: Box) -> float:
+    """IOU value only: the scalar rule that :func:`iou_terms` applies to arrays."""
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+@dataclass(frozen=True)
+class OffsetEncoding:
+    """SSD regression targets (t_cx, t_cy, t_w, t_h) under the fixed
+    ``DEFAULT_VARIANCES``."""
+
+    t_cx: float
+    t_cy: float
+    t_w: float
+    t_h: float
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.t_cx, self.t_cy, self.t_w, self.t_h)
+
+
+def _require_positive_extent(box: Box, what: str) -> None:
+    if box.w <= 0.0 or box.h <= 0.0:
+        raise ValueError(f"{what} must have strictly positive width and height: {box}")
 
 
 def iou(a: Box, b: Box) -> IouValue:
@@ -276,6 +387,14 @@ def scenario_images(cfg: ScenarioConfig) -> list[tuple[list[Box], list[int], lis
 
 # ---------------------------------------------------------------------------
 # loss terms
+
+
+@dataclass(frozen=True)
+class LossTerm:
+    """A loss value with named partial derivatives."""
+
+    value: float
+    grad: dict[str, float]
 
 
 def balance_l1(x: float, params: BalanceL1Params = BalanceL1Params()) -> LossTerm:

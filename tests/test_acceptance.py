@@ -17,7 +17,6 @@ import pytest
 from detkit.anchors import build_levels, generate_default_boxes
 from detkit.cli import main
 from detkit.evaluation import evaluate
-from detkit.geometry import Box, iou, iou_value
 from detkit.graph import (
     ConvParams,
     TensorNCHW,
@@ -38,11 +37,12 @@ from detkit.harness import (
     scenario_features,
 )
 from detkit.harness.config import FitConfig
-from detkit.losses import BalanceL1Params, balance_l1, ceji_loss, r_iou_loss
+from detkit.losses import BalanceL1Params
 from detkit.rfcalc import LayerSpec, RFState, analyze_builtin, analyze_chain, expansion_ratios, ratio_spread
 
 from conftest import central_diff, gt_tables, kept_records, rel_err, random_overlapping_pair, tables
-from oracles import Detection, ap_bruteforce, nms_bruteforce, score_flip_pair
+from oracles import Box, Detection, ap_bruteforce, iou_value, nms_bruteforce, score_flip_pair
+from scalar_api import balance_l1, ceji_loss, iou, r_iou_loss
 from test_evaluation import PERFECT_GTS, crafted_instance
 from test_graph import conv2d_bruteforce
 

@@ -14,9 +14,9 @@ from detkit.anchors import (
     match_anchors,
     detector_320_levels,
 )
-from detkit.geometry import Box, iou_value
 
 import oracles
+from oracles import Box, iou_value
 from conftest import anchor_box
 
 

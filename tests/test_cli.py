@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from detkit import cli
+from detkit import cli, harness
 from detkit.cli import main
-from detkit.geometry import Box
-from detkit.harness import ScenarioConfig, fit_toy
+from detkit.harness import ScenarioConfig, experiments, fit_toy, generate_scenario
+from detkit.harness import scenario as scenario_module
 from detkit.harness.config import FitConfig
+
+from oracles import Box
 
 
 def write_config(tmp_path, **overrides) -> Path:
@@ -102,6 +104,20 @@ class TestNmsEval:
         assert all(0.0 <= v <= 1.0 for v in report.values())
 
 
+class TestNmsThreshold:
+    # the threshold was checked only inside greedy_nms, which a file without
+    # rows never calls: the run exited 0 and recorded the threshold
+    @pytest.mark.parametrize("threshold", ["0", "1", "5", "nan"])
+    def test_header_only_file_exits_2_with_one_line(self, tmp_path, capsys, threshold):
+        dets = tmp_path / "detections.csv"
+        dets.write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\n")
+        out = tmp_path / "nms_out"
+        assert main(["nms", "--detections", str(dets), "--iou-threshold", threshold, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "iou_threshold must lie in (0, 1)" in err
+        assert not out.exists()
+
+
 class TestRf:
     def test_builtin_table(self, tmp_path):
         out = tmp_path / "rf.csv"
@@ -134,8 +150,13 @@ class TestRf:
             ({"kernel": 3, "dilation": True}, "layer 0 dilation must be an integer, got True"),
             ({"kernel": "3"}, "layer 0 kernel must be an integer, got '3'"),
             ({"kernel": 3, "stride": 2.0}, "layer 0 stride must be an integer, got 2.0"),
+            # str() read these as the names "None" and "['a', 1]", and the kind null as 'None'
+            ({"kernel": 3, "name": None}, "layer 0 name must be a string, got None"),
+            ({"kernel": 3, "name": ["a", 1]}, "layer 0 name must be a string, got ['a', 1]"),
+            ({"kernel": 3, "kind": None}, "unknown layer kind None"),
         ],
-        ids=["kernel-float", "dilation-bool", "kernel-str", "stride-integral-float"],
+        ids=["kernel-float", "dilation-bool", "kernel-str", "stride-integral-float", "name-null", "name-list",
+             "kind-null"],
     )
     def test_non_integer_field_exits_2_with_one_line(self, tmp_path, capsys, layer, message):
         chain = tmp_path / "chain.json"
@@ -191,6 +212,21 @@ class TestReport:
             assert len(rows) == doc["modes"][mode]["kept"]
             bad = sum(1 for r in rows if float(r.split(",")[0]) > 0.5 and float(r.split(",")[1]) < 0.5)
             assert bad == doc["modes"][mode]["high_score_low_iou"]
+
+    def test_ablation_synthesizes_the_scenario_once(self, tmp_path, monkeypatch):
+        # run_ablation synthesized again the scenario that cmd_report had built
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return generate_scenario(cfg)
+
+        for module in (cli, harness, experiments, scenario_module):
+            if hasattr(module, "generate_scenario"):
+                monkeypatch.setattr(module, "generate_scenario", counted)
+        cfg = write_config(tmp_path, fit=FitConfig(epochs=2, step=0.05, feature_dim=16))
+        assert main(["report", "--config", str(cfg), "--ablation"]) == 0
+        assert len(calls) == 1
 
     def test_ablation_table(self, tmp_path):
         cfg = write_config(tmp_path, fit=FitConfig(epochs=8, step=0.05, feature_dim=16))

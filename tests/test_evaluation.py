@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 from detkit.evaluation import (
     MAX_DETECTIONS_PER_IMAGE, ApReport, evaluate, ground_truths_from_json, ground_truths_to_json,
 )
-from detkit.geometry import Box, iou_value
 from detkit.nms import MODES, Detections, GroundTruths, greedy_nms
 
 from conftest import any_boxes, awkward_text, bits, gt_tables, records, tables
-from oracles import ap_bruteforce, evaluate_reference, score
+from oracles import Box, ap_bruteforce, evaluate_reference, iou_value, score
 
 # one small, one medium, one large object (areas 400, 3600, 14400)
 PERFECT_GTS = {

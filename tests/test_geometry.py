@@ -4,19 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detkit.geometry import (
-    Box,
-    OffsetEncoding,
-    decode,
-    decode_jacobian,
-    encode,
-    encode_rows,
-    iou,
-    iou_matrix,
-    iou_value,
-)
+from detkit.geometry import encode_rows, iou_matrix
 
 import oracles
+from oracles import Box, OffsetEncoding, iou_value
+from scalar_api import decode, decode_jacobian, encode, iou
 from conftest import boxes, int_boxes, central_diff, outcome, rel_err, random_overlapping_pair
 
 # the pairs greedy NMS must get exactly: identical boxes, IOU exactly 0.5 and
@@ -255,8 +247,8 @@ class TestScalarGeometryMatchesOracles:
                 rows.append([0.3, -0.2, 0.1, 0.4])
                 rows[-1][k] = v
         # offsets as numpy scalars, the type of array elements: a box built
-        # from them reports np.float64 fields in its error message, as the
-        # loss's extent_error does for a decoded row
+        # from them reports its fields as Python floats in its error
+        # message, as the loss's extent_error does for a decoded row
         offsets = [OffsetEncoding(*np.array(r)) for r in rows]
         messages = set()
         with np.errstate(invalid="ignore"):

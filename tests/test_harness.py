@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from detkit.anchors import build_levels, generate_default_boxes, match_anchors
-from detkit.geometry import Box, OffsetEncoding, box_areas
+from detkit.geometry import box_areas
 from detkit.harness import (
     ConfigError,
     NumericalError,
@@ -45,7 +45,7 @@ from detkit.nms import MODES, GroundTruths, greedy_nms
 
 import oracles
 from conftest import anchor_box, bits, kept_records, outcome
-from oracles import score_flip_pair
+from oracles import Box, OffsetEncoding, score_flip_pair
 
 
 def fields_of(cls) -> list[str]:
@@ -452,6 +452,17 @@ class TestFit:
         with pytest.raises(NumericalError):
             fit_toy(model, scenario, scenario_features(scenario), cfg)
 
+    def test_nan_box_message_names_python_floats(self):
+        # the message carried each corner's NumPy repr: Box(x1=np.float64(nan), ...)
+        cfg = ScenarioConfig()
+        scenario = generate_scenario(cfg)
+        model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed)
+        model.w_off[0, 0] = math.nan  # feature 0 is 1 on every anchor
+        with pytest.raises(NumericalError) as exc:
+            fit_toy(model, scenario, scenario_features(scenario), cfg)
+        assert str(exc.value) == ("loss diverged at epoch 0: negative box extent: "
+                                  "Box(x1=nan, y1=6.118892913466276, x2=nan, y2=41.80234533072083)")
+
     def test_products_run_on_one_blas_thread_and_the_count_returns(self, monkeypatch):
         threads = toyfit._openblas_threads()
         if threads is None:
@@ -575,7 +586,7 @@ class TestApAfterNms:
 class TestAblation:
     def test_emits_all_combos(self):
         cfg = replace(SMALL, fit=FitConfig(epochs=10, step=0.05, feature_dim=16))
-        rows = run_ablation(cfg)
+        rows = run_ablation(generate_scenario(cfg))
         assert [(r.cls_loss, r.iou_loss) for r in rows] == [("ceji", "l2"), ("ce", "r_iou"), ("ceji", "r_iou")]
         for r in rows:
             assert r.final_loss < r.initial_loss

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detkit import fileio, nms
-from detkit.geometry import Box, iou_terms, iou_value
+from detkit.geometry import iou_terms
 from detkit.harness import (
     ScenarioConfig, detections_from_heads, fit_detections, fit_toy, generate_scenario, init_toy_model,
     scenario_features,
@@ -19,7 +19,7 @@ from detkit.nms import (
 
 from conftest import any_boxes, awkward_text, bits, kept_records, records, table
 import oracles
-from oracles import Detection, nms_bruteforce, priority_order, score
+from oracles import Box, Detection, iou_value, nms_bruteforce, priority_order, score
 
 # any probability, -0.0 and subnormals included
 probability = st.one_of(st.sampled_from((-0.0, 5e-324)), st.floats(min_value=0.0, max_value=1.0))

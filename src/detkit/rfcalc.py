@@ -184,20 +184,32 @@ def _json_str(value, what: str) -> str:
     return value
 
 
+def _known_keys(obj: dict, known, what: str) -> None:
+    # a misspelt key would leave its field at the default without a word
+    unknown = obj.keys() - known
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def chain_from_json(text: str) -> tuple[RFState, list[LayerSpec]]:
     """Parse a layer-chain document: {"initial": {"receptive_field", "jump"},
     "layers": [{"kernel", ...}]}; initial defaults to (1, 1). Every
-    numeric field must be a JSON integer, and a name a JSON string."""
+    numeric field must be a JSON integer, and a name a JSON string; a key
+    the document does not define is rejected."""
     doc = json.loads(text)
     if not (isinstance(doc, dict) and isinstance(doc.get("initial", {}), dict) and isinstance(doc.get("layers"), list)
             and all(isinstance(spec, dict) for spec in doc["layers"])):
         raise ValueError('chain document must be {"initial": {...}, "layers": [{...}, ...]}')
     init = doc.get("initial", {})
+    defaults = {"stride": 1, "dilation": 1, "padding": 0, "in_channels": 1, "out_channels": 1}
+    _known_keys(doc, {"initial", "layers"}, "chain document")
+    _known_keys(init, {"receptive_field", "jump"}, "initial")
+    for i, spec in enumerate(doc["layers"]):
+        _known_keys(spec, {"kernel", *defaults, "name", "kind"}, f"layer {i}")
     initial = RFState(
         _json_int(init.get("receptive_field", 1), "initial receptive_field"),
         _json_int(init.get("jump", 1), "initial jump"),
     )
-    defaults = {"stride": 1, "dilation": 1, "padding": 0, "in_channels": 1, "out_channels": 1}
     layers = [
         LayerSpec(
             kernel=_json_int(spec["kernel"], f"layer {i} kernel"),

@@ -1,18 +1,19 @@
+import importlib
 import json
 import math
+import pkgutil
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 
+import detkit
 from detkit import cli, harness
 from detkit.cli import main
 from detkit.harness import ScenarioConfig, experiments, fit_toy, generate_scenario
 from detkit.harness import scenario as scenario_module
 from detkit.harness.config import FitConfig
-
-from oracles import Box
 
 
 def write_config(tmp_path, **overrides) -> Path:
@@ -180,6 +181,28 @@ class TestRf:
         assert main(["rf", "--chain", str(chain), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "chain document must be" in err
+        assert not out.exists()
+
+    # each exited 0, the misspelt field left at its default
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"intial": {"receptive_field": 92, "jump": 8}, "layers": [{"kernel": 3}]},
+             "unknown chain document keys: ['intial']"),
+            ({"initial": {"receptive_feild": 92, "jump": 8}, "layers": [{"kernel": 3}]},
+             "unknown initial keys: ['receptive_feild']"),
+            ({"layers": [{"kernel": 3}, {"kernel": 3, "strides": 2, "dilaton": 2}]},
+             "unknown layer 1 keys: ['dilaton', 'strides']"),
+        ],
+        ids=["top-level", "initial", "layer"],
+    )
+    def test_unknown_key_exits_2_with_one_line(self, tmp_path, capsys, doc, message):
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps(doc))
+        out = tmp_path / "rf.csv"
+        assert main(["rf", "--chain", str(chain), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and message in err
         assert not out.exists()
 
     def test_non_integer_initial_state_exits_2(self, tmp_path, capsys):
@@ -527,21 +550,16 @@ class TestOverflowingArea:
 
 
 class TestNoScalarBox:
-    # every CLI success path runs on arrays: none builds a scalar Box
-    def test_cli_builds_no_box(self, tmp_path, monkeypatch):
-        def refuse(box):
-            raise AssertionError(f"a scalar Box was built: {box!r}")
-
-        monkeypatch.setattr(Box, "__post_init__", refuse)
-        cfg = tmp_path / "config.json"
-        cfg.write_text('{"n_images": 2, "fit": {"epochs": 3}}')
-        for command in (["gen"], ["fit"], ["report", "--ablation"]):
-            assert main([*command, "--config", str(cfg), "--out", str(tmp_path / command[0])]) == 0
-        gen = tmp_path / "gen"
-        assert main(["nms", "--detections", str(gen / "detections.csv"), "--out", str(tmp_path / "nms")]) == 0
-        argv = ["eval", "--detections", str(tmp_path / "nms" / "kept.csv"),
-                "--ground-truths", str(gen / "ground_truths.json"), "--out", str(tmp_path / "report.json")]
-        assert main(argv) == 0
+    # boxes in detkit are corner rows; the scalar Box is a test oracle, in tests/oracles.py
+    def test_detkit_defines_no_box_dataclass(self):
+        boxes = [
+            f"{info.name}.{name}"
+            for info in pkgutil.walk_packages(detkit.__path__, "detkit.")
+            for name, obj in vars(importlib.import_module(info.name)).items()
+            if isinstance(obj, type) and is_dataclass(obj)
+            and tuple(f.name for f in fields(obj)) == ("x1", "y1", "x2", "y2")
+        ]
+        assert boxes == []
 
 
 class TestMalformedConfig:

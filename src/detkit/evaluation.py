@@ -41,12 +41,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .fileio import json_text
 from .geometry import iou_matrix
 from .nms import Detections, GroundTruths, checked_areas
+from .schema import check
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_POINTS = 101
@@ -58,6 +60,7 @@ AREA_RANGES = {
     "large": (96.0**2, math.inf),
 }
 MAX_DETECTIONS_PER_IMAGE = 100
+GROUND_TRUTHS_SCHEMA = json.loads((Path(__file__).parent / "ground_truths_schema.json").read_text())
 
 _THRESHOLDS = np.array(IOU_THRESHOLDS)
 _AREA_BOUNDS = np.array(list(AREA_RANGES.values()))
@@ -222,37 +225,17 @@ def ground_truths_to_json(gts: dict[str, GroundTruths]) -> str:
 
 
 def ground_truths_from_json(text: str) -> dict[str, GroundTruths]:
-    """Each image's table, coordinates read as float64 (the table rejects the Infinity json.loads parses)."""
+    """Each image's table from a document that meets ``ground_truths_schema.json``, coordinates
+    read as float64."""
     doc = json.loads(text)
-    images = doc.get("images") if isinstance(doc, dict) else None
-    if not (isinstance(images, list) and all(isinstance(e, dict) and isinstance(e.get("objects"), list)
-                                             and all(isinstance(o, dict) for o in e["objects"]) for e in images)):
-        raise ValueError('ground-truth document must be {"images": [{"image_id", "objects": [{"box", "class_id"}]}]}')
+    check(doc, GROUND_TRUTHS_SCHEMA, "ground_truths")
     out: dict[str, GroundTruths] = {}
-    for n, entry in enumerate(images):
-        if "image_id" not in entry:
-            raise ValueError(f"ground-truth image entry {n} has no 'image_id'")
+    for entry in doc["images"]:
         img = entry["image_id"]
-        if not isinstance(img, str):
-            raise ValueError(f"ground-truth image entry {n} has image_id {img!r}, which is not a string")
         if img in out:
             raise ValueError(f"duplicate image entry {img!r} in ground-truth document")
-        for k, obj in enumerate(entry["objects"]):
-            for key in ("box", "class_id"):
-                if key not in obj:
-                    raise ValueError(f"ground-truth object {k} in image {img!r} has no {key!r}")
-        boxes, class_ids = [o["box"] for o in entry["objects"]], [o["class_id"] for o in entry["objects"]]
-        for coords in boxes:
-            if not isinstance(coords, list) or len(coords) != 4:
-                raise ValueError(f"ground-truth box must be a list of 4 numbers, got {coords!r} in image {img!r}")
-        # float64 would read true or "1" as 1.0, and int() 1.7 or true as class 1
-        if not {type(v) for coords in boxes for v in coords} <= {int, float}:
-            raise ValueError(f"non-numeric ground-truth box coordinate in image {img!r}")
-        for class_id in class_ids:
-            if type(class_id) is not int:
-                raise ValueError(f"ground-truth class_id must be an integer, got {class_id!r} in image {img!r}")
         try:
-            out[img] = GroundTruths(boxes, class_ids)
+            out[img] = GroundTruths([o["box"] for o in entry["objects"]], [o["class_id"] for o in entry["objects"]])
         except (OverflowError, ValueError) as exc:  # OverflowError: an integer beyond float64
             raise ValueError(f"bad ground truths in image {img!r}: {exc}") from exc
     return out

@@ -4,28 +4,24 @@ A config (plus nothing else) determines every downstream artifact
 byte-for-byte. The JSON document is versioned via ``schema_version``;
 unknown keys are rejected so typos fail loudly. The shipped
 ``config_schema.json`` is the one statement of each field's type,
-bounds, allowed values and length: :func:`_check` executes it on every
-config, whether read from JSON or built in Python.
+bounds, allowed values and length: :func:`detkit.schema.check` executes
+it on every config, whether read from JSON or built in Python.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from ..fileio import json_text
 from ..losses import LossConfig
+from ..schema import ConfigError, check
 
 SCHEMA_PATH = Path(__file__).parent / "config_schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
 SCHEMA_VERSION = SCHEMA["properties"]["schema_version"]["const"]
-
-
-class ConfigError(Exception):
-    """Invalid or impossible configuration (CLI exit code 2)."""
 
 
 class NumericalError(Exception):
@@ -87,7 +83,7 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         """Check the config against the schema, plus the ``lo <= hi`` of its
         ranges, which the schema cannot state."""
-        _check({"schema_version": SCHEMA_VERSION, **asdict(self)}, SCHEMA, "scenario")
+        check({"schema_version": SCHEMA_VERSION, **asdict(self)}, SCHEMA, "scenario")
         return self._check_ranges()
 
     def _check_ranges(self) -> "ScenarioConfig":
@@ -107,66 +103,6 @@ class ScenarioConfig:
 
 _NESTED = {"noise": NoiseConfig, "losses": LossConfig, "fit": FitConfig, "nms": NmsConfig}
 
-# JSON type: (name in messages, test). Booleans are never numbers, an
-# integer is an integer literal (60.0 is not one), and a number is finite.
-_TYPES = {
-    "integer": ("int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "number": ("float", lambda v: not isinstance(v, bool)
-               and (isinstance(v, int) or isinstance(v, float) and math.isfinite(v))),
-    "boolean": ("bool", lambda v: isinstance(v, bool)),
-    "string": ("str", lambda v: isinstance(v, str)),
-    "object": ("object", lambda v: isinstance(v, dict)),
-}
-_BOUNDS = {  # keyword: (test, interval bracket, phrase)
-    "minimum": (operator.ge, "[", "at least"),
-    "exclusiveMinimum": (operator.gt, "(", "greater than"),
-    "maximum": (operator.le, "]", "at most"),
-    "exclusiveMaximum": (operator.lt, ")", "less than"),
-}
-_KEYWORDS = {"$schema", "title", "description", "type", "properties", "additionalProperties", "items",
-             "minItems", "maxItems", "const", "enum", *_BOUNDS}
-
-
-def _check(value, spec: dict, name: str) -> None:
-    """Raise ConfigError unless ``value`` satisfies the schema node ``spec``.
-    A node using a keyword outside ``_KEYWORDS``, or ``additionalProperties``
-    other than ``false``, raises, so a schema edit cannot go silently unenforced."""
-    unknown = spec.keys() - _KEYWORDS
-    if spec.get("additionalProperties", False) is not False:
-        unknown.add("additionalProperties")
-    if unknown:
-        raise NotImplementedError(f"schema node {name} uses unimplemented keywords {sorted(unknown)}")
-    kind = spec.get("type")
-    if kind == "array":
-        item, lo, hi = spec["items"], spec.get("minItems", 0), spec.get("maxItems", math.inf)
-        item_kind, item_ok = _TYPES[item["type"]]
-        if not (isinstance(value, (list, tuple)) and lo <= len(value) <= hi and all(map(item_ok, value))):
-            count, length = (f"{lo} ", "") if lo == hi else ("", f" with {lo} to {hi} items")
-            raise ConfigError(f"{name} must be an array of {count}{item_kind} values{length}, got {value!r}")
-        for i, v in enumerate(value):
-            _check(v, item, f"{name}[{i}]")
-    elif kind is not None and not _TYPES[kind][1](value):
-        raise ConfigError(f"{name} must be {_TYPES[kind][0]}, got {value!r}")
-    if "const" in spec and (value != spec["const"] or isinstance(value, bool) != isinstance(spec["const"], bool)):
-        raise ConfigError(f"{name} must be {spec['const']!r}, got {value!r}")
-    if "enum" in spec and value not in spec["enum"]:
-        raise ConfigError(f"{name} must be one of {spec['enum']}, got {value!r}")
-    bounds = [kw for kw in _BOUNDS if kw in spec]
-    if not all(_BOUNDS[kw][0](value, spec[kw]) for kw in bounds):
-        lower, upper = bounds[0], bounds[-1]
-        text = (f"be {_BOUNDS[lower][2]} {spec[lower]:g}" if lower == upper
-                else f"lie in {_BOUNDS[lower][1]}{spec[lower]:g}, {spec[upper]:g}{_BOUNDS[upper][1]}")
-        raise ConfigError(f"{name} must {text}, got {value!r}")
-    if kind == "object":
-        props = spec.get("properties", {})
-        extra = value.keys() - props.keys()
-        if extra and "additionalProperties" in spec:
-            raise ConfigError(f"unknown {name} keys: {sorted(extra)}")
-        for key, v in value.items():
-            if key in props:
-                _check(v, props[key], f"{name}.{key}")
-
-
 def _build(cls, data: dict):
     """``cls`` from a checked JSON object, its nested objects and arrays as dataclasses and tuples."""
     return cls(**{
@@ -180,7 +116,7 @@ def config_from_json(text: str) -> ScenarioConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check(doc, SCHEMA, "scenario")
+    check(doc, SCHEMA, "scenario")
     doc.pop("schema_version", None)
     return _build(ScenarioConfig, doc)._check_ranges()
 

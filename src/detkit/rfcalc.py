@@ -11,9 +11,13 @@ of a 320-pixel input. Poolings appear as zero-parameter layers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 from .fileio import csv_text
+from .schema import check
+
+CHAIN_SCHEMA = json.loads((Path(__file__).parent / "rf_chain_schema.json").read_text())
 
 
 @dataclass(frozen=True)
@@ -32,6 +36,8 @@ class LayerSpec:
     def __post_init__(self):
         if self.kernel < 1 or self.stride < 1 or self.dilation < 1:
             raise ValueError("kernel, stride, dilation must be >= 1")
+        if self.padding < 0:
+            raise ValueError("padding must be >= 0")
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError("channels must be >= 1")
         if self.kind not in ("conv", "pool"):
@@ -170,53 +176,10 @@ def analyze_builtin(name: str) -> tuple[ChainAnalysis, list[int]]:
     return analysis, basic_map_rfs(analysis, marks)
 
 
-def _json_int(value, what: str) -> int:
-    # int() would read 3.9 as 3, true as 1 and "3" as 3
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _json_str(value, what: str) -> str:
-    # str() would read null as "None" and [1] as "[1]"
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _known_keys(obj: dict, known, what: str) -> None:
-    # a misspelt key would leave its field at the default without a word
-    unknown = obj.keys() - known
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-
-
 def chain_from_json(text: str) -> tuple[RFState, list[LayerSpec]]:
-    """Parse a layer-chain document: {"initial": {"receptive_field", "jump"},
-    "layers": [{"kernel", ...}]}; initial defaults to (1, 1). Every
-    numeric field must be a JSON integer, and a name a JSON string; a key
-    the document does not define is rejected."""
+    """Parse a layer-chain document that meets ``rf_chain_schema.json``;
+    an omitted field takes the default the schema names."""
     doc = json.loads(text)
-    if not (isinstance(doc, dict) and isinstance(doc.get("initial", {}), dict) and isinstance(doc.get("layers"), list)
-            and all(isinstance(spec, dict) for spec in doc["layers"])):
-        raise ValueError('chain document must be {"initial": {...}, "layers": [{...}, ...]}')
-    init = doc.get("initial", {})
-    defaults = {"stride": 1, "dilation": 1, "padding": 0, "in_channels": 1, "out_channels": 1}
-    _known_keys(doc, {"initial", "layers"}, "chain document")
-    _known_keys(init, {"receptive_field", "jump"}, "initial")
-    for i, spec in enumerate(doc["layers"]):
-        _known_keys(spec, {"kernel", *defaults, "name", "kind"}, f"layer {i}")
-    initial = RFState(
-        _json_int(init.get("receptive_field", 1), "initial receptive_field"),
-        _json_int(init.get("jump", 1), "initial jump"),
-    )
-    layers = [
-        LayerSpec(
-            kernel=_json_int(spec["kernel"], f"layer {i} kernel"),
-            **{key: _json_int(spec.get(key, default), f"layer {i} {key}") for key, default in defaults.items()},
-            name=_json_str(spec.get("name", f"layer{i}"), f"layer {i} name"),
-            kind=spec.get("kind", "conv"),
-        )
-        for i, spec in enumerate(doc["layers"])
-    ]
-    return initial, layers
+    check(doc, CHAIN_SCHEMA, "chain")
+    layers = [LayerSpec(**{"name": f"layer{i}", **spec}) for i, spec in enumerate(doc["layers"])]
+    return replace(INITIAL_STATE, **doc.get("initial", {})), layers

@@ -137,24 +137,36 @@ class TestRf:
         assert main(["rf", "--chain", str(chain), "--out", str(out)]) == 0
         assert "5,1" in out.read_text().splitlines()[1]
 
-    def test_bad_chain_exits_2(self, tmp_path):
+    def test_bad_chain_exits_2(self, tmp_path, capsys):
+        # the KeyError printed only the key: "bad chain document: 'kernel'"
         chain = tmp_path / "chain.json"
         chain.write_text('{"layers": [{"stride": 2}]}')
         assert main(["rf", "--chain", str(chain), "--out", str(tmp_path / "rf.csv")]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == ["config error: missing chain.layers[0] keys: ['kernel']"]
+
+    def test_negative_padding_exits_2(self, tmp_path, capsys):
+        # exited 0 and wrote padding -1, which the graph's conv2d cannot pad by
+        chain = tmp_path / "chain.json"
+        chain.write_text('{"layers": [{"kernel": 3, "padding": -1}]}')
+        out = tmp_path / "rf.csv"
+        assert main(["rf", "--chain", str(chain), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "config error: chain.layers[0].padding must be at least 0, got -1"]
+        assert not out.exists()
 
     # int() read each of these as a valid layer: 3.9 as kernel 3, true as
     # dilation 1, "3" as kernel 3
     @pytest.mark.parametrize(
         "layer,message",
         [
-            ({"kernel": 3.9}, "layer 0 kernel must be an integer, got 3.9"),
-            ({"kernel": 3, "dilation": True}, "layer 0 dilation must be an integer, got True"),
-            ({"kernel": "3"}, "layer 0 kernel must be an integer, got '3'"),
-            ({"kernel": 3, "stride": 2.0}, "layer 0 stride must be an integer, got 2.0"),
+            ({"kernel": 3.9}, "chain.layers[0].kernel must be int, got 3.9"),
+            ({"kernel": 3, "dilation": True}, "chain.layers[0].dilation must be int, got True"),
+            ({"kernel": "3"}, "chain.layers[0].kernel must be int, got '3'"),
+            ({"kernel": 3, "stride": 2.0}, "chain.layers[0].stride must be int, got 2.0"),
             # str() read these as the names "None" and "['a', 1]", and the kind null as 'None'
-            ({"kernel": 3, "name": None}, "layer 0 name must be a string, got None"),
-            ({"kernel": 3, "name": ["a", 1]}, "layer 0 name must be a string, got ['a', 1]"),
-            ({"kernel": 3, "kind": None}, "unknown layer kind None"),
+            ({"kernel": 3, "name": None}, "chain.layers[0].name must be str, got None"),
+            ({"kernel": 3, "name": ["a", 1]}, "chain.layers[0].name must be str, got ['a', 1]"),
+            ({"kernel": 3, "kind": None}, "chain.layers[0].kind must be one of ['conv', 'pool'], got None"),
         ],
         ids=["kernel-float", "dilation-bool", "kernel-str", "stride-integral-float", "name-null", "name-list",
              "kind-null"],
@@ -164,23 +176,26 @@ class TestRf:
         chain.write_text(json.dumps({"layers": [layer]}))
         out = tmp_path / "rf.csv"
         assert main(["rf", "--chain", str(chain), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and message in err
+        assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
         assert not out.exists()
 
     # each raised an AttributeError or a TypeError, and rf exited 1 with a traceback
     @pytest.mark.parametrize(
-        "doc",
-        ["[]", '{"layers": 5}', '{"layers": [5]}', '{"initial": 5, "layers": [{"kernel": 3}]}'],
+        "doc,message",
+        [
+            ("[]", "chain must be object, got []"),
+            ('{"layers": 5}', "chain.layers must be an array of object values, got 5"),
+            ('{"layers": [5]}', "chain.layers[0] must be object, got 5"),
+            ('{"initial": 5, "layers": [{"kernel": 3}]}', "chain.initial must be object, got 5"),
+        ],
         ids=["list", "layers-int", "layer-int", "initial-int"],
     )
-    def test_malformed_chain_document_exits_2_with_one_line(self, tmp_path, capsys, doc):
+    def test_malformed_chain_document_exits_2_with_one_line(self, tmp_path, capsys, doc, message):
         chain = tmp_path / "chain.json"
         chain.write_text(doc)
         out = tmp_path / "rf.csv"
         assert main(["rf", "--chain", str(chain), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and "chain document must be" in err
+        assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
         assert not out.exists()
 
     # each exited 0, the misspelt field left at its default
@@ -188,11 +203,11 @@ class TestRf:
         "doc,message",
         [
             ({"intial": {"receptive_field": 92, "jump": 8}, "layers": [{"kernel": 3}]},
-             "unknown chain document keys: ['intial']"),
+             "unknown chain keys: ['intial']"),
             ({"initial": {"receptive_feild": 92, "jump": 8}, "layers": [{"kernel": 3}]},
-             "unknown initial keys: ['receptive_feild']"),
+             "unknown chain.initial keys: ['receptive_feild']"),
             ({"layers": [{"kernel": 3}, {"kernel": 3, "strides": 2, "dilaton": 2}]},
-             "unknown layer 1 keys: ['dilaton', 'strides']"),
+             "unknown chain.layers[1] keys: ['dilaton', 'strides']"),
         ],
         ids=["top-level", "initial", "layer"],
     )
@@ -201,15 +216,14 @@ class TestRf:
         chain.write_text(json.dumps(doc))
         out = tmp_path / "rf.csv"
         assert main(["rf", "--chain", str(chain), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and message in err
+        assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
         assert not out.exists()
 
     def test_non_integer_initial_state_exits_2(self, tmp_path, capsys):
         chain = tmp_path / "chain.json"
         chain.write_text(json.dumps({"initial": {"jump": 1.5}, "layers": [{"kernel": 3}]}))
         assert main(["rf", "--chain", str(chain), "--out", str(tmp_path / "rf.csv")]) == 2
-        assert "initial jump must be an integer" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip().splitlines() == ["config error: chain.initial.jump must be int, got 1.5"]
 
 
 class TestReport:
@@ -349,8 +363,9 @@ class TestNonFiniteGroundTruths:
         argv = ["eval", "--detections", str(dets), "--ground-truths", str(gts),
                 "--out", str(tmp_path / "report.json")]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and "non-finite" in err
+        i = [math.isfinite(float(v)) for v in box].index(False)
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: ground_truths.images[0].objects[1].box[{i}] must be float, got {float(box[i])!r}"]
         assert not (tmp_path / "report.json").exists()
 
 
@@ -369,8 +384,8 @@ class TestNonIntegerGroundTruthClass:
         argv = ["eval", "--detections", str(dets), "--ground-truths", str(gts),
                 "--out", str(tmp_path / "report.json")]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and "class_id must be an integer" in err
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: ground_truths.images[0].objects[0].class_id must be int, got {class_id!r}"]
         assert not (tmp_path / "report.json").exists()
 
 
@@ -379,11 +394,12 @@ class TestMalformedGroundTruthBox:
     @pytest.mark.parametrize(
         "box,message",
         [
-            ([0, 0, 4], "must be a list of 4 numbers"),
-            ([0, 0, 4, 4, 4], "must be a list of 4 numbers"),
-            ("0 0 4 4", "must be a list of 4 numbers"),
-            ({"x1": 0, "y1": 0, "x2": 4, "y2": 4}, "must be a list of 4 numbers"),
-            ([0, 0, True, 4], "non-numeric"),
+            ([0, 0, 4], "box must be an array of 4 float values, got [0, 0, 4]"),
+            ([0, 0, 4, 4, 4], "box must be an array of 4 float values, got [0, 0, 4, 4, 4]"),
+            ("0 0 4 4", "box must be an array of 4 float values, got '0 0 4 4'"),
+            ({"x1": 0, "y1": 0, "x2": 4, "y2": 4},
+             "box must be an array of 4 float values, got {'x1': 0, 'y1': 0, 'x2': 4, 'y2': 4}"),
+            ([0, 0, True, 4], "box[2] must be float, got True"),
         ],
         ids=["3-coords", "5-coords", "string", "object", "bool-coord"],
     )
@@ -395,8 +411,8 @@ class TestMalformedGroundTruthBox:
         argv = ["eval", "--detections", str(dets), "--ground-truths", str(gts),
                 "--out", str(tmp_path / "report.json")]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and message in err
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: ground_truths.images[0].objects[0].{message}"]
         assert not (tmp_path / "report.json").exists()
 
 
@@ -406,14 +422,16 @@ class TestMalformedGroundTruthDocument:
     @pytest.mark.parametrize(
         "doc,message",
         [
-            ("[]", "ground-truth document must be"),
-            ('{"images": 5}', "ground-truth document must be"),
-            ('{"images": [5]}', "ground-truth document must be"),
-            ('{"images": [{"image_id": "img0", "objects": 5}]}', "ground-truth document must be"),
-            ('{"images": [{"image_id": "img0", "objects": [5]}]}', "ground-truth document must be"),
+            ("[]", "ground_truths must be object, got []"),
+            ('{"images": 5}', "ground_truths.images must be an array of object values, got 5"),
+            ('{"images": [5]}', "ground_truths.images[0] must be object, got 5"),
+            ('{"images": [{"image_id": "img0", "objects": 5}]}',
+             "ground_truths.images[0].objects must be an array of object values, got 5"),
+            ('{"images": [{"image_id": "img0", "objects": [5]}]}',
+             "ground_truths.images[0].objects[0] must be object, got 5"),
             (
                 '{"images": [{"image_id": "img0", "objects": [{"box": [0, 0, 1%s, 4], "class_id": 1}]}]}' % ("0" * 400),
-                "int too large to convert to float",
+                "bad ground truths in image 'img0': int too large to convert to float",
             ),
         ],
         ids=["list", "images-int", "image-int", "objects-int", "object-int", "coordinate-1e400"],
@@ -426,8 +444,7 @@ class TestMalformedGroundTruthDocument:
         argv = ["eval", "--detections", str(dets), "--ground-truths", str(gts),
                 "--out", str(tmp_path / "report.json")]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and message in err
+        assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
         assert not (tmp_path / "report.json").exists()
 
 
@@ -436,11 +453,11 @@ class TestMissingGroundTruthKey:
     @pytest.mark.parametrize(
         "doc,message",
         [
-            ('{"images": [{"objects": []}]}', "ground-truth image entry 0 has no 'image_id'"),
+            ('{"images": [{"objects": []}]}', "missing ground_truths.images[0] keys: ['image_id']"),
             ('{"images": [{"image_id": "img0", "objects": [{"class_id": 1}]}]}',
-             "ground-truth object 0 in image 'img0' has no 'box'"),
+             "missing ground_truths.images[0].objects[0] keys: ['box']"),
             ('{"images": [{"image_id": "img0", "objects": [{"box": [0, 0, 4, 4]}]}]}',
-             "ground-truth object 0 in image 'img0' has no 'class_id'"),
+             "missing ground_truths.images[0].objects[0] keys: ['class_id']"),
         ],
         ids=["image_id", "box", "class_id"],
     )
@@ -472,7 +489,7 @@ class TestNonStringImageId:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.strip().splitlines() == [
-            f"config error: ground-truth image entry 0 has image_id {json.loads(image_id)!r}, which is not a string"]
+            f"config error: ground_truths.images[0].image_id must be str, got {json.loads(image_id)!r}"]
         assert not (tmp_path / "report.json").exists()
 
 
@@ -566,11 +583,13 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("doc,message", [
         pytest.param('{"seed": 1.5}', "scenario.seed must be int", id="seed-float"),
         pytest.param('{"seed": true}', "scenario.seed must be int", id="seed-bool"),
+        # numpy's "expected non-negative integer" named no field
+        pytest.param('{"seed": -1}', "scenario.seed must be at least 0, got -1", id="seed-negative"),
         pytest.param('{"n_images": "4"}', "scenario.n_images must be int", id="n_images-str"),
         pytest.param('{"image_size": false}', "scenario.image_size must be float", id="image_size-bool"),
         pytest.param('{"image_size": Infinity}', "scenario.image_size must be float", id="image_size-inf"),
         pytest.param(
-            '{"grids": [20, 10.5]}', "scenario.grids must be an array of int", id="grids-float-item"
+            '{"grids": [20, 10.5]}', "scenario.grids[1] must be int, got 10.5", id="grids-float-item"
         ),
         pytest.param(
             '{"object_count": [2, 3, 4]}', "scenario.object_count must be an array of 2 int", id="object_count-length"
@@ -626,6 +645,15 @@ class TestMalformedConfig:
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        # generate_scenario validates the config the override makes; numpy's
+        # "expected non-negative integer" named no field
+        cfg = tmp_path / "config.json"
+        cfg.write_text("{}")
+        assert main(["gen", "--config", str(cfg), "--seed", "-3", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == ["config error: scenario.seed must be at least 0, got -3"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["gen", "fit", "report"])

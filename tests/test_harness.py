@@ -36,12 +36,14 @@ from detkit.harness import (
 from detkit.harness import config as config_module
 from detkit.harness import experiments
 from detkit.harness import toyfit
-from detkit.harness.config import SCHEMA, SCHEMA_PATH, FitConfig, NmsConfig, NoiseConfig, _build, _check
+from detkit.harness.config import SCHEMA, SCHEMA_PATH, FitConfig, NmsConfig, NoiseConfig, _build
 from detkit.harness.plots import histogram_svg, scatter_svg
 from detkit.harness.scenario import _sample_gt_boxes
 from detkit.losses import CLS_LOSSES, IOU_LOSSES, PROB_EPS, REG_LOSSES, HeadOutputs, LossConfig
-from detkit.evaluation import MAX_DETECTIONS_PER_IMAGE, evaluate
+from detkit.evaluation import GROUND_TRUTHS_SCHEMA, MAX_DETECTIONS_PER_IMAGE, evaluate
 from detkit.nms import MODES, GroundTruths, greedy_nms
+from detkit.rfcalc import CHAIN_SCHEMA
+from detkit.schema import check
 
 import oracles
 from conftest import anchor_box, bits, kept_records, outcome
@@ -179,9 +181,12 @@ class TestConfig:
     ], ids=["pattern", "additionalProperties-true", "nested-multipleOf"])
     def test_unimplemented_schema_keyword_raises(self, spec, value):
         with pytest.raises(NotImplementedError):
-            _check(value, spec, "x")
+            check(value, spec, "x")
 
-    def test_shipped_schema_uses_only_implemented_keywords(self):
+    @pytest.mark.parametrize("root,schema", [
+        ("scenario", SCHEMA), ("ground_truths", GROUND_TRUTHS_SCHEMA), ("chain", CHAIN_SCHEMA),
+    ], ids=["config", "ground_truths", "rf_chain"])
+    def test_shipped_schema_uses_only_implemented_keywords(self, root, schema):
         # an object() satisfies no node: each raises ConfigError, never
         # NotImplementedError, and so states a constraint the checker runs
         def nodes(spec, name):
@@ -191,15 +196,33 @@ class TestConfig:
             if "items" in spec:
                 yield from nodes(spec["items"], f"{name}[]")
 
-        for spec, name in nodes(SCHEMA, "scenario"):
+        for spec, name in nodes(schema, root):
             with pytest.raises(ConfigError):
-                _check(object(), spec, name)
+                check(object(), spec, name)
+
+    @pytest.mark.parametrize("spec,value,message", [
+        ({"type": "object", "required": ["kernel", "stride"]}, {"stride": 2},
+         "missing x keys: ['kernel']"),
+        ({"type": "object", "additionalProperties": False, "required": ["kernel"], "properties": {"kernel": {}}},
+         {"kernal": 3}, "unknown x keys: ['kernal']"),
+        ({"type": "array", "items": {"type": "integer"}}, 5, "x must be an array of int values, got 5"),
+        ({"type": "array", "items": {"type": "integer"}}, [1, 2.5, "3"], "x[1] must be int, got 2.5"),
+        ({"type": "array", "items": {"type": "integer"}, "minItems": 1}, [],
+         "x must be an array of int values with at least 1 items, got []"),
+        ({"type": "array", "items": {"type": "integer"}, "minItems": 1, "maxItems": 3}, [],
+         "x must be an array of int values with 1 to 3 items, got []"),
+    ], ids=["required", "unknown-before-required", "no-length-bound", "first-bad-item", "minItems-only",
+            "both-length-bounds"])
+    def test_check_message(self, spec, value, message):
+        with pytest.raises(ConfigError) as err:
+            check(value, spec, "x")
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("doc,message", [
         ('{"seed": 1.5}', "scenario.seed must be int"),
         ('{"nms": {"iou_threshold": true}}', "scenario.nms.iou_threshold must be float"),
         ('{"image_size": Infinity}', "scenario.image_size must be float"),
-        ('{"grids": [20, 10.5]}', "scenario.grids must be an array of int values"),
+        ('{"grids": [20, 10.5]}', "scenario.grids[1] must be int, got 10.5"),
         ('{"grids": [3, 3, 3, 3, 3, 3, 3]}', "scenario.grids must be an array of int values with 1 to 6 items"),
         ('{"fit": {"epochs": 60.0}}', "scenario.fit.epochs must be int"),
         ('{"losses": {"detach_iou": 0}}', "scenario.losses.detach_iou must be bool"),
@@ -235,9 +258,9 @@ class TestConfig:
 
         def counted(value, spec, name):
             passes.append(name)
-            _check(value, spec, name)
+            check(value, spec, name)
 
-        monkeypatch.setattr(config_module, "_check", counted)
+        monkeypatch.setattr(config_module, "check", counted)
         config_from_json('{"seed": 3}')
         assert passes.count("scenario") == 1
 

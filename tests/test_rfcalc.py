@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from detkit.rfcalc import (
     BUILTIN_CHAINS,
+    CHAIN_SCHEMA,
     INITIAL_STATE,
     LayerSpec,
     RFState,
@@ -30,6 +32,16 @@ layer_st = st.builds(
     in_channels=st.integers(1, 64),
     out_channels=st.integers(1, 64),
 )
+
+
+class TestLayerSpec:
+    @pytest.mark.parametrize("kwargs", [{"kernel": 0}, {"stride": 0}, {"dilation": 0}, {"padding": -1},
+                                        {"in_channels": 0}, {"kind": "fc"}],
+                             ids=["kernel", "stride", "dilation", "padding", "in_channels", "kind"])
+    def test_out_of_range_field_rejected(self, kwargs):
+        # a negative padding would fail later, inside the graph's conv2d np.pad
+        with pytest.raises(ValueError):
+            LayerSpec(**{"kernel": 3, **kwargs})
 
 
 class TestPropagate:
@@ -131,6 +143,11 @@ class TestChainJson:
         assert initial == RFState(92, 8)
         assert layers[0].name == "a" and layers[0].dilation == 2
         assert layers[1].kind == "pool" and layers[1].name == "layer1"
+
+    def test_schema_names_the_dataclass_fields(self):
+        props = CHAIN_SCHEMA["properties"]
+        assert set(props["initial"]["properties"]) == {f.name for f in fields(RFState)}
+        assert set(props["layers"]["items"]["properties"]) == {f.name for f in fields(LayerSpec)}
 
     def test_default_initial_state(self):
         initial, _ = chain_from_json(json.dumps({"layers": [{"kernel": 3}]}))

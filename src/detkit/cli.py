@@ -12,18 +12,18 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluation, nms, rfcalc
 from .fileio import write_csv, write_json, atomic_write_text
 from .harness import (
     NumericalError,
     ap_after_nms,
     detections_from_heads,
-    fit_detections,
     fit_toy,
     generate_scenario,
     init_toy_model,
     iou_histogram,
-    iou_tar_values,
     load_config,
     run_ablation,
     run_nms_ab,
@@ -60,7 +60,7 @@ def cmd_gen(args) -> int:
     )
     nms.write_detections_csv(out / "detections.csv", rows)
 
-    edges, counts = iou_histogram(iou_tar_values(scenario))
+    edges, counts = iou_histogram(np.concatenate([img.iou_tar for img in scenario.images]))
     _write_hist_csv(out / "iou_tar_hist.csv", edges, counts)
     print(f"wrote scenario ({len(scenario.anchors)} anchors, {len(scenario.images)} images) to {out}")
     return EXIT_OK
@@ -69,10 +69,8 @@ def cmd_gen(args) -> int:
 def cmd_fit(args) -> int:
     cfg, out = _load(args)
     scenario = generate_scenario(cfg)
-    features = scenario_features(scenario)
     model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed)
-    result = fit_toy(model, scenario, features, cfg)
-    decoded = fit_detections(scenario, features, result)
+    result = fit_toy(model, scenario, scenario_features(scenario), cfg)
 
     write_csv(
         out / "loss_trace.csv",
@@ -82,9 +80,9 @@ def cmd_fit(args) -> int:
     for epoch, edges, counts in result.snapshots:
         _write_hist_csv(out / f"iou_tar_hist_epoch{epoch:04d}.csv", edges, counts)
 
-    nms.write_detections_csv(out / "detections_final.csv", nms.Detections.concat(decoded.values()))
+    nms.write_detections_csv(out / "detections_final.csv", nms.Detections.concat(result.detections.values()))
 
-    report = ap_after_nms(scenario, decoded, cfg.nms.mode)
+    report = ap_after_nms(scenario, result.detections, cfg.nms.mode)
     write_json(
         out / "fit_report.json",
         {
@@ -165,7 +163,7 @@ def cmd_report(args) -> int:
         )
     write_json(out / "nms_ab_report.json", doc)
 
-    edges, counts = iou_histogram(iou_tar_values(scenario))
+    edges, counts = iou_histogram(np.concatenate([img.iou_tar for img in scenario.images]))
     _write_hist_csv(out / "iou_tar_hist.csv", edges, counts)
     atomic_write_text(
         out / "iou_tar_hist.svg",

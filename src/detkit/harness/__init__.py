@@ -16,12 +16,11 @@ from .scenario import (
     detections_from_heads,
     generate_scenario,
     iou_histogram,
-    iou_tar_values,
     scenario_features,
     true_iou,
 )
 from .toyfit import FitResult, ToyModel, fit_toy, init_toy_model
-from .experiments import AbReport, AblationRow, ModeResult, ap_after_nms, fit_detections, run_ablation, run_nms_ab
+from .experiments import AbReport, AblationRow, ModeResult, ap_after_nms, run_ablation, run_nms_ab
 
 __all__ = [
     "ScenarioConfig",
@@ -37,7 +36,6 @@ __all__ = [
     "generate_scenario",
     "scenario_features",
     "detections_from_heads",
-    "iou_tar_values",
     "iou_histogram",
     "true_iou",
     "ToyModel",
@@ -46,7 +44,6 @@ __all__ = [
     "fit_toy",
     "run_nms_ab",
     "run_ablation",
-    "fit_detections",
     "ap_after_nms",
     "AbReport",
     "ModeResult",

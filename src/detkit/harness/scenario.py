@@ -41,6 +41,7 @@ class SceneImage:
     gts: GroundTruths
     match: MatchResult
     heads: HeadOutputs
+    iou_tar: np.ndarray  # the measured IOU of each positive's decoded box, which sets its p_iou
 
 
 @dataclass
@@ -116,16 +117,20 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         pos_gt = match.gt_index[pos]
         target = encode_rows(anchors.cwh[pos], gts.boxes[pos_gt])
         sigma = np.where(is_distractor[pos], noise.distractor_offset_sigma, noise.offset_sigma)
-        offsets[pos] = target + sigma[:, None] * offset_noise[pos]
         probs[pos] = ((1.0 - pos_conf[pos]) / cfg.n_classes)[:, None]
         probs[pos, gts.class_id[pos_gt]] = pos_conf[pos]
-        try:
-            true = _measured_ious(anchors, match, gts, offsets, pos)
-        except OverflowError as exc:  # math.exp of a huge noisy size offset
-            raise NumericalError(f"image {img_i}: a noisy offset overflows its decoded box ({exc})") from exc
-        p_iou[pos] = np.clip(true + noise.p_iou_sigma * p_iou_noise[pos], PROB_EPS, 1.0)
+        # a huge sigma overflows the noisy offsets and their decode; math.exp
+        # then raises OverflowError on a huge size offset, reported below
+        with np.errstate(over="ignore"):
+            offsets[pos] = target + sigma[:, None] * offset_noise[pos]
+            try:
+                true = _measured_ious(anchors, match, gts, offsets, pos)
+            except OverflowError as exc:
+                raise NumericalError(f"image {img_i}: a noisy offset overflows its decoded box ({exc})") from exc
+            # np.clip saturates an overflowed noise term to PROB_EPS or 1
+            p_iou[pos] = np.clip(true + noise.p_iou_sigma * p_iou_noise[pos], PROB_EPS, 1.0)
 
-        images.append(SceneImage(str(img_i), gts, match, HeadOutputs(offsets, probs, p_iou)))
+        images.append(SceneImage(str(img_i), gts, match, HeadOutputs(offsets, probs, p_iou), true))
     return Scenario(cfg, anchors, images, feature_states)
 
 
@@ -180,16 +185,6 @@ def detections_from_heads(
         np.minimum(probs[keep[row], col], 1.0),
         np.clip(heads.p_iou[keep[row]], 0.0, 1.0),
     )
-
-
-def iou_tar_values(scenario: Scenario, heads_by_image: list[HeadOutputs] | None = None) -> np.ndarray:
-    """Measured IOU of each positive's decoded box against its ground truth."""
-    if heads_by_image is None:
-        heads_by_image = [img.heads for img in scenario.images]
-    return np.concatenate([
-        _measured_ious(scenario.anchors, img.match, img.gts, heads.offsets, img.match.positive_indices)
-        for img, heads in zip(scenario.images, heads_by_image)
-    ])
 
 
 def iou_histogram(values, bins: int = HIST_BINS) -> tuple[list[float], list[int]]:

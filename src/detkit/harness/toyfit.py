@@ -14,6 +14,8 @@ product a per-image, per-head product gives. Then one ``total_loss``
 pass over all images, then per image, in image order, the gradient
 matmuls and the loss sums, so every bit is the one a loop of per-image
 loss calls gives. Stacked gradient products would round differently.
+The snapshots histogram the IOU_tar that ``total_loss`` measured, and
+the fit decodes its detections from the last epoch's heads.
 
 The fit's products are small, (anchors, feature_dim) against a few rows,
 and run on one BLAS thread (``one_blas_thread``). A second OpenBLAS thread
@@ -35,8 +37,9 @@ import numpy as np
 
 from ..anchors import MatchResult
 from ..losses import HeadOutputs, PROB_EPS, total_loss
+from ..nms import Detections
 from .config import NumericalError, ScenarioConfig
-from .scenario import Scenario, iou_histogram, iou_tar_values
+from .scenario import Scenario, detections_from_heads, iou_histogram
 
 
 @dataclass
@@ -45,34 +48,26 @@ class ToyModel:
     w_cls: np.ndarray  # (n_classes + 1, feature_dim)
     w_iou: np.ndarray  # (feature_dim,)
 
-    def forward(self, features: np.ndarray) -> tuple[HeadOutputs, np.ndarray, np.ndarray]:
-        """Head outputs plus the raw (pre-clamp) probability-head scores of
-        a (..., anchors, feature_dim) block, each with the block's leading
-        axes."""
+    def forward(self, features: np.ndarray) -> HeadOutputs:
+        """Head outputs of a (..., anchors, feature_dim) block, each with the
+        block's leading axes; the probability heads clamped to [PROB_EPS, 1]."""
         lead = features.shape[:-1]
         flat = features.reshape(-1, features.shape[-1])
         stacked = (flat @ np.concatenate((self.w_off, self.w_cls)).T).reshape(*lead, -1)
-        offsets, raw_cls = stacked[..., :4], stacked[..., 4:]
-        raw_iou = (flat @ self.w_iou).reshape(lead)
-        heads = HeadOutputs(
-            offsets=offsets,
-            class_probs=np.clip(raw_cls, PROB_EPS, 1.0),
-            p_iou=np.clip(raw_iou, PROB_EPS, 1.0),
+        return HeadOutputs(
+            offsets=stacked[..., :4],
+            class_probs=np.clip(stacked[..., 4:], PROB_EPS, 1.0),
+            p_iou=np.clip((flat @ self.w_iou).reshape(lead), PROB_EPS, 1.0),
         )
-        return heads, raw_cls, raw_iou
 
 
-def image_heads(heads: HeadOutputs) -> list[HeadOutputs]:
-    """Each image's head outputs, as views of a batch's."""
-    return [HeadOutputs(*fields) for fields in zip(heads.offsets, heads.class_probs, heads.p_iou)]
-
-
-def _projected(grad: np.ndarray, raw: np.ndarray) -> np.ndarray:
+def _projected(grad: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Projection semantics at the clamp: a boundary score only admits
     gradient components moving it back inside [PROB_EPS, 1]; a score
     pinned at a boundary the loss pushes outward stays frozen (so a model
-    initialized at the optimum never moves)."""
-    allowed = ((raw > PROB_EPS) & (raw < 1.0)) | ((raw <= PROB_EPS) & (grad < 0.0)) | ((raw >= 1.0) & (grad > 0.0))
+    initialized at the optimum never moves). ``p`` = clip(r, PROB_EPS, 1)
+    masks as the raw score r would: NaN stays NaN and falls in no case."""
+    allowed = ((p > PROB_EPS) & (p < 1.0)) | ((p <= PROB_EPS) & (grad < 0.0)) | ((p >= 1.0) & (grad > 0.0))
     return grad * allowed
 
 
@@ -126,6 +121,7 @@ class FitResult:
     model: ToyModel
     trace: list[dict[str, float]]  # per epoch: total/cls/reg/iou (pre-update), plus final
     snapshots: list[tuple[int, list[float], list[int]]]  # (epoch, bin_edges, counts)
+    detections: dict[str, Detections]  # the fitted model's, keyed by image id in scenario order
 
     @property
     def initial_loss(self) -> float:
@@ -142,6 +138,9 @@ def fit_toy(model: ToyModel, scenario: Scenario, features: np.ndarray, cfg: Scen
     anchors, feature_dim) block ``features``; records the loss before
     every update and once after the last, plus IOU_tar histogram snapshots
     at evenly spaced stages. A non-finite loss aborts with a diagnostic.
+    The last epoch's heads, the fitted weights' forward, are decoded into
+    ``detections``; a decode that overflows, a NaN probability, or a box
+    that is NaN or of negative extent raises NumericalError.
     """
     n_images = len(scenario.images)
     epochs = cfg.fit.epochs
@@ -154,11 +153,11 @@ def fit_toy(model: ToyModel, scenario: Scenario, features: np.ndarray, cfg: Scen
     match = MatchResult(*(np.stack([getattr(img.match, f) for img in scenario.images]) for f in ("gt_index", "best_iou")))
     gts = [img.gts for img in scenario.images]
 
-    def eval_epoch() -> tuple[dict[str, float], list[np.ndarray], HeadOutputs]:
-        heads, raw_cls, raw_iou = model.forward(features)
+    def eval_epoch() -> tuple[dict[str, float], list[np.ndarray], HeadOutputs, np.ndarray]:
+        heads = model.forward(features)
         tl = total_loss(match, heads, scenario.anchors, gts, cfg.losses)
-        d_cls = _projected(tl.d_class_probs, raw_cls)
-        d_iou = _projected(tl.d_p_iou, raw_iou)
+        d_cls = _projected(tl.d_class_probs, heads.class_probs)
+        d_iou = _projected(tl.d_p_iou, heads.p_iou)
         totals = {"total": 0.0, "cls": 0.0, "reg": 0.0, "iou": 0.0}
         grads = [np.zeros_like(model.w_off), np.zeros_like(model.w_cls), np.zeros_like(model.w_iou)]
         for i, image_features in enumerate(features):
@@ -168,11 +167,11 @@ def fit_toy(model: ToyModel, scenario: Scenario, features: np.ndarray, cfg: Scen
             grads[0] += (tl.d_offsets[i].T @ image_features) / n_images
             grads[1] += (d_cls[i].T @ image_features) / n_images
             grads[2] += (d_iou[i] @ image_features) / n_images
-        return totals, grads, heads
+        return totals, grads, heads, tl.iou_tar
 
     for epoch in range(epochs + 1):
         try:
-            totals, grads, heads = eval_epoch()
+            totals, grads, heads, iou_tar = eval_epoch()
         except (OverflowError, ValueError) as exc:
             # diverging offsets produce degenerate geometry (exp overflow)
             raise NumericalError(f"loss diverged at epoch {epoch}: {exc}") from exc
@@ -180,12 +179,22 @@ def fit_toy(model: ToyModel, scenario: Scenario, features: np.ndarray, cfg: Scen
             raise NumericalError(f"loss diverged at epoch {epoch}: {totals['total']}")
         trace.append(totals)
         if epoch in snapshot_epochs:
-            edges, counts = iou_histogram(iou_tar_values(scenario, image_heads(heads)))
-            snapshots.append((epoch, edges, counts))
+            snapshots.append((epoch, *iou_histogram(iou_tar)))
         if epoch == epochs:
             break
-        model.w_off -= cfg.fit.step * grads[0]
-        model.w_cls -= cfg.fit.step * grads[1]
-        model.w_iou -= cfg.fit.step * grads[2]
+        # a step that overflows leaves an infinite weight; the next epoch's loss
+        # then fails, and the divergence checks above raise NumericalError
+        with np.errstate(over="ignore"):
+            model.w_off -= cfg.fit.step * grads[0]
+            model.w_cls -= cfg.fit.step * grads[1]
+            model.w_iou -= cfg.fit.step * grads[2]
 
-    return FitResult(model, trace, snapshots)
+    floor = cfg.nms.score_floor
+    try:
+        detections = {
+            img.image_id: detections_from_heads(scenario.anchors, HeadOutputs(*fields), floor, img.image_id)
+            for img, fields in zip(scenario.images, zip(heads.offsets, heads.class_probs, heads.p_iou))
+        }
+    except (OverflowError, ValueError) as exc:
+        raise NumericalError(f"fitted model decodes invalid detections: {exc}") from exc
+    return FitResult(model, trace, snapshots, detections)

@@ -109,6 +109,7 @@ class TotalLoss:
     d_offsets: np.ndarray  # (k, N, 4)
     d_class_probs: np.ndarray  # (k, N, K+1)
     d_p_iou: np.ndarray  # (k, N)
+    iou_tar: np.ndarray  # (P,) the measured IOU of each positive's decoded box, image-major
 
 
 # The array kernels: one formula each, run by total_loss.
@@ -258,7 +259,8 @@ def total_loss(
     The k images of a batch take one pass. ``match`` and ``preds`` hold
     them along a leading axis (``gt_index`` (k, N), ``offsets`` (k, N, 4)
     and so on), ``gts`` is the list of their ground truths, and every field
-    of the result has that axis too. Each image's sums, mined count and
+    of the result but ``iou_tar`` has that axis too; ``iou_tar`` runs over
+    the batch's positives, image-major, ``n_pos`` of them per image. Each image's sums, mined count and
     normalisation are its own, so each image's result is the image's
     alone, bit for bit; one image is the batch of one. A batch raises the
     error of its first failing positive in image order, which is what the
@@ -278,7 +280,7 @@ def total_loss(
     d_off = np.zeros_like(offsets)
     d_cls = np.zeros_like(class_probs)
     d_piou = np.zeros_like(p_iou_all)
-    pos_cls_values = reg_values = iou_values = np.zeros(0)
+    pos_cls_values = reg_values = iou_values = iou_tar = np.zeros(0)
     gated = np.zeros(0, dtype=np.intp)
 
     if len(pos):
@@ -346,4 +348,5 @@ def total_loss(
         d_offsets=d_off.reshape(k, n, 4),
         d_class_probs=d_cls.reshape(k, n, class_probs.shape[1]),
         d_p_iou=d_piou.reshape(k, n),
+        iou_tar=iou_tar,
     )

@@ -11,7 +11,7 @@ import pytest
 import detkit
 from detkit import cli, harness
 from detkit.cli import main
-from detkit.harness import ScenarioConfig, experiments, fit_toy, generate_scenario
+from detkit.harness import ScenarioConfig, ToyModel, experiments, generate_scenario
 from detkit.harness import scenario as scenario_module
 from detkit.harness.config import FitConfig
 
@@ -739,27 +739,70 @@ class TestRisingLoss:
 
 
 class TestFittedDecode:
-    # the fitted heads are decoded outside fit_toy's guard: an overflowing
+    # the fitted heads are decoded outside the loss's guard: an overflowing
     # exp ended in a traceback, a NaN box exited 2 as a config error, and a
-    # NaN class probability dropped every detection and exited 0
-    @pytest.mark.parametrize("head, index, weight, message", [
-        ("w_off", (2, 0), 4e3, "math range error"),
-        ("w_off", (0, 0), math.nan, "negative box extent"),
-        ("w_cls", (1, 0), math.nan, "NaN class probability"),
-        ("w_iou", 0, math.nan, "p_iou=nan"),
+    # NaN class probability dropped every detection and exited 0. The last
+    # epoch's heads, which the fit decodes, are broken on a negative anchor
+    # of image 0, whose offsets, object-class scores and p_iou the loss
+    # does not read; a class-1 score of 1 keeps the anchor at the floor
+    @pytest.mark.parametrize("field, index, value, message", [
+        ("offsets", (2,), 4e3, "math range error"),
+        ("offsets", (0,), math.nan, "negative box extent"),
+        ("class_probs", (1,), math.nan, "NaN class probability"),
+        ("p_iou", (), math.nan, "p_iou=nan"),
     ], ids=["overflow", "nan_box", "nan_class", "nan_iou"])
-    def test_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, head, index, weight, message):
-        def fit_then_break(model, scenario, features, cfg):
-            fit = fit_toy(model, scenario, features, cfg)
-            getattr(fit.model, head)[index] = weight  # feature 0 is 1 on every anchor
-            return fit
+    def test_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, field, index, value, message):
+        config = write_config(tmp_path)
+        cfg = harness.load_config(str(config))
+        anchor = int(generate_scenario(cfg).images[0].match.negative_indices[0])
+        forward, calls = ToyModel.forward, []
 
-        monkeypatch.setattr(cli, "fit_toy", fit_then_break)
+        def forward_then_break(model, features):
+            heads = forward(model, features)
+            calls.append(1)
+            if len(calls) == cfg.fit.epochs + 1:
+                heads.class_probs[0, anchor, 1] = 1.0
+                getattr(heads, field)[(0, anchor, *index)] = value
+            return heads
+
+        monkeypatch.setattr(ToyModel, "forward", forward_then_break)
         out = tmp_path / "out"
-        assert main(["fit", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 3
+        assert main(["fit", "--config", str(config), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "fitted model decodes invalid detections" in err and message in err
+        assert len(calls) == cfg.fit.epochs + 1
         assert not out.exists()
+
+
+# Schema-valid configs whose numerics overflow: synthesis noise that
+# overflows its offsets, a p_iou noise that np.clip saturates, and a step
+# that overflows the weights. Each ends in one diagnosed line or in a clean
+# exit, under the suite's RuntimeWarning policy
+OVERFLOW_RUNS = [
+    (config, command, code, line)
+    for config, commands, code, line in [
+        ({"noise": {"offset_sigma": 1e308}}, ("gen", "fit", "report"), 3,
+         "numerical failure: image 0: a noisy offset overflows its decoded box (math range error)"),
+        ({"noise": {"distractor_offset_sigma": 1e308, "distractor_rate": 1}}, ("gen", "fit", "report"), 3,
+         "numerical failure: image 0: a noisy offset overflows its decoded box (math range error)"),
+        ({"noise": {"p_iou_sigma": 1e308}}, ("gen", "fit", "report"), 0, None),
+        ({"fit": {"step": 1e308}}, ("fit", "report --ablation"), 3,
+         "numerical failure: loss diverged at epoch 1: math range error"),
+    ]
+    for command in commands
+]
+
+
+@pytest.mark.parametrize("config, command, code, line", OVERFLOW_RUNS,
+                         ids=[f"{next(iter(c))}.{next(iter(next(iter(c.values()))))}-{cmd.replace(' --', '-')}"
+                              for c, cmd, _, _ in OVERFLOW_RUNS])
+def test_overflowing_config_keeps_the_one_line_contract(tmp_path, capsys, config, command, code, line):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([*command.split(), "--config", str(path), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ([line] if code else [])
 
 
 class TestClassIdBeyond64Bits:

@@ -23,12 +23,10 @@ from detkit.harness import (
     ap_after_nms,
     config_from_json,
     detections_from_heads,
-    fit_detections,
     fit_toy,
     generate_scenario,
     init_toy_model,
     iou_histogram,
-    iou_tar_values,
     run_ablation,
     run_nms_ab,
     scenario_features,
@@ -38,8 +36,9 @@ from detkit.harness import experiments
 from detkit.harness import toyfit
 from detkit.harness.config import SCHEMA, SCHEMA_PATH, FitConfig, NmsConfig, NoiseConfig, _build
 from detkit.harness.plots import histogram_svg, scatter_svg
-from detkit.harness.scenario import _sample_gt_boxes
+from detkit.harness.scenario import _measured_ious, _sample_gt_boxes
 from detkit.losses import CLS_LOSSES, IOU_LOSSES, PROB_EPS, REG_LOSSES, HeadOutputs, LossConfig
+from detkit.losses import total_loss as losses_total_loss
 from detkit.evaluation import GROUND_TRUTHS_SCHEMA, MAX_DETECTIONS_PER_IMAGE, evaluate
 from detkit.nms import MODES, GroundTruths, greedy_nms
 from detkit.rfcalc import CHAIN_SCHEMA
@@ -322,7 +321,7 @@ class TestScenario:
 
     def test_histogram_conserves_samples(self):
         s = generate_scenario(SMALL)
-        values = iou_tar_values(s)
+        values = np.concatenate([img.iou_tar for img in s.images])
         assert values.dtype == np.float64 and values.ndim == 1
         edges, counts = iou_histogram(values)
         assert sum(counts) == len(values)
@@ -338,7 +337,22 @@ class TestScenario:
         heads[1].offsets[first, 3] = math.nan
         want = outcome(oracles.decode, anchor_box(s.anchors, first), OffsetEncoding(*heads[1].offsets[first]))
         assert want[:2] == ("raises", ValueError) and want[2].startswith("negative box extent")
-        assert outcome(iou_tar_values, s, heads) == want
+        img = s.images[1]
+        assert outcome(_measured_ious, s.anchors, img.match, img.gts, heads[1].offsets, img.match.positive_indices) == want
+
+    @pytest.mark.parametrize("cfg", [SMALL, ScenarioConfig(seed=3, noise=NoiseConfig(p_iou_sigma=0.1))],
+                             ids=["small", "default-seed3-noisy-p_iou"])
+    def test_iou_tar_is_the_per_anchor_oracle_iou(self, cfg):
+        # the IOU that sets each positive's p_iou, kept for the histograms;
+        # with p_iou noise, p_iou is not that IOU
+        s = generate_scenario(cfg)
+        for img in s.images:
+            want = [
+                oracles.iou(oracles.decode(anchor_box(s.anchors, a), OffsetEncoding(*img.heads.offsets[a])),
+                            Box(*img.gts.boxes[img.match.gt_index[a]].tolist())).value
+                for a in img.match.positive_indices.tolist()
+            ]
+            assert len(want) > 0 and img.iou_tar.tobytes() == np.array(want).tobytes()
 
     def test_histogram_truncates_each_value(self):
         # v * bins truncated as int() does, the last bin capped: 0.3 * 10 is
@@ -429,7 +443,7 @@ def _frozen_optimum():
     match = match_anchors(anchors, gts.boxes)
     features = np.eye(n)[None]
     heads = HeadOutputs(np.zeros((n, 4)), np.zeros((n, 2)), np.zeros(n))
-    image = SceneImage("0", gts, match, heads)
+    image = SceneImage("0", gts, match, heads, _measured_ious(anchors, match, gts, heads.offsets, match.positive_indices))
     cfg = replace(
         SMALL,
         n_classes=1,
@@ -515,7 +529,64 @@ class TestFit:
         result = fit_toy(model, scenario, scenario_features(scenario), cfg)
         assert [e for e, _, _ in result.snapshots] == [0, 10, 20, 30]
         for _, edges, counts in result.snapshots:
-            assert sum(counts) == len(iou_tar_values(scenario))
+            assert sum(counts) == sum(len(img.match.positive_indices) for img in scenario.images)
+
+    @pytest.mark.parametrize("cfg", [SMALL, ScenarioConfig(seed=0)], ids=["small", "default"])
+    def test_detections_are_the_decode_of_the_fitted_forward(self, cfg):
+        # the path the fit's decode replaced: a second forward of the fitted
+        # weights after the fit, on one BLAS thread, decoded image by image
+        scenario = generate_scenario(cfg)
+        features = scenario_features(scenario)
+        fit = fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), scenario, features, cfg)
+        with toyfit.one_blas_thread():
+            heads = fit.model.forward(features)
+        want = {
+            img.image_id: detections_from_heads(
+                scenario.anchors, HeadOutputs(heads.offsets[i], heads.class_probs[i], heads.p_iou[i]),
+                cfg.nms.score_floor, img.image_id)
+            for i, img in enumerate(scenario.images)
+        }
+        assert list(fit.detections) == [img.image_id for img in scenario.images]
+        assert sum(len(d) for d in want.values()) > 0 and bits(fit.detections) == bits(want)
+
+    def test_forward_runs_once_per_epoch_and_once_more(self, monkeypatch):
+        # the loss before every update and after the last, with no second
+        # forward for the detections
+        forward, calls = ToyModel.forward, []
+        monkeypatch.setattr(ToyModel, "forward", lambda self, features: (calls.append(1), forward(self, features))[1])
+        cfg = replace(SMALL, fit=replace(SMALL.fit, epochs=7))
+        scenario = generate_scenario(cfg)
+        fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, 0), scenario, scenario_features(scenario), cfg)
+        assert len(calls) == cfg.fit.epochs + 1
+
+    def test_snapshots_histogram_the_loss_iou_tar(self, monkeypatch):
+        # each snapshot reads the iou_tar of its epoch's total_loss call
+        seen = []
+        monkeypatch.setattr(toyfit, "total_loss", lambda *args: (seen.append(losses_total_loss(*args)), seen[-1])[1])
+        cfg = replace(SMALL, fit=FitConfig(epochs=6, step=0.05, snapshots=3, feature_dim=16))
+        scenario = generate_scenario(cfg)
+        result = fit_toy(init_toy_model(cfg.n_classes, 16, 0), scenario, scenario_features(scenario), cfg)
+        assert [e for e, _, _ in result.snapshots] == [0, 3, 6]
+        for epoch, edges, counts in result.snapshots:
+            assert (edges, counts) == iou_histogram(seen[epoch].iou_tar)
+            assert len(seen[epoch].iou_tar) == sum(seen[epoch].n_pos)
+
+
+# the projection rule as it read the raw scores, before the clamp
+def _projected_on_raw(grad, raw):
+    allowed = ((raw > PROB_EPS) & (raw < 1.0)) | ((raw <= PROB_EPS) & (grad < 0.0)) | ((raw >= 1.0) & (grad > 0.0))
+    return grad * allowed
+
+
+def test_projection_reads_the_clamped_scores_as_the_raw_ones():
+    scores = [PROB_EPS, np.nextafter(PROB_EPS, 0.0), np.nextafter(PROB_EPS, 1.0), 1.0, np.nextafter(1.0, 0.0),
+              np.nextafter(1.0, 2.0), 0.0, math.inf, -math.inf, math.nan]
+    grads = [1.0, -1.0, 0.0, -0.0, math.nan]
+    raw, grad = (np.array(v, dtype=np.float64).ravel() for v in np.meshgrid(scores, grads))
+    got = toyfit._projected(grad, np.clip(raw, PROB_EPS, 1.0))
+    assert got.tobytes() == _projected_on_raw(grad, raw).tobytes()
+    # the table reaches every branch: kept inside, admitted and frozen at both bounds
+    assert {float(g) for g in got[np.isfinite(got)]} == {1.0, -1.0, 0.0}
 
 
 class TestBatchedForward:
@@ -536,13 +607,12 @@ class TestBatchedForward:
                                    rng.normal(0.0, scale, dim)))
         with threads():
             for model in models:
-                heads, raw_cls, raw_iou = model.forward(block)
+                heads = model.forward(block)
                 for i, features in enumerate(block):
                     assert heads.offsets[i].tobytes() == (features @ model.w_off.T).tobytes()
-                    assert raw_cls[i].tobytes() == (features @ model.w_cls.T).tobytes()
-                    assert raw_iou[i].tobytes() == (features @ model.w_iou).tobytes()
-                    assert heads.class_probs[i].tobytes() == np.clip(raw_cls[i], PROB_EPS, 1.0).tobytes()
-                    assert heads.p_iou[i].tobytes() == np.clip(raw_iou[i], PROB_EPS, 1.0).tobytes()
+                    raw_cls, raw_iou = features @ model.w_cls.T, features @ model.w_iou
+                    assert heads.class_probs[i].tobytes() == np.clip(raw_cls, PROB_EPS, 1.0).tobytes()
+                    assert heads.p_iou[i].tobytes() == np.clip(raw_iou, PROB_EPS, 1.0).tobytes()
 
 
 class TestNmsAb:
@@ -586,7 +656,7 @@ class TestApAfterNms:
         scenario = generate_scenario(SMALL)
         features = scenario_features(scenario)
         fit = fit_toy(init_toy_model(SMALL.n_classes, SMALL.fit.feature_dim, 0), scenario, features, SMALL)
-        return scenario, fit_detections(scenario, features, fit)
+        return scenario, fit.detections
 
     @pytest.mark.parametrize("iou_threshold", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("mode", MODES)

@@ -473,6 +473,7 @@ def total_loss_scalar(
 
     pos = match.positive_indices.tolist()
     cls_sum = reg_sum = iou_sum = 0.0
+    iou_tars = []
 
     for a in pos:
         g = int(match.gt_index[a])
@@ -481,6 +482,7 @@ def total_loss_scalar(
         off = OffsetEncoding(*preds.offsets[a])
         decoded, jac = oracles.decode_jacobian(anchor, off)
         iou_tar = oracles.iou(decoded, gt)
+        iou_tars.append(iou_tar.value)
 
         # classification on the ground-truth class probability
         c = int(gts.class_id[g])
@@ -541,6 +543,7 @@ def total_loss_scalar(
         d_offsets=d_off * inv,
         d_class_probs=d_cls * inv,
         d_p_iou=d_piou * inv,
+        iou_tar=np.array(iou_tars, dtype=np.float64),
     )
 
 
@@ -556,17 +559,18 @@ def assert_same_loss(got: TotalLoss, want: TotalLoss):
     assert list(got.terms) == list(want.terms)
     for key in want.terms:
         assert float_bits(got.terms[key]) == float_bits(want.terms[key]), (key, got.terms[key], want.terms[key])
-    for name in ("d_offsets", "d_class_probs", "d_p_iou"):
+    for name in ("d_offsets", "d_class_probs", "d_p_iou", "iou_tar"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes(), (name, np.argwhere(g != w)[:5])
 
 
 def image_results(batch: TotalLoss) -> list[TotalLoss]:
-    """A batch's result as one result per image."""
+    """A batch's result as one result per image; ``iou_tar`` is split at each image's positive count."""
+    iou_tars = np.split(batch.iou_tar, np.cumsum(batch.n_pos)[:-1])
     return [
         TotalLoss(batch.value[i], batch.n_pos[i], {key: v[i] for key, v in batch.terms.items()},
-                  batch.d_offsets[i], batch.d_class_probs[i], batch.d_p_iou[i])
+                  batch.d_offsets[i], batch.d_class_probs[i], batch.d_p_iou[i], iou_tars[i])
         for i in range(len(batch.value))
     ]
 

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from detkit import fileio, nms
 from detkit.geometry import iou_terms
 from detkit.harness import (
-    ScenarioConfig, detections_from_heads, fit_detections, fit_toy, generate_scenario, init_toy_model,
-    scenario_features,
+    ScenarioConfig, detections_from_heads, fit_toy, generate_scenario, init_toy_model, scenario_features,
 )
 from detkit.nms import (
     DETECTIONS_CSV_HEADER, Detections, GroundTruths, detections_from_csv, detections_to_csv, greedy_nms,
@@ -352,7 +351,7 @@ class TestScalarEquivalence:
         cfg = ScenarioConfig(seed=0)
         scenario = generate_scenario(cfg)
         model = init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed)
-        heads, _, _ = model.forward(scenario_features(scenario)[0])
+        heads = model.forward(scenario_features(scenario)[0])
         decoded = detections_from_heads(scenario.anchors, heads, cfg.nms.score_floor, scenario.images[0].image_id)
         assert len(decoded) == 6408
         dets = records(decoded)
@@ -681,9 +680,9 @@ class TestCsv:
         # the default fit's 25,632 rows; each box column holds 8,544 distinct values
         cfg = ScenarioConfig()
         scenario = generate_scenario(cfg)
-        features = scenario_features(scenario)
-        fit = fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), scenario, features, cfg)
-        rows = Detections.concat(fit_detections(scenario, features, fit).values())
+        fit = fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, cfg.seed), scenario,
+                      scenario_features(scenario), cfg)
+        rows = Detections.concat(fit.detections.values())
         assert len(rows) == 25_632
         tracemalloc.start()
         try:

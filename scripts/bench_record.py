@@ -67,8 +67,7 @@ def add(args) -> None:
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) == 1:
         return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def summary(args) -> None:
@@ -90,7 +89,7 @@ def summary(args) -> None:
             q1, base_median, q3 = quartiles([e["metrics"][name] for e in base])
             gain = sign * (base_median - statistics.median(e["metrics"][name] for e in new))
             print(f"  {name}: {args.new} won {won} of {len(pairs)} pairs; median gain {gain:.6g} "
-                  f"({'beyond' if gain > q3 - q1 else 'within'} the {args.base} IQR {q3 - q1:.6g})")
+                  f"({'beyond' if abs(gain) > q3 - q1 else 'within'} the {args.base} IQR {q3 - q1:.6g})")
 
 
 def main(argv=None) -> int:

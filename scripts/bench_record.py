@@ -2,18 +2,18 @@
 """Keep a benchmark trajectory: BENCH_<workload>.json at the repository root.
 
 ``add`` appends one entry per result file that ``perfbench/run.py --trace 0``
-wrote (``perfbench-results/<workload>-seed<n>-trace0.json``), under a label
-such as ``parent`` or ``change``. Each entry holds the label, the git commit,
+wrote (``perfbench-results/<workload>-seed<n>-trace0.json``), under the
+label ``parent`` or ``change``. Each entry holds the label, the git commit,
 the source sha256, the host, the Python and numpy versions, the seed, the
 seconds, the attempted and failed op counts, and the end-to-end metrics that
 BENCHMARK.json declares.
 
 ``summary`` prints, per label and metric, the median and the interquartile
-range, and for two labels the pairs the second one won: the i-th entries of
-the two labels make pair i, so record them alternately.
+range, and how many pairs the change won: the i-th parent and the i-th change
+entries make pair i, so record them alternately.
 
     python3 scripts/bench_record.py add --label parent perfbench-results/fit_default-seed0-trace0.json
-    python3 scripts/bench_record.py summary BENCH_fit_default.json --base parent --new change
+    python3 scripts/bench_record.py summary BENCH_fit_default.json
 
 Standard library only.
 """
@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BASE, CHANGE = "parent", "change"
 
 
 def end_to_end_metrics() -> dict[str, str]:
@@ -81,29 +82,27 @@ def summary(args) -> None:
         for label, es in by_label.items():
             q1, median, q3 = quartiles([e["metrics"][name] for e in es])
             print(f"  {name} {label}: median {median:.6g}, IQR {q3 - q1:.6g}")
-        base, new = by_label.get(args.base, []), by_label.get(args.new, [])
+        base, new = by_label.get(BASE, []), by_label.get(CHANGE, [])
         pairs = list(zip(base, new))
         if pairs:
             sign = 1.0 if better[name] == "lower" else -1.0
             won = sum(sign * (n["metrics"][name] - b["metrics"][name]) < 0.0 for b, n in pairs)
             q1, base_median, q3 = quartiles([e["metrics"][name] for e in base])
             gain = sign * (base_median - statistics.median(e["metrics"][name] for e in new))
-            print(f"  {name}: {args.new} won {won} of {len(pairs)} pairs; median gain {gain:.6g} "
-                  f"({'beyond' if abs(gain) > q3 - q1 else 'within'} the {args.base} IQR {q3 - q1:.6g})")
+            print(f"  {name}: {CHANGE} won {won} of {len(pairs)} pairs; median gain {gain:.6g} "
+                  f"({'beyond' if abs(gain) > q3 - q1 else 'within'} the {BASE} IQR {q3 - q1:.6g})")
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
     a = sub.add_parser("add", help="append result files to their BENCH file")
-    a.add_argument("--label", required=True)
+    a.add_argument("--label", required=True, choices=(BASE, CHANGE))
     a.add_argument("--bench-dir", default=str(ROOT), help="where the BENCH files live (the repository root)")
     a.add_argument("results", nargs="+", help="result JSON files of perfbench/run.py --trace 0")
     a.set_defaults(func=add)
     s = sub.add_parser("summary", help="medians, IQRs and pair wins of one BENCH file")
     s.add_argument("bench")
-    s.add_argument("--base", default="parent")
-    s.add_argument("--new", default="change")
     s.set_defaults(func=summary)
     args = ap.parse_args(argv)
     args.func(args)

@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, nms, rfcalc
 from .fileio import write_csv, write_json, atomic_write_text
 from .harness import (
@@ -60,7 +58,7 @@ def cmd_gen(args) -> int:
     )
     nms.write_detections_csv(out / "detections.csv", rows)
 
-    edges, counts = iou_histogram(np.concatenate([img.iou_tar for img in scenario.images]))
+    edges, counts = iou_histogram(scenario.iou_tar)
     _write_hist_csv(out / "iou_tar_hist.csv", edges, counts)
     print(f"wrote scenario ({len(scenario.anchors)} anchors, {len(scenario.images)} images) to {out}")
     return EXIT_OK
@@ -163,7 +161,7 @@ def cmd_report(args) -> int:
         )
     write_json(out / "nms_ab_report.json", doc)
 
-    edges, counts = iou_histogram(np.concatenate([img.iou_tar for img in scenario.images]))
+    edges, counts = iou_histogram(scenario.iou_tar)
     _write_hist_csv(out / "iou_tar_hist.csv", edges, counts)
     atomic_write_text(
         out / "iou_tar_hist.svg",

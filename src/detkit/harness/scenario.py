@@ -51,6 +51,10 @@ class Scenario:
     images: list[SceneImage]
     feature_states: list[dict]  # per image, the generator state before its feature block
 
+    @property
+    def iou_tar(self) -> np.ndarray:  # every positive's measured IOU, image-major
+        return np.concatenate([img.iou_tar for img in self.images])
+
 
 def scenario_levels(cfg: ScenarioConfig):
     ratios = DEFAULT_SCALE_RATIOS[: len(cfg.grids) + 1]
@@ -119,8 +123,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         sigma = np.where(is_distractor[pos], noise.distractor_offset_sigma, noise.offset_sigma)
         probs[pos] = ((1.0 - pos_conf[pos]) / cfg.n_classes)[:, None]
         probs[pos, gts.class_id[pos_gt]] = pos_conf[pos]
-        # a huge sigma overflows the noisy offsets and their decode; math.exp
-        # then raises OverflowError on a huge size offset, reported below
+        # a huge sigma overflows the offsets; math.exp of one raises OverflowError, reported below
         with np.errstate(over="ignore"):
             offsets[pos] = target + sigma[:, None] * offset_noise[pos]
             try:

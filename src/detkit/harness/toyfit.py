@@ -189,10 +189,9 @@ def fit_toy(model: ToyModel, scenario: Scenario, features: np.ndarray, cfg: Scen
             model.w_cls -= cfg.fit.step * grads[1]
             model.w_iou -= cfg.fit.step * grads[2]
 
-    floor = cfg.nms.score_floor
     try:
         detections = {
-            img.image_id: detections_from_heads(scenario.anchors, HeadOutputs(*fields), floor, img.image_id)
+            img.image_id: detections_from_heads(scenario.anchors, HeadOutputs(*fields), cfg.nms.score_floor, img.image_id)
             for img, fields in zip(scenario.images, zip(heads.offsets, heads.class_probs, heads.p_iou))
         }
     except (OverflowError, ValueError) as exc:

@@ -321,7 +321,7 @@ class TestScenario:
 
     def test_histogram_conserves_samples(self):
         s = generate_scenario(SMALL)
-        values = np.concatenate([img.iou_tar for img in s.images])
+        values = s.iou_tar
         assert values.dtype == np.float64 and values.ndim == 1
         edges, counts = iou_histogram(values)
         assert sum(counts) == len(values)
@@ -548,16 +548,6 @@ class TestFit:
         }
         assert list(fit.detections) == [img.image_id for img in scenario.images]
         assert sum(len(d) for d in want.values()) > 0 and bits(fit.detections) == bits(want)
-
-    def test_forward_runs_once_per_epoch_and_once_more(self, monkeypatch):
-        # the loss before every update and after the last, with no second
-        # forward for the detections
-        forward, calls = ToyModel.forward, []
-        monkeypatch.setattr(ToyModel, "forward", lambda self, features: (calls.append(1), forward(self, features))[1])
-        cfg = replace(SMALL, fit=replace(SMALL.fit, epochs=7))
-        scenario = generate_scenario(cfg)
-        fit_toy(init_toy_model(cfg.n_classes, cfg.fit.feature_dim, 0), scenario, scenario_features(scenario), cfg)
-        assert len(calls) == cfg.fit.epochs + 1
 
     def test_snapshots_histogram_the_loss_iou_tar(self, monkeypatch):
         # each snapshot reads the iou_tar of its epoch's total_loss call

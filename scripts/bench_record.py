@@ -8,9 +8,13 @@ the source sha256, the host, the Python and numpy versions, the seed, the
 seconds, the attempted and failed op counts, and the end-to-end metrics that
 BENCHMARK.json declares.
 
-``summary`` prints, per label and metric, the median and the interquartile
-range, and how many pairs the change won: the i-th parent and the i-th change
-entries make pair i, so record them alternately.
+``summary`` compares one recording: per label, the entries whose source
+sha256 equals that of the label's last entry; it says how many earlier
+entries it left out. It prints, per label and metric, the median and the
+interquartile range, and how many pairs the change won: the i-th parent and
+the i-th change entries of the recording make pair i, so record them
+alternately. Per metric it also says whether the change's median is worse
+than the parent's by more than the metric's relative bound in BENCHMARK.json.
 
     python3 scripts/bench_record.py add --label parent perfbench-results/fit_default-seed0-trace0.json
     python3 scripts/bench_record.py summary BENCH_fit_default.json
@@ -30,10 +34,11 @@ ROOT = Path(__file__).resolve().parent.parent
 BASE, CHANGE = "parent", "change"
 
 
-def end_to_end_metrics() -> dict[str, str]:
-    """Name -> "lower" or "higher", the end-to-end metrics of BENCHMARK.json."""
+def end_to_end_metrics() -> dict[str, dict]:
+    """Name -> declaration ("better" is "lower" or "higher", "bound" a
+    fraction), the end-to-end metrics of BENCHMARK.json."""
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    return {m["name"]: m["better"] for m in declared}
+    return {m["name"]: m for m in declared}
 
 
 def entry(label: str, result: dict) -> dict:
@@ -73,24 +78,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summary(args) -> None:
     doc = json.loads(Path(args.bench).read_text())
-    better = end_to_end_metrics()
+    metrics = end_to_end_metrics()
     by_label: dict[str, list[dict]] = {}
     for e in doc["entries"]:
         by_label.setdefault(e["label"], []).append(e)
+    for label, es in by_label.items():
+        by_label[label] = [e for e in es if e["source_sha256"] == es[-1]["source_sha256"]]
+    left_out = len(doc["entries"]) - sum(map(len, by_label.values()))
     print(f"{doc['workload']}: " + ", ".join(f"{label} {len(es)} runs" for label, es in by_label.items()))
-    for name in better:
+    print(f"  left out {left_out} earlier entries of other sources")
+    for name, metric in metrics.items():
         for label, es in by_label.items():
             q1, median, q3 = quartiles([e["metrics"][name] for e in es])
             print(f"  {name} {label}: median {median:.6g}, IQR {q3 - q1:.6g}")
         base, new = by_label.get(BASE, []), by_label.get(CHANGE, [])
         pairs = list(zip(base, new))
         if pairs:
-            sign = 1.0 if better[name] == "lower" else -1.0
+            sign = 1.0 if metric["better"] == "lower" else -1.0
             won = sum(sign * (n["metrics"][name] - b["metrics"][name]) < 0.0 for b, n in pairs)
             q1, base_median, q3 = quartiles([e["metrics"][name] for e in base])
             gain = sign * (base_median - statistics.median(e["metrics"][name] for e in new))
             print(f"  {name}: {CHANGE} won {won} of {len(pairs)} pairs; median gain {gain:.6g} "
                   f"({'beyond' if abs(gain) > q3 - q1 else 'within'} the {BASE} IQR {q3 - q1:.6g})")
+            worse = -gain / base_median
+            print(f"  {name}: {CHANGE} median {abs(worse):.1%} {'worse' if worse > 0 else 'better'}, "
+                  f"{'beyond' if worse > metric['bound'] else 'within'} the {metric['bound']:.0%} bound")
 
 
 def main(argv=None) -> int:

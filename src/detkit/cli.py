@@ -146,6 +146,8 @@ def cmd_report(args) -> int:
     cfg, out = _load(args)
     scenario = generate_scenario(cfg)
     ab = run_nms_ab(scenario)
+    # the ablation fits run before the first write, so a failing fit leaves no --out
+    ablation = run_ablation(scenario) if args.ablation else None
 
     doc = {"iou_threshold": ab.iou_threshold, "modes": {}}
     for mode, res in ab.modes.items():
@@ -173,7 +175,7 @@ def cmd_report(args) -> int:
             (r.cls_loss, r.iou_loss, r.reg_loss, r.initial_loss, r.final_loss,
              r.report.ap, r.report.ap50, r.report.ap75,
              r.report.ap_small, r.report.ap_medium, r.report.ap_large)
-            for r in run_ablation(scenario)
+            for r in ablation
         ]
         write_csv(
             out / "ablation.csv",

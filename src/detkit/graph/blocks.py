@@ -44,12 +44,9 @@ class RfmWeights:
     conv_out: ConvParams
 
     @property
-    def all_convs(self) -> list[ConvParams]:
-        return [self.conv_in, self.conv_d1, self.conv_d3, self.conv_d5, self.conv_out]
-
-    @property
     def parameter_count(self) -> int:
-        return sum(p.weight_count for p in self.all_convs)
+        convs = [self.conv_in, self.conv_d1, self.conv_d3, self.conv_d5, self.conv_out]
+        return sum(p.weight.size for p in convs)
 
 
 def init_rfm_weights(channels: int, seed: int = 0) -> RfmWeights:
@@ -92,7 +89,7 @@ class TwoWayFpnWeights:
     @property
     def parameter_count(self) -> int:
         convs = self.lateral + [self.shallow_proj] + self.convert
-        return sum(p.weight_count for p in convs)
+        return sum(p.weight.size for p in convs)
 
 
 def init_two_way_fpn_weights(
@@ -121,8 +118,12 @@ def two_way_fpn_forward(
 ) -> list[TensorNCHW]:
     """Combine the semantic and local flows into one output per level.
 
-    ``basic_maps`` must be spatially strictly decreasing; outputs keep the
-    input resolutions at the conversion convs' out_channels.
+    ``basic_maps`` must be spatially strictly decreasing, and they and
+    ``shallow_map`` must share one batch size; outputs keep the input
+    resolutions at the conversion convs' out_channels. Both flows add into
+    the lateral maps in place: the semantic flow first, deepest level
+    first, so each level up-samples its deeper neighbour after that one
+    took its own semantic sum; then the local flow, shallowest first.
     """
     n_levels = len(basic_maps)
     if n_levels != len(weights.lateral) or n_levels != len(weights.convert):
@@ -131,33 +132,22 @@ def two_way_fpn_forward(
     for (h0, w0), (h1, w1) in zip(sizes, sizes[1:]):
         if not (h1 < h0 and w1 < w0):
             raise ValueError(f"pyramid sizes must strictly decrease, got {sizes}")
+    batches = [m.n for m in basic_maps] + [shallow_map.n]
+    if len(set(batches)) > 1:
+        raise ValueError(f"basic maps and the shallow map must share one batch size, got {batches}")
 
-    laterals = [conv2d(m, w) for m, w in zip(basic_maps, weights.lateral)]
+    levels = [conv2d(m, w) for m, w in zip(basic_maps, weights.lateral)]
 
     # downward semantic flow over the shallowest SEMANTIC_FLOW_LEVELS levels
-    n_sem = min(SEMANTIC_FLOW_LEVELS, n_levels)
-    semantic: list[TensorNCHW | None] = [None] * n_levels
-    carry = None
-    for lv in range(n_sem - 1, -1, -1):
-        cur = laterals[lv]
-        if carry is not None:
-            up = bilinear_resize(carry, cur.h, cur.w)
-            cur = TensorNCHW(cur.data + up.data)
-        semantic[lv] = cur
-        carry = cur
+    for lv in range(min(SEMANTIC_FLOW_LEVELS, n_levels) - 2, -1, -1):
+        levels[lv].data += bilinear_resize(levels[lv + 1], levels[lv].h, levels[lv].w).data
 
     # upward local flow pooled level-by-level from the shallow map
-    local = []
     flow = conv2d(shallow_map, weights.shallow_proj)
-    for h, w in sizes:
-        if flow.h < h or flow.w < w:
+    for level in levels:
+        if flow.h < level.h or flow.w < level.w:
             raise ValueError("shallow map must be at least as large as the first level")
-        flow = adaptive_avg_pool(flow, h, w)
-        local.append(flow)
+        flow = adaptive_avg_pool(flow, level.h, level.w)
+        level.data += flow.data
 
-    outputs = []
-    for lv in range(n_levels):
-        base = semantic[lv] if semantic[lv] is not None else laterals[lv]
-        combined = TensorNCHW(base.data + local[lv].data)
-        outputs.append(conv2d(combined, weights.convert[lv]))
-    return outputs
+    return [conv2d(level, w) for level, w in zip(levels, weights.convert)]

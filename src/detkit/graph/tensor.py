@@ -57,14 +57,6 @@ class TensorNCHW:
     def shape(self) -> tuple[int, int, int, int]:
         return self.data.shape
 
-    @classmethod
-    def zeros(cls, n, c, h, w) -> "TensorNCHW":
-        return cls(np.zeros((n, c, h, w)))
-
-    @classmethod
-    def full(cls, n, c, h, w, value) -> "TensorNCHW":
-        return cls(np.full((n, c, h, w), float(value)))
-
 
 @dataclass
 class ConvParams:
@@ -81,23 +73,12 @@ class ConvParams:
         if self.bias.shape != (cout,):
             raise ValueError(f"bias shape {self.bias.shape} != ({cout},)")
 
-    @property
-    def weight_count(self) -> int:
-        """Weight elements only (k^2 * in * out), matching the RF analyzer's
-        parameter convention."""
-        return int(self.weight.size)
-
     @classmethod
     def seeded(cls, spec: LayerSpec, seed: int) -> "ConvParams":
         """Deterministic uniform [-0.05, 0.05] weights with zero bias."""
         rng = np.random.default_rng(seed)
         k, cin, cout = spec.kernel, spec.in_channels, spec.out_channels
         return cls(spec, rng.uniform(-0.05, 0.05, (cout, cin, k, k)), np.zeros(cout))
-
-    @classmethod
-    def identity_1x1(cls, channels: int) -> "ConvParams":
-        w = np.eye(channels).reshape(channels, channels, 1, 1)
-        return cls(LayerSpec(1, in_channels=channels, out_channels=channels), w, np.zeros(channels))
 
 
 # Largest im2col block of conv2d, in float64 elements (8 MiB)

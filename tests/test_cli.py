@@ -803,6 +803,7 @@ def test_overflowing_config_keeps_the_one_line_contract(tmp_path, capsys, config
     assert main([*command.split(), "--config", str(path), "--out", str(out)]) == code
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ([line] if code else [])
+    assert out.exists() == (code == 0)
 
 
 class TestClassIdBeyond64Bits:

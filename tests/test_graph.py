@@ -46,6 +46,11 @@ def conv2d_bruteforce(x: TensorNCHW, p: ConvParams) -> np.ndarray:
     return out
 
 
+def identity_1x1(channels: int) -> ConvParams:
+    weight = np.eye(channels).reshape(channels, channels, 1, 1)
+    return ConvParams(LayerSpec(1, in_channels=channels, out_channels=channels), weight, np.zeros(channels))
+
+
 class TestTensor:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -64,20 +69,20 @@ class TestConv2d:
     def test_identity_1x1(self):
         rng = np.random.default_rng(1)
         x = TensorNCHW(rng.normal(size=(1, 3, 6, 6)))
-        out = conv2d(x, ConvParams.identity_1x1(3))
+        out = conv2d(x, identity_1x1(3))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_all_ones_3x3_on_constant(self):
-        x = TensorNCHW.full(1, 1, 5, 5, 2.0)
+        x = TensorNCHW(np.full((1, 1, 5, 5), 2.0))
         spec = LayerSpec(3, padding=1, in_channels=1, out_channels=1)
         p = ConvParams(spec, np.ones((1, 1, 3, 3)), np.zeros(1))
         out = conv2d(x, p)
         assert out.data[0, 0, 2, 2] == 18.0  # 9 * 2 in the interior
 
     def test_channel_mismatch_rejected(self):
-        x = TensorNCHW.zeros(1, 2, 4, 4)
+        x = TensorNCHW(np.zeros((1, 2, 4, 4)))
         with pytest.raises(ValueError):
-            conv2d(x, ConvParams.identity_1x1(3))
+            conv2d(x, identity_1x1(3))
 
     @pytest.mark.parametrize("stride,dilation,padding,kernel", [
         (1, 1, 0, 1),
@@ -170,7 +175,7 @@ class TestConvMemory:
 class TestResampling:
     @given(st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
     def test_bilinear_constant_passthrough_exact(self, c):
-        x = TensorNCHW.full(1, 2, 3, 3, c)
+        x = TensorNCHW(np.full((1, 2, 3, 3), c))
         up = bilinear_resize(x, 6, 6)
         assert np.all(up.data == c)
 
@@ -190,7 +195,7 @@ class TestResampling:
     def test_upsample_then_matching_pool_reproduces_constant_exactly(self, c, factor):
         # dyadic constants keep every sum exact regardless of bin order
         value = c / 8.0
-        x = TensorNCHW.full(1, 1, 4, 4, value)
+        x = TensorNCHW(np.full((1, 1, 4, 4), value))
         up = bilinear_resize(x, 4 * factor, 4 * factor)
         back = adaptive_avg_pool(up, 4, 4)
         assert np.all(back.data == value)
@@ -242,7 +247,7 @@ class TestRfm:
         q = ch // 4
         for c in range(q):
             w.conv_out.weight[c, 3 * q + c] = 1.0  # expose Y4 block
-        x = TensorNCHW.zeros(1, ch, 41, 41)
+        x = TensorNCHW(np.zeros((1, ch, 41, 41)))
         x.data[0, q, 20, 20] = 1.0  # impulse in the X2 group
         out = rfm_forward(x, w)
         row = out.data[0, 0, 20]
@@ -261,7 +266,8 @@ class TestRfm:
         q = ch // 4
         want = ch * ch + 3 * (9 * q * q) + ch * ch
         assert w.parameter_count == want
-        assert w.parameter_count == sum(p.spec.parameters for p in w.all_convs)
+        convs = [w.conv_in, w.conv_d1, w.conv_d3, w.conv_d5, w.conv_out]
+        assert w.parameter_count == sum(p.spec.parameters for p in convs)
 
 
 class TestTwoWayFpn:
@@ -294,6 +300,16 @@ class TestTwoWayFpn:
         with pytest.raises(ValueError):
             two_way_fpn_forward(maps, shallow, w)
 
+    @pytest.mark.parametrize("map_batches,shallow_batch", [([1, 2], 1), ([2, 2], 1), ([1, 1], 2)])
+    def test_mixed_batch_sizes_rejected(self, map_batches, shallow_batch):
+        # a batch-1 map would otherwise broadcast against batch-2 ones
+        rng = np.random.default_rng(2)
+        maps = [TensorNCHW(rng.normal(size=(n, 4, s, s))) for n, s in zip(map_batches, [8, 4])]
+        shallow = TensorNCHW(rng.normal(size=(shallow_batch, 4, 16, 16)))
+        w = init_two_way_fpn_weights([4, 4], 4, flow_channels=4, out_channels=4)
+        with pytest.raises(ValueError, match=r"share one batch size, got \[" + ", ".join(map(str, map_batches))):
+            two_way_fpn_forward(maps, shallow, w)
+
     def test_shallow_smaller_than_first_level_rejected(self):
         rng = np.random.default_rng(3)
         maps = self._pyramid([8, 4], 4, rng)
@@ -313,6 +329,29 @@ class TestTwoWayFpn:
         w = init_two_way_fpn_weights([ch] * n_levels, ch, flow_channels=4, out_channels=6, seed=seed)
         outs = two_way_fpn_forward(maps, shallow, w)
         assert [o.shape for o in outs] == [(batch, 6, int(s), int(s)) for s in sizes]
+
+    def test_peak_memory_holds_one_pyramid(self):
+        """The bench's sizes at 256-channel flows: levels of 40, 20, 10, 5,
+        3 and 1 pixels and an 80x80 shallow map. Both flows add into the
+        lateral maps in place, so the peak is the laterals, the shallow
+        map's projection and the two arrays of its first pooling to 40x40
+        (row sums, then the pooled map). Inputs and outputs are narrow, so
+        the conversions stay below that peak."""
+        rng = np.random.default_rng(0)
+        flow, sizes, side = 256, [40, 20, 10, 5, 3, 1], 80
+        maps = self._pyramid(sizes, 8, rng)
+        shallow = TensorNCHW(rng.normal(size=(1, 8, side, side)))
+        w = init_two_way_fpn_weights([8] * len(sizes), 8, flow_channels=flow, out_channels=8, seed=0)
+        laterals = flow * sum(s * s for s in sizes) * 8
+        projection = flow * side * side * 8
+        first_pooling = flow * sizes[0] * side * 8 + flow * sizes[0] * sizes[0] * 8
+        tracemalloc.start()
+        try:
+            two_way_fpn_forward(maps, shallow, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < laterals + projection + first_pooling + 2**20
 
     def test_deterministic_seeded_init(self):
         a = init_two_way_fpn_weights([8, 8], 4, flow_channels=4, out_channels=4, seed=9)

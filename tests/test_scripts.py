@@ -43,9 +43,9 @@ def test_rf_comparison_prints_both_tables(tmp_path):
     assert stdout.splitlines().count(header) == 2
 
 
-def synthetic_result(path: Path, op_s: float, rss: float) -> Path:
+def synthetic_result(path: Path, op_s: float, rss: float, source: str = "f" * 64) -> Path:
     """A result file in the shape perfbench/run.py writes with --trace 0."""
-    env = {"git_commit": "abc", "source_sha256": "f" * 64, "python": "3.11.7", "numpy": "2.4.6",
+    env = {"git_commit": "abc", "source_sha256": source, "python": "3.11.7", "numpy": "2.4.6",
            "cpu_model": "Test CPU", "nproc": 2}
     metrics = {"setup_s": 0.25, "op_p50_s": op_s, "ops_per_s": 1.0 / op_s, "peak_rss_mib": rss}
     path.write_text(json.dumps({
@@ -58,7 +58,7 @@ def synthetic_result(path: Path, op_s: float, rss: float) -> Path:
 
 def test_bench_record_appends_and_summarises(tmp_path):
     for i, (label, op_s) in enumerate([("parent", 0.30), ("change", 0.20), ("parent", 0.31), ("change", 0.32)]):
-        result = synthetic_result(tmp_path / f"r{i}.json", op_s, 50.0 + i)
+        result = synthetic_result(tmp_path / f"r{i}.json", op_s, 50.0 + i, "a" * 64 if label == "parent" else "f" * 64)
         stdout = run_script("bench_record.py", "add", "--label", label, "--bench-dir", str(tmp_path), str(result),
                             cwd=tmp_path)
         assert stdout == f"BENCH_fit_default.json: {i + 1} entries\n"
@@ -68,7 +68,23 @@ def test_bench_record_appends_and_summarises(tmp_path):
     assert first["host"] == "Test CPU, 2 CPUs" and first["seed"] == 0 and first["attempted"] == 30
     assert first["metrics"] == {"setup_s": 0.25, "op_p50_s": 0.30, "ops_per_s": 1.0 / 0.30, "peak_rss_mib": 50.0}
     lines = run_script("bench_record.py", "summary", str(tmp_path / "BENCH_fit_default.json"), cwd=tmp_path).splitlines()
-    assert lines[0] == "fit_default: parent 2 runs, change 2 runs"
+    assert lines[:2] == ["fit_default: parent 2 runs, change 2 runs", "  left out 0 earlier entries of other sources"]
     assert "  op_p50_s parent: median 0.305, IQR 0.005" in lines
     assert "  op_p50_s: change won 1 of 2 pairs; median gain 0.045 (beyond the parent IQR 0.005)" in lines
+    assert "  op_p50_s: change median 14.8% better, within the 25% bound" in lines
     assert "  peak_rss_mib: change won 0 of 2 pairs; median gain -1 (within the parent IQR 1)" in lines
+    assert "  peak_rss_mib: change median 2.0% worse, within the 15% bound" in lines
+
+    # a second recording: the parent is the first recording's change, the
+    # change a new source; only these entries are compared
+    second = [("parent", 0.20, 50.0, "f" * 64), ("change", 0.22, 60.0, "e" * 64),
+              ("parent", 0.21, 51.0, "f" * 64), ("change", 0.30, 61.0, "e" * 64)]
+    for i, (label, op_s, rss, source) in enumerate(second, start=4):
+        result = synthetic_result(tmp_path / f"r{i}.json", op_s, rss, source)
+        run_script("bench_record.py", "add", "--label", label, "--bench-dir", str(tmp_path), str(result), cwd=tmp_path)
+    lines = run_script("bench_record.py", "summary", str(tmp_path / "BENCH_fit_default.json"), cwd=tmp_path).splitlines()
+    assert lines[:2] == ["fit_default: parent 2 runs, change 2 runs", "  left out 4 earlier entries of other sources"]
+    assert "  op_p50_s change: median 0.26, IQR 0.04" in lines
+    assert "  op_p50_s: change won 0 of 2 pairs; median gain -0.055 (beyond the parent IQR 0.005)" in lines
+    assert "  op_p50_s: change median 26.8% worse, beyond the 25% bound" in lines
+    assert "  peak_rss_mib: change median 19.8% worse, beyond the 15% bound" in lines

@@ -10,7 +10,9 @@ BENCHMARK.json declares.
 
 ``summary`` compares one recording: per label, the entries whose source
 sha256 equals that of the label's last entry; it says how many earlier
-entries it left out. It prints, per label and metric, the median and the
+entries it left out. It prints each label's share of failed ops (failed over
+attempted, summed over the recording) and whether the change's share is
+above the parent's. It prints, per label and metric, the median and the
 interquartile range, and how many pairs the change won: the i-th parent and
 the i-th change entries of the recording make pair i, so record them
 alternately. Per metric it also says whether the change's median is worse
@@ -87,6 +89,14 @@ def summary(args) -> None:
     left_out = len(doc["entries"]) - sum(map(len, by_label.values()))
     print(f"{doc['workload']}: " + ", ".join(f"{label} {len(es)} runs" for label, es in by_label.items()))
     print(f"  left out {left_out} earlier entries of other sources")
+    shares = {}
+    for label, es in by_label.items():
+        failed, attempted = sum(e["failed"] for e in es), sum(e["attempted"] for e in es)
+        shares[label] = failed / attempted
+        print(f"  failed ops {label}: {failed} of {attempted} ({shares[label]:.2%})")
+    if BASE in shares and CHANGE in shares:
+        above = "above" if shares[CHANGE] > shares[BASE] else "not above"
+        print(f"  failed ops: {CHANGE} share {above} the {BASE} share")
     for name, metric in metrics.items():
         for label, es in by_label.items():
             q1, median, q3 = quartiles([e["metrics"][name] for e in es])

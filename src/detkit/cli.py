@@ -234,8 +234,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (FileNotFoundError, ValueError, KeyError) as exc:
-        # bad config (ConfigError), missing files, or malformed input documents (JSONDecodeError)
+    except (OSError, ValueError, KeyError) as exc:
+        # bad config (ConfigError), unreadable inputs, unwritable outputs, or malformed documents (JSONDecodeError)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -26,7 +26,10 @@ Each is an independent, deliberately plain copy of a definition:
   The library's ``evaluate`` must match it bit for bit;
 - the two-box score-flip scenario of the paper's IOU-guided NMS;
 - the CSV text of rows written one at a time by a plain ``csv.writer``,
-  which the column-wise writer must match byte for byte.
+  which the column-wise writer must match byte for byte;
+- the scatter and histogram figures built element by element with
+  ElementTree, as they stood before the library wrote them as text; the
+  text must match them byte for byte.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,7 @@ from detkit.evaluation import (AREA_RANGES, IOU_THRESHOLDS, MAX_DETECTIONS_PER_I
                                ApReport)
 from detkit.geometry import DEFAULT_VARIANCES, extent_error, iou_matrix
 from detkit.harness.config import ScenarioConfig
+from detkit.harness.plots import HEIGHT, MARGIN, WIDTH
 from detkit.harness.scenario import scenario_levels
 from detkit.losses import CEJI_IOU_GATE, PROB_EPS, BalanceL1Params, HeadOutputs
 from detkit.nms import DEFAULT_IOU_THRESHOLD, SCORE_FLOOR, Detections, GroundTruths, checked_areas
@@ -727,3 +732,66 @@ def csv_text(header: list[str], rows) -> str:
     for row in rows:
         (quote_all if any(isinstance(v, str) and "\r" in v for v in row) else w).writerow(row)
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# figures
+
+
+def _svg_canvas(title: str, xlabel: str, ylabel: str) -> ET.Element:
+    svg = ET.Element(
+        "svg",
+        {"xmlns": "http://www.w3.org/2000/svg", "width": str(WIDTH), "height": str(HEIGHT),
+         "viewBox": f"0 0 {WIDTH} {HEIGHT}"},
+    )
+    t = ET.SubElement(svg, "text", {"x": str(WIDTH // 2), "y": "20", "text-anchor": "middle", "font-size": "14"})
+    t.text = title
+    ET.SubElement(
+        svg, "path",
+        {"d": f"M {MARGIN} {MARGIN} V {HEIGHT - MARGIN} H {WIDTH - MARGIN}", "stroke": "black", "fill": "none"},
+    )
+    x = ET.SubElement(
+        svg, "text", {"x": str(WIDTH // 2), "y": str(HEIGHT - 10), "text-anchor": "middle", "font-size": "12"},
+    )
+    x.text = xlabel
+    y = ET.SubElement(
+        svg, "text",
+        {"x": "14", "y": str(HEIGHT // 2), "text-anchor": "middle", "font-size": "12",
+         "transform": f"rotate(-90 14 {HEIGHT // 2})"},
+    )
+    y.text = ylabel
+    return svg
+
+
+def _svg_px(v: float, lo: float, hi: float, px0: float, px1: float) -> float:
+    if hi <= lo:
+        return px0
+    return px0 + (v - lo) / (hi - lo) * (px1 - px0)
+
+
+def scatter_svg(points: list[tuple[float, float]], title: str, xlabel: str, ylabel: str) -> str:
+    svg = _svg_canvas(title, xlabel, ylabel)
+    for x, y in points:
+        ET.SubElement(
+            svg, "circle",
+            {"class": "point", "cx": f"{_svg_px(x, 0.0, 1.0, MARGIN, WIDTH - MARGIN):.2f}",
+             "cy": f"{_svg_px(y, 0.0, 1.0, HEIGHT - MARGIN, MARGIN):.2f}", "r": "2.5", "fill": "steelblue",
+             "fill-opacity": "0.6"},
+        )
+    return ET.tostring(svg, encoding="unicode") + "\n"
+
+
+def histogram_svg(bin_edges: list[float], counts: list[int], title: str, xlabel: str) -> str:
+    svg = _svg_canvas(title, xlabel, "count")
+    peak = max(counts) if counts and max(counts) > 0 else 1
+    lo, hi = bin_edges[0], bin_edges[-1]
+    for left, right, n in zip(bin_edges, bin_edges[1:], counts):
+        x0 = _svg_px(left, lo, hi, MARGIN, WIDTH - MARGIN)
+        x1 = _svg_px(right, lo, hi, MARGIN, WIDTH - MARGIN)
+        top = _svg_px(n, 0, peak, HEIGHT - MARGIN, MARGIN)
+        ET.SubElement(
+            svg, "rect",
+            {"class": "bin", "x": f"{x0:.2f}", "y": f"{top:.2f}", "width": f"{max(x1 - x0 - 1.0, 0.5):.2f}",
+             "height": f"{(HEIGHT - MARGIN) - top:.2f}", "fill": "darkorange"},
+        )
+    return ET.tostring(svg, encoding="unicode") + "\n"

@@ -806,6 +806,30 @@ def test_overflowing_config_keeps_the_one_line_contract(tmp_path, capsys, config
     assert out.exists() == (code == 0)
 
 
+# A directory where an input file is read, or a file where an output
+# directory is made: each is a bad path, not a crash
+@pytest.mark.parametrize("argv", [
+    "nms --detections DIR --out OUT",
+    "eval --detections DIR --ground-truths GTS --out OUT",
+    "eval --detections DETS --ground-truths DIR --out OUT",
+    "rf --chain DIR --out OUT",
+    "gen --config CFG --out FILE",
+    "nms --detections DETS --out FILE",
+])
+def test_unusable_path_exits_2_with_one_line(tmp_path, capsys, argv):
+    paths = {"DIR": tmp_path / "dir", "OUT": tmp_path / "out", "FILE": tmp_path / "file",
+             "CFG": tmp_path / "config.json", "DETS": tmp_path / "detections.csv",
+             "GTS": tmp_path / "ground_truths.json"}
+    paths["DIR"].mkdir()
+    paths["FILE"].write_text("")
+    paths["DETS"].write_text("image_id,class_id,x1,y1,x2,y2,p_cls,p_iou\nimg0,1,0,0,4,4,0.9,0.8\n")
+    paths["GTS"].write_text(json.dumps({"images": [{"image_id": "img0", "objects": []}]}))
+    paths["CFG"].write_text("{}")
+    assert main([str(paths.get(word, word)) for word in argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
 class TestClassIdBeyond64Bits:
     # class ids are any integers in both input files; relabelling the
     # classes changes neither which rows NMS keeps nor the AP report

@@ -10,6 +10,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detkit.anchors import build_levels, generate_default_boxes, match_anchors
 from detkit.geometry import box_areas
@@ -676,7 +677,34 @@ class TestAblation:
             assert 0.0 <= r.report.ap <= 1.0
 
 
+SVG_NS = "{http://www.w3.org/2000/svg}"
+# titles and labels with the characters XML text escapes, quotes and
+# non-ASCII; control characters and non-characters are not XML text
+figure_text = st.text(
+    st.one_of(st.sampled_from("&<>\"'é€漢😀 "), st.characters(blacklist_categories=("Cc", "Cs", "Cn"))), min_size=1,
+)
+figure_coord = st.one_of(st.sampled_from((0.0, 1.0, -0.0, -1.5, 2.5, math.nan)), st.floats())
+
+
 class TestPlots:
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(figure_coord, figure_coord), max_size=6), figure_text, figure_text, figure_text)
+    def test_scatter_matches_the_element_tree_figure(self, points, title, xlabel, ylabel):
+        svg = scatter_svg(points, title, xlabel, ylabel)
+        assert svg == oracles.scatter_svg(points, title, xlabel, ylabel)
+        assert [t.text for t in ET.fromstring(svg).iter(f"{SVG_NS}text")] == [title, xlabel, ylabel]
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(st.just(0), st.integers(0, 10**6)), max_size=8).flatmap(
+        lambda counts: st.tuples(st.just(counts), st.lists(figure_coord, min_size=len(counts) + 1,
+                                                           max_size=len(counts) + 1))),
+        figure_text, figure_text)
+    def test_histogram_matches_the_element_tree_figure(self, counts_edges, title, xlabel):
+        counts, edges = counts_edges
+        svg = histogram_svg(edges, counts, title, xlabel)
+        assert svg == oracles.histogram_svg(edges, counts, title, xlabel)
+        assert [t.text for t in ET.fromstring(svg).iter(f"{SVG_NS}text")] == [title, xlabel, "count"]
+
     def test_scatter_point_count(self):
         points = [(0.1, 0.2), (0.5, 0.9), (1.0, 0.0)]
         svg = scatter_svg(points, "t", "x", "y")

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment drivers in scripts/ at their smallest sizes."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -43,14 +44,14 @@ def test_rf_comparison_prints_both_tables(tmp_path):
     assert stdout.splitlines().count(header) == 2
 
 
-def synthetic_result(path: Path, op_s: float, rss: float, source: str = "f" * 64) -> Path:
+def synthetic_result(path: Path, op_s: float, rss: float, source: str = "f" * 64, failed: int = 0) -> Path:
     """A result file in the shape perfbench/run.py writes with --trace 0."""
     env = {"git_commit": "abc", "source_sha256": source, "python": "3.11.7", "numpy": "2.4.6",
            "cpu_model": "Test CPU", "nproc": 2}
     metrics = {"setup_s": 0.25, "op_p50_s": op_s, "ops_per_s": 1.0 / op_s, "peak_rss_mib": rss}
     path.write_text(json.dumps({
         "workload": "fit_default", "seed": 0, "seconds": 8, "trace": 0,
-        "result": {"attempted": 30, "failed": 0, "env": env},
+        "result": {"attempted": 30, "failed": failed, "env": env},
         "metrics": {name: {"value": value, "unit": "-"} for name, value in metrics.items()},
     }))
     return path
@@ -69,6 +70,8 @@ def test_bench_record_appends_and_summarises(tmp_path):
     assert first["metrics"] == {"setup_s": 0.25, "op_p50_s": 0.30, "ops_per_s": 1.0 / 0.30, "peak_rss_mib": 50.0}
     lines = run_script("bench_record.py", "summary", str(tmp_path / "BENCH_fit_default.json"), cwd=tmp_path).splitlines()
     assert lines[:2] == ["fit_default: parent 2 runs, change 2 runs", "  left out 0 earlier entries of other sources"]
+    assert lines[2:5] == ["  failed ops parent: 0 of 60 (0.00%)", "  failed ops change: 0 of 60 (0.00%)",
+                          "  failed ops: change share not above the parent share"]
     assert "  op_p50_s parent: median 0.305, IQR 0.005" in lines
     assert "  op_p50_s: change won 1 of 2 pairs; median gain 0.045 (beyond the parent IQR 0.005)" in lines
     assert "  op_p50_s: change median 14.8% better, within the 25% bound" in lines
@@ -76,15 +79,31 @@ def test_bench_record_appends_and_summarises(tmp_path):
     assert "  peak_rss_mib: change median 2.0% worse, within the 15% bound" in lines
 
     # a second recording: the parent is the first recording's change, the
-    # change a new source; only these entries are compared
-    second = [("parent", 0.20, 50.0, "f" * 64), ("change", 0.22, 60.0, "e" * 64),
-              ("parent", 0.21, 51.0, "f" * 64), ("change", 0.30, 61.0, "e" * 64)]
-    for i, (label, op_s, rss, source) in enumerate(second, start=4):
-        result = synthetic_result(tmp_path / f"r{i}.json", op_s, rss, source)
+    # change a new source that failed 3 ops; only these entries are compared
+    second = [("parent", 0.20, 50.0, "f" * 64, 0), ("change", 0.22, 60.0, "e" * 64, 0),
+              ("parent", 0.21, 51.0, "f" * 64, 0), ("change", 0.30, 61.0, "e" * 64, 3)]
+    for i, (label, op_s, rss, source, failed) in enumerate(second, start=4):
+        result = synthetic_result(tmp_path / f"r{i}.json", op_s, rss, source, failed)
         run_script("bench_record.py", "add", "--label", label, "--bench-dir", str(tmp_path), str(result), cwd=tmp_path)
     lines = run_script("bench_record.py", "summary", str(tmp_path / "BENCH_fit_default.json"), cwd=tmp_path).splitlines()
     assert lines[:2] == ["fit_default: parent 2 runs, change 2 runs", "  left out 4 earlier entries of other sources"]
+    assert lines[2:5] == ["  failed ops parent: 0 of 60 (0.00%)", "  failed ops change: 3 of 60 (5.00%)",
+                          "  failed ops: change share above the parent share"]
     assert "  op_p50_s change: median 0.26, IQR 0.04" in lines
     assert "  op_p50_s: change won 0 of 2 pairs; median gain -0.055 (beyond the parent IQR 0.005)" in lines
     assert "  op_p50_s: change median 26.8% worse, beyond the 25% bound" in lines
     assert "  peak_rss_mib: change median 19.8% worse, beyond the 15% bound" in lines
+
+
+def test_mutants_catches_an_entry_and_fails_a_stale_one(capsys):
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    entry = next(m for m in mutants.MUTANTS if m.name == "nms._suppressing keeps a pair at the threshold")
+    stale = entry._replace(name="stale entry", text="inter / union >>> iou_threshold")
+    assert mutants.main([entry, stale]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("caught ") and lines[0].endswith(entry.name)
+    assert lines[1].startswith("stale: the text occurs 0 times in src/detkit/nms.py ")
+    assert lines[1].endswith("stale entry")
+    assert lines[2:] == ["1 of 2 mutants as expected", "  not as expected: stale entry"]

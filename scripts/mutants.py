@@ -14,8 +14,9 @@ Pytest's exit 1 is a catch and exit 0 a survival; any other exit (a
 selection that collects nothing, say) is an error. A text that is not found
 once is a stale entry. The script prints one line per entry and every
 survivor, and exits 1 when an entry is stale, errs, or does not meet its
-expected outcome. The tests that start detkit in a subprocess of their own
-read the unmutated src/, so no selection names them.
+expected outcome. The script drivers that ``tests/test_scripts.py`` starts
+in a subprocess import detkit from where the test run does, so they read
+the mutated copy too.
 
     python3 scripts/mutants.py
 
@@ -69,6 +70,36 @@ MUTANTS = [
            "    except (OverflowError, ValueError) as exc:\n        raise NumericalError(f\"fitted model decodes",
            "    except OverflowError as exc:\n        raise NumericalError(f\"fitted model decodes",
            ("tests/test_cli.py::TestFittedDecode",), CAUGHT),
+    Mutant("nms.greedy_nms keeps one survivor past a class's cap", "detkit/nms.py",
+           "survivors[nth < room[c]]", "survivors[nth <= room[c]]", ("tests/test_nms.py::TestClassCap",), CAUGHT),
+    Mutant("nms._Grid: no 2^-1060 on one width-ratio test", "detkit/nms.py",
+           "(w + _ABS_SLACK > t * w_lo[c])", "(w > t * w_lo[c])",
+           ("tests/test_nms.py::TestExtremeInputs::test_subnormal_sides_round_past_the_ratio_test",), CAUGHT),
+    Mutant("losses._segment_sums adds pairwise, not left to right", "detkit/losses.py",
+           "np.cumsum(table, axis=1)[:, -1]", "np.sum(table, axis=1)", ("tests/test_losses.py",), CAUGHT),
+    Mutant("losses._log_once_per_value takes np.log, not math.log", "detkit/losses.py",
+           "math_map(math.log, bits.view(np.float64))", "np.log(bits.view(np.float64))",
+           ("tests/test_losses.py",), CAUGHT),
+    Mutant("losses: mining sorts without the image key", "detkit/losses.py",
+           "-neg_values, 0.0), neg_image))", "-neg_values, 0.0),))", ("tests/test_losses.py",), CAUGHT),
+    Mutant("losses: one hard negative too few mined", "detkit/losses.py",
+           "(NEG_POS_RATIO * n_pos).astype(np.intp)", "(NEG_POS_RATIO * n_pos).astype(np.intp) - 1",
+           ("tests/test_losses.py",), CAUGHT),
+    Mutant("evaluation: a detection takes the last ground truth on a tie", "detkit/evaluation.py",
+           "np.minimum.reduceat(np.where(reach, np.arange(p.size)[:, None, None], p.size), heads)",
+           "np.maximum.reduceat(np.where(reach, np.arange(p.size)[:, None, None], -1), heads)",
+           ("tests/test_evaluation.py::TestMatchingRule",), CAUGHT),
+    Mutant("fileio._atomic_write leaves its temp file on a failure", "detkit/fileio.py",
+           "            os.unlink(tmp)", "            pass", ("tests/test_fileio.py",), CAUGHT),
+    Mutant("cli.cmd_eval names the last image the ground truths lack", "detkit/cli.py",
+           "missing[0]!r", "missing[-1]!r", ("tests/test_cli.py::TestImageWithoutGroundTruths",), CAUGHT),
+    Mutant("scenario: the step past a feature block drops its final partial chunk", "detkit/harness/scenario.py",
+           "range(0, step, STEP_CHUNK)", "range(0, step // STEP_CHUNK * STEP_CHUNK, STEP_CHUNK)",
+           ("tests/test_golden_cli.py",), CAUGHT),
+    # reached only through the rf_comparison.py subprocess of this selection
+    Mutant("rfcalc: the chain table misnames its cum_params column", "detkit/rfcalc.py",
+           '"params", "cum_params"]', '"params", "cumulative_params"]',
+           ("tests/test_scripts.py::test_rf_comparison_prints_both_tables",), CAUGHT),
 ]
 
 

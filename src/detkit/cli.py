@@ -234,8 +234,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, ValueError, KeyError) as exc:
-        # bad config (ConfigError), unreadable inputs, unwritable outputs, or malformed documents (JSONDecodeError)
+    except OSError as exc:  # an unreadable input or an unwritable output
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ValueError, KeyError) as exc:  # bad config (ConfigError) or a malformed document (JSONDecodeError)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -6,6 +6,14 @@ generator state before each image's block and steps past it with
 ``standard_normal``, the sampler of ``normal(0, 1)``, so every later draw
 is unmoved. ``scenario_features`` replays the states bit for bit.
 
+The step draws into one buffer of ``STEP_CHUNK`` values, chunk after
+chunk, until the block's anchors × feature_dim values are drawn, so its
+memory does not grow with the block. This is exact: a ``Generator``
+draws its float64 normals one element at a time and keeps no value
+between calls (unlike the legacy ``RandomState``, which caches a
+Gaussian), so the chunked draws leave the generator in the state that
+one draw of the whole block does, bit for bit.
+
 The noise model plants the classification/localization inconsistency the
 IOU-guided score is designed for: confidence is drawn independently of
 box quality, and a configurable fraction of positives become
@@ -33,6 +41,7 @@ from ..nms import Detections, GroundTruths
 from .config import NumericalError, ScenarioConfig
 
 HIST_BINS = 10
+STEP_CHUNK = 1 << 12  # float64 values, 32 KiB: the buffer that steps past a feature block
 
 
 @dataclass
@@ -93,13 +102,16 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     noise = cfg.noise
     images: list[SceneImage] = []
     feature_states: list[dict] = []
-    skipped = np.empty((n, cfg.fit.feature_dim))
+    step, skipped = n * cfg.fit.feature_dim, np.empty(STEP_CHUNK)
     for img_i in range(cfg.n_images):
         count = int(rng.integers(cfg.object_count[0], cfg.object_count[1] + 1))
         gts = GroundTruths(_sample_gt_boxes(rng, cfg, count), rng.integers(1, cfg.n_classes + 1, count))
         match = match_anchors(anchors, gts.boxes)
         feature_states.append(rng.bit_generator.state)
-        rng.standard_normal(out=skipped)  # the draws of the features, see scenario_features
+        # the draws of the features, see scenario_features: in chunks, which
+        # leave the generator where one draw of the block would (module docstring)
+        for start in range(0, step, STEP_CHUNK):
+            rng.standard_normal(out=skipped[: step - start])
 
         offsets = np.zeros((n, 4))
         probs = np.zeros((n, cfg.n_classes + 1))

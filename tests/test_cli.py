@@ -827,7 +827,7 @@ def test_unusable_path_exits_2_with_one_line(tmp_path, capsys, argv):
     paths["CFG"].write_text("{}")
     assert main([str(paths.get(word, word)) for word in argv.split()]) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert len(err.splitlines()) == 1 and err.startswith("file error: ")
 
 
 class TestClassIdBeyond64Bits:

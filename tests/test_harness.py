@@ -265,6 +265,20 @@ class TestConfig:
         assert passes.count("scenario") == 1
 
 
+# the step past a feature block draws STEP_CHUNK (4,096) values at a time:
+# 2,136 × 64 ends in a partial chunk, 80 × 16 is less than one chunk and
+# 320 × 64 is five chunks exactly
+SCENE_OVERRIDES = dict(
+    argvalues=[
+        {},
+        {"n_classes": 5, "grids": (12, 6, 3)},
+        {"grids": (4, 2), "fit": FitConfig(feature_dim=16)},
+        {"grids": (8, 4), "fit": FitConfig(feature_dim=64)},
+    ],
+    ids=["default", "5-class-3-level", "under-one-chunk", "five-chunks"],
+)
+
+
 class TestScenario:
     def test_seed_determinism(self):
         a = generate_scenario(SMALL)
@@ -368,9 +382,7 @@ class TestScenario:
             assert edges == [i / bins for i in range(bins + 1)] and all(type(e) is float for e in edges)
         assert iou_histogram([]) == ([i / 10 for i in range(11)], [0] * 10)
 
-    @pytest.mark.parametrize(
-        "overrides", [{}, {"n_classes": 5, "grids": (12, 6, 3)}], ids=["default", "5-class-3-level"]
-    )
+    @pytest.mark.parametrize("overrides", **SCENE_OVERRIDES)
     @pytest.mark.parametrize("seed", range(4))
     def test_heads_match_per_anchor_loop(self, overrides, seed):
         # the array synthesis gives the per-anchor loop's heads bit for bit
@@ -384,9 +396,7 @@ class TestScenario:
             for name in ("offsets", "class_probs", "p_iou"):
                 assert getattr(img.heads, name).tobytes() == getattr(heads, name).tobytes(), name
 
-    @pytest.mark.parametrize(
-        "overrides", [{}, {"n_classes": 5, "grids": (12, 6, 3)}], ids=["default", "5-class-3-level"]
-    )
+    @pytest.mark.parametrize("overrides", **SCENE_OVERRIDES)
     @pytest.mark.parametrize("seed", range(4))
     def test_features_replay_the_per_anchor_loop(self, overrides, seed):
         # the features replayed from the saved states are the ones the scene
@@ -410,6 +420,22 @@ class TestScenario:
         finally:
             tracemalloc.stop()
         assert held < len(s.anchors) * s.cfg.fit.feature_dim * 8
+
+    def test_synthesis_peak_does_not_grow_with_feature_dim(self):
+        # the step past each feature block draws into one fixed buffer, so
+        # 8× the feature width adds nothing to the traced peak (a block of
+        # 2,136 × 512 float64 is 8.3 MiB, and a whole-block step adds 7.2 MiB)
+        generate_scenario(ScenarioConfig(seed=1))
+
+        def peak(feature_dim):
+            tracemalloc.start()
+            try:
+                generate_scenario(ScenarioConfig(fit=FitConfig(feature_dim=feature_dim)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(512) - peak(64) < 0.5 * 2**20
 
     @pytest.mark.parametrize(
         "overrides", [{}, {"n_classes": 5, "grids": (10, 5, 3), "image_size": 96.0}], ids=["default", "5-class"]

@@ -9,12 +9,17 @@ from pathlib import Path
 
 import pytest
 
+import detkit
+
 ROOT = Path(__file__).resolve().parent.parent
+# the src/ directory this test run imports detkit from, so the script
+# drivers run the same detkit (under scripts/mutants.py, the mutated copy)
+SRC = Path(detkit.__file__).resolve().parent.parent
 
 
 def run_script(name: str, *args: str, cwd: Path) -> str:
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,

@@ -423,8 +423,8 @@ class TestScenario:
 
     def test_synthesis_peak_does_not_grow_with_feature_dim(self):
         # the step past each feature block draws into one fixed buffer, so
-        # 8× the feature width adds nothing to the traced peak (a block of
-        # 2,136 × 512 float64 is 8.3 MiB, and a whole-block step adds 7.2 MiB)
+        # 8× the feature width adds nothing to the traced peak, where one
+        # (2,136, 512) float64 block is 8.3 MiB
         generate_scenario(ScenarioConfig(seed=1))
 
         def peak(feature_dim):

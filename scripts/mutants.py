@@ -96,6 +96,13 @@ MUTANTS = [
     Mutant("scenario: the step past a feature block drops its final partial chunk", "detkit/harness/scenario.py",
            "range(0, step, STEP_CHUNK)", "range(0, step // STEP_CHUNK * STEP_CHUNK, STEP_CHUNK)",
            ("tests/test_golden_cli.py",), CAUGHT),
+    Mutant("blocks: the local flow projects the shallow map pooled straight to each level",
+           "detkit/graph/blocks.py", "        flow = adaptive_avg_pool(flow, level.h, level.w)\n",
+           "        flow = conv2d(adaptive_avg_pool(shallow_map, level.h, level.w), weights.shallow_proj)\n",
+           ("tests/test_graph.py::TestTwoWayFpn::test_matches_project_then_pool",), CAUGHT),
+    Mutant("tensor._lerp_into builds v0 + w*(v1-v0) out of place", "detkit/graph/tensor.py",
+           "    v1 -= v0\n    v1 *= w\n    v0 += v1\n    return v0\n", "    return v0 + w * (v1 - v0)\n",
+           ("tests/test_graph.py::TestTwoWayFpn::test_peak_memory_holds_one_pyramid",), CAUGHT),
     # reached only through the rf_comparison.py subprocess of this selection
     Mutant("rfcalc: the chain table misnames its cum_params column", "detkit/rfcalc.py",
            '"params", "cum_params"]', '"params", "cumulative_params"]',

@@ -16,6 +16,14 @@ upward local flow (average-pooled from a shallow backbone map, reaching
 all six levels); the two deepest levels receive only the local flow plus
 their own projection. Flows run at 256 channels and each level ends in a
 3x3 conversion to 512 channels by default.
+
+The local flow pools the shallow map to the first level's size before
+its 1x1 projection, not after. A 1x1 conv maps each pixel on its own by
+one affine map, and an average of affine images is the affine image of
+the average (the bias averages to itself), so in real arithmetic the two
+orders agree; in floating point they differ by rounding only. Pooling
+first runs the projection on the first level's pixels, not the shallow
+map's, and never holds a flow-wide map of the shallow map's size.
 """
 
 from __future__ import annotations
@@ -86,11 +94,6 @@ class TwoWayFpnWeights:
     shallow_proj: ConvParams  # 1x1 on the shallow map
     convert: list[ConvParams]  # per level, 3x3 to output channels
 
-    @property
-    def parameter_count(self) -> int:
-        convs = self.lateral + [self.shallow_proj] + self.convert
-        return sum(p.weight.size for p in convs)
-
 
 def init_two_way_fpn_weights(
     level_channels: list[int],
@@ -123,7 +126,9 @@ def two_way_fpn_forward(
     resolutions at the conversion convs' out_channels. Both flows add into
     the lateral maps in place: the semantic flow first, deepest level
     first, so each level up-samples its deeper neighbour after that one
-    took its own semantic sum; then the local flow, shallowest first.
+    took its own semantic sum; then the local flow, shallowest first. The
+    shallow map is pooled to the first level before its projection, which
+    equals projecting first up to rounding (see the module docstring).
     """
     n_levels = len(basic_maps)
     if n_levels != len(weights.lateral) or n_levels != len(weights.convert):
@@ -142,11 +147,14 @@ def two_way_fpn_forward(
     for lv in range(min(SEMANTIC_FLOW_LEVELS, n_levels) - 2, -1, -1):
         levels[lv].data += bilinear_resize(levels[lv + 1], levels[lv].h, levels[lv].w).data
 
-    # upward local flow pooled level-by-level from the shallow map
-    flow = conv2d(shallow_map, weights.shallow_proj)
-    for level in levels:
-        if flow.h < level.h or flow.w < level.w:
-            raise ValueError("shallow map must be at least as large as the first level")
+    # upward local flow: the shallow map pooled to the first level and
+    # projected there, then pooled on level by level
+    first = levels[0]
+    if shallow_map.h < first.h or shallow_map.w < first.w:
+        raise ValueError("shallow map must be at least as large as the first level")
+    flow = conv2d(adaptive_avg_pool(shallow_map, first.h, first.w), weights.shallow_proj)
+    first.data += flow.data
+    for level in levels[1:]:
         flow = adaptive_avg_pool(flow, level.h, level.w)
         level.data += flow.data
 

@@ -149,10 +149,16 @@ def bilinear_resize(x: TensorNCHW, out_h: int, out_w: int) -> TensorNCHW:
     wx = (src_x - x0)[None, None, None, :]
 
     # lerp along x once per source row; rows y0 and y1 then share it
-    row = x.data[:, :, :, x0]
-    row = row + wx * (x.data[:, :, :, x1] - row)
-    top, bot = row[:, :, y0], row[:, :, y1]
-    return TensorNCHW(top + wy * (bot - top))
+    row = _lerp_into(np.take(x.data, x0, axis=3), np.take(x.data, x1, axis=3), wx)
+    return TensorNCHW(_lerp_into(np.take(row, y0, axis=2), np.take(row, y1, axis=2), wy))
+
+
+def _lerp_into(v0: np.ndarray, v1: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """v0 + w*(v1-v0), bit for bit, computed in place in v0 (v1 is spent)."""
+    v1 -= v0
+    v1 *= w
+    v0 += v1
+    return v0
 
 
 def adaptive_avg_pool(x: TensorNCHW, out_h: int, out_w: int) -> TensorNCHW:

@@ -22,6 +22,8 @@ from detkit.graph import tensor
 from detkit.graph.tensor import conv_output_size
 from detkit.rfcalc import INITIAL_STATE, LayerSpec, RFState, propagate
 
+from conftest import bits
+
 
 def conv2d_bruteforce(x: TensorNCHW, p: ConvParams) -> np.ndarray:
     """Nested-loop cross-correlation oracle, independent of the im2col path."""
@@ -44,6 +46,44 @@ def conv2d_bruteforce(x: TensorNCHW, p: ConvParams) -> np.ndarray:
                                     acc += x.data[n, c, yy, xx] * p.weight[o, c, ki, kj]
                     out[n, o, i, j] = acc
     return out
+
+
+def bilinear_gather_lerp(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Half-pixel, edge-clamped bilinear resize one output pixel at a time:
+    lerp along x on source rows y0 and y1, then between those rows."""
+    n, c, h, w = x.shape
+    out = np.empty((n, c, out_h, out_w))
+
+    def source(i, size, out_size):
+        s = min(max((i + 0.5) * (size / out_size) - 0.5, 0.0), size - 1.0)
+        lo = int(np.floor(s))
+        return lo, min(lo + 1, size - 1), s - lo
+
+    for i in range(out_h):
+        y0, y1, wy = source(i, h, out_h)
+        for j in range(out_w):
+            x0, x1, wx = source(j, w, out_w)
+            top = x[:, :, y0, x0] + wx * (x[:, :, y0, x1] - x[:, :, y0, x0])
+            bot = x[:, :, y1, x0] + wx * (x[:, :, y1, x1] - x[:, :, y1, x0])
+            out[:, :, i, j] = top + wy * (bot - top)
+    return out
+
+
+def two_way_fpn_project_then_pool(maps, shallow, w):
+    """The two-way FPN composed from the layers with nothing in place: the
+    shallow map is projected at its own size and the projection pooled
+    level by level; the four shallowest levels take the top-down sum."""
+    laterals = [conv2d(m, p).data for m, p in zip(maps, w.lateral)]
+    semantic = list(laterals)
+    for lv in range(min(4, len(maps)) - 2, -1, -1):
+        h, wd = laterals[lv].shape[2:]
+        semantic[lv] = laterals[lv] + bilinear_resize(TensorNCHW(semantic[lv + 1]), h, wd).data
+    flow = conv2d(shallow, w.shallow_proj)
+    outs = []
+    for s, p in zip(semantic, w.convert):
+        flow = adaptive_avg_pool(flow, s.shape[2], s.shape[3])
+        outs.append(conv2d(TensorNCHW(s + flow.data), p).data)
+    return outs
 
 
 def identity_1x1(channels: int) -> ConvParams:
@@ -200,6 +240,13 @@ class TestResampling:
         back = adaptive_avg_pool(up, 4, 4)
         assert np.all(back.data == value)
 
+    @pytest.mark.parametrize("size,out_size", [((7, 7), (10, 10)), ((10, 10), (7, 7)), ((20, 20), (40, 40)),
+                                               ((7, 10), (10, 7))])
+    def test_bilinear_matches_gather_lerp_bit_for_bit(self, size, out_size):
+        x = np.random.default_rng(sum(size + out_size)).normal(size=(2, 3, *size))
+        got = bilinear_resize(TensorNCHW(x), *out_size).data
+        assert bits(got) == bits(bilinear_gather_lerp(x, *out_size))
+
     def test_bilinear_interpolates_halfway(self):
         x = TensorNCHW(np.array([[0.0, 1.0]]).reshape(1, 1, 1, 2))
         up = bilinear_resize(x, 1, 4)
@@ -330,28 +377,47 @@ class TestTwoWayFpn:
         outs = two_way_fpn_forward(maps, shallow, w)
         assert [o.shape for o in outs] == [(batch, 6, int(s), int(s)) for s in sizes]
 
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("sizes,side", [([40, 20, 10, 5, 3, 1], 80), ([6, 4, 2, 1], 20)])
+    def test_matches_project_then_pool(self, sizes, side, batch):
+        # pooling first is exact in real arithmetic; random biases check
+        # that the projection's bias passes the pooling too
+        rng = np.random.default_rng(side + batch)
+        maps = [TensorNCHW(rng.normal(size=(batch, 3, s, s))) for s in sizes]
+        shallow = TensorNCHW(rng.normal(size=(batch, 2, side, side)))
+        w = init_two_way_fpn_weights([3] * len(sizes), 2, flow_channels=4, out_channels=5, seed=side)
+        for p in w.lateral + [w.shallow_proj] + w.convert:
+            p.bias[:] = rng.normal(size=p.bias.shape)
+        want = two_way_fpn_project_then_pool(maps, shallow, w)
+        got = two_way_fpn_forward(maps, shallow, w)
+        assert len(got) == len(want)
+        for g, r in zip(got, want):
+            np.testing.assert_allclose(g.data, r, rtol=0, atol=1e-10)
+
     def test_peak_memory_holds_one_pyramid(self):
         """The bench's sizes at 256-channel flows: levels of 40, 20, 10, 5,
         3 and 1 pixels and an 80x80 shallow map. Both flows add into the
-        lateral maps in place, so the peak is the laterals, the shallow
-        map's projection and the two arrays of its first pooling to 40x40
-        (row sums, then the pooled map). Inputs and outputs are narrow, so
-        the conversions stay below that peak."""
+        lateral maps in place, and the shallow map is pooled to 40x40
+        before its projection, so no flow-wide map of the shallow map's
+        size is made. The peak is the laterals plus the larger of the
+        up-sampling to 40x40 (its 20-row x-lerp, then the two row gathers
+        lerped in place) and the first conversion's workspace (one padded
+        image and one ``COLS_BUDGET`` block; outputs are narrow)."""
         rng = np.random.default_rng(0)
         flow, sizes, side = 256, [40, 20, 10, 5, 3, 1], 80
         maps = self._pyramid(sizes, 8, rng)
         shallow = TensorNCHW(rng.normal(size=(1, 8, side, side)))
         w = init_two_way_fpn_weights([8] * len(sizes), 8, flow_channels=flow, out_channels=8, seed=0)
         laterals = flow * sum(s * s for s in sizes) * 8
-        projection = flow * side * side * 8
-        first_pooling = flow * sizes[0] * side * 8 + flow * sizes[0] * sizes[0] * 8
+        up_sampling = flow * sizes[1] * sizes[0] * 8 + 2 * flow * sizes[0] * sizes[0] * 8
+        conversion = flow * (sizes[0] + 2) ** 2 * 8 + tensor.COLS_BUDGET * 8
         tracemalloc.start()
         try:
             two_way_fpn_forward(maps, shallow, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < laterals + projection + first_pooling + 2**20
+        assert peak < laterals + max(up_sampling, conversion) + 2**20
 
     def test_deterministic_seeded_init(self):
         a = init_two_way_fpn_weights([8, 8], 4, flow_channels=4, out_channels=4, seed=9)

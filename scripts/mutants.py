@@ -46,19 +46,24 @@ class Mutant(NamedTuple):
     expected: str
 
 
-PLOT_TESTS = ("tests/test_harness.py::TestPlots",)
+# a selection that takes 15 s or more is narrowed to a test that catches its
+# mutant in a full run of the file: a Hypothesis test spends most of that
+# time shrinking the failure
+SCATTER_TEST = ("tests/test_harness.py::TestPlots::test_scatter_matches_the_element_tree_figure",)
+HISTOGRAM_TEST = ("tests/test_harness.py::TestPlots::test_histogram_matches_the_element_tree_figure",)
 MUTANTS = [
     Mutant("plots._text keeps & unescaped", "detkit/harness/plots.py",
-           's.replace("&", "&amp;").replace(', "s.replace(", PLOT_TESTS, CAUGHT),
+           's.replace("&", "&amp;").replace(', "s.replace(", HISTOGRAM_TEST, CAUGHT),
     Mutant("plots._text keeps < unescaped", "detkit/harness/plots.py",
-           '.replace("<", "&lt;")', "", PLOT_TESTS, CAUGHT),
+           '.replace("<", "&lt;")', "", HISTOGRAM_TEST, CAUGHT),
     Mutant('plots: a scatter point closed with "/>"', "detkit/harness/plots.py",
-           'fill-opacity="0.6" />', 'fill-opacity="0.6"/>', PLOT_TESTS, CAUGHT),
+           'fill-opacity="0.6" />', 'fill-opacity="0.6"/>', SCATTER_TEST, CAUGHT),
     Mutant("nms._suppressing keeps a pair at the threshold", "detkit/nms.py",
            "inter / union > iou_threshold", "inter / union >= iou_threshold", ("tests/test_nms.py",), CAUGHT),
     Mutant("nms.greedy_nms without the errstate around _greedy_rows", "detkit/nms.py",
            'with np.errstate(divide="ignore", invalid="ignore", over="ignore"):\n        return dets.take(',
-           "if True:\n        return dets.take(", ("tests/test_nms.py",), CAUGHT),
+           "if True:\n        return dets.take(", ("tests/test_nms.py::TestExtremeInputs::test_some_rows_suppressed",),
+           CAUGHT),
     Mutant("nms._Grid: no slack on the centre-x window; its max(size) bound is loose by more than any rounding",
            "detkit/nms.py", "((1.0 - self.thr) / (1.0 + self.thr) + _SLACK)", "((1.0 - self.thr) / (1.0 + self.thr))",
            ("tests/test_nms.py",), EQUIVALENT),
@@ -103,6 +108,9 @@ MUTANTS = [
     Mutant("tensor._lerp_into builds v0 + w*(v1-v0) out of place", "detkit/graph/tensor.py",
            "    v1 -= v0\n    v1 *= w\n    v0 += v1\n    return v0\n", "    return v0 + w * (v1 - v0)\n",
            ("tests/test_graph.py::TestTwoWayFpn::test_peak_memory_holds_one_pyramid",), CAUGHT),
+    Mutant("experiments.ablation_table swaps the ap50 and ap75 columns", "detkit/harness/experiments.py",
+           "r.report.ap50, r.report.ap75", "r.report.ap75, r.report.ap50",
+           ("tests/test_cli.py::TestReport::test_ablation_table",), CAUGHT),
     # reached only through the rf_comparison.py subprocess of this selection
     Mutant("rfcalc: the chain table misnames its cum_params column", "detkit/rfcalc.py",
            '"params", "cum_params"]', '"params", "cumulative_params"]',

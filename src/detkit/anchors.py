@@ -19,8 +19,6 @@ from .geometry import iou_matrix
 # Per-level square-box size ratios for the 320-pixel pyramid; seven values
 # feed six levels, level k pairing (s_k, sqrt(s_k * s_{k+1})).
 DEFAULT_SCALE_RATIOS = (0.06, 0.15, 0.33, 0.51, 0.69, 0.87, 1.05)
-GRIDS_320 = (40, 20, 10, 5, 3, 1)
-STRIDES_320 = (8, 16, 32, 64, 107, 320)
 DEFAULT_ASPECT_RATIOS = (1.0, 2.0, 0.5)
 POSITIVE_IOU_THRESHOLD = 0.4
 
@@ -48,11 +46,6 @@ class FeatureLevelSpec:
             raise ValueError("scale ratios must lie in (0, 1.2]")
         if any(ar <= 0.0 for ar in self.aspect_ratios):
             raise ValueError("aspect ratios must be positive")
-
-
-def detector_320_levels() -> list[FeatureLevelSpec]:
-    """The six-level pyramid used for a 320-pixel input."""
-    return build_levels(GRIDS_320, STRIDES_320, DEFAULT_SCALE_RATIOS)
 
 
 def build_levels(grids, strides, scale_ratios, aspect_ratios=DEFAULT_ASPECT_RATIOS):

@@ -16,6 +16,7 @@ from . import evaluation, nms, rfcalc
 from .fileio import write_csv, write_json, atomic_write_text
 from .harness import (
     NumericalError,
+    ablation_table,
     ap_after_nms,
     detections_from_heads,
     fit_toy,
@@ -171,18 +172,8 @@ def cmd_report(args) -> int:
     )
 
     if args.ablation:
-        rows = [
-            (r.cls_loss, r.iou_loss, r.reg_loss, r.initial_loss, r.final_loss,
-             r.report.ap, r.report.ap50, r.report.ap75,
-             r.report.ap_small, r.report.ap_medium, r.report.ap_large)
-            for r in ablation
-        ]
-        write_csv(
-            out / "ablation.csv",
-            ["cls_loss", "iou_loss", "reg_loss", "initial_loss", "final_loss",
-             "ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large"],
-            list(zip(*rows)),
-        )
+        header, rows = ablation_table(ablation)
+        write_csv(out / "ablation.csv", header, list(zip(*rows)))
     print(f"wrote NMS A/B report to {out}")
     return EXIT_OK
 

@@ -51,11 +51,6 @@ class RfmWeights:
     conv_d5: ConvParams
     conv_out: ConvParams
 
-    @property
-    def parameter_count(self) -> int:
-        convs = [self.conv_in, self.conv_d1, self.conv_d3, self.conv_d5, self.conv_out]
-        return sum(p.weight.size for p in convs)
-
 
 def init_rfm_weights(channels: int, seed: int = 0) -> RfmWeights:
     """Seeded weights; ``channels`` is both input and output width and must

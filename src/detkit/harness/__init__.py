@@ -20,7 +20,7 @@ from .scenario import (
     true_iou,
 )
 from .toyfit import FitResult, ToyModel, fit_toy, init_toy_model
-from .experiments import AbReport, AblationRow, ModeResult, ap_after_nms, run_ablation, run_nms_ab
+from .experiments import AbReport, AblationRow, ModeResult, ablation_table, ap_after_nms, run_ablation, run_nms_ab
 
 __all__ = [
     "ScenarioConfig",
@@ -44,6 +44,7 @@ __all__ = [
     "fit_toy",
     "run_nms_ab",
     "run_ablation",
+    "ablation_table",
     "ap_after_nms",
     "AbReport",
     "ModeResult",

@@ -86,6 +86,18 @@ def run_ablation(scenario: Scenario) -> list[AblationRow]:
     return rows
 
 
+def ablation_table(rows: list[AblationRow]) -> tuple[list[str], list[tuple]]:
+    """The header and rows of ``report --ablation``'s ``ablation.csv``, which
+    the multi-seed sweep in ``scripts/`` writes behind a ``seed`` column."""
+    header = ["cls_loss", "iou_loss", "reg_loss", "initial_loss", "final_loss",
+              "ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large"]
+    return header, [
+        (r.cls_loss, r.iou_loss, r.reg_loss, r.initial_loss, r.final_loss,
+         r.report.ap, r.report.ap50, r.report.ap75, r.report.ap_small, r.report.ap_medium, r.report.ap_large)
+        for r in rows
+    ]
+
+
 def ap_after_nms(scenario: Scenario, decoded: dict[str, Detections], mode: str) -> ApReport:
     """The AP, against the scenario's ground truths, of per-image NMS under
     ``mode`` at the config's threshold and floor. Each class of an image

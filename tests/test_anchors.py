@@ -6,18 +6,25 @@ from hypothesis import given, settings, strategies as st
 
 from detkit.anchors import (
     FeatureLevelSpec,
-    GRIDS_320,
-    STRIDES_320,
     DEFAULT_SCALE_RATIOS,
     build_levels,
     generate_default_boxes,
     match_anchors,
-    detector_320_levels,
 )
 
 import oracles
 from oracles import Box, iou_value
 from conftest import anchor_box
+
+
+# the paper's six-level pyramid for a 320-pixel input; a config derives its
+# strides as image_size / grid, which gives 106.67 where the paper says 107
+GRIDS_320 = (40, 20, 10, 5, 3, 1)
+STRIDES_320 = (8, 16, 32, 64, 107, 320)
+
+
+def detector_320_levels():
+    return build_levels(GRIDS_320, STRIDES_320, DEFAULT_SCALE_RATIOS)
 
 
 def small_levels():

@@ -11,7 +11,7 @@ import pytest
 import detkit
 from detkit import cli, harness
 from detkit.cli import main
-from detkit.harness import ScenarioConfig, ToyModel, experiments, generate_scenario
+from detkit.harness import ScenarioConfig, ToyModel, experiments, generate_scenario, load_config, run_ablation
 from detkit.harness import scenario as scenario_module
 from detkit.harness.config import FitConfig
 
@@ -269,8 +269,18 @@ class TestReport:
         cfg = write_config(tmp_path, fit=FitConfig(epochs=8, step=0.05, feature_dim=16))
         assert main(["report", "--config", str(cfg), "--ablation"]) == 0
         lines = (tmp_path / "out" / "ablation.csv").read_text().splitlines()
-        assert lines[0].startswith("cls_loss,iou_loss,reg_loss")
-        assert len(lines) == 4
+        header = ["cls_loss", "iou_loss", "reg_loss", "initial_loss", "final_loss",
+                  "ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large"]
+        assert lines[0] == ",".join(header)
+        # each row holds run_ablation's values, read by column name
+        rows = run_ablation(generate_scenario(load_config(cfg)))
+        assert len(lines) == 1 + len(rows)
+        for line, r in zip(lines[1:], rows):
+            values = {"cls_loss": r.cls_loss, "iou_loss": r.iou_loss, "reg_loss": r.reg_loss,
+                      "initial_loss": r.initial_loss, "final_loss": r.final_loss, **r.report.as_dict()}
+            assert line == ",".join(v if isinstance(v, str) else repr(v) for v in map(values.get, header))
+        # a swap of two AP columns would show
+        assert any(r.report.ap50 != r.report.ap75 for r in rows)
 
 
 class TestDeterminism:

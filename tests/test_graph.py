@@ -312,9 +312,9 @@ class TestRfm:
         w = init_rfm_weights(ch, seed=3)
         q = ch // 4
         want = ch * ch + 3 * (9 * q * q) + ch * ch
-        assert w.parameter_count == want
         convs = [w.conv_in, w.conv_d1, w.conv_d3, w.conv_d5, w.conv_out]
-        assert w.parameter_count == sum(p.spec.parameters for p in convs)
+        assert sum(p.weight.size for p in convs) == want
+        assert sum(p.spec.parameters for p in convs) == want
 
 
 class TestTwoWayFpn:

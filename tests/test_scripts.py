@@ -7,9 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import detkit
+from detkit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 # the src/ directory this test run imports detkit from, so the script
@@ -20,6 +19,8 @@ SRC = Path(detkit.__file__).resolve().parent.parent
 def run_script(name: str, *args: str, cwd: Path) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    # pyproject.toml's filterwarnings does not reach a subprocess
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
@@ -28,19 +29,40 @@ def run_script(name: str, *args: str, cwd: Path) -> str:
     return proc.stdout
 
 
-@pytest.mark.parametrize("script,args,header", [
-    ("run_nms_ab_sweep.py", ["--seeds", "1"], "seed,mode,ap,ap50,kept,high_score_low_iou"),
-    (
-        "run_ablation_sweep.py", ["--seeds", "1", "--epochs", "2"],
-        "seed,losses,initial_loss,final_loss,ap,ap50,ap75",
-    ),
-])
-def test_sweep_writes_csv(tmp_path, script, args, header):
-    out = tmp_path / "sweep.csv"
-    run_script(script, *args, "--out", str(out), cwd=tmp_path)
-    lines = out.read_text().splitlines()
-    assert lines[0] == header
-    assert len(lines) > 1
+# perfbench's tiny config
+TINY = {"n_images": 1, "grids": [5, 3], "fit": {"epochs": 3, "snapshots": 2}}
+
+
+def test_claims_sweep_rows_are_report_rows(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    run_script("run_claims_sweep.py", "--config", str(config), "--seeds", "2", "--ablation", "--out", "sweep",
+               cwd=tmp_path)
+    ab = (tmp_path / "sweep" / "nms_ab_sweep.csv").read_text().splitlines()
+    ablation = (tmp_path / "sweep" / "ablation_sweep.csv").read_text().splitlines()
+    header = ab[0].split(",")
+    assert header == ["seed", "mode", "ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large", "kept",
+                      "high_score_low_iou"]
+    assert len(ab) == 1 + 2 * 2 and len(ablation) == 1 + 2 * 3
+    for seed in (0, 1):
+        out = tmp_path / f"report{seed}"
+        assert main(["report", "--config", str(config), "--seed", str(seed), "--ablation", "--out", str(out)]) == 0
+        doc = json.loads((out / "nms_ab_report.json").read_text())
+        for line, mode in zip(ab[1 + 2 * seed:3 + 2 * seed], ("standard", "iou_guided")):
+            cells = line.split(",")
+            res = doc["modes"][mode]
+            assert cells[:2] == [str(seed), mode]
+            assert [float(c) for c in cells[2:8]] == [res["ap_report"][name] for name in header[2:8]]
+            assert [int(c) for c in cells[8:]] == [res["kept"], res["high_score_low_iou"]]
+        table = (out / "ablation.csv").read_text().splitlines()
+        assert ablation[0] == "seed," + table[0]
+        assert ablation[1 + 3 * seed:4 + 3 * seed] == [f"{seed},{line}" for line in table[1:]]
+
+    stdout = run_script("run_claims_sweep.py", "--config", str(config), "--seeds", "2", "--out", "plain",
+                        cwd=tmp_path)
+    assert stdout.splitlines()[-1].startswith("guided mode kept strictly fewer confident low-IOU boxes in ")
+    assert sorted(p.name for p in (tmp_path / "plain").iterdir()) == ["nms_ab_sweep.csv"]
+    assert (tmp_path / "plain" / "nms_ab_sweep.csv").read_text().splitlines() == ab
 
 
 def test_rf_comparison_prints_both_tables(tmp_path):

@@ -33,36 +33,56 @@ def run_script(name: str, *args: str, cwd: Path) -> str:
 TINY = {"n_images": 1, "grids": [5, 3], "fit": {"epochs": 3, "snapshots": 2}}
 
 
-def test_claims_sweep_rows_are_report_rows(tmp_path):
+def claims_sweep(tmp_path: Path, *flags: str) -> tuple[Path, Path, str]:
+    """Runs the claims sweep at TINY over seeds 0 and 1; returns the config, out dir and stdout."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TINY))
-    run_script("run_claims_sweep.py", "--config", str(config), "--seeds", "2", "--ablation", "--out", "sweep",
-               cwd=tmp_path)
-    ab = (tmp_path / "sweep" / "nms_ab_sweep.csv").read_text().splitlines()
-    ablation = (tmp_path / "sweep" / "ablation_sweep.csv").read_text().splitlines()
+    out = tmp_path / "sweep"
+    stdout = run_script("run_claims_sweep.py", "--config", str(config), "--seeds", "2", *flags, "--out", str(out),
+                        cwd=tmp_path)
+    return config, out, stdout
+
+
+def assert_nms_rows_are_report_rows(ab: list[str], seed: int, report: Path) -> None:
+    """Checks seed's two nms_ab_sweep.csv lines against report's nms_ab_report.json, by column name."""
     header = ab[0].split(",")
-    assert header == ["seed", "mode", "ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large", "kept",
-                      "high_score_low_iou"]
-    assert len(ab) == 1 + 2 * 2 and len(ablation) == 1 + 2 * 3
+    doc = json.loads((report / "nms_ab_report.json").read_text())
+    for line, mode in zip(ab[1 + 2 * seed:3 + 2 * seed], ("standard", "iou_guided")):
+        cells = line.split(",")
+        res = doc["modes"][mode]
+        assert cells[:2] == [str(seed), mode]
+        assert [float(c) for c in cells[2:8]] == [res["ap_report"][name] for name in header[2:8]]
+        assert [int(c) for c in cells[8:]] == [res["kept"], res["high_score_low_iou"]]
+
+
+def test_claims_sweep_nms_rows_are_report_rows(tmp_path):
+    config, sweep, stdout = claims_sweep(tmp_path)
+    assert stdout.splitlines()[-1].startswith("guided mode kept strictly fewer confident low-IOU boxes in ")
+    assert sorted(p.name for p in sweep.iterdir()) == ["nms_ab_sweep.csv"]
+    ab = (sweep / "nms_ab_sweep.csv").read_text().splitlines()
+    assert ab[0].split(",") == ["seed", "mode", "ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large", "kept",
+                                "high_score_low_iou"]
+    assert len(ab) == 1 + 2 * 2
+    for seed in (0, 1):
+        out = tmp_path / f"report{seed}"
+        assert main(["report", "--config", str(config), "--seed", str(seed), "--out", str(out)]) == 0
+        assert_nms_rows_are_report_rows(ab, seed, out)
+
+
+def test_claims_sweep_ablation_rows_are_report_rows(tmp_path):
+    config, sweep, _ = claims_sweep(tmp_path, "--ablation")
+    assert sorted(p.name for p in sweep.iterdir()) == ["ablation_sweep.csv", "nms_ab_sweep.csv"]
+    ab = (sweep / "nms_ab_sweep.csv").read_text().splitlines()
+    assert len(ab) == 1 + 2 * 2
+    ablation = (sweep / "ablation_sweep.csv").read_text().splitlines()
+    assert len(ablation) == 1 + 2 * 3
     for seed in (0, 1):
         out = tmp_path / f"report{seed}"
         assert main(["report", "--config", str(config), "--seed", str(seed), "--ablation", "--out", str(out)]) == 0
-        doc = json.loads((out / "nms_ab_report.json").read_text())
-        for line, mode in zip(ab[1 + 2 * seed:3 + 2 * seed], ("standard", "iou_guided")):
-            cells = line.split(",")
-            res = doc["modes"][mode]
-            assert cells[:2] == [str(seed), mode]
-            assert [float(c) for c in cells[2:8]] == [res["ap_report"][name] for name in header[2:8]]
-            assert [int(c) for c in cells[8:]] == [res["kept"], res["high_score_low_iou"]]
+        assert_nms_rows_are_report_rows(ab, seed, out)
         table = (out / "ablation.csv").read_text().splitlines()
         assert ablation[0] == "seed," + table[0]
         assert ablation[1 + 3 * seed:4 + 3 * seed] == [f"{seed},{line}" for line in table[1:]]
-
-    stdout = run_script("run_claims_sweep.py", "--config", str(config), "--seeds", "2", "--out", "plain",
-                        cwd=tmp_path)
-    assert stdout.splitlines()[-1].startswith("guided mode kept strictly fewer confident low-IOU boxes in ")
-    assert sorted(p.name for p in (tmp_path / "plain").iterdir()) == ["nms_ab_sweep.csv"]
-    assert (tmp_path / "plain" / "nms_ab_sweep.csv").read_text().splitlines() == ab
 
 
 def test_rf_comparison_prints_both_tables(tmp_path):
